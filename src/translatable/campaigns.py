@@ -903,10 +903,6 @@ def _run_ideal_partition(inst):
     return _passed(tid, n, k)
 
 
-def _instances_block_order(max_n: int) -> list[tuple]:
-    return [(k * k + k, k) for k in range(1, max_n) if k * k + k <= max_n]
-
-
 def _run_block_order_decomposition(inst):
     tid = "block-order-decomposition"
     n, k = inst
@@ -1115,32 +1111,21 @@ def _run_scaled_residues(inst):
     return _passed(tid, n, t)
 
 
-def _np_detect(table: CayleyTable) -> frozenset[int]:
-    """Numpy twin of detect for tables too large for the cell loop."""
-    arr = np.array(table.rows, dtype=np.int32)
-    shifted = np.roll(arr, -1, axis=0)
-    found = [
-        k for k in range(1, table.n)
-        if (arr == np.roll(shifted, -k, axis=1)).all()
-    ]
-    return frozenset(found)
-
-
 def _check_union(tid: str, union, n: int, k: int, step: int):
     table = union.table
     big_n = table.n
-    if not is_translatable(table, step) or _np_detect(table) != frozenset({step}):
+    if not is_translatable(table, step) or detect(table) != frozenset({step}):
         return _failed(tid, n, k, {"copies": union.spec.t, "note": "wrong set of steps"})
     if table != table_from_sequence(left_unitary_groupoid(big_n, step)):
         return _failed(tid, n, k, {"copies": union.spec.t, "note": "union differs from the left unitary table"})
     if not check(table, "associative")[0]:
         return _failed(tid, n, k, {"copies": union.spec.t, "note": "union is not associative"})
     lu_small = left_unitary_groupoid(n, k)
-    arr = np.array(table.rows, dtype=np.int32)
     for copy, comp in enumerate(union.copies(), start=1):
-        members = np.zeros(big_n + 1, dtype=bool)
-        members[list(comp)] = True
-        if not members[arr[:, [c - 1 for c in comp]]].all():
+        cols = [c - 1 for c in comp]
+        members = np.zeros(big_n, dtype=bool)
+        members[cols] = True
+        if not members[table.grid[:, cols]].all():
             return _failed(tid, n, k, {"copy": copy, "note": "copy is not a left ideal"})
         local = {x: pos for pos, x in enumerate(comp, start=1)}
         first = comp[0]
@@ -1354,7 +1339,7 @@ def _campaigns() -> dict[str, Campaign]:
          12, _criterion_pairs, _run_ideal_partition),
         ("block-order-decomposition",
          "order k+k*k semigroups split into k copies of the cyclic group",
-         42, _instances_block_order, _run_block_order_decomposition),
+         42, _instances_block_product, _run_block_order_decomposition),
         ("semiprime-ideals",
          "every one-sided ideal of a cancellative semigroup is semiprime",
          12, _criterion_pairs, _run_semiprime_ideals),

@@ -14,6 +14,8 @@ import itertools
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .core import (
     CayleyTable,
     ConstructionError,
@@ -219,21 +221,18 @@ def _labels(spec: UnionSpec) -> tuple[tuple[int, int], ...]:
 def _union_from_product(spec: UnionSpec, step: int, local_index) -> LabeledUnion:
     """Fill the big table from a product rule on (copy, local) labels.
 
-    local_index(i, r, s) gives the local index x of i_r * j_s; the copy of
-    the result is always j.  The filled table is then re-checked to be
-    step-translatable, exercising the rotation description independently of
-    the product formula.
+    local_index(i, r, s) gives the local index x of i_r * j_s, with s the
+    array of every column's local index; the copy of the result is always
+    j.  The filled table is then re-checked to be step-translatable,
+    exercising the rotation description independently of the product
+    formula.
     """
     labels = _labels(spec)
     n, t = spec.n, spec.t
-    rows = []
-    for i, r in labels:
-        row = []
-        for j, s in labels:
-            x = local_index(i, r, s)
-            row.append(t * (x - 1) + j)
-        rows.append(tuple(row))
-    table = CayleyTable(t * n, tuple(rows))
+    columns = np.arange(t * n)
+    copy, local = columns % t + 1, columns // t + 1
+    rows = tuple(tuple((t * (local_index(i, r, local) - 1) + copy).tolist()) for i, r in labels)
+    table = CayleyTable(t * n, rows)
     if not is_translatable(table, step):
         raise VerificationError(
             f"union table of order {t * n} is not {step}-translatable"

@@ -11,9 +11,13 @@ across worker processes.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 from dataclasses import dataclass
+from functools import cached_property
+
+import numpy as np
 
 DEFAULT_MAX_ORDER = 1024
 
@@ -109,6 +113,13 @@ class CayleyTable:
         _check_order(self.n)
         if len(self.rows) != self.n:
             raise InvalidInputError(f"expected {self.n} rows, got {len(self.rows)}")
+        # Bulk check first: row lengths, then the least and largest of the
+        # distinct values.  The cell loop below only runs to name the first
+        # bad cell in row-major order.
+        if set(map(len, self.rows)) == {self.n}:
+            values = set().union(*self.rows)
+            if min(values) >= 1 and max(values) <= self.n:
+                return
         for i, row in enumerate(self.rows, start=1):
             if len(row) != self.n:
                 raise InvalidInputError(f"row {i} has {len(row)} entries, expected {self.n}")
@@ -122,6 +133,15 @@ class CayleyTable:
     def from_rows(cls, rows) -> CayleyTable:
         rows = tuple(tuple(int(v) for v in row) for row in rows)
         return cls(len(rows), rows)
+
+    @cached_property
+    def grid(self) -> np.ndarray:
+        """The cells as a read-only 0-based array (int16 below order 32768), built once."""
+        dtype = np.int16 if self.n < 32768 else np.int32
+        cells = np.fromiter(itertools.chain.from_iterable(self.rows), dtype, self.n * self.n)
+        cells -= 1
+        cells.flags.writeable = False
+        return cells.reshape(self.n, self.n)
 
     def entry(self, i: int, j: int) -> int:
         """Product of i and j (both 1-based)."""
@@ -215,11 +235,6 @@ class Witness:
 
     def as_dict(self) -> dict:
         return {"tag": self.tag, "elements": list(self.elements), "lhs": self.lhs, "rhs": self.rhs}
-
-
-def entry(table: CayleyTable, i: int, j: int) -> int:
-    """Product of i and j in the table (1-based on both sides)."""
-    return table.entry(i, j)
 
 
 def reorder(table: CayleyTable, ordering: Ordering) -> CayleyTable:

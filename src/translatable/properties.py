@@ -18,6 +18,7 @@ from .core import (
     InvalidInputError,
     KSequence,
     PreconditionError,
+    VerificationError,
     Witness,
     mod_rep,
 )
@@ -71,12 +72,7 @@ NEEDS_ASSOCIATIVITY = frozenset(
     }
 )
 
-_VECTOR_MIN_N = 25
 _VECTOR_CELL_LIMIT = 20_000_000
-
-
-def _array(table: CayleyTable) -> np.ndarray:
-    return np.asarray(table.rows, dtype=np.int32) - 1
 
 
 def _check_idempotent(table):
@@ -97,36 +93,37 @@ def _check_commutative(table):
     return True, None
 
 
+def _first_cell(bad: np.ndarray) -> tuple[int, ...]:
+    """0-based index of the first True cell in row-major (lexicographic) order."""
+    return tuple(int(v) for v in np.unravel_index(int(bad.argmax()), bad.shape))
+
+
 def _check_associative(table):
-    n = table.n
-    rows = table.rows
-    if n >= _VECTOR_MIN_N:
-        m = _array(table)
-        for i0 in range(n):
-            left = m[m[i0]]          # [j, s] -> (i*j)*s
-            right = m[i0][m]         # [j, s] -> i*(j*s)
-            bad = left != right
-            if bad.any():
-                j0, s0 = map(int, np.argwhere(bad)[0])
-                return False, Witness(
-                    "associative",
-                    (i0 + 1, j0 + 1, s0 + 1),
-                    int(left[j0, s0]) + 1,
-                    int(right[j0, s0]) + 1,
-                )
-        return True, None
-    for i in range(1, n + 1):
-        row_i = rows[i - 1]
-        for j in range(1, n + 1):
-            ij = row_i[j - 1]
-            row_j = rows[j - 1]
-            row_ij = rows[ij - 1]
-            for s in range(1, n + 1):
-                lhs = row_ij[s - 1]
-                rhs = row_i[row_j[s - 1] - 1]
-                if lhs != rhs:
-                    return False, Witness("associative", (i, j, s), lhs, rhs)
+    m = table.grid
+    mt = np.ascontiguousarray(m.T)
+    left = np.empty_like(m)
+    right = np.empty_like(m)
+    bad = np.empty(m.shape, dtype=bool)
+    for y in range(table.n):
+        np.take(m, m[:, y], axis=0, out=left, mode="clip")    # [x, z] -> (x*y)*z
+        np.take(mt, m[y], axis=0, out=right, mode="clip")     # [z, x] -> x*(y*z)
+        np.not_equal(left, right.T, out=bad)
+        if bad.any():
+            # The slab fixes y; the least witness may sit at a smaller x
+            # under a later y, so search by x up to this slab's least x.
+            return False, _least_associative_witness(m, _first_cell(bad)[0])
     return True, None
+
+
+def _least_associative_witness(m, x_max):
+    for x in range(x_max + 1):
+        left = m[m[x]]           # [y, z] -> (x*y)*z
+        right = m[x][m]          # [y, z] -> x*(y*z)
+        bad = left != right
+        if bad.any():
+            y, z = _first_cell(bad)
+            return Witness("associative", (x + 1, y + 1, z + 1), int(left[y, z]) + 1, int(right[y, z]) + 1)
+    raise VerificationError("a failing associativity slab has no witness at or before its least x")
 
 
 def _first_duplicate(values):
@@ -235,26 +232,13 @@ def _guard_quadruple(n):
 
 
 def _check_paramedial(table):
-    n = table.n
-    rows = table.rows
-    if n >= _VECTOR_MIN_N:
-        _guard_quadruple(n)
-        m = _array(table)
-        prod = m[m[:, :, None, None], m[None, None, :, :]]  # (i*j)*(w*z)
-        bad = prod != prod.transpose(3, 1, 2, 0)
-        if bad.any():
-            i, j, w, z = (int(v) + 1 for v in np.argwhere(bad)[0])
-            return False, _quad_witness(table, "paramedial", i, j, w, z)
-        return True, None
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            ij = rows[i - 1][j - 1]
-            for w in range(1, n + 1):
-                for z in range(1, n + 1):
-                    lhs = rows[ij - 1][rows[w - 1][z - 1] - 1]
-                    rhs = rows[rows[z - 1][j - 1] - 1][rows[w - 1][i - 1] - 1]
-                    if lhs != rhs:
-                        return False, Witness("paramedial", (i, j, w, z), lhs, rhs)
+    _guard_quadruple(table.n)
+    m = table.grid
+    prod = m[m[:, :, None, None], m[None, None, :, :]]  # (i*j)*(w*z)
+    bad = prod != prod.transpose(3, 1, 2, 0)
+    if bad.any():
+        i, j, w, z = (v + 1 for v in _first_cell(bad))
+        return False, _quad_witness(table, "paramedial", i, j, w, z)
     return True, None
 
 
@@ -271,27 +255,13 @@ def _quad_witness(table, tag, i, j, w, z):
 
 
 def _check_medial(table):
-    n = table.n
-    rows = table.rows
-    if n >= _VECTOR_MIN_N:
-        _guard_quadruple(n)
-        m = _array(table)
-        prod = m[m[:, :, None, None], m[None, None, :, :]]
-        bad = prod != prod.transpose(0, 2, 1, 3)
-        if bad.any():
-            i, j, w, z = (int(v) + 1 for v in np.argwhere(bad)[0])
-            return False, _quad_witness(table, "medial", i, j, w, z)
-        return True, None
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            ij = rows[i - 1][j - 1]
-            for w in range(1, n + 1):
-                iw = rows[i - 1][w - 1]
-                for z in range(1, n + 1):
-                    lhs = rows[ij - 1][rows[w - 1][z - 1] - 1]
-                    rhs = rows[iw - 1][rows[j - 1][z - 1] - 1]
-                    if lhs != rhs:
-                        return False, Witness("medial", (i, j, w, z), lhs, rhs)
+    _guard_quadruple(table.n)
+    m = table.grid
+    prod = m[m[:, :, None, None], m[None, None, :, :]]
+    bad = prod != prod.transpose(0, 2, 1, 3)
+    if bad.any():
+        i, j, w, z = (v + 1 for v in _first_cell(bad))
+        return False, _quad_witness(table, "medial", i, j, w, z)
     return True, None
 
 
@@ -325,29 +295,16 @@ def _check_right_distributive(table):
 
 
 def _check_alterable(table):
-    n = table.n
+    _guard_quadruple(table.n)
     rows = table.rows
-    if n >= _VECTOR_MIN_N:
-        _guard_quadruple(n)
-        m = _array(table)
-        same = m[:, :, None, None] == m[None, None, :, :]   # i*j == w*z
-        # j*w sits on axes (j, w); z*i on axes (z, i) via the transpose.
-        swapped = m[None, :, :, None] == m.T[:, None, None, :]
-        bad = same & ~swapped
-        if bad.any():
-            i, j, w, z = (int(v) + 1 for v in np.argwhere(bad)[0])
-            lhs = rows[j - 1][w - 1]
-            rhs = rows[z - 1][i - 1]
-            return False, Witness("alterable", (i, j, w, z), lhs, rhs)
-        return True, None
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            ij = rows[i - 1][j - 1]
-            for w in range(1, n + 1):
-                jw = rows[j - 1][w - 1]
-                for z in range(1, n + 1):
-                    if ij == rows[w - 1][z - 1] and jw != rows[z - 1][i - 1]:
-                        return False, Witness("alterable", (i, j, w, z), jw, rows[z - 1][i - 1])
+    m = table.grid
+    same = m[:, :, None, None] == m[None, None, :, :]   # i*j == w*z
+    # j*w sits on axes (j, w); z*i on axes (z, i) via the transpose.
+    swapped = m[None, :, :, None] == m.T[:, None, None, :]
+    bad = same & ~swapped
+    if bad.any():
+        i, j, w, z = (v + 1 for v in _first_cell(bad))
+        return False, Witness("alterable", (i, j, w, z), rows[j - 1][w - 1], rows[z - 1][i - 1])
     return True, None
 
 

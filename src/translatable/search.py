@@ -10,8 +10,8 @@ spread over worker processes while keeping the serial result order.
 from __future__ import annotations
 
 import itertools
-import math
 import multiprocessing
+import os
 import time
 from dataclasses import dataclass
 from typing import Iterator
@@ -163,6 +163,11 @@ def _run_instance(arg: tuple[str, tuple]) -> list[InstanceResult]:
     return THEOREMS[theorem_id].run(instance)
 
 
+def _worker_count(jobs: int, instances: int, cpus: int | None) -> int:
+    """Processes worth starting: never more than the CPUs or the instances."""
+    return max(1, min(jobs, cpus or 1, instances))
+
+
 def verify(theorem_id: str, max_n: int | None = None, jobs: int = 1) -> CampaignReport:
     """Replay one campaign up to max_n and report per-instance outcomes."""
     campaign = _campaign(theorem_id)
@@ -174,10 +179,11 @@ def verify(theorem_id: str, max_n: int | None = None, jobs: int = 1) -> Campaign
         raise InvalidInputError(f"jobs must be positive, got {jobs}")
     instances = campaign.instances(max_n)
     started = time.perf_counter()
-    if jobs == 1 or len(instances) <= 1:
+    workers = _worker_count(jobs, len(instances), os.cpu_count())
+    if workers == 1:
         chunks = [campaign.run(instance) for instance in instances]
     else:
-        with multiprocessing.Pool(jobs) as pool:
+        with multiprocessing.Pool(workers) as pool:
             chunks = pool.map(_run_instance, [(theorem_id, inst) for inst in instances])
     elapsed = time.perf_counter() - started
     results = tuple(result for chunk in chunks for result in chunk)

@@ -12,6 +12,8 @@ import itertools
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .core import (
     BoundError,
     CayleyTable,
@@ -77,30 +79,36 @@ def _least_multiplier(base: int, n: int) -> int:
     raise VerificationError(f"no multiple of {base} vanishes modulo {n}")
 
 
-def _verify_component_group(table: CayleyTable, comp: tuple[int, ...], e: int, gen: int) -> None:
+def _verify_component_group(m: np.ndarray, comp: tuple[int, ...], e: int, gen: int) -> None:
+    """Re-check on the 0-based grid m that comp is a cyclic group."""
     members = set(comp)
     if e not in members or gen not in members:
         raise VerificationError(f"component {comp} misses its idempotent {e} or generator {gen}")
-    for x in comp:
-        for y in comp:
-            if table.entry(x, y) not in members:
-                raise VerificationError(f"component {comp} is not closed: {x}*{y} escapes")
-    for x in comp:
-        for y in comp:
-            for z in comp:
-                if table.entry(table.entry(x, y), z) != table.entry(x, table.entry(y, z)):
-                    raise VerificationError(f"component {comp} is not associative at ({x},{y},{z})")
-    for x in comp:
-        if table.entry(e, x) != x or table.entry(x, e) != x:
-            raise VerificationError(f"{e} is not neutral in component {comp}")
-    for x in comp:
-        if not any(table.entry(x, y) == e and table.entry(y, x) == e for y in comp):
-            raise VerificationError(f"{x} has no inverse in component {comp}")
+    c = np.array(comp) - 1
+    inside = np.zeros(m.shape[0], dtype=bool)
+    inside[c] = True
+    sub = m[np.ix_(c, c)]                  # [x, y] -> x*y, x and y in comp
+    escapes = ~inside[sub]
+    if escapes.any():
+        x, y = np.unravel_index(escapes.argmax(), escapes.shape)
+        raise VerificationError(f"component {comp} is not closed: {comp[x]}*{comp[y]} escapes")
+    for pos, x in enumerate(comp):
+        left = m[sub[pos]][:, c]           # [y, z] -> (x*y)*z
+        right = m[x - 1][sub]              # [y, z] -> x*(y*z)
+        bad = left != right
+        if bad.any():
+            y, z = np.unravel_index(bad.argmax(), bad.shape)
+            raise VerificationError(f"component {comp} is not associative at ({x},{comp[y]},{comp[z]})")
+    if (m[e - 1, c] != c).any() or (m[c, e - 1] != c).any():
+        raise VerificationError(f"{e} is not neutral in component {comp}")
+    has_inverse = ((sub == e - 1) & (sub.T == e - 1)).any(axis=1)
+    if not has_inverse.all():
+        raise VerificationError(f"{comp[np.flatnonzero(~has_inverse)[0]]} has no inverse in component {comp}")
     powers = set()
     p = gen
     for _ in range(len(comp)):
         powers.add(p)
-        p = table.entry(p, gen)
+        p = int(m[p - 1, gen - 1]) + 1
     if powers != members or p != gen:
         raise VerificationError(f"{gen} does not generate component {comp}")
 
@@ -145,15 +153,16 @@ def decompose(table: CayleyTable, seq: KSequence) -> Decomposition:
     components = []
     generators = []
     covered: set[int] = set()
+    grid = table.grid
     for e in idems:
-        comp = tuple(sorted({table.entry(x, e) for x in range(1, n + 1)}))
+        comp = tuple(np.unique(grid[:, e - 1] + 1).tolist())
         if len(comp) != m:
             raise VerificationError(f"component of {e} has size {len(comp)}, expected {m}")
         if covered & set(comp):
             raise VerificationError(f"component of {e} overlaps an earlier one")
         covered.update(comp)
         gen = mod_rep(e - k, n)
-        _verify_component_group(table, comp, e, gen)
+        _verify_component_group(grid, comp, e, gen)
         components.append(comp)
         generators.append(gen)
     if len(covered) != n:
@@ -239,21 +248,22 @@ def iso_left_unitary(seq_q: KSequence, seq_g: KSequence) -> Isomorphism:
                 prerequisite="semigroup-criterion",
             )
     n = seq_q.n
-    tq = table_from_sequence(seq_q)
-    tg = table_from_sequence(seq_g)
+    grid_q = table_from_sequence(seq_q).grid
+    grid_g = table_from_sequence(seq_g).grid
     bq = _unitary_reordering(seq_q)
     bg = _unitary_reordering(seq_g)
-    for table, b in ((tq, bq), (tg, bg)):
-        first = b.apply(1)
-        for s in range(1, n + 1):
-            if table.entry(first, b.apply(s)) != b.apply(s):
-                raise VerificationError("reordered table has no left neutral in front")
+    for grid, b in ((grid_q, bq), (grid_g, bg)):
+        order = np.array(b.perm) - 1
+        if (grid[order[0], order] != order).any():
+            raise VerificationError("reordered table has no left neutral in front")
     phi = bg.compose(bq.inverse())
     mapping = tuple(phi.apply(x) for x in range(1, n + 1))
-    for x in range(1, n + 1):
-        for y in range(1, n + 1):
-            if mapping[tq.entry(x, y) - 1] != tg.entry(mapping[x - 1], mapping[y - 1]):
-                raise VerificationError(f"unitary map fails on the product {x}*{y}")
+    image = np.array(mapping) - 1
+    for x in range(n):
+        bad = image[grid_q[x]] != grid_g[image[x]][image]   # phi(x*y) vs phi(x)*phi(y)
+        if bad.any():
+            y = int(np.flatnonzero(bad)[0])
+            raise VerificationError(f"unitary map fails on the product {x + 1}*{y + 1}")
     return Isomorphism(mapping, True)
 
 

@@ -33,34 +33,32 @@ def table_from_sequence(seq: KSequence) -> CayleyTable:
     return CayleyTable(n, tuple(rows))
 
 
-def detect(table: CayleyTable) -> frozenset[int]:
-    """All steps k in 1..n-1 under which the table is translatable."""
+def _translatable_steps(table: CayleyTable, first: int, last: int) -> list[int]:
+    """Steps k in first..last under which T[i][j] = T[i+1][j+k] in every cell.
+
+    Candidates are filtered on the first two rows, then each survivor is
+    checked on the whole grid: every row must equal the next one read from
+    position k+1 on, cyclically.  Whole rows are compared as tuple slices,
+    at C speed and with no array conversion, so small tables stay cheap.
+    """
     n = table.n
     rows = table.rows
-    found = []
-    for k in range(1, n):
-        ok = True
-        for i in range(n):
-            row, nxt = rows[i], rows[(i + 1) % n]
-            if any(row[j] != nxt[(j + k) % n] for j in range(n)):
-                ok = False
-                break
-        if ok:
-            found.append(k)
-    return frozenset(found)
+    doubled = rows[1] + rows[1]
+    steps = [k for k in range(first, last + 1) if doubled[k] == rows[0][0] and doubled[k:k + n] == rows[0]]
+    below = rows[1:] + rows[:1]
+    return [k for k in steps if all(row == nxt[k:] + nxt[:k] for row, nxt in zip(rows, below))]
+
+
+def detect(table: CayleyTable) -> frozenset[int]:
+    """All steps k in 1..n-1 under which the table is translatable."""
+    if table.n == 1:
+        return frozenset()
+    return frozenset(_translatable_steps(table, 1, table.n - 1))
 
 
 def is_translatable(table: CayleyTable, k: int) -> bool:
     """Does the grid satisfy T[i][j] = T[i+1][j+k] everywhere?"""
-    n = table.n
-    if not 1 <= k <= n - 1:
-        return False
-    rows = table.rows
-    return all(
-        rows[i][j] == rows[(i + 1) % n][(j + k) % n]
-        for i in range(n)
-        for j in range(n)
-    )
+    return 1 <= k <= table.n - 1 and bool(_translatable_steps(table, k, k))
 
 
 def rotate_ordering(seq: KSequence) -> tuple[Ordering, KSequence]:

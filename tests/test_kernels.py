@@ -1,0 +1,316 @@
+"""The numpy cell sweeps against independent brute-force loops.
+
+Every oracle here is a plain nested loop over 1-based cells written in this
+file, so a kernel that gathers the wrong axis or picks the wrong first
+counterexample disagrees with it.  Witnesses must match exactly: the
+kernels promise the lexicographically least counterexample.
+"""
+
+from __future__ import annotations
+
+import itertools
+import random
+
+import numpy as np
+import pytest
+
+from translatable.constructions import cancellative_semigroups, left_unitary_groupoid
+from translatable.core import CayleyTable, InvalidInputError, KSequence, Ordering, VerificationError
+from translatable.properties import check
+from translatable.search import _worker_count
+from translatable.structure import _verify_component_group, decompose, iso_left_unitary
+from translatable.translation import detect, is_translatable, table_from_sequence
+
+
+def random_table(rng: random.Random, n: int, values: int | None = None) -> CayleyTable:
+    top = values or n
+    return CayleyTable(n, tuple(tuple(rng.randint(1, top) for _ in range(n)) for _ in range(n)))
+
+
+def with_cell(table: CayleyTable, i: int, j: int, value: int) -> CayleyTable:
+    rows = [list(row) for row in table.rows]
+    rows[i - 1][j - 1] = value
+    return CayleyTable.from_rows(rows)
+
+
+def perturbed_first_rows(max_n: int):
+    """Every single-entry change of every cancellative semigroup first row."""
+    for n in range(2, max_n + 1):
+        for k in range(1, n):
+            for seq in cancellative_semigroups(n, k):
+                for pos in range(n):
+                    for value in range(1, n + 1):
+                        if value != seq.seq[pos]:
+                            row = seq.seq[:pos] + (value,) + seq.seq[pos + 1:]
+                            yield table_from_sequence(KSequence(n, k, row))
+
+
+# -- associativity ------------------------------------------------------------
+
+
+def brute_associative(table: CayleyTable):
+    rows = table.rows
+    r = range(1, table.n + 1)
+    for x, y, z in itertools.product(r, r, r):
+        lhs = rows[rows[x - 1][y - 1] - 1][z - 1]
+        rhs = rows[x - 1][rows[y - 1][z - 1] - 1]
+        if lhs != rhs:
+            return False, ((x, y, z), lhs, rhs)
+    return True, None
+
+
+def assert_associative_agrees(table: CayleyTable) -> tuple[int, int, int] | None:
+    ok, witness = check(table, "associative")
+    expected_ok, expected = brute_associative(table)
+    assert ok == expected_ok
+    if ok:
+        assert witness is None
+        return None
+    assert witness.tag == "associative"
+    assert (witness.elements, witness.lhs, witness.rhs) == expected
+    return witness.elements
+
+
+def test_associative_matches_brute_force_on_random_tables():
+    rng = random.Random(20171107)
+    for n in range(1, 41):
+        for values in (n, min(n, 2), min(n, 3)):
+            for _ in range(3):
+                assert_associative_agrees(random_table(rng, n, values))
+
+
+def test_associative_matches_brute_force_on_semigroups():
+    for n, k in ((2, 1), (6, 2), (12, 3), (20, 4), (30, 5), (40, 15)):
+        seqs = cancellative_semigroups(n, k)
+        assert seqs
+        for seq in seqs[:3]:
+            assert assert_associative_agrees(table_from_sequence(seq)) is None
+
+
+def test_associative_witness_lands_beyond_the_first_slab():
+    # One changed entry of a semigroup first row often breaks associativity
+    # only at x > 1, so the y-slab scan must hand its first failing slab to
+    # the x-ordered search to report the least witness.
+    late = 0
+    for table in perturbed_first_rows(9):
+        elements = assert_associative_agrees(table)
+        if elements is not None and elements[0] > 1:
+            late += 1
+    assert late > 0
+
+
+def test_associative_single_cell_perturbations():
+    rng = random.Random(7)
+    for n, k in ((6, 2), (12, 3), (20, 4)):
+        base = table_from_sequence(cancellative_semigroups(n, k)[0])
+        for _ in range(25):
+            i, j = rng.randint(1, n), rng.randint(1, n)
+            value = rng.choice([v for v in range(1, n + 1) if v != base.rows[i - 1][j - 1]])
+            assert_associative_agrees(with_cell(base, i, j, value))
+
+
+# -- four-variable identities -------------------------------------------------
+
+
+def brute_quad(table: CayleyTable, name: str):
+    rows = table.rows
+
+    def p(a, b):
+        return rows[a - 1][b - 1]
+
+    r = range(1, table.n + 1)
+    for i, j, w, z in itertools.product(r, r, r, r):
+        if name == "medial":
+            lhs, rhs = p(p(i, j), p(w, z)), p(p(i, w), p(j, z))
+        elif name == "paramedial":
+            lhs, rhs = p(p(i, j), p(w, z)), p(p(z, j), p(w, i))
+        else:
+            if p(i, j) != p(w, z):
+                continue
+            lhs, rhs = p(j, w), p(z, i)
+        if lhs != rhs:
+            return False, ((i, j, w, z), lhs, rhs)
+    return True, None
+
+
+def quad_tables():
+    rng = random.Random(31)
+    for n in range(1, 11):
+        for values in (n, min(n, 2)):
+            yield random_table(rng, n, values)
+        for k in range(1, n):
+            yield table_from_sequence(left_unitary_groupoid(n, k))
+            seq = tuple(rng.randint(1, n) for _ in range(n))
+            yield table_from_sequence(KSequence(n, k, seq))
+    yield CayleyTable(4, ((2,) * 4,) * 4)
+
+
+@pytest.mark.parametrize("name", ["medial", "paramedial", "alterable"])
+def test_four_variable_identities_match_brute_force(name):
+    verdicts = set()
+    for table in quad_tables():
+        ok, witness = check(table, name)
+        expected_ok, expected = brute_quad(table, name)
+        assert ok == expected_ok
+        verdicts.add(ok)
+        if not ok:
+            assert witness.tag == name
+            assert (witness.elements, witness.lhs, witness.rhs) == expected
+    assert verdicts == {True, False}
+
+
+# -- translatability ----------------------------------------------------------
+
+
+def brute_steps(table: CayleyTable) -> frozenset[int]:
+    n, rows = table.n, table.rows
+    return frozenset(
+        k for k in range(1, n)
+        if all(rows[i][j] == rows[(i + 1) % n][(j + k) % n] for i in range(n) for j in range(n))
+    )
+
+
+def translation_tables():
+    rng = random.Random(5)
+    yield CayleyTable(1, ((1,),))
+    for cells in itertools.product((1, 2), repeat=4):
+        yield CayleyTable(2, (cells[:2], cells[2:]))
+    for n in range(3, 13):
+        yield CayleyTable(n, ((1,) * n,) * n)
+        yield random_table(rng, n)
+        for k in range(1, n):
+            table = table_from_sequence(KSequence(n, k, tuple(rng.randint(1, n) for _ in range(n))))
+            yield table
+            i, j = rng.randint(1, n), rng.randint(1, n)
+            yield with_cell(table, i, j, table.rows[i - 1][j - 1] % n + 1)
+
+
+def test_detect_and_is_translatable_match_brute_force():
+    found_some = perturbed_none = 0
+    for table in translation_tables():
+        expected = brute_steps(table)
+        assert detect(table) == expected
+        for k in range(-1, table.n + 1):
+            assert is_translatable(table, k) == (k in expected)
+        found_some += bool(expected)
+        perturbed_none += not expected
+    assert found_some and perturbed_none
+
+
+# -- structure re-checks ------------------------------------------------------
+
+
+def component_case():
+    seq = cancellative_semigroups(6, 2)[0]
+    table = table_from_sequence(seq)
+    dec = decompose(table, seq)
+    comp = dec.components[0]
+    e = min(dec.idempotents)
+    return table, comp, e, dec.generators[0]
+
+
+def test_component_check_accepts_a_true_component():
+    table, comp, e, gen = component_case()
+    _verify_component_group(table.grid, comp, e, gen)
+
+
+def test_component_check_rejects_an_escaping_product():
+    table, comp, e, gen = component_case()
+    grid = table.grid.copy()
+    outside = min(set(range(1, table.n + 1)) - set(comp))
+    grid[comp[1] - 1, comp[2] - 1] = outside - 1
+    with pytest.raises(VerificationError, match=rf"not closed: {comp[1]}\*{comp[2]} escapes"):
+        _verify_component_group(grid, comp, e, gen)
+
+
+def test_component_check_rejects_a_non_associative_component():
+    table, comp, e, gen = component_case()
+    grid = table.grid.copy()
+    x, a, b = comp[1], comp[1], comp[2]
+    grid[x - 1, a - 1], grid[x - 1, b - 1] = grid[x - 1, b - 1], grid[x - 1, a - 1]
+    with pytest.raises(VerificationError, match="not associative"):
+        _verify_component_group(grid, comp, e, gen)
+
+
+def test_component_check_rejects_wrong_neutral_generator_and_members():
+    table, comp, e, gen = component_case()
+    with pytest.raises(VerificationError, match="is not neutral"):
+        _verify_component_group(table.grid, comp, gen, gen)
+    with pytest.raises(VerificationError, match="does not generate"):
+        _verify_component_group(table.grid, comp, e, e)
+    outside = min(set(range(1, table.n + 1)) - set(comp))
+    with pytest.raises(VerificationError, match="misses its idempotent"):
+        _verify_component_group(table.grid, comp, outside, gen)
+
+
+def test_iso_left_unitary_rejects_a_wrong_mapping(monkeypatch):
+    n, k = 6, 2
+    seq_q, seq_g = cancellative_semigroups(n, k)[:2]
+    right = iso_left_unitary(seq_q, seq_g).mapping
+    wrong = (right[1], right[0]) + right[2:]
+    tq, tg = table_from_sequence(seq_q).rows, table_from_sequence(seq_g).rows
+    first = next(
+        (x, y)
+        for x in range(1, n + 1)
+        for y in range(1, n + 1)
+        if wrong[tq[x - 1][y - 1] - 1] != tg[wrong[x - 1] - 1][wrong[y - 1] - 1]
+    )
+    monkeypatch.setattr(Ordering, "compose", lambda self, other: Ordering(wrong))
+    with pytest.raises(VerificationError, match=rf"fails on the product {first[0]}\*{first[1]}$"):
+        iso_left_unitary(seq_q, seq_g)
+
+
+# -- table validation ---------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    ("rows", "message"),
+    [
+        (((1, 2, 9), (0, 1, 1), (1, 1, 1)), r"entry at \(1, 3\) is 9"),
+        (((1, 1, 1), (1, 1, 1), (4, 0, 1)), r"entry at \(3, 1\) is 4"),
+        (((1, 2, 3), (1, 4, 1), (1, 1)), r"entry at \(2, 2\) is 4"),
+        (((1, 2, 3), (1, 1), (0, 1, 1)), r"row 2 has 2 entries"),
+    ],
+)
+def test_table_names_the_first_bad_cell(rows, message):
+    with pytest.raises(InvalidInputError, match=message):
+        CayleyTable(3, rows)
+
+
+def test_table_names_the_first_bad_cell_in_row_major_order():
+    rng = random.Random(11)
+    for _ in range(200):
+        n = rng.randint(1, 7)
+        cells = [[rng.randint(1, n) for _ in range(n)] for _ in range(n)]
+        for _ in range(rng.randint(1, 3)):
+            cells[rng.randrange(n)][rng.randrange(n)] = rng.choice((0, -3, n + 1, n + 5))
+        i, j = next((i, j) for i in range(n) for j in range(n) if not 1 <= cells[i][j] <= n)
+        with pytest.raises(InvalidInputError, match=rf"entry at \({i + 1}, {j + 1}\) is {cells[i][j]},"):
+            CayleyTable(n, tuple(map(tuple, cells)))
+
+
+def test_grid_is_a_read_only_zero_based_copy():
+    table = CayleyTable(2, ((1, 2), (2, 1)))
+    assert table.grid.tolist() == [[0, 1], [1, 0]]
+    assert table.grid.dtype == np.int16
+    assert not table.grid.flags.writeable
+    assert table == CayleyTable(2, ((1, 2), (2, 1)))
+
+
+# -- verify worker clamp ------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    ("jobs", "instances", "cpus", "expected"),
+    [
+        (1, 10, 8, 1),
+        (3, 10, 8, 3),
+        (8, 10, 2, 2),
+        (8, 3, 16, 3),
+        (4, 0, 4, 1),
+        (4, 10, None, 1),
+        (4, 1, 4, 1),
+    ],
+)
+def test_worker_count_never_exceeds_cpus_or_instances(jobs, instances, cpus, expected):
+    assert _worker_count(jobs, instances, cpus) == expected
