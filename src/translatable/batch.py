@@ -6,24 +6,102 @@ whole batch of tables so that exhaustive campaigns over n! or n^n first
 rows finish in seconds.  Tables are stored as a (B, n, n) array of 0-based
 entries; every mask returns one boolean per table and is computed cell by
 cell, never through a closed form.
+
+Row spaces and the masks campaigns take over a whole row space are
+memoised as read-only arrays until clear_memo(); the verify command clears
+them when it starts and when it ends, so one command computes each row
+space and each whole-space mask once, still cell by cell.
 """
 
 from __future__ import annotations
 
-import itertools
+import math
 
 import numpy as np
 
+from .core import BoundError
+
 ROW_CHUNK = 4096
+# Most table cells (rows times n*n) a row space may generate: every default
+# campaign window fits (permutations to n = 9, all rows to n = 7).
+ROW_CELL_BUDGET = 1 << 26
+
+_ROWS: dict[tuple[int, bool], np.ndarray] = {}
+_VERDICTS: dict[tuple, np.ndarray | dict[int, np.ndarray]] = {}
+
+
+def clear_memo() -> None:
+    """Forget every memoised row space and whole-space mask."""
+    _ROWS.clear()
+    _VERDICTS.clear()
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+def _all_rows(n: int) -> np.ndarray:
+    # np.indices varies its last axis fastest, which is lexicographic order.
+    return np.ascontiguousarray(np.indices((n,) * n, dtype=np.int8).reshape(n, n**n).T)
+
+
+def _permutations(n: int) -> np.ndarray:
+    """Lexicographic permutations of range(n): each first value in turn,
+    followed by the permutations of the rest, relabelled in order."""
+    rows = np.zeros((1, 0), dtype=np.int8)
+    for m in range(1, n + 1):
+        block = rows.shape[0]
+        out = np.empty((m * block, m), dtype=np.int8)
+        for first in range(m):
+            part = out[first * block:(first + 1) * block]
+            part[:, 0] = first
+            part[:, 1:] = rows + (rows >= first)
+        rows = out
+    return rows
 
 
 def row_array(n: int, permutation_only: bool) -> np.ndarray:
-    """All first rows as a (B, n) array of 0-based values, lexicographic."""
-    if permutation_only:
-        rows = list(itertools.permutations(range(n)))
-    else:
-        rows = list(itertools.product(range(n), repeat=n))
-    return np.array(rows, dtype=np.int8)
+    """All first rows as a read-only (B, n) array of 0-based values, lexicographic.
+
+    Memoised until clear_memo().  Refuses with BoundError, before
+    allocating, a space whose tables would exceed ROW_CELL_BUDGET cells.
+    """
+    key = (n, bool(permutation_only))
+    rows = _ROWS.get(key)
+    if rows is None:
+        count = math.factorial(n) if permutation_only else n**n
+        if count * n * n > ROW_CELL_BUDGET:
+            kind = "permutation" if permutation_only else "full"
+            raise BoundError(
+                f"{kind} row space at n = {n} needs {count * n * n} table cells, "
+                f"over the row-space budget of {ROW_CELL_BUDGET}"
+            )
+        rows = _ROWS[key] = _frozen(_permutations(n) if permutation_only else _all_rows(n))
+    return rows
+
+
+def space_verdicts(name: str, n: int, k: int, permutation_only: bool) -> np.ndarray:
+    """MASKS[name] over every table of row_array(n, permutation_only) at step k."""
+    key = (name, n, k, bool(permutation_only))
+    verdicts = _VERDICTS.get(key)
+    if verdicts is None:
+        tables = product_tables(row_array(n, permutation_only), k)
+        verdicts = _VERDICTS[key] = _frozen(MASKS[name](tables))
+    return verdicts
+
+
+def dual_step_verdicts(n: int, k: int) -> dict[int, np.ndarray]:
+    """translatable_mask at every step 1..n-1 over the duals (transposes) of
+    every step-k table with a permutation first row."""
+    key = ("dual", n, k)
+    verdicts = _VERDICTS.get(key)
+    if verdicts is None:
+        duals = product_tables(row_array(n, True), k).transpose(0, 2, 1)
+        verdicts = _VERDICTS[key] = {
+            kstar: _frozen(translatable_mask(duals, kstar)) for kstar in range(1, n)
+        }
+    return verdicts
 
 
 def product_tables(rows: np.ndarray, k: int) -> np.ndarray:
@@ -218,8 +296,10 @@ def unitary_mask(tables: np.ndarray) -> np.ndarray:
 
 def translatable_mask(tables: np.ndarray, k: int) -> np.ndarray:
     """Cell-by-cell rotation test T[i][j] == T[i+1][j+k]."""
-    shifted = np.roll(np.roll(tables, -1, axis=1), -k, axis=2)
-    return (tables == shifted).all(axis=(1, 2))
+    n = tables.shape[1]
+    down = (np.arange(n) + 1) % n
+    right = (np.arange(n) + k) % n
+    return (tables == tables[:, down[:, None], right[None, :]]).all(axis=(1, 2))
 
 
 MASKS = {

@@ -259,7 +259,8 @@ def _run_alterable_solvable_quasigroup(inst):
         # right solvability forces a permutation first row here
         rows = batch.row_array(n, True)
         tables = batch.product_tables(rows, k)
-    premise = batch.alterable_mask(tables) & batch.right_distributive_mask(tables)
+    alter = batch.alterable_mask(tables) if k is None else batch.space_verdicts("alterable", n, k, True)
+    premise = alter & batch.right_distributive_mask(tables)
     conclusion = batch.idempotent_mask(tables) & batch.quasigroup_mask(tables)
     bad = np.flatnonzero(premise & ~conclusion)
     if bad.size:
@@ -361,7 +362,7 @@ def _run_alterable_cancellative_step(inst):
     n, k = inst
     rows = batch.row_array(n, True)
     tables = batch.product_tables(rows, k)
-    alter = batch.alterable_mask(tables)
+    alter = batch.space_verdicts("alterable", n, k, True)
     target = mod_rep(k * k, n) == n - 1
     if target:
         return _passed(tid, n, k)
@@ -376,8 +377,7 @@ def _run_alterable_square(inst):
     tid = "alterable-square"
     n, k = inst
     rows = batch.row_array(n, True)
-    tables = batch.product_tables(rows, k)
-    alter = batch.alterable_mask(tables)
+    alter = batch.space_verdicts("alterable", n, k, True)
     closed = mod_rep(k * k, n) == n - 1
     bad = np.flatnonzero(alter != closed)
     if bad.size:
@@ -443,7 +443,7 @@ def _run_group_step_cyclic(inst):
     n, k = inst
     rows = batch.row_array(n, True)
     tables = batch.product_tables(rows, k)
-    group_like = batch.associative_mask(tables) & batch.quasigroup_mask(tables)
+    group_like = batch.space_verdicts("associative", n, k, True) & batch.quasigroup_mask(tables)
     hits = np.flatnonzero(group_like)
     if k != n - 1:
         if hits.size:
@@ -528,10 +528,10 @@ def _run_dual_step(inst):
     tid = "dual-step"
     n, k = inst
     rows = batch.row_array(n, True)
-    duals = batch.product_tables(rows, k).transpose(0, 2, 1)
+    dual_masks = batch.dual_step_verdicts(n, k)
     found = None
     for kstar in range(1, n):
-        mask = batch.translatable_mask(duals, kstar)
+        mask = dual_masks[kstar]
         closed = mod_rep(k * kstar, n) == 1
         if closed:
             found = kstar
@@ -551,18 +551,16 @@ def _perm_alterable_mask(rows: np.ndarray, n: int, k: int) -> np.ndarray:
 
     For a permutation first row two entries agree exactly when they sit at
     the same position, so only quadruples whose left sides share a position
-    need their right sides compared.
+    need their right sides compared.  Those comparisons read only distinct
+    unordered position pairs; a pair of one position always agrees.
     """
-    y1 = []
-    y2 = []
-    for i in range(n):
-        for j in range(n):
-            for w in range(n):
-                z = (j - k * i + k * w) % n
-                y1.append((w - k * j) % n)
-                y2.append((i - k * z) % n)
-    y1 = np.array(y1)
-    y2 = np.array(y2)
+    i, j, w = np.indices((n, n, n))
+    z = (j - k * i + k * w) % n
+    y1 = (w - k * j) % n
+    y2 = (i - k * z) % n
+    lo, hi = np.minimum(y1, y2), np.maximum(y1, y2)
+    pairs = np.unique((lo * n + hi)[lo != hi])
+    y1, y2 = pairs // n, pairs % n
     parts = []
     for start in range(0, rows.shape[0], 65536):
         chunk = rows[start:start + 65536]
@@ -574,10 +572,9 @@ def _run_dual_links(inst):
     tid = "dual-links"
     n, k = inst
     rows = batch.row_array(n, True)
-    tables = batch.product_tables(rows, k)
-    duals = tables.transpose(0, 2, 1)
+    dual_masks = batch.dual_step_verdicts(n, k)
 
-    same_step = batch.translatable_mask(duals, k)
+    same_step = dual_masks[k]
     closed_same = mod_rep(k * k, n) == 1
     if bool(same_step.all()) != closed_same or bool(same_step.any()) != closed_same:
         b = int(np.flatnonzero(same_step != closed_same)[0])
@@ -591,16 +588,16 @@ def _run_dual_links(inst):
         kstar = mod_rep(n - t * k, n)
         if kstar == n:
             continue
-        mask = batch.translatable_mask(duals, kstar)
+        mask = dual_masks[kstar]
         closed = mod_rep(t * k * k, n) == n - 1
         hit = np.flatnonzero(mask != closed)
         if hit.size:
             return _failed(tid, n, k, _row_witness(rows, int(hit[0]), f"dual step n-{t}k against [t*k*k] = n-1"))
 
     alter = _perm_alterable_mask(rows, n, k)
-    if n <= 6 and not (alter == batch.alterable_mask(tables)).all():
+    if n <= 6 and not (alter == batch.space_verdicts("alterable", n, k, True)).all():
         return _failed(tid, n, k, {"note": "position-based alterability mask disagrees with the cell sweep"})
-    opposite = batch.translatable_mask(duals, n - k) if n - k >= 1 else np.zeros(len(rows), dtype=bool)
+    opposite = dual_masks[n - k]
     hit = np.flatnonzero(alter != opposite)
     if hit.size:
         return _failed(tid, n, k, _row_witness(rows, int(hit[0]), "alterable against dual step n-k"))
@@ -636,8 +633,7 @@ def _run_associativity_sequence_form(inst):
     tid = "associativity-sequence-form"
     n, k = inst
     rows = batch.row_array(n, False)
-    tables = batch.product_tables(rows, k)
-    assoc = batch.associative_mask(tables)
+    assoc = batch.space_verdicts("associative", n, k, False)
     eas, ee1 = _eas_masks(rows, n, k)
     bad = np.flatnonzero(eas != assoc)
     if bad.size:
@@ -653,8 +649,7 @@ def _run_semigroup_criterion(inst):
     tid = "semigroup-criterion"
     n, k = inst
     rows = batch.row_array(n, True)
-    tables = batch.product_tables(rows, k)
-    assoc = batch.associative_mask(tables)
+    assoc = batch.space_verdicts("associative", n, k, True)
     if (k * k + k) % n != 0:
         crit = np.zeros(len(rows), dtype=bool)
     else:
@@ -675,7 +670,7 @@ def _run_left_neutral_element(inst):
     n, k = inst
     rows = batch.row_array(n, False)
     tables = batch.product_tables(rows, k)
-    assoc = batch.associative_mask(tables)
+    assoc = batch.space_verdicts("associative", n, k, False)
     cancel = batch.left_cancellative_mask(tables)
     neutral = batch.left_neutral_mask(tables)
     bad = np.flatnonzero(assoc & (cancel != neutral))
@@ -791,7 +786,7 @@ def _run_no_idempotent_semigroup(inst):
     n, k = inst
     rows = batch.row_array(n, False)
     tables = batch.product_tables(rows, k)
-    both = batch.idempotent_mask(tables) & batch.associative_mask(tables)
+    both = batch.idempotent_mask(tables) & batch.space_verdicts("associative", n, k, False)
     hit = np.flatnonzero(both)
     if hit.size:
         return _failed(tid, n, k, _row_witness(rows, int(hit[0]), "idempotent semigroup found"))
@@ -831,7 +826,7 @@ def _run_right_cancellative_semigroup(inst):
     n, k = inst
     rows = batch.row_array(n, True)
     tables = batch.product_tables(rows, k)
-    strong = batch.associative_mask(tables) & batch.right_cancellative_mask(tables)
+    strong = batch.space_verdicts("associative", n, k, True) & batch.right_cancellative_mask(tables)
     hits = np.flatnonzero(strong)
     if k != n - 1:
         if hits.size:
@@ -1007,7 +1002,7 @@ def _run_constant_column_criterion(inst):
     n, k = inst
     rows = batch.row_array(n, False)
     tables = batch.product_tables(rows, k)
-    assoc = batch.associative_mask(tables)
+    assoc = batch.space_verdicts("associative", n, k, False)
     rowsame = (tables == tables[:, :1, :]).all(axis=(1, 2))
     crit = _constant_column_masks(rows, k)
     bad = np.flatnonzero((assoc & rowsame) != crit)
@@ -1029,7 +1024,7 @@ def _run_constant_column_forcing(inst):
     n, k = inst
     rows = batch.row_array(n, False)
     tables = batch.product_tables(rows, k)
-    assoc = batch.associative_mask(tables)
+    assoc = batch.space_verdicts("associative", n, k, False)
     rowsame = (tables == tables[:, :1, :]).all(axis=(1, 2))
     shape1 = (rows[:, 0] == n - 1) & (rows[:, 1] == n - 1)
     shape2 = rows[:, 0] == 0
@@ -1060,8 +1055,7 @@ def _run_idempotent_anchor_semigroup(inst):
     tid = "idempotent-anchor-semigroup"
     n, k = inst
     rows = batch.row_array(n, False)
-    tables = batch.product_tables(rows, k)
-    assoc = batch.associative_mask(tables)
+    assoc = batch.space_verdicts("associative", n, k, False)
     for b in range(len(rows)):
         table = table_from_sequence(_np_seq(n, k, rows[b]))
         for j in range(1, n + 1):
@@ -1076,8 +1070,7 @@ def _run_idempotent_one_semigroup(inst):
     tid = "idempotent-one-semigroup"
     n, k = inst
     rows = batch.row_array(n, False)
-    tables = batch.product_tables(rows, k)
-    assoc = batch.associative_mask(tables)
+    assoc = batch.space_verdicts("associative", n, k, False)
     idx = np.arange(n)
     cond = (rows == rows[:, (idx - k) % n]).all(axis=1)
     cond &= (rows == rows[:, (idx + k) % n]).all(axis=1)

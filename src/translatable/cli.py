@@ -15,6 +15,7 @@ import json
 import sys
 import time
 
+from .batch import clear_memo
 from .constructions import (
     UnionSpec,
     block_product_table,
@@ -474,22 +475,27 @@ def _cmd_verify(args) -> int:
     started = time.perf_counter()
     lines = []
     failed = 0
-    for name in names:
-        rep = verify(name, max_n=args.max_n, jobs=args.jobs)
-        for result in rep.results:
-            lines.append(_json_line(result.as_dict()))
-        lines.append(
-            _json_line(
-                {
-                    "theorem": rep.theorem_id,
-                    "instances": rep.instances_checked,
-                    "failures": len(rep.failures),
-                    "status": "pass" if rep.passed else "fail",
-                }
+    # Row spaces and whole-space masks are shared by this command's campaigns only.
+    clear_memo()
+    try:
+        for name in names:
+            rep = verify(name, max_n=args.max_n, jobs=args.jobs)
+            for result in rep.results:
+                lines.append(_json_line(result.as_dict()))
+            lines.append(
+                _json_line(
+                    {
+                        "theorem": rep.theorem_id,
+                        "instances": rep.instances_checked,
+                        "failures": len(rep.failures),
+                        "status": "pass" if rep.passed else "fail",
+                    }
+                )
             )
-        )
-        if not rep.passed:
-            failed += 1
+            if not rep.passed:
+                failed += 1
+    finally:
+        clear_memo()
     _emit(args, "".join(lines))
     elapsed = time.perf_counter() - started
     print(f"{len(names)} campaign(s), {failed} failing, {elapsed:.1f}s", file=sys.stderr)

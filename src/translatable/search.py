@@ -64,6 +64,8 @@ def _holds(table, name: str) -> bool:
 
 
 def _check_enumeration_bound(n: int, permutation_only: bool) -> None:
+    if n < 1:
+        raise InvalidInputError(f"order must be at least 1, got {n}")
     limit = PERMUTATION_BOUND if permutation_only else FULL_BOUND
     kind = "permutation rows" if permutation_only else "all rows"
     if n > limit:

@@ -7,6 +7,7 @@ import json
 
 import pytest
 
+from translatable import batch
 from translatable.cli import main
 
 Z4_TEXT = "1 2 3 4\n2 3 4 1\n3 4 1 2\n4 1 2 3\n"
@@ -201,6 +202,15 @@ def test_enumerate_and_exit_codes(capsys):
     assert code == 2 and "stops at n = 8" in err
 
 
+@pytest.mark.parametrize("command", ["catalog", "enumerate"])
+@pytest.mark.parametrize("n", ["0", "-1"])
+@pytest.mark.parametrize("perm", [(), ("--permutation-only",)])
+def test_row_sweeps_refuse_orders_below_one(capsys, command, n, perm):
+    code, out, err = run(capsys, command, "--n", n, "--k", "1", *perm)
+    assert code == 2 and out == ""
+    assert f"order must be at least 1, got {n}" in err
+
+
 def test_catalog_deterministic_bytes(capsys):
     first = run(capsys, "catalog", "--n", "4")
     second = run(capsys, "catalog", "--n", "4")
@@ -239,6 +249,33 @@ def test_verify_expected_fail_passes(capsys):
     assert code == 0
     statuses = {json.loads(line).get("status") for line in out.splitlines()}
     assert "expected-fail" in statuses
+
+
+def test_verify_memo_lives_for_one_command(capsys):
+    argv = ("verify", "--theorem", "semigroup-criterion", "--theorem", "dual-step", "--max-n", "5")
+    outputs = []
+    for _ in range(2):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert not batch._ROWS and not batch._VERDICTS
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
+
+
+def test_verify_dual_campaigns_ignore_the_job_count(capsys):
+    argv = ("verify", "--theorem", "dual-step", "--theorem", "dual-links", "--max-n", "7")
+    serial = run(capsys, *argv, "--jobs", "1")
+    parallel = run(capsys, *argv, "--jobs", "2")
+    assert serial[0] == parallel[0] == 0
+    assert serial[1] == parallel[1]
+
+
+def test_verify_refuses_an_oversized_row_space(capsys, monkeypatch):
+    monkeypatch.setattr(batch, "ROW_CELL_BUDGET", 100)
+    code, out, err = run(capsys, "verify", "--theorem", "semigroup-criterion", "--max-n", "4")
+    assert code == 2 and out == ""
+    assert "permutation row space at n = 4 needs 384 table cells, over the row-space budget of 100" in err
+    assert not batch._ROWS and not batch._VERDICTS
 
 
 def test_verify_unknown_campaign(capsys):

@@ -14,8 +14,17 @@ import random
 import numpy as np
 import pytest
 
+from translatable import batch
+from translatable.campaigns import _perm_alterable_mask
 from translatable.constructions import cancellative_semigroups, left_unitary_groupoid
-from translatable.core import CayleyTable, InvalidInputError, KSequence, Ordering, VerificationError
+from translatable.core import (
+    BoundError,
+    CayleyTable,
+    InvalidInputError,
+    KSequence,
+    Ordering,
+    VerificationError,
+)
 from translatable.properties import check
 from translatable.search import _worker_count
 from translatable.structure import _verify_component_group, decompose, iso_left_unitary
@@ -314,3 +323,124 @@ def test_grid_is_a_read_only_zero_based_copy():
 )
 def test_worker_count_never_exceeds_cpus_or_instances(jobs, instances, cpus, expected):
     assert _worker_count(jobs, instances, cpus) == expected
+
+
+# -- row spaces and whole-space masks -----------------------------------------
+
+
+@pytest.fixture
+def fresh_memo():
+    batch.clear_memo()
+    yield
+    batch.clear_memo()
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_permutation_rows_match_itertools(fresh_memo, n):
+    rows = batch.row_array(n, True)
+    assert rows.dtype == np.int8
+    assert rows.tolist() == [list(p) for p in itertools.permutations(range(n))]
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_full_rows_match_itertools(fresh_memo, n):
+    rows = batch.row_array(n, False)
+    assert rows.dtype == np.int8
+    assert rows.tolist() == [list(p) for p in itertools.product(range(n), repeat=n)]
+
+
+def test_memoised_arrays_are_read_only_and_shared(fresh_memo):
+    rows = batch.row_array(5, True)
+    assert batch.row_array(5, True) is rows
+    verdicts = batch.space_verdicts("associative", 5, 2, True)
+    assert batch.space_verdicts("associative", 5, 2, True) is verdicts
+    duals = batch.dual_step_verdicts(5, 2)
+    assert sorted(duals) == [1, 2, 3, 4]
+    for array in (rows, verdicts, *duals.values()):
+        with pytest.raises(ValueError):
+            array[0] = array[1]
+    batch.clear_memo()
+    assert batch.row_array(5, True) is not rows
+
+
+def test_space_verdicts_match_the_mask_on_fresh_tables(fresh_memo):
+    for n, k, perm in ((4, 1, False), (5, 3, True), (6, 2, True)):
+        tables = batch.product_tables(batch.row_array(n, perm), k)
+        for name in ("associative", "alterable"):
+            expected = batch.MASKS[name](tables)
+            assert (batch.space_verdicts(name, n, k, perm) == expected).all()
+        duals = tables.transpose(0, 2, 1)
+        if perm:
+            for kstar, verdicts in batch.dual_step_verdicts(n, k).items():
+                assert (verdicts == batch.translatable_mask(duals, kstar)).all()
+
+
+def test_row_space_budget_refuses_before_allocating(fresh_memo, monkeypatch):
+    def refuse(n):
+        raise AssertionError(f"a refused row space at n = {n} was generated")
+
+    monkeypatch.setattr(batch, "_permutations", refuse)
+    monkeypatch.setattr(batch, "_all_rows", refuse)
+    with pytest.raises(BoundError, match=r"permutation row space at n = 10 .* budget of 67108864"):
+        batch.row_array(10, True)
+    with pytest.raises(BoundError, match=r"full row space at n = 8 .* budget of 67108864"):
+        batch.row_array(8, False)
+    assert not batch._ROWS
+
+
+def test_row_space_budget_admits_every_default_window(fresh_memo):
+    assert batch.row_array(9, True).shape == (362880, 9)
+    assert batch.row_array(7, False).shape == (823543, 7)
+
+
+def rolled_translatable(tables: np.ndarray, k: int) -> np.ndarray:
+    shifted = np.roll(np.roll(tables, -1, axis=1), -k, axis=2)
+    return (tables == shifted).all(axis=(1, 2))
+
+
+def test_translatable_mask_matches_the_rolled_definition():
+    rng = np.random.default_rng(3)
+    outcomes = set()
+    for n in range(1, 9):
+        rows = rng.integers(0, n, size=(12, n), dtype=np.int8)
+        stacks = [batch.product_tables(rows, k) for k in range(1, max(n, 2))]
+        stack = np.concatenate(stacks + [rng.integers(0, n, size=(6, n, n), dtype=np.int8)])
+        stack[::5, rng.integers(n), rng.integers(n)] = rng.integers(n)
+        for view in (stack, stack.transpose(0, 2, 1)):
+            for k in range(-1, n + 2):
+                got = batch.translatable_mask(view, k)
+                assert (got == rolled_translatable(view, k)).all()
+                outcomes.update(got.tolist())
+    assert outcomes == {True, False}
+
+
+def positional_alterable(rows: np.ndarray, n: int, k: int) -> np.ndarray:
+    ok = np.ones(rows.shape[0], dtype=bool)
+    for i, j, w in itertools.product(range(n), repeat=3):
+        z = (j - k * i + k * w) % n
+        ok &= rows[:, (w - k * j) % n] == rows[:, (i - k * z) % n]
+    return ok
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_perm_alterable_mask_matches_the_cell_sweep(fresh_memo, n):
+    rows = batch.row_array(n, True)
+    for k in range(1, n):
+        got = _perm_alterable_mask(rows, n, k)
+        assert (got == batch.alterable_mask(batch.product_tables(rows, k))).all(), (n, k)
+
+
+def test_perm_alterable_mask_matches_every_position_pair_on_any_row():
+    rng = np.random.default_rng(8)
+    outcomes = set()
+    for n in range(1, 8):
+        rows = np.concatenate([
+            rng.integers(0, n, size=(40, n), dtype=np.int8),
+            rng.integers(0, 2, size=(40, n), dtype=np.int8),
+            np.zeros((1, n), dtype=np.int8),
+        ])
+        for k in range(0, n + 1):
+            got = _perm_alterable_mask(rows, n, k)
+            assert (got == positional_alterable(rows, n, k)).all(), (n, k)
+            outcomes.update(got.tolist())
+    assert outcomes == {True, False}
