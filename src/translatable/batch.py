@@ -7,6 +7,13 @@ rows finish in seconds.  Tables are stored as a (B, n, n) array of 0-based
 entries; every mask returns one boolean per table and is computed cell by
 cell, never through a closed form.
 
+The three- and four-variable identities and the rotation test are sieved
+(_sieve): the cells are cut into slabs, one value of the outer variable
+(or one (i, j) pair, or one pair of adjacent rows), and each slab is
+checked only on the tables that passed every earlier slab, ROW_CHUNK
+tables at a time.  Most rows of a row space fail an early slab, so a
+whole-space mask costs a few slabs per row rather than all of them.
+
 Row spaces and the masks campaigns take over a whole row space are
 memoised as read-only arrays until clear_memo(); the verify command clears
 them when it starts and when it ends, so one command computes each row
@@ -117,15 +124,16 @@ def product_tables(rows: np.ndarray, k: int) -> np.ndarray:
     return rows[:, idx]
 
 
-def compose(tables: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Per-table products tables[b, x[b...], y[b...]] for index arrays."""
+def compose(tables: np.ndarray, x, y) -> np.ndarray:
+    """Per-table products tables[b, x[b...], y[b...]] for index arrays.
+
+    x and y broadcast to a shape whose first axis is the table axis; the
+    products are read through one flat index into the whole stack.
+    """
     b, n, _ = tables.shape
-    x = np.asarray(x, dtype=np.int32)
-    y = np.asarray(y, dtype=np.int32)
     x, y = np.broadcast_arrays(x, y)
-    flat = tables.reshape(b, n * n)
-    idx = (x * n + y).reshape(b, -1)
-    return np.take_along_axis(flat, idx, axis=1).reshape(x.shape)
+    base = np.arange(b).reshape((b,) + (1,) * (x.ndim - 1)) * n
+    return tables.reshape(-1)[(base + x) * n + y]
 
 
 def _elements(tables: np.ndarray, *axes: int) -> list[np.ndarray]:
@@ -141,12 +149,33 @@ def _elements(tables: np.ndarray, *axes: int) -> list[np.ndarray]:
     return out
 
 
-def _chunked(mask_fn, tables: np.ndarray) -> np.ndarray:
-    parts = [
-        mask_fn(tables[start:start + ROW_CHUNK])
-        for start in range(0, tables.shape[0], ROW_CHUNK)
-    ]
-    return np.concatenate(parts) if parts else np.zeros(0, dtype=bool)
+def _sieve(tables: np.ndarray, slab_ok, slabs) -> np.ndarray:
+    """True for each table on which slab_ok(chunk, slab) holds for every slab.
+
+    Tables go through in ROW_CHUNK blocks.  After each slab a block keeps
+    only the tables still passing, so later slabs read only those and a
+    table that fails its first slab costs one slab.  slab_ok returns one
+    boolean per table of the chunk it is given; slabs is re-iterated for
+    every block.
+    """
+    b = tables.shape[0]
+    ok = np.zeros(b, dtype=bool)
+    for start in range(0, b, ROW_CHUNK):
+        chunk = tables[start:start + ROW_CHUNK]
+        alive = np.arange(start, start + chunk.shape[0])
+        for slab in slabs:
+            keep = slab_ok(chunk, slab)
+            if not keep.all():
+                alive = alive[keep]
+                if not alive.size:
+                    break
+                chunk = chunk[keep]
+        ok[alive] = True
+    return ok
+
+
+def _pairs(n: int) -> list[tuple[int, int]]:
+    return [(i, j) for i in range(n) for j in range(n)]
 
 
 def idempotent_mask(tables: np.ndarray) -> np.ndarray:
@@ -160,16 +189,16 @@ def commutative_mask(tables: np.ndarray) -> np.ndarray:
 
 
 def associative_mask(tables: np.ndarray) -> np.ndarray:
-    """(x*y)*z == x*(y*z), one x slice at a time to bound memory."""
-    b, n, _ = tables.shape
-    z = np.arange(n, dtype=np.int32).reshape(1, 1, n)
-    ok = np.ones(b, dtype=bool)
-    for x in range(n):
-        xy = tables[:, x, :].astype(np.int32)[:, :, None]
-        left = compose(tables, xy, z)
-        right = compose(tables, x, tables)
-        ok &= (left == right).all(axis=(1, 2))
-    return ok
+    """(x*y)*z == x*(y*z), sieved over x; each slab spans (y, z)."""
+    n = tables.shape[1]
+    z = np.arange(n).reshape(1, 1, n)
+
+    def slab(chunk, x):
+        left = compose(chunk, chunk[:, x, :, None], z)
+        right = compose(chunk, x, chunk)
+        return (left == right).all(axis=(1, 2))
+
+    return _sieve(tables, slab, range(n))
 
 
 def elastic_mask(tables: np.ndarray) -> np.ndarray:
@@ -193,77 +222,91 @@ def bookend_mask(tables: np.ndarray) -> np.ndarray:
 
 
 def left_distributive_mask(tables: np.ndarray) -> np.ndarray:
-    def fn(chunk):
-        x, y, z = _elements(chunk, 0, 1, 2)
-        left = compose(chunk, x, compose(chunk, y, z))
-        right = compose(chunk, compose(chunk, x, y), compose(chunk, x, z))
-        return (left == right).all(axis=(1, 2, 3))
+    """x*(y*z) == (x*y)*(x*z), sieved over x; each slab spans (y, z)."""
 
-    return _chunked(fn, tables)
+    def slab(chunk, x):
+        row = chunk[:, x, :]
+        left = compose(chunk, x, chunk)
+        right = compose(chunk, row[:, :, None], row[:, None, :])
+        return (left == right).all(axis=(1, 2))
+
+    return _sieve(tables, slab, range(tables.shape[1]))
 
 
 def right_distributive_mask(tables: np.ndarray) -> np.ndarray:
-    def fn(chunk):
-        x, y, z = _elements(chunk, 0, 1, 2)
-        left = compose(chunk, compose(chunk, x, y), z)
-        right = compose(chunk, compose(chunk, x, z), compose(chunk, y, z))
-        return (left == right).all(axis=(1, 2, 3))
+    """(x*y)*z == (x*z)*(y*z), sieved over x; each slab spans (y, z)."""
+    n = tables.shape[1]
+    z = np.arange(n).reshape(1, 1, n)
 
-    return _chunked(fn, tables)
+    def slab(chunk, x):
+        row = chunk[:, x, :]
+        left = compose(chunk, row[:, :, None], z)
+        right = compose(chunk, row[:, None, :], chunk)
+        return (left == right).all(axis=(1, 2))
+
+    return _sieve(tables, slab, range(n))
 
 
 def left_modular_mask(tables: np.ndarray) -> np.ndarray:
-    def fn(chunk):
-        i, j, z = _elements(chunk, 0, 1, 2)
-        left = compose(chunk, compose(chunk, i, j), z)
-        right = compose(chunk, compose(chunk, z, j), i)
-        return (left == right).all(axis=(1, 2, 3))
+    """(i*j)*z == (z*j)*i, sieved over i; each slab spans (j, z)."""
+    n = tables.shape[1]
+    z = np.arange(n).reshape(1, 1, n)
 
-    return _chunked(fn, tables)
+    def slab(chunk, i):
+        left = compose(chunk, chunk[:, i, :, None], z)
+        right = compose(chunk, chunk.transpose(0, 2, 1), i)
+        return (left == right).all(axis=(1, 2))
+
+    return _sieve(tables, slab, range(n))
 
 
 def right_modular_mask(tables: np.ndarray) -> np.ndarray:
-    def fn(chunk):
-        i, j, z = _elements(chunk, 0, 1, 2)
-        left = compose(chunk, i, compose(chunk, j, z))
-        right = compose(chunk, z, compose(chunk, j, i))
-        return (left == right).all(axis=(1, 2, 3))
+    """i*(j*z) == z*(j*i), sieved over i; each slab spans (j, z)."""
+    n = tables.shape[1]
+    z = np.arange(n).reshape(1, 1, n)
 
-    return _chunked(fn, tables)
+    def slab(chunk, i):
+        left = compose(chunk, i, chunk)
+        right = compose(chunk, z, chunk[:, :, i, None])
+        return (left == right).all(axis=(1, 2))
+
+    return _sieve(tables, slab, range(n))
 
 
 def medial_mask(tables: np.ndarray) -> np.ndarray:
-    def fn(chunk):
-        i, j, w, z = _elements(chunk, 0, 1, 2, 3)
-        left = compose(chunk, compose(chunk, i, j), compose(chunk, w, z))
-        right = compose(chunk, compose(chunk, i, w), compose(chunk, j, z))
-        return (left == right).all(axis=(1, 2, 3, 4))
+    """(i*j)*(w*z) == (i*w)*(j*z), sieved over (i, j); each slab spans (w, z)."""
 
-    return _chunked(fn, tables)
+    def slab(chunk, pair):
+        i, j = pair
+        left = compose(chunk, chunk[:, i, j, None, None], chunk)
+        right = compose(chunk, chunk[:, i, :, None], chunk[:, j, None, :])
+        return (left == right).all(axis=(1, 2))
+
+    return _sieve(tables, slab, _pairs(tables.shape[1]))
 
 
 def paramedial_mask(tables: np.ndarray) -> np.ndarray:
-    def fn(chunk):
-        i, j, w, z = _elements(chunk, 0, 1, 2, 3)
-        left = compose(chunk, compose(chunk, i, j), compose(chunk, w, z))
-        right = compose(chunk, compose(chunk, z, j), compose(chunk, w, i))
-        return (left == right).all(axis=(1, 2, 3, 4))
+    """(i*j)*(w*z) == (z*j)*(w*i), sieved over (i, j); each slab spans (w, z)."""
 
-    return _chunked(fn, tables)
+    def slab(chunk, pair):
+        i, j = pair
+        left = compose(chunk, chunk[:, i, j, None, None], chunk)
+        right = compose(chunk, chunk[:, None, :, j], chunk[:, :, i, None])
+        return (left == right).all(axis=(1, 2))
+
+    return _sieve(tables, slab, _pairs(tables.shape[1]))
 
 
 def alterable_mask(tables: np.ndarray) -> np.ndarray:
-    """i*j == w*z implies j*w == z*i, over all quadruples."""
+    """i*j == w*z implies j*w == z*i, sieved over (i, j); each slab spans (w, z)."""
 
-    def fn(chunk):
-        c, n, _ = chunk.shape
-        same = chunk[:, :, :, None, None] == chunk[:, None, None, :, :]
-        jw = chunk[:, None, :, :, None]
-        zi = chunk.transpose(0, 2, 1)[:, :, None, None, :]
-        implied = np.broadcast_to(jw, same.shape) == np.broadcast_to(zi, same.shape)
-        return ~(same & ~implied).any(axis=(1, 2, 3, 4))
+    def slab(chunk, pair):
+        i, j = pair
+        same = chunk == chunk[:, i, j, None, None]
+        implied = chunk[:, j, :, None] == chunk[:, None, :, i]
+        return (~same | implied).all(axis=(1, 2))
 
-    return _chunked(fn, tables)
+    return _sieve(tables, slab, _pairs(tables.shape[1]))
 
 
 def left_cancellative_mask(tables: np.ndarray) -> np.ndarray:
@@ -295,11 +338,15 @@ def unitary_mask(tables: np.ndarray) -> np.ndarray:
 
 
 def translatable_mask(tables: np.ndarray, k: int) -> np.ndarray:
-    """Cell-by-cell rotation test T[i][j] == T[i+1][j+k]."""
+    """Cell-by-cell rotation test T[i][j] == T[i+1][j+k], sieved over i;
+    each slab compares row i with row i+1."""
     n = tables.shape[1]
-    down = (np.arange(n) + 1) % n
     right = (np.arange(n) + k) % n
-    return (tables == tables[:, down[:, None], right[None, :]]).all(axis=(1, 2))
+
+    def slab(chunk, i):
+        return (chunk[:, i, :] == chunk[:, (i + 1) % n, right]).all(axis=1)
+
+    return _sieve(tables, slab, range(n))
 
 
 MASKS = {

@@ -606,27 +606,38 @@ def _run_dual_links(inst):
 
 # --- associativity -----------------------------------------------------------
 
-def _eas_masks(rows: np.ndarray, n: int, k: int):
-    """Literal sequence forms of associativity, evaluated per row."""
-    x = np.arange(1, n + 1).reshape(n, 1, 1)
-    y = np.arange(1, n + 1).reshape(1, n, 1)
-    z = np.arange(1, n + 1).reshape(1, 1, n)
-    eas_parts = []
-    ee1_parts = []
-    for start in range(0, rows.shape[0], 8192):
-        values = rows[start:start + 8192].astype(np.int32) + 1
-        b = values.shape[0]
-        inner_xy = values[:, ((k - k * x + y - 1) % n).reshape(-1)].reshape(b, n, n, 1)
-        inner_yz = values[:, ((k - k * y + z - 1) % n).reshape(-1)].reshape(b, 1, n, n)
-        lhs_idx = ((k - k * inner_xy + z - 1) % n).reshape(b, -1)
-        rhs_idx = ((k - k * x + inner_yz - 1) % n).reshape(b, -1)
-        lhs = np.take_along_axis(values, lhs_idx, axis=1)
-        rhs = np.take_along_axis(values, rhs_idx, axis=1)
-        eas_parts.append((lhs == rhs).all(axis=1))
+def _eas_masks(rows: np.ndarray, n: int, k: int, perm: np.ndarray):
+    """Literal sequence forms of associativity, evaluated per row.
+
+    The full form eas covers every row; the cancelled form ee1 covers only
+    rows[perm], the permutation rows, where it is read.  Both are sieved
+    over x, and each slab spans every (y, z).
+    """
+    y = np.arange(1, n + 1).reshape(n, 1)
+    z = np.arange(1, n + 1).reshape(1, n)
+
+    def inner(chunk, x):
+        values = chunk.astype(np.intp) + 1
+        inner_xy = values[:, (k - k * x + y - 1) % n]
+        inner_yz = values[:, (k - k * y + z - 1) % n]
+        return values, inner_xy, inner_yz
+
+    def eas_slab(chunk, x):
+        values, inner_xy, inner_yz = inner(chunk, x)
+        flat = values.reshape(-1)
+        base = (np.arange(values.shape[0]) * n).reshape(-1, 1, 1)
+        lhs = flat[base + (k - k * inner_xy + z - 1) % n]
+        rhs = flat[base + (k - k * x + inner_yz - 1) % n]
+        return (lhs == rhs).all(axis=(1, 2))
+
+    def ee1_slab(chunk, x):
+        _, inner_xy, inner_yz = inner(chunk, x)
         left = (z - k * inner_xy - 1) % n
         right = (inner_yz - k * x - 1) % n
-        ee1_parts.append((left == right).all(axis=(1, 2, 3)))
-    return np.concatenate(eas_parts), np.concatenate(ee1_parts)
+        return (left == right).all(axis=(1, 2))
+
+    xs = range(1, n + 1)
+    return batch._sieve(rows, eas_slab, xs), batch._sieve(rows[perm], ee1_slab, xs)
 
 
 def _run_associativity_sequence_form(inst):
@@ -634,14 +645,14 @@ def _run_associativity_sequence_form(inst):
     n, k = inst
     rows = batch.row_array(n, False)
     assoc = batch.space_verdicts("associative", n, k, False)
-    eas, ee1 = _eas_masks(rows, n, k)
+    perm = np.flatnonzero((np.sort(rows, axis=1) == np.arange(n)).all(axis=1))
+    eas, ee1 = _eas_masks(rows, n, k, perm)
     bad = np.flatnonzero(eas != assoc)
     if bad.size:
         return _failed(tid, n, k, _row_witness(rows, int(bad[0]), "sequence form against cell associativity"))
-    perm = (np.sort(rows, axis=1) == np.arange(n)).all(axis=1)
-    bad = np.flatnonzero(perm & (ee1 != assoc))
+    bad = np.flatnonzero(ee1 != assoc[perm])
     if bad.size:
-        return _failed(tid, n, k, _row_witness(rows, int(bad[0]), "cancelled sequence form against cell associativity"))
+        return _failed(tid, n, k, _row_witness(rows, int(perm[bad[0]]), "cancelled sequence form against cell associativity"))
     return _passed(tid, n, k)
 
 

@@ -11,6 +11,7 @@ that the invocation itself was unusable.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 import time
@@ -125,12 +126,19 @@ def _table_from_args(args) -> CayleyTable:
     raise InvalidInputError(f"{args.command} needs --table or --k/--seq")
 
 
-def _emit(args, text: str) -> None:
+@contextlib.contextmanager
+def _output(args):
+    """The --out file, opened for this command, or stdout."""
     if getattr(args, "out", None):
         with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            yield handle
     else:
-        sys.stdout.write(text)
+        yield sys.stdout
+
+
+def _emit(args, text: str) -> None:
+    with _output(args) as handle:
+        handle.write(text)
 
 
 def _seq_lines(seqs, fmt: str) -> str:
@@ -473,17 +481,24 @@ def _cmd_verify(args) -> int:
         _emit(args, "".join(f"{cid}: {THEOREMS[cid].summary}\n" for cid in campaign_ids()))
         return OK
     started = time.perf_counter()
-    lines = []
     failed = 0
-    # Row spaces and whole-space masks are shared by this command's campaigns only.
-    clear_memo()
-    try:
-        for name in names:
-            rep = verify(name, max_n=args.max_n, jobs=args.jobs)
-            for result in rep.results:
-                lines.append(_json_line(result.as_dict()))
-            lines.append(
-                _json_line(
+    with _output(args) as handle:
+
+        def write(payload: dict) -> None:
+            handle.write(_json_line(payload))
+            handle.flush()
+
+        # Row spaces and whole-space masks are shared by this command's campaigns only.
+        clear_memo()
+        try:
+            for name in names:
+                rep = verify(
+                    name,
+                    max_n=args.max_n,
+                    jobs=args.jobs,
+                    on_result=lambda result: write(result.as_dict()),
+                )
+                write(
                     {
                         "theorem": rep.theorem_id,
                         "instances": rep.instances_checked,
@@ -491,12 +506,10 @@ def _cmd_verify(args) -> int:
                         "status": "pass" if rep.passed else "fail",
                     }
                 )
-            )
-            if not rep.passed:
-                failed += 1
-    finally:
-        clear_memo()
-    _emit(args, "".join(lines))
+                if not rep.passed:
+                    failed += 1
+        finally:
+            clear_memo()
     elapsed = time.perf_counter() - started
     print(f"{len(names)} campaign(s), {failed} failing, {elapsed:.1f}s", file=sys.stderr)
     return OK if failed == 0 else NEGATIVE
@@ -554,7 +567,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theorem", action="append", required=True, metavar="ID")
     p.add_argument("--max-n", type=int, default=None)
     p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--out", metavar="FILE")
 
     return parser

@@ -3,8 +3,9 @@
 enumerate_sequences walks candidate first rows in lexicographic order and
 keeps the ones whose generated table matches a property filter.  catalog
 counts tables per exact property fingerprint.  verify replays one named
-campaign and collects per-instance results; with jobs > 1 instances are
-spread over worker processes while keeping the serial result order.
+campaign and collects per-instance results, handing each to a callback as
+its instance finishes; with jobs > 1 instances are spread over worker
+processes while keeping the serial result order.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import multiprocessing
 import os
 import time
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -170,8 +171,30 @@ def _worker_count(jobs: int, instances: int, cpus: int | None) -> int:
     return max(1, min(jobs, cpus or 1, instances))
 
 
-def verify(theorem_id: str, max_n: int | None = None, jobs: int = 1) -> CampaignReport:
-    """Replay one campaign up to max_n and report per-instance outcomes."""
+def _results(campaign: Campaign, instances: list[tuple], jobs: int) -> Iterator[InstanceResult]:
+    """Every instance's results in instance order, each as its instance finishes."""
+    workers = _worker_count(jobs, len(instances), os.cpu_count())
+    if workers == 1:
+        for instance in instances:
+            yield from campaign.run(instance)
+        return
+    with multiprocessing.Pool(workers) as pool:
+        tasks = [(campaign.theorem_id, inst) for inst in instances]
+        for chunk in pool.imap(_run_instance, tasks):
+            yield from chunk
+
+
+def verify(
+    theorem_id: str,
+    max_n: int | None = None,
+    jobs: int = 1,
+    on_result: Callable[[InstanceResult], None] | None = None,
+) -> CampaignReport:
+    """Replay one campaign up to max_n and report per-instance outcomes.
+
+    on_result, when given, sees each result as soon as its instance
+    finishes, in the same order as the report's results.
+    """
     campaign = _campaign(theorem_id)
     if max_n is None:
         max_n = campaign.default_max_n
@@ -181,19 +204,17 @@ def verify(theorem_id: str, max_n: int | None = None, jobs: int = 1) -> Campaign
         raise InvalidInputError(f"jobs must be positive, got {jobs}")
     instances = campaign.instances(max_n)
     started = time.perf_counter()
-    workers = _worker_count(jobs, len(instances), os.cpu_count())
-    if workers == 1:
-        chunks = [campaign.run(instance) for instance in instances]
-    else:
-        with multiprocessing.Pool(workers) as pool:
-            chunks = pool.map(_run_instance, [(theorem_id, inst) for inst in instances])
+    results = []
+    for result in _results(campaign, instances, jobs):
+        results.append(result)
+        if on_result is not None:
+            on_result(result)
     elapsed = time.perf_counter() - started
-    results = tuple(result for chunk in chunks for result in chunk)
     failures = tuple(result for result in results if result.status == "fail")
     return CampaignReport(
         theorem_id=theorem_id,
         instances_checked=len(results),
         failures=failures,
         elapsed=elapsed,
-        results=results,
+        results=tuple(results),
     )

@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import dataclasses
 import io
 import json
 
 import pytest
 
-from translatable import batch
+from translatable import batch, search
 from translatable.cli import main
 
 Z4_TEXT = "1 2 3 4\n2 3 4 1\n3 4 1 2\n4 1 2 3\n"
@@ -272,10 +273,52 @@ def test_verify_dual_campaigns_ignore_the_job_count(capsys):
 
 def test_verify_refuses_an_oversized_row_space(capsys, monkeypatch):
     monkeypatch.setattr(batch, "ROW_CELL_BUDGET", 100)
+    code, finished, _ = run(capsys, "verify", "--theorem", "semigroup-criterion", "--max-n", "3")
+    assert code == 0
     code, out, err = run(capsys, "verify", "--theorem", "semigroup-criterion", "--max-n", "4")
-    assert code == 2 and out == ""
+    # The n = 2 and n = 3 instance lines were streamed before n = 4 was refused.
+    assert code == 2
+    assert out.splitlines() == finished.splitlines()[:-1]
+    assert [(entry["n"], entry["k"]) for entry in map(json.loads, out.splitlines())] == [
+        (2, 1), (3, 1), (3, 2)
+    ]
     assert "permutation row space at n = 4 needs 384 table cells, over the row-space budget of 100" in err
     assert not batch._ROWS and not batch._VERDICTS
+
+
+def test_verify_streams_into_the_out_file_before_a_refusal(capsys, monkeypatch, tmp_path):
+    monkeypatch.setattr(batch, "ROW_CELL_BUDGET", 100)
+    target = tmp_path / "verify.jsonl"
+    code, out, _ = run(
+        capsys, "verify", "--theorem", "semigroup-criterion", "--max-n", "4", "--out", str(target)
+    )
+    assert code == 2 and out == ""
+    assert [json.loads(line)["n"] for line in target.read_text().splitlines()] == [2, 3, 3]
+
+
+def test_verify_writes_each_line_as_its_instance_finishes(capsys, monkeypatch):
+    seen = []
+    real_run = search.THEOREMS["unique-step"].run
+
+    def run_instance(instance):
+        seen.append(capsys.readouterr().out.count("\n"))
+        return real_run(instance)
+
+    monkeypatch.setitem(
+        search.THEOREMS,
+        "unique-step",
+        dataclasses.replace(search.THEOREMS["unique-step"], run=run_instance),
+    )
+    code, _, _ = run(capsys, "verify", "--theorem", "unique-step", "--max-n", "4")
+    assert code == 0
+    # Each instance starts after the previous one's line was written.
+    assert seen == [0] + [1] * 5
+
+
+def test_verify_refuses_a_format_flag(capsys):
+    with pytest.raises(SystemExit) as info:
+        run(capsys, "verify", "--theorem", "unique-step", "--format", "json")
+    assert info.value.code == 2
 
 
 def test_verify_unknown_campaign(capsys):
