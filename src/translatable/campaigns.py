@@ -249,15 +249,13 @@ def _instances_alterable_solvable(max_n: int) -> list[tuple]:
 def _run_alterable_solvable_quasigroup(inst):
     tid = "alterable-solvable-quasigroup"
     n, k = inst
+    rows = batch.row_array(n, True)
     if k is None:
-        # every table with permutation rows, not only translatable ones
-        perms = list(itertools.permutations(range(n)))
-        tables = np.array(
-            list(itertools.product(perms, repeat=n)), dtype=np.int8
-        ).reshape(-1, n, n)
+        # every table with permutation rows, not only translatable ones,
+        # in the lexicographic order of their row tuples
+        tables = rows[np.indices((len(rows),) * n).reshape(n, -1).T]
     else:
         # right solvability forces a permutation first row here
-        rows = batch.row_array(n, True)
         tables = batch.product_tables(rows, k)
     alter = batch.alterable_mask(tables) if k is None else batch.space_verdicts("alterable", n, k, True)
     premise = alter & batch.right_distributive_mask(tables)

@@ -10,6 +10,8 @@ translatable tables; tests confront the two routes with each other.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .core import (
@@ -99,20 +101,68 @@ def _first_cell(bad: np.ndarray) -> tuple[int, ...]:
 
 
 def _check_associative(table):
+    """Associativity by Light's test: sweep the y-slabs of a generating set.
+
+    Call y good when (x*y)*z = x*(y*z) for every x and z.  Good elements are
+    closed under the product: for good y1, y2,
+    (x*y1y2)*z = ((x*y1)*y2)*z = (x*y1)*(y2*z) = x*(y1*(y2*z)) = x*((y1*y2)*z).
+    So the table is associative exactly when every slab of a generating set
+    passes.  The set is built as the sweep goes: y is the least element not
+    yet generated by the slabs passed so far, and each passing y joins the
+    generators before the next pick.
+
+    Any failing slab holds a counterexample at its least x, which bounds the
+    least x over all counterexamples; the x-ordered search up to it returns
+    the lexicographically least (x, y, z), whichever slab failed first.
+    """
     m = table.grid
     mt = np.ascontiguousarray(m.T)
     left = np.empty_like(m)
     right = np.empty_like(m)
     bad = np.empty(m.shape, dtype=bool)
+    have, members, gens = [False] * table.n, [], []
     for y in range(table.n):
-        np.take(m, m[:, y], axis=0, out=left, mode="clip")    # [x, z] -> (x*y)*z
-        np.take(mt, m[y], axis=0, out=right, mode="clip")     # [z, x] -> x*(y*z)
-        np.not_equal(left, right.T, out=bad)
-        if bad.any():
-            # The slab fixes y; the least witness may sit at a smaller x
-            # under a later y, so search by x up to this slab's least x.
+        if have[y]:
+            continue
+        if _associative_slab(m, mt, y, left, right, bad).any():
             return False, _least_associative_witness(m, _first_cell(bad)[0])
+        _add_generator(table.rows, have, members, gens, y)
     return True, None
+
+
+def _associative_slab(m, mt, y, left, right, bad):
+    """bad[x, z] = (x*y)*z != x*(y*z), written into the given buffers."""
+    np.take(m, m[:, y], axis=0, out=left, mode="clip")    # [x, z] -> (x*y)*z
+    np.take(mt, m[y], axis=0, out=right, mode="clip")     # [z, x] -> x*(y*z)
+    return np.not_equal(left, right.T, out=bad)
+
+
+def _add_generator(rows, have, members, gens, y):
+    """Add the 0-based generator y and grow what the generators reach.
+
+    `members` (flagged in `have`) holds every product reached from the
+    generators by multiplying on the right by a generator.  Each is a good
+    element times a good generator, so good.  With good generators this is
+    the whole subgroupoid they generate: for words u and v*g,
+    u*(v*g) = (u*v)*g because v is good.  Each member meets each generator
+    once, so a whole sweep costs O(n * generators) lookups.
+    """
+    gens.append(y)
+    have[y] = True
+    fresh = [y]
+    for s in members:
+        p = rows[s][y] - 1
+        if not have[p]:
+            have[p] = True
+            fresh.append(p)
+    for s in fresh:    # runs over the elements appended on the way too
+        row = rows[s]
+        for g in gens:
+            p = row[g] - 1
+            if not have[p]:
+                have[p] = True
+                fresh.append(p)
+    members.extend(fresh)
 
 
 def _least_associative_witness(m, x_max):
@@ -530,12 +580,15 @@ def check(table: CayleyTable, name: str) -> tuple[bool, Witness | None]:
     if name not in _CHECKERS:
         raise InvalidInputError(f"unknown property {name!r}; known: {', '.join(PROPERTY_NAMES)}")
     if name in NEEDS_ASSOCIATIVITY:
-        ok, _ = _check_associative(table)
-        if not ok:
-            raise PreconditionError(
-                f"property {name!r} requires an associative table", prerequisite="associative"
-            )
+        _require_associative(name, _check_associative(table)[0])
     return _CHECKERS[name](table)
+
+
+def _require_associative(name, associative):
+    if not associative:
+        raise PreconditionError(
+            f"property {name!r} requires an associative table", prerequisite="associative"
+        )
 
 
 def report(table: CayleyTable, names=None) -> dict[str, tuple[bool, Witness | None]]:
@@ -543,14 +596,21 @@ def report(table: CayleyTable, names=None) -> dict[str, tuple[bool, Witness | No
 
     With no explicit list, all identities applicable to the table are
     covered: the semigroup-only ones are skipped when the table is not
-    associative.
+    associative.  Associativity is decided at most once per report.
     """
+    associative = functools.cache(lambda: check(table, "associative"))
     if names is None:
-        associative, _ = _check_associative(table)
-        names = [
-            p for p in PROPERTY_NAMES if associative or p not in NEEDS_ASSOCIATIVITY
-        ]
-    return {name: check(table, name) for name in names}
+        names = [p for p in PROPERTY_NAMES if p not in NEEDS_ASSOCIATIVITY or associative()[0]]
+    verdicts = {}
+    for name in names:
+        if name == "associative":
+            verdicts[name] = associative()
+        elif name in NEEDS_ASSOCIATIVITY:
+            _require_associative(name, associative()[0])
+            verdicts[name] = _CHECKERS[name](table)
+        else:
+            verdicts[name] = check(table, name)
+    return verdicts
 
 
 # -- closed-form conditions on sequences ------------------------------------

@@ -15,9 +15,15 @@ import random
 import numpy as np
 import pytest
 
-from translatable import batch
+from translatable import batch, properties
 from translatable.campaigns import _eas_masks, _perm_alterable_mask
-from translatable.constructions import cancellative_semigroups, left_unitary_groupoid
+from translatable.constructions import (
+    UnionSpec,
+    cancellative_semigroups,
+    left_unitary_groupoid,
+    union_same_step,
+    union_shifted_step,
+)
 from translatable.core import (
     BoundError,
     CayleyTable,
@@ -69,9 +75,32 @@ def brute_associative(table: CayleyTable):
     return True, None
 
 
-def assert_associative_agrees(table: CayleyTable) -> tuple[int, int, int] | None:
+def all_slab_associative(table: CayleyTable):
+    """The sweep over every y-slab that Light's test replaced, kept as an oracle."""
+    m = table.grid
+    mt = np.ascontiguousarray(m.T)
+    for y in range(table.n):
+        bad = m[m[:, y]] != mt[m[y]].T
+        if bad.any():
+            return False, properties._least_associative_witness(m, int(bad.argmax()) // table.n)
+    return True, None
+
+
+def cube_associative(table: CayleyTable):
+    """brute_associative over every (x, y, z) at once, for the larger orders."""
+    m = table.grid
+    lhs, rhs = m[m], m[:, m]      # [x, y, z] -> (x*y)*z and x*(y*z)
+    bad = lhs != rhs
+    if not bad.any():
+        return True, None
+    x, y, z = np.unravel_index(int(bad.argmax()), bad.shape)
+    return False, ((int(x) + 1, int(y) + 1, int(z) + 1), int(lhs[x, y, z]) + 1, int(rhs[x, y, z]) + 1)
+
+
+def assert_associative_agrees(table: CayleyTable, brute=brute_associative) -> tuple[int, int, int] | None:
     ok, witness = check(table, "associative")
-    expected_ok, expected = brute_associative(table)
+    assert (ok, witness) == all_slab_associative(table)
+    expected_ok, expected = brute(table)
     assert ok == expected_ok
     if ok:
         assert witness is None
@@ -79,6 +108,13 @@ def assert_associative_agrees(table: CayleyTable) -> tuple[int, int, int] | None
     assert witness.tag == "associative"
     assert (witness.elements, witness.lhs, witness.rhs) == expected
     return witness.elements
+
+
+def random_cell_change(rng: random.Random, base: CayleyTable) -> CayleyTable:
+    n = base.n
+    i, j = rng.randint(1, n), rng.randint(1, n)
+    value = rng.choice([v for v in range(1, n + 1) if v != base.rows[i - 1][j - 1]])
+    return with_cell(base, i, j, value)
 
 
 def test_associative_matches_brute_force_on_random_tables():
@@ -114,9 +150,148 @@ def test_associative_single_cell_perturbations():
     for n, k in ((6, 2), (12, 3), (20, 4)):
         base = table_from_sequence(cancellative_semigroups(n, k)[0])
         for _ in range(25):
-            i, j = rng.randint(1, n), rng.randint(1, n)
-            value = rng.choice([v for v in range(1, n + 1) if v != base.rows[i - 1][j - 1]])
-            assert_associative_agrees(with_cell(base, i, j, value))
+            assert_associative_agrees(random_cell_change(rng, base))
+
+
+def union_tables(max_order: int):
+    for k in range(1, max_order):
+        n = k + k * k
+        for t in range(1, k + 1):
+            if k % t == 0 and t * n <= max_order:
+                yield union_shifted_step(UnionSpec(n, k, t)).table
+    for n in range(2, max_order + 1):
+        for k in range(1, n):
+            for t in range(1, 9):
+                if t * n <= max_order and k % t == 0 and (k + k * k) % (t * n) == 0:
+                    yield union_same_step(UnionSpec(n, k, t)).table
+
+
+def test_associative_single_cell_changes_of_unions():
+    rng = random.Random(11)
+    tables = list(union_tables(90))
+    assert max(table.n for table in tables) == 90
+    failed = 0
+    for base in tables:
+        assert assert_associative_agrees(base, cube_associative) is None
+        for _ in range(2 if base.n > 1 else 0):
+            failed += assert_associative_agrees(random_cell_change(rng, base), cube_associative) is not None
+    assert failed > 0
+
+
+def bands(n: int):
+    """Left-zero band, right-zero band and every constant table of order n."""
+    r = range(1, n + 1)
+    yield CayleyTable(n, tuple((x,) * n for x in r))
+    yield CayleyTable(n, tuple(tuple(r) for _ in r))
+    for c in r:
+        yield CayleyTable(n, ((c,) * n,) * n)
+
+
+def test_associative_on_bands_constant_tables_and_their_changes():
+    rng = random.Random(3)
+    for n in range(1, 13):
+        for base in bands(n):
+            assert assert_associative_agrees(base) is None
+            for _ in range(3 if n > 1 else 0):
+                assert_associative_agrees(random_cell_change(rng, base))
+
+
+def count_slabs(monkeypatch) -> list[int]:
+    seen = []
+    slab = properties._associative_slab
+
+    def spy(m, mt, y, *buffers):
+        seen.append(y)
+        return slab(m, mt, y, *buffers)
+
+    monkeypatch.setattr(properties, "_associative_slab", spy)
+    return seen
+
+
+def test_every_element_of_a_band_is_its_own_generator(monkeypatch):
+    seen = count_slabs(monkeypatch)
+    left_zero, right_zero, *_ = bands(7)
+    for table in (left_zero, right_zero):
+        seen.clear()
+        assert check(table, "associative") == (True, None)
+        assert seen == list(range(7))
+
+
+@pytest.mark.parametrize("k", [2, 3, 7, 10])
+def test_cancellative_semigroups_need_k_slabs(monkeypatch, k):
+    n = k + k * k
+    seen = count_slabs(monkeypatch)
+    seqs = cancellative_semigroups(n, k)
+    assert seqs
+    for seq in seqs:
+        seen.clear()
+        assert check(table_from_sequence(seq), "associative") == (True, None)
+        assert len(seen) == k, seq.seq
+
+
+def python_closure(rows, elements) -> set[int]:
+    """The subgroupoid generated by 0-based `elements` of a 0-based table."""
+    have = set(elements)
+    while True:
+        new = {rows[a][b] for a in have for b in have} - have
+        if not new:
+            return have
+        have |= new
+
+
+def right_orbit(rows, gens) -> set[int]:
+    """Every product reached from `gens` by right multiplication with `gens`."""
+    have = set(gens)
+    while True:
+        new = {rows[a][g] for a in have for g in gens} - have
+        if not new:
+            return have
+        have |= new
+
+
+def grown_sets(table: CayleyTable, order):
+    """What _add_generator holds after each generator of `order` joins."""
+    have, members, gens = [False] * table.n, [], []
+    for y in order:
+        if not have[y]:
+            properties._add_generator(table.rows, have, members, gens, y)
+        assert sorted(members) == [x for x in range(table.n) if have[x]]
+        yield list(gens), set(members)
+
+
+def semilattices_and_cyclic_groups(n: int):
+    r = range(1, n + 1)
+    yield CayleyTable(n, tuple(tuple(max(x, y) for y in r) for x in r))
+    yield CayleyTable(n, tuple(tuple(min(x, y) for y in r) for x in r))
+    yield CayleyTable(n, tuple(tuple((x + y) % n + 1 for y in r) for x in r))
+
+
+def test_generated_set_of_good_elements_is_the_subgroupoid():
+    # In an associative table every element is good, so what the generators
+    # reach by right multiplication must be the whole subgroupoid.
+    rng = random.Random(29)
+    pool = [table_from_sequence(seq) for seq in cancellative_semigroups(20, 4)]
+    pool += [table for table in union_tables(24)]
+    pool += [table for n in (1, 6, 13) for table in (*bands(n), *semilattices_and_cyclic_groups(n))]
+    for table in pool:
+        assert check(table, "associative")[0]
+        rows = table.grid.tolist()
+        for _ in range(3):
+            order = rng.sample(range(table.n), table.n)
+            for gens, members in grown_sets(table, order):
+                assert members == python_closure(rows, gens)
+
+
+def test_generated_set_is_the_right_orbit_on_any_table():
+    rng = random.Random(31)
+    for n in (1, 5, 12, 30):
+        for values in (n, min(n, 2), min(n, 3)):
+            table = random_table(rng, n, values)
+            rows = table.grid.tolist()
+            order = rng.sample(range(n), n)
+            for gens, members in grown_sets(table, order):
+                assert members == right_orbit(rows, gens)
+                assert members <= python_closure(rows, gens)
 
 
 # -- four-variable identities -------------------------------------------------

@@ -7,6 +7,8 @@ from math import gcd
 
 import pytest
 
+from translatable import properties
+from translatable.constructions import cancellative_semigroups
 from translatable.core import (
     CayleyTable,
     InvalidInputError,
@@ -70,6 +72,39 @@ def test_report_skips_semigroup_names_on_non_semigroups():
     assert "medial" in verdicts
     full = report(table_from_sequence(KSequence(4, 3, (1, 2, 3, 4))))
     assert set(full) == set(PROPERTY_NAMES)
+
+
+def count_associativity_runs(monkeypatch) -> list[int]:
+    runs = []
+    scan = properties._check_associative
+
+    def spy(table):
+        runs.append(table.n)
+        return scan(table)
+
+    monkeypatch.setattr(properties, "_check_associative", spy)
+    monkeypatch.setitem(properties._CHECKERS, "associative", spy)
+    return runs
+
+
+@pytest.mark.parametrize("seq", [cancellative_semigroups(12, 3)[0], KSequence(4, 2, (1, 4, 3, 2))])
+def test_report_decides_associativity_once(monkeypatch, seq):
+    table = table_from_sequence(seq)
+    expected = {name: check(table, name) for name in report(table)}
+    runs = count_associativity_runs(monkeypatch)
+    assert report(table) == expected
+    assert runs == [table.n]
+    runs.clear()
+    assert report(table, ["medial", "idempotent"]) == {n: expected[n] for n in ("medial", "idempotent")}
+    assert runs == []
+
+
+def test_report_keeps_the_errors_of_check_in_name_order():
+    table = table_from_sequence(KSequence(4, 2, (1, 4, 3, 2)))
+    with pytest.raises(PreconditionError):
+        report(table, ["medial", "orthodox", "warm"])
+    with pytest.raises(InvalidInputError):
+        report(table, ["medial", "warm", "orthodox"])
 
 
 def test_closed_forms_match_cell_sweeps_exhaustively():
