@@ -1,17 +1,18 @@
 """Vectorised sweeps over every candidate first row at once.
 
-The per-table checkers in properties stay the reference definition; the
-mask functions here re-evaluate the same identities with numpy across a
-whole batch of tables so that exhaustive campaigns over n! or n^n first
-rows finish in seconds.  Tables are stored as a (B, n, n) array of 0-based
+The identity masks evaluate the definitions in properties.IDENTITIES, the
+same ones `check` evaluates on a single table, with numpy across a whole
+batch of tables so that exhaustive campaigns over n! or n^n first rows
+finish in seconds.  Tables are stored as a (B, n, n) array of 0-based
 entries; every mask returns one boolean per table and is computed cell by
 cell, never through a closed form.
 
-The three- and four-variable identities and the rotation test are sieved
-(_sieve): the cells are cut into slabs, one value of the outer variable
-(or one (i, j) pair, or one pair of adjacent rows), and each slab is
-checked only on the tables that passed every earlier slab, ROW_CHUNK
-tables at a time.  Most rows of a row space fail an early slab, so a
+The identity masks and the rotation test are sieved (_sieve): the cells
+are cut into slabs, one value of the outer variable of a three-variable
+identity, one (i, j) pair of a four-variable one, one pair of adjacent
+rows, or a single slab below three variables, and each slab is checked
+only on the tables that passed every earlier slab, ROW_CHUNK tables at a
+time.  Most rows of a row space fail an early slab, so a
 whole-space mask costs a few slabs per row rather than all of them.
 
 Row spaces and the masks campaigns take over a whole row space are
@@ -22,11 +23,14 @@ space and each whole-space mask once, still cell by cell.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 
 import numpy as np
 
 from .core import BoundError
+from .properties import IDENTITIES
 
 ROW_CHUNK = 4096
 # Most table cells (rows times n*n) a row space may generate: every default
@@ -136,19 +140,6 @@ def compose(tables: np.ndarray, x, y) -> np.ndarray:
     return tables.reshape(-1)[(base + x) * n + y]
 
 
-def _elements(tables: np.ndarray, *axes: int) -> list[np.ndarray]:
-    """Broadcast element index grids (B, n, n, ...) for the given arity."""
-    b, n, _ = tables.shape
-    arity = len(axes)
-    out = []
-    for pos in axes:
-        shape = [1] * (arity + 1)
-        shape[pos + 1] = n
-        grid = np.arange(n, dtype=np.int32).reshape(shape)
-        out.append(np.broadcast_to(grid, (b,) + (n,) * arity))
-    return out
-
-
 def _sieve(tables: np.ndarray, slab_ok, slabs) -> np.ndarray:
     """True for each table on which slab_ok(chunk, slab) holds for every slab.
 
@@ -174,139 +165,39 @@ def _sieve(tables: np.ndarray, slab_ok, slabs) -> np.ndarray:
     return ok
 
 
-def _pairs(n: int) -> list[tuple[int, int]]:
-    return [(i, j) for i in range(n) for j in range(n)]
+def _mask_for(name: str):
+    """properties.IDENTITIES[name] over a stack, sieved over its first
+    arity - 2 variables (one slab below three variables)."""
+    identity = IDENTITIES[name]
+    lead = max(0, identity.arity - 2)
+
+    def mask(tables: np.ndarray) -> np.ndarray:
+        n = tables.shape[1]
+        free = (range(n),) * (identity.arity - lead)
+
+        def slab(chunk, fixed):
+            bad = identity.failures(chunk, fixed + free, functools.partial(compose, chunk))
+            return ~bad.any(axis=tuple(range(1, bad.ndim)))
+
+        return _sieve(tables, slab, list(itertools.product(range(n), repeat=lead)))
+
+    mask.__doc__ = f"{identity.text}, sieved over its first {lead} variables"
+    return mask
 
 
-def idempotent_mask(tables: np.ndarray) -> np.ndarray:
-    n = tables.shape[1]
-    diag = tables[:, np.arange(n), np.arange(n)]
-    return (diag == np.arange(n)).all(axis=1)
-
-
-def commutative_mask(tables: np.ndarray) -> np.ndarray:
-    return (tables == tables.transpose(0, 2, 1)).all(axis=(1, 2))
-
-
-def associative_mask(tables: np.ndarray) -> np.ndarray:
-    """(x*y)*z == x*(y*z), sieved over x; each slab spans (y, z)."""
-    n = tables.shape[1]
-    z = np.arange(n).reshape(1, 1, n)
-
-    def slab(chunk, x):
-        left = compose(chunk, chunk[:, x, :, None], z)
-        right = compose(chunk, x, chunk)
-        return (left == right).all(axis=(1, 2))
-
-    return _sieve(tables, slab, range(n))
-
-
-def elastic_mask(tables: np.ndarray) -> np.ndarray:
-    i, j = _elements(tables, 0, 1)
-    left = compose(tables, i, compose(tables, j, i))
-    right = compose(tables, tables, i)
-    return (left == right).all(axis=(1, 2))
-
-
-def strongly_elastic_mask(tables: np.ndarray) -> np.ndarray:
-    i, j = _elements(tables, 0, 1)
-    mid = compose(tables, tables, i)
-    right = compose(tables, compose(tables, j, i), j)
-    return elastic_mask(tables) & (mid == right).all(axis=(1, 2))
-
-
-def bookend_mask(tables: np.ndarray) -> np.ndarray:
-    i, j = _elements(tables, 0, 1)
-    prod = compose(tables, compose(tables, j, i), tables)
-    return (prod == i).all(axis=(1, 2))
-
-
-def left_distributive_mask(tables: np.ndarray) -> np.ndarray:
-    """x*(y*z) == (x*y)*(x*z), sieved over x; each slab spans (y, z)."""
-
-    def slab(chunk, x):
-        row = chunk[:, x, :]
-        left = compose(chunk, x, chunk)
-        right = compose(chunk, row[:, :, None], row[:, None, :])
-        return (left == right).all(axis=(1, 2))
-
-    return _sieve(tables, slab, range(tables.shape[1]))
-
-
-def right_distributive_mask(tables: np.ndarray) -> np.ndarray:
-    """(x*y)*z == (x*z)*(y*z), sieved over x; each slab spans (y, z)."""
-    n = tables.shape[1]
-    z = np.arange(n).reshape(1, 1, n)
-
-    def slab(chunk, x):
-        row = chunk[:, x, :]
-        left = compose(chunk, row[:, :, None], z)
-        right = compose(chunk, row[:, None, :], chunk)
-        return (left == right).all(axis=(1, 2))
-
-    return _sieve(tables, slab, range(n))
-
-
-def left_modular_mask(tables: np.ndarray) -> np.ndarray:
-    """(i*j)*z == (z*j)*i, sieved over i; each slab spans (j, z)."""
-    n = tables.shape[1]
-    z = np.arange(n).reshape(1, 1, n)
-
-    def slab(chunk, i):
-        left = compose(chunk, chunk[:, i, :, None], z)
-        right = compose(chunk, chunk.transpose(0, 2, 1), i)
-        return (left == right).all(axis=(1, 2))
-
-    return _sieve(tables, slab, range(n))
-
-
-def right_modular_mask(tables: np.ndarray) -> np.ndarray:
-    """i*(j*z) == z*(j*i), sieved over i; each slab spans (j, z)."""
-    n = tables.shape[1]
-    z = np.arange(n).reshape(1, 1, n)
-
-    def slab(chunk, i):
-        left = compose(chunk, i, chunk)
-        right = compose(chunk, z, chunk[:, :, i, None])
-        return (left == right).all(axis=(1, 2))
-
-    return _sieve(tables, slab, range(n))
-
-
-def medial_mask(tables: np.ndarray) -> np.ndarray:
-    """(i*j)*(w*z) == (i*w)*(j*z), sieved over (i, j); each slab spans (w, z)."""
-
-    def slab(chunk, pair):
-        i, j = pair
-        left = compose(chunk, chunk[:, i, j, None, None], chunk)
-        right = compose(chunk, chunk[:, i, :, None], chunk[:, j, None, :])
-        return (left == right).all(axis=(1, 2))
-
-    return _sieve(tables, slab, _pairs(tables.shape[1]))
-
-
-def paramedial_mask(tables: np.ndarray) -> np.ndarray:
-    """(i*j)*(w*z) == (z*j)*(w*i), sieved over (i, j); each slab spans (w, z)."""
-
-    def slab(chunk, pair):
-        i, j = pair
-        left = compose(chunk, chunk[:, i, j, None, None], chunk)
-        right = compose(chunk, chunk[:, None, :, j], chunk[:, :, i, None])
-        return (left == right).all(axis=(1, 2))
-
-    return _sieve(tables, slab, _pairs(tables.shape[1]))
-
-
-def alterable_mask(tables: np.ndarray) -> np.ndarray:
-    """i*j == w*z implies j*w == z*i, sieved over (i, j); each slab spans (w, z)."""
-
-    def slab(chunk, pair):
-        i, j = pair
-        same = chunk == chunk[:, i, j, None, None]
-        implied = chunk[:, j, :, None] == chunk[:, None, :, i]
-        return (~same | implied).all(axis=(1, 2))
-
-    return _sieve(tables, slab, _pairs(tables.shape[1]))
+idempotent_mask = _mask_for("idempotent")
+commutative_mask = _mask_for("commutative")
+associative_mask = _mask_for("associative")
+elastic_mask = _mask_for("elastic")
+strongly_elastic_mask = _mask_for("strongly-elastic")
+bookend_mask = _mask_for("bookend")
+left_distributive_mask = _mask_for("left-distributive")
+right_distributive_mask = _mask_for("right-distributive")
+left_modular_mask = _mask_for("left-modular")
+right_modular_mask = _mask_for("right-modular")
+medial_mask = _mask_for("medial")
+paramedial_mask = _mask_for("paramedial")
+alterable_mask = _mask_for("alterable")
 
 
 def left_cancellative_mask(tables: np.ndarray) -> np.ndarray:

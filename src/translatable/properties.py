@@ -1,15 +1,20 @@
 """Identity checkers for Cayley tables.
 
-Two independent routes are kept apart on purpose.  `check` evaluates each
-named identity definitionally, by scanning products, and reports the
-lexicographically least counterexample when the identity fails.  The
-`lcond_check` and `left_unitary_characterize` functions evaluate the
+Each equational identity is written once, as text, in IDENTITIES.  `check`
+evaluates that definition on one table with numpy, cell by cell, and
+reports the lexicographically least counterexample; the batch masks
+evaluate the same definition over stacks of tables.  Associativity is
+decided by Light's test and only its witness comes from IDENTITIES; the
+other properties (cancellation, solvability, units, regularity, Clifford's
+conditions) have checkers of their own.  The `lcond_check` and
+`left_unitary_characterize` functions are a second, independent route:
 closed-form modular conditions that characterise the same identities on
 translatable tables; tests confront the two routes with each other.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 
 import numpy as np
@@ -77,24 +82,6 @@ NEEDS_ASSOCIATIVITY = frozenset(
 _VECTOR_CELL_LIMIT = 20_000_000
 
 
-def _check_idempotent(table):
-    for i in range(1, table.n + 1):
-        v = table.rows[i - 1][i - 1]
-        if v != i:
-            return False, Witness("idempotent", (i,), v, i)
-    return True, None
-
-
-def _check_commutative(table):
-    rows = table.rows
-    for i in range(1, table.n + 1):
-        for j in range(1, table.n + 1):
-            a, b = rows[i - 1][j - 1], rows[j - 1][i - 1]
-            if a != b:
-                return False, Witness("commutative", (i, j), a, b)
-    return True, None
-
-
 def _first_cell(bad: np.ndarray) -> tuple[int, ...]:
     """0-based index of the first True cell in row-major (lexicographic) order."""
     return tuple(int(v) for v in np.unravel_index(int(bad.argmax()), bad.shape))
@@ -112,8 +99,9 @@ def _check_associative(table):
     generators before the next pick.
 
     Any failing slab holds a counterexample at its least x, which bounds the
-    least x over all counterexamples; the x-ordered search up to it returns
-    the lexicographically least (x, y, z), whichever slab failed first.
+    least x over all counterexamples; the first-failure scan of
+    IDENTITIES["associative"] up to it returns the lexicographically least
+    (x, y, z), whichever slab failed first.
     """
     m = table.grid
     mt = np.ascontiguousarray(m.T)
@@ -125,7 +113,10 @@ def _check_associative(table):
         if have[y]:
             continue
         if _associative_slab(m, mt, y, left, right, bad).any():
-            return False, _least_associative_witness(m, _first_cell(bad)[0])
+            witness = _least_witness("associative", m, _first_cell(bad)[0] + 1)
+            if witness is None:
+                raise VerificationError("a failing associativity slab has no witness at or before its least x")
+            return False, witness
         _add_generator(table.rows, have, members, gens, y)
     return True, None
 
@@ -163,17 +154,6 @@ def _add_generator(rows, have, members, gens, y):
                 have[p] = True
                 fresh.append(p)
     members.extend(fresh)
-
-
-def _least_associative_witness(m, x_max):
-    for x in range(x_max + 1):
-        left = m[m[x]]           # [y, z] -> (x*y)*z
-        right = m[x][m]          # [y, z] -> x*(y*z)
-        bad = left != right
-        if bad.any():
-            y, z = _first_cell(bad)
-            return Witness("associative", (x + 1, y + 1, z + 1), int(left[y, z]) + 1, int(right[y, z]) + 1)
-    raise VerificationError("a failing associativity slab has no witness at or before its least x")
 
 
 def _first_duplicate(values):
@@ -235,154 +215,174 @@ def _check_quasigroup(table):
     return True, None
 
 
-def _check_elastic(table):
-    rows = table.rows
-    for i in range(1, table.n + 1):
-        for j in range(1, table.n + 1):
-            ji = rows[j - 1][i - 1]
-            ij = rows[i - 1][j - 1]
-            lhs = rows[i - 1][ji - 1]
-            rhs = rows[ij - 1][i - 1]
-            if lhs != rhs:
-                return False, Witness("elastic", (i, j), lhs, rhs)
-    return True, None
+# -- equational identities ----------------------------------------------------
 
 
-def _check_strongly_elastic(table):
-    rows = table.rows
-    for i in range(1, table.n + 1):
-        for j in range(1, table.n + 1):
-            ji = rows[j - 1][i - 1]
-            ij = rows[i - 1][j - 1]
-            v1 = rows[i - 1][ji - 1]
-            v2 = rows[ij - 1][i - 1]
-            v3 = rows[ji - 1][j - 1]
-            if v1 != v2:
-                return False, Witness("strongly-elastic", (i, j), v1, v2)
-            if v2 != v3:
-                return False, Witness("strongly-elastic", (i, j), v2, v3)
-    return True, None
+@dataclasses.dataclass(frozen=True)
+class Identity:
+    """An equational identity: a term is a variable (0..arity-1) or a pair
+    (u, v) of terms, their product.  It holds when every two adjacent terms
+    of `sides` agree wherever the premise (u, v, equal), if any, has u == v
+    (u != v when not equal).  `swap`, when set, gives the axes that
+    transpose sides[0]'s grid into sides[1]'s, a renaming of its variables.
+    """
+
+    text: str
+    arity: int
+    sides: tuple
+    premise: tuple | None
+    swap: tuple[int, ...] | None
+
+    @classmethod
+    def parse(cls, text: str) -> Identity:
+        """Read "lhs = rhs [= ...]", optionally after "u = v =>" or "u != v =>".
+        Juxtaposition is the product, grouped to the left unless parenthesised;
+        the variables are letters, in a witness in alphabetical order."""
+        names = sorted({c for c in text if c.isalpha()})
+        hypothesis, _, law = text.rpartition("=>")
+        sides = tuple(_term(side, names) for side in law.split("="))
+        left, _, right = hypothesis.replace("!", "").partition("=")
+        premise = (_term(left, names), _term(right, names), "!=" not in hypothesis) if hypothesis else None
+        renaming: dict[int, int] = {}
+        swap = len(sides) == 2 and _renames(*sides, renaming) and set(renaming.values()) == set(range(len(names)))
+        return cls(text, len(names), sides, premise, tuple(sorted(renaming, key=renaming.get)) if swap else None)
+
+    def failures(self, tables: np.ndarray, domains, product) -> np.ndarray:
+        """True at each table and free cell where the identity fails.
+
+        tables is a (B, n, n) stack of 0-based tables.  domains gives each
+        variable a fixed value (an int) or a range of values, which gets an
+        axis of its own after the table axis, in variable order.
+        product(a, b) reads the stack at index arrays laid out that way; a
+        product of two variables is a view of the stack instead.
+        """
+        b, n, _ = tables.shape
+        free = [v for v, d in enumerate(domains) if isinstance(d, range)]
+        axis = {v: 1 + k for k, v in enumerate(free)}
+        shape = (b, *(len(domains[v]) for v in free))
+
+        def placed(array, variables):
+            at = [array.shape[0]] + [1] * len(axis)
+            for v in variables:
+                at[axis[v]] = len(domains[v])
+            return array.reshape(at)
+
+        def leaf(v):
+            d = domains[v]
+            return d if isinstance(d, int) else placed(np.arange(d.start, d.stop)[None], [v])
+
+        def pair(u, v):
+            du, dv = (d if isinstance(d, int) else slice(d.start, d.stop) for d in (domains[u], domains[v]))
+            if u == v and u in axis:
+                return placed(np.diagonal(tables[:, du, du], axis1=1, axis2=2), [u])
+            cells = tables[:, du, dv]
+            if u > v and u in axis and v in axis:
+                return placed(cells.transpose(0, 2, 1), [v, u])
+            return placed(cells, [w for w in (u, v) if w in axis])
+
+        def value(term):
+            return _evaluate(term, leaf, product, pair)
+
+        if self.swap and all(d == range(n) for d in domains):
+            first = value(self.sides[0])
+            values = [first, first.transpose(0, *(1 + a for a in self.swap))]
+        else:
+            values = [value(term) for term in self.sides]
+        bad = functools.reduce(np.logical_or, map(np.not_equal, values, values[1:]))
+        if self.premise:
+            left, right, equal = self.premise
+            bad = bad & (np.equal if equal else np.not_equal)(value(left), value(right))
+        return bad if bad.shape == shape else np.broadcast_to(bad, shape)
 
 
-def _check_bookend(table):
-    rows = table.rows
-    for i in range(1, table.n + 1):
-        for j in range(1, table.n + 1):
-            ji = rows[j - 1][i - 1]
-            ij = rows[i - 1][j - 1]
-            lhs = rows[ji - 1][ij - 1]
-            if lhs != i:
-                return False, Witness("bookend", (i, j), lhs, i)
-    return True, None
+def _term(source: str, names):
+    stack: list[list] = [[]]
+    for c in source.replace(" ", ""):
+        if c == "(":
+            stack.append([])
+        elif c == ")":
+            inner = stack.pop()
+            stack[-1].append(functools.reduce(lambda u, v: (u, v), inner))
+        else:
+            stack[-1].append(names.index(c))
+    return functools.reduce(lambda u, v: (u, v), stack[0])
+
+
+def _renames(u, v, renaming) -> bool:
+    """Is term v term u with its variables renamed?  Fills in the renaming."""
+    if isinstance(u, int) or isinstance(v, int):
+        return isinstance(u, int) and isinstance(v, int) and renaming.setdefault(u, v) == v
+    return _renames(u[0], v[0], renaming) and _renames(u[1], v[1], renaming)
+
+
+def _evaluate(term, leaf, product, pair=None):
+    """leaf(v) for a variable, product(a, b) for the product of two values,
+    and pair(u, v), when given, for the product of two variables."""
+    if isinstance(term, int):
+        return leaf(term)
+    u, v = term
+    if pair is not None and isinstance(u, int) and isinstance(v, int):
+        return pair(u, v)
+    return product(_evaluate(u, leaf, product, pair), _evaluate(v, leaf, product, pair))
+
+
+# The equational identities, each written once: `check` evaluates them on
+# one table and the batch masks on stacks of tables.  Associativity's
+# verdict comes from Light's test; its witness comes from this entry.
+IDENTITIES = {
+    name: Identity.parse(text)
+    for name, text in (
+        ("idempotent", "ii = i"),
+        ("commutative", "ij = ji"),
+        ("associative", "(xy)z = x(yz)"),
+        ("elastic", "i(ji) = (ij)i"),
+        ("strongly-elastic", "i(ji) = (ij)i = (ji)j"),
+        ("bookend", "(ji)(ij) = i"),
+        ("paramedial", "(ij)(wz) = (zj)(wi)"),
+        ("medial", "(ij)(wz) = (iw)(jz)"),
+        ("left-distributive", "x(yz) = (xy)(xz)"),
+        ("right-distributive", "(xy)z = (xz)(yz)"),
+        ("alterable", "ij = wz => jw = zi"),
+        ("left-modular", "(ij)z = (zj)i"),
+        ("right-modular", "i(jz) = z(ji)"),
+        ("conditionally-commutative", "ij = ji => (ix)j = (jx)i"),
+        ("left-commutative", "ij != ji => (ij)x = (ji)x"),
+    )
+}
+
+
+def _least_witness(name: str, m: np.ndarray, stop: int | None = None) -> Witness | None:
+    """The lexicographically least counterexample to IDENTITIES[name] on grid
+    m whose first variable is below stop (default n), with the first two
+    adjacent sides that differ there; None if there is none.  The first
+    variable goes in blocks of at most _VECTOR_CELL_LIMIT cells, in order,
+    so the first block that fails holds the least cell."""
+    identity = IDENTITIES[name]
+    n = m.shape[0]
+    if identity.arity == 4:
+        _guard_quadruple(n)
+    stop = n if stop is None else stop
+    step = max(1, _VECTOR_CELL_LIMIT // n ** (identity.arity - 1))
+    for start in range(0, stop, step):
+        domains = (range(start, min(start + step, stop)),) + (range(n),) * (identity.arity - 1)
+        bad = identity.failures(m[None], domains, lambda a, b: m[a, b])[0]
+        if bad.any():
+            first, *others = _first_cell(bad)
+            cell = (first + start, *others)
+            sides = [_evaluate(term, cell.__getitem__, lambda a, b: int(m[a, b])) for term in identity.sides]
+            lhs, rhs = next((a, b) for a, b in zip(sides, sides[1:]) if a != b)
+            return Witness(name, tuple(v + 1 for v in cell), lhs + 1, rhs + 1)
+    return None
+
+
+def _check_identity(table, name):
+    witness = _least_witness(name, table.grid)
+    return witness is None, witness
 
 
 def _guard_quadruple(n):
     if n ** 4 > _VECTOR_CELL_LIMIT:
         raise BoundError(f"four-variable identity scan is too large for order {n}")
-
-
-def _check_paramedial(table):
-    _guard_quadruple(table.n)
-    m = table.grid
-    prod = m[m[:, :, None, None], m[None, None, :, :]]  # (i*j)*(w*z)
-    bad = prod != prod.transpose(3, 1, 2, 0)
-    if bad.any():
-        i, j, w, z = (v + 1 for v in _first_cell(bad))
-        return False, _quad_witness(table, "paramedial", i, j, w, z)
-    return True, None
-
-
-def _quad_witness(table, tag, i, j, w, z):
-    rows = table.rows
-    ij = rows[i - 1][j - 1]
-    wz = rows[w - 1][z - 1]
-    lhs = rows[ij - 1][wz - 1]
-    if tag == "paramedial":
-        rhs = rows[rows[z - 1][j - 1] - 1][rows[w - 1][i - 1] - 1]
-    else:
-        rhs = rows[rows[i - 1][w - 1] - 1][rows[j - 1][z - 1] - 1]
-    return Witness(tag, (i, j, w, z), lhs, rhs)
-
-
-def _check_medial(table):
-    _guard_quadruple(table.n)
-    m = table.grid
-    prod = m[m[:, :, None, None], m[None, None, :, :]]
-    bad = prod != prod.transpose(0, 2, 1, 3)
-    if bad.any():
-        i, j, w, z = (v + 1 for v in _first_cell(bad))
-        return False, _quad_witness(table, "medial", i, j, w, z)
-    return True, None
-
-
-def _check_left_distributive(table):
-    n = table.n
-    rows = table.rows
-    for x in range(1, n + 1):
-        row_x = rows[x - 1]
-        for y in range(1, n + 1):
-            xy = row_x[y - 1]
-            for z in range(1, n + 1):
-                lhs = row_x[rows[y - 1][z - 1] - 1]
-                rhs = rows[xy - 1][row_x[z - 1] - 1]
-                if lhs != rhs:
-                    return False, Witness("left-distributive", (x, y, z), lhs, rhs)
-    return True, None
-
-
-def _check_right_distributive(table):
-    n = table.n
-    rows = table.rows
-    for x in range(1, n + 1):
-        for y in range(1, n + 1):
-            xy = rows[x - 1][y - 1]
-            for z in range(1, n + 1):
-                lhs = rows[xy - 1][z - 1]
-                rhs = rows[rows[x - 1][z - 1] - 1][rows[y - 1][z - 1] - 1]
-                if lhs != rhs:
-                    return False, Witness("right-distributive", (x, y, z), lhs, rhs)
-    return True, None
-
-
-def _check_alterable(table):
-    _guard_quadruple(table.n)
-    rows = table.rows
-    m = table.grid
-    same = m[:, :, None, None] == m[None, None, :, :]   # i*j == w*z
-    # j*w sits on axes (j, w); z*i on axes (z, i) via the transpose.
-    swapped = m[None, :, :, None] == m.T[:, None, None, :]
-    bad = same & ~swapped
-    if bad.any():
-        i, j, w, z = (v + 1 for v in _first_cell(bad))
-        return False, Witness("alterable", (i, j, w, z), rows[j - 1][w - 1], rows[z - 1][i - 1])
-    return True, None
-
-
-def _check_left_modular(table):
-    n = table.n
-    rows = table.rows
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            ij = rows[i - 1][j - 1]
-            for z in range(1, n + 1):
-                lhs = rows[ij - 1][z - 1]
-                rhs = rows[rows[z - 1][j - 1] - 1][i - 1]
-                if lhs != rhs:
-                    return False, Witness("left-modular", (i, j, z), lhs, rhs)
-    return True, None
-
-
-def _check_right_modular(table):
-    n = table.n
-    rows = table.rows
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            for z in range(1, n + 1):
-                lhs = rows[i - 1][rows[j - 1][z - 1] - 1]
-                rhs = rows[z - 1][rows[j - 1][i - 1] - 1]
-                if lhs != rhs:
-                    return False, Witness("right-modular", (i, j, z), lhs, rhs)
-    return True, None
 
 
 def left_neutral_elements(table: CayleyTable) -> tuple[int, ...]:
@@ -421,38 +421,6 @@ def _check_anticommutative(table):
         for j in range(1, n + 1):
             if i != j and rows[i - 1][j - 1] == rows[j - 1][i - 1]:
                 return False, Witness("anticommutative", (i, j), i, j)
-    return True, None
-
-
-def _check_conditionally_commutative(table):
-    n = table.n
-    rows = table.rows
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if rows[i - 1][j - 1] != rows[j - 1][i - 1]:
-                continue
-            for x in range(1, n + 1):
-                lhs = rows[rows[i - 1][x - 1] - 1][j - 1]
-                rhs = rows[rows[j - 1][x - 1] - 1][i - 1]
-                if lhs != rhs:
-                    return False, Witness("conditionally-commutative", (i, j, x), lhs, rhs)
-    return True, None
-
-
-def _check_left_commutative(table):
-    n = table.n
-    rows = table.rows
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            ij = rows[i - 1][j - 1]
-            ji = rows[j - 1][i - 1]
-            if ij == ji:
-                continue
-            for x in range(1, n + 1):
-                lhs = rows[ij - 1][x - 1]
-                rhs = rows[ji - 1][x - 1]
-                if lhs != rhs:
-                    return False, Witness("left-commutative", (i, j, x), lhs, rhs)
     return True, None
 
 
@@ -540,29 +508,16 @@ def _check_clifford_left(table):
 
 
 _CHECKERS = {
-    "idempotent": _check_idempotent,
-    "commutative": _check_commutative,
+    **{name: functools.partial(_check_identity, name=name) for name in IDENTITIES},
     "associative": _check_associative,
     "left-cancellative": _check_left_cancellative,
     "right-cancellative": _check_right_cancellative,
     "left-solvable": _check_left_solvable,
     "right-solvable": _check_right_solvable,
     "quasigroup": _check_quasigroup,
-    "elastic": _check_elastic,
-    "strongly-elastic": _check_strongly_elastic,
-    "bookend": _check_bookend,
-    "paramedial": _check_paramedial,
-    "medial": _check_medial,
-    "left-distributive": _check_left_distributive,
-    "right-distributive": _check_right_distributive,
-    "alterable": _check_alterable,
-    "left-modular": _check_left_modular,
-    "right-modular": _check_right_modular,
     "left-unitary": _check_left_unitary,
     "unitary": _check_unitary,
     "anticommutative": _check_anticommutative,
-    "conditionally-commutative": _check_conditionally_commutative,
-    "left-commutative": _check_left_commutative,
     "left-regular": _check_left_regular,
     "right-regular": _check_right_regular,
     "regular": _check_regular,
@@ -647,6 +602,8 @@ def lcond_check(seq: KSequence, name: str) -> bool:
     if name not in LCOND_NAMES:
         raise InvalidInputError(f"no closed-form condition for {name!r}; known: {', '.join(LCOND_NAMES)}")
     n, k, a = seq.n, seq.k, seq.seq
+    if name in ("medial", "alterable"):
+        _guard_quadruple(n)
 
     def prod(i, j):
         return a[(k - k * i + j - 1) % n]

@@ -88,6 +88,15 @@ def test_lcond_requires_permutation_row(capsys):
     assert "permutation" in err
 
 
+@pytest.mark.parametrize("command", ["check", "lcond"])
+@pytest.mark.parametrize("name", ["medial", "alterable"])
+def test_four_variable_identities_refuse_order_67_before_any_work(capsys, command, name):
+    row = " ".join(map(str, range(1, 68)))
+    code, out, err = run(capsys, command, "--k", "66", "--seq", row, "--property", name)
+    assert (code, out) == (2, "")
+    assert err == "translatable: four-variable identity scan is too large for order 67\n"
+
+
 def test_construct_obstruction_exits_one(capsys):
     code, _, err = run(capsys, "construct", "idempotent", "--n", "6", "--k", "3")
     assert code == 1

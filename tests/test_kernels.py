@@ -64,14 +64,46 @@ def perturbed_first_rows(max_n: int):
 # -- associativity ------------------------------------------------------------
 
 
-def brute_associative(table: CayleyTable):
+# Every equational identity of properties.IDENTITIES written out again as a
+# loop body over a 1-based product p: (arity, the chain of sides at a cell).
+# An empty chain is a cell where the premise fails.
+ORACLE = {
+    "idempotent": (1, lambda p, i: (p(i, i), i)),
+    "commutative": (2, lambda p, i, j: (p(i, j), p(j, i))),
+    "associative": (3, lambda p, x, y, z: (p(p(x, y), z), p(x, p(y, z)))),
+    "elastic": (2, lambda p, i, j: (p(i, p(j, i)), p(p(i, j), i))),
+    "strongly-elastic": (2, lambda p, i, j: (p(i, p(j, i)), p(p(i, j), i), p(p(j, i), j))),
+    "bookend": (2, lambda p, i, j: (p(p(j, i), p(i, j)), i)),
+    "paramedial": (4, lambda p, i, j, w, z: (p(p(i, j), p(w, z)), p(p(z, j), p(w, i)))),
+    "medial": (4, lambda p, i, j, w, z: (p(p(i, j), p(w, z)), p(p(i, w), p(j, z)))),
+    "left-distributive": (3, lambda p, x, y, z: (p(x, p(y, z)), p(p(x, y), p(x, z)))),
+    "right-distributive": (3, lambda p, x, y, z: (p(p(x, y), z), p(p(x, z), p(y, z)))),
+    "alterable": (4, lambda p, i, j, w, z: (p(j, w), p(z, i)) if p(i, j) == p(w, z) else ()),
+    "left-modular": (3, lambda p, i, j, z: (p(p(i, j), z), p(p(z, j), i))),
+    "right-modular": (3, lambda p, i, j, z: (p(i, p(j, z)), p(z, p(j, i)))),
+    "conditionally-commutative": (
+        3, lambda p, i, j, x: (p(p(i, x), j), p(p(j, x), i)) if p(i, j) == p(j, i) else ()
+    ),
+    "left-commutative": (
+        3, lambda p, i, j, x: (p(p(i, j), x), p(p(j, i), x)) if p(i, j) != p(j, i) else ()
+    ),
+}
+
+
+def brute_identity(table: CayleyTable, name: str):
+    """The verdict and least (elements, lhs, rhs) counterexample of a named
+    identity, by a loop over every cell in lexicographic order."""
     rows = table.rows
-    r = range(1, table.n + 1)
-    for x, y, z in itertools.product(r, r, r):
-        lhs = rows[rows[x - 1][y - 1] - 1][z - 1]
-        rhs = rows[x - 1][rows[y - 1][z - 1] - 1]
-        if lhs != rhs:
-            return False, ((x, y, z), lhs, rhs)
+
+    def p(a, b):
+        return rows[a - 1][b - 1]
+
+    arity, sides = ORACLE[name]
+    for cell in itertools.product(range(1, table.n + 1), repeat=arity):
+        values = sides(p, *cell)
+        for lhs, rhs in zip(values, values[1:]):
+            if lhs != rhs:
+                return False, (cell, lhs, rhs)
     return True, None
 
 
@@ -82,25 +114,33 @@ def all_slab_associative(table: CayleyTable):
     for y in range(table.n):
         bad = m[m[:, y]] != mt[m[y]].T
         if bad.any():
-            return False, properties._least_associative_witness(m, int(bad.argmax()) // table.n)
+            return False, properties._least_witness("associative", m, int(bad.argmax()) // table.n + 1)
     return True, None
 
 
-def cube_associative(table: CayleyTable):
-    """brute_associative over every (x, y, z) at once, for the larger orders."""
-    m = table.grid
-    lhs, rhs = m[m], m[:, m]      # [x, y, z] -> (x*y)*z and x*(y*z)
+# Both sides of some three-variable identities over the whole (x, y, z) cube
+# at once, [x, y, z] -> value, for the larger orders.
+CUBES = {
+    "associative": lambda m: (m[m], m[:, m]),
+    "left-distributive": lambda m: (m[:, m], m[m[:, :, None], m[:, None, :]]),
+    "left-modular": lambda m: (m[m], m[m].transpose(2, 1, 0)),
+}
+
+
+def cube_identity(table: CayleyTable, name: str):
+    """brute_identity for the identities of CUBES, over the whole cube at once."""
+    lhs, rhs = CUBES[name](table.grid)
     bad = lhs != rhs
     if not bad.any():
         return True, None
-    x, y, z = np.unravel_index(int(bad.argmax()), bad.shape)
-    return False, ((int(x) + 1, int(y) + 1, int(z) + 1), int(lhs[x, y, z]) + 1, int(rhs[x, y, z]) + 1)
+    cell = np.unravel_index(int(bad.argmax()), bad.shape)
+    return False, (tuple(int(v) + 1 for v in cell), int(lhs[cell]) + 1, int(rhs[cell]) + 1)
 
 
-def assert_associative_agrees(table: CayleyTable, brute=brute_associative) -> tuple[int, int, int] | None:
+def assert_associative_agrees(table: CayleyTable, oracle=brute_identity) -> tuple[int, int, int] | None:
     ok, witness = check(table, "associative")
     assert (ok, witness) == all_slab_associative(table)
-    expected_ok, expected = brute(table)
+    expected_ok, expected = oracle(table, "associative")
     assert ok == expected_ok
     if ok:
         assert witness is None
@@ -172,9 +212,9 @@ def test_associative_single_cell_changes_of_unions():
     assert max(table.n for table in tables) == 90
     failed = 0
     for base in tables:
-        assert assert_associative_agrees(base, cube_associative) is None
+        assert assert_associative_agrees(base, cube_identity) is None
         for _ in range(2 if base.n > 1 else 0):
-            failed += assert_associative_agrees(random_cell_change(rng, base), cube_associative) is not None
+            failed += assert_associative_agrees(random_cell_change(rng, base), cube_identity) is not None
     assert failed > 0
 
 
@@ -294,28 +334,27 @@ def test_generated_set_is_the_right_orbit_on_any_table():
                 assert members <= python_closure(rows, gens)
 
 
-# -- four-variable identities -------------------------------------------------
+# -- equational identities ----------------------------------------------------
 
 
-def brute_quad(table: CayleyTable, name: str):
-    rows = table.rows
+def assert_check_agrees(table: CayleyTable, name: str) -> bool:
+    """check's verdict and witness for an identity equal brute_identity's.
 
-    def p(a, b):
-        return rows[a - 1][b - 1]
-
-    r = range(1, table.n + 1)
-    for i, j, w, z in itertools.product(r, r, r, r):
-        if name == "medial":
-            lhs, rhs = p(p(i, j), p(w, z)), p(p(i, w), p(j, z))
-        elif name == "paramedial":
-            lhs, rhs = p(p(i, j), p(w, z)), p(p(z, j), p(w, i))
-        else:
-            if p(i, j) != p(w, z):
-                continue
-            lhs, rhs = p(j, w), p(z, i)
-        if lhs != rhs:
-            return False, ((i, j, w, z), lhs, rhs)
-    return True, None
+    check refuses a semigroup-only identity on a non-associative table, so
+    there the checker it would run is asked directly.
+    """
+    if name in properties.NEEDS_ASSOCIATIVITY and not check(table, "associative")[0]:
+        ok, witness = properties._CHECKERS[name](table)
+    else:
+        ok, witness = check(table, name)
+    expected_ok, expected = brute_identity(table, name)
+    assert ok == expected_ok, name
+    if ok:
+        assert witness is None
+    else:
+        assert witness.tag == name
+        assert (witness.elements, witness.lhs, witness.rhs) == expected, name
+    return ok
 
 
 def quad_tables():
@@ -330,18 +369,49 @@ def quad_tables():
     yield CayleyTable(4, ((2,) * 4,) * 4)
 
 
-@pytest.mark.parametrize("name", ["medial", "paramedial", "alterable"])
-def test_four_variable_identities_match_brute_force(name):
-    verdicts = set()
-    for table in quad_tables():
-        ok, witness = check(table, name)
-        expected_ok, expected = brute_quad(table, name)
-        assert ok == expected_ok
-        verdicts.add(ok)
-        if not ok:
-            assert witness.tag == name
-            assert (witness.elements, witness.lhs, witness.rhs) == expected
+def test_oracle_covers_every_identity():
+    assert set(ORACLE) == set(properties.IDENTITIES)
+    assert all(ORACLE[name][0] == law.arity for name, law in properties.IDENTITIES.items())
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE))
+def test_identities_match_brute_force(name):
+    verdicts = {assert_check_agrees(table, name) for table in quad_tables()}
     assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("name", sorted(name for name, (arity, _) in ORACLE.items() if arity < 4))
+def test_identities_match_brute_force_at_order_66(name):
+    rng = random.Random(66)
+    semigroup = table_from_sequence(cancellative_semigroups(66, 11)[0])
+    noise = table_from_sequence(KSequence(66, 7, tuple(rng.randint(1, 66) for _ in range(66))))
+    for table in (semigroup, noise):
+        assert_check_agrees(table, name)
+
+
+@pytest.mark.parametrize("name", sorted(CUBES))
+def test_blocks_of_the_first_variable_keep_the_least_witness(monkeypatch, name):
+    # Three values of x a block: at n = 20 the grid spans seven blocks.
+    n = 20
+    monkeypatch.setattr(properties, "_VECTOR_CELL_LIMIT", 3 * n * n)
+    rng = random.Random(19)
+    r = range(1, n + 1)
+    bases = [
+        CayleyTable(n, ((4,) * n,) * n),
+        CayleyTable(n, tuple((x,) * n for x in r)),
+        CayleyTable(n, tuple(tuple(r) for _ in r)),
+    ]
+    late = 0
+    for base in bases:
+        for _ in range(40):
+            i, j = rng.randint(1, n), rng.randint(1, n)
+            table = with_cell(base, i, j, rng.choice((i, j, rng.randint(1, n))))
+            expected = cube_identity(table, name)
+            witness = properties._least_witness(name, table.grid)
+            assert (witness is None, witness and (witness.elements, witness.lhs, witness.rhs)) == expected
+            assert check(table, name) == (witness is None, witness)
+            late += witness is not None and witness.elements[0] > 3
+    assert late > 0
 
 
 # -- translatability ----------------------------------------------------------
@@ -698,6 +768,16 @@ def test_every_mask_matches_check_and_the_rotation_loop(monkeypatch, n, chunk):
         assert got.tolist() == [translatable_by_loop(table, k) for table in pool], k
 
 
+@pytest.mark.parametrize("n", range(1, 7))
+def test_check_and_masks_match_brute_force_on_the_mask_pool(n):
+    pool = mask_pool(n)
+    stack = stack_of(pool)
+    for name in ORACLE:
+        verdicts = [assert_check_agrees(table, name) for table in pool]
+        if name in batch.MASKS:
+            assert batch.MASKS[name](stack).tolist() == verdicts, name
+
+
 def test_mask_pool_has_both_outcomes_for_every_mask():
     seen = {name: set() for name in (*batch.MASKS, "translatable")}
     for n in range(2, 7):
@@ -738,6 +818,7 @@ def test_sieved_masks_match_check_on_single_cell_changes(monkeypatch, name):
         cases = list(single_cell_changes(n, name))
         got = batch.MASKS[name](stack_of([table for table, _, _ in cases]))
         assert got.tolist() == [ok for _, ok, _ in cases], (name, n)
+        assert all(assert_check_agrees(table, name) == ok for table, ok, _ in cases)
         if n > 2:
             slabs = {slab for _, _, slab in cases if slab is not None}
             if name in ("associative", "left-distributive", "right-distributive"):
