@@ -31,6 +31,7 @@ import numpy as np
 
 from .core import BoundError
 from .properties import IDENTITIES
+from .translation import _positions, _rotation_holds
 
 ROW_CHUNK = 4096
 # Most table cells (rows times n*n) a row space may generate: every default
@@ -119,13 +120,9 @@ def product_tables(rows: np.ndarray, k: int) -> np.ndarray:
     """(B, n, n) tables generated by each row under step k, 0-based.
 
     Row i of a generated table reads the first row at position j - k*i
-    modulo n, which is the rotation description written per cell.
+    modulo n (translation._positions, as for table_from_sequence).
     """
-    b, n = rows.shape
-    i = np.arange(n).reshape(n, 1)
-    j = np.arange(n).reshape(1, n)
-    idx = (j - k * i) % n
-    return rows[:, idx]
+    return rows[:, _positions(rows.shape[1], k)]
 
 
 def compose(tables: np.ndarray, x, y) -> np.ndarray:
@@ -230,12 +227,12 @@ def unitary_mask(tables: np.ndarray) -> np.ndarray:
 
 def translatable_mask(tables: np.ndarray, k: int) -> np.ndarray:
     """Cell-by-cell rotation test T[i][j] == T[i+1][j+k], sieved over i;
-    each slab compares row i with row i+1."""
+    each slab compares row i with row i+1 (translation._rotation_holds, as
+    for detect)."""
     n = tables.shape[1]
-    right = (np.arange(n) + k) % n
 
     def slab(chunk, i):
-        return (chunk[:, i, :] == chunk[:, (i + 1) % n, right]).all(axis=1)
+        return _rotation_holds(chunk[:, i, :], chunk[:, (i + 1) % n, :], k)
 
     return _sieve(tables, slab, range(n))
 

@@ -396,14 +396,14 @@ def _run_left_unitary_isomorphism(inst):
         seq = _np_seq(n, k, rows[b])
         table = table_from_sequence(seq)
         e = left_neutral_elements(table)[0]
-        phi = [mod_rep(x + e - 1, n) for x in range(1, n + 1)]
-        for x in range(1, n + 1):
-            for y in range(1, n + 1):
-                if table.entry(phi[x - 1], phi[y - 1]) != phi[canonical.entry(x, y) - 1]:
-                    return _failed(tid, n, k, {
-                        "row": list(seq.seq), "x": x, "y": y,
-                        "note": "shift map to the canonical table breaks a product",
-                    })
+        phi = (np.arange(n) + e - 1) % n    # x -> [x + e - 1], 0-based
+        bad = np.argwhere(table.grid[np.ix_(phi, phi)] != phi[canonical.grid])
+        if bad.size:
+            x, y = (bad[0] + 1).tolist()
+            return _failed(tid, n, k, {
+                "row": list(seq.seq), "x": x, "y": y,
+                "note": "shift map to the canonical table breaks a product",
+            })
     return _passed(tid, n, k)
 
 
@@ -740,11 +740,7 @@ def _run_left_unitary_reordering(inst):
             return _failed(tid, n, k, {"row": list(seq.seq), "note": "promised front element is not left neutral"})
         if not is_translatable(shuffled, k):
             return _failed(tid, n, k, {"row": list(seq.seq), "note": "reordering lost the step"})
-        inverse = ordering.inverse()
-        relabeled = CayleyTable(n, tuple(
-            tuple(inverse.perm[shuffled.entry(r, s) - 1] for s in range(1, n + 1))
-            for r in range(1, n + 1)
-        ))
+        relabeled = CayleyTable(n, np.array(ordering.inverse().perm)[shuffled.grid])
         if relabeled != canonical:
             return _failed(tid, n, k, {"row": list(seq.seq), "note": "relabeled table is not the canonical one"})
     return _passed(tid, n, k)
@@ -880,10 +876,10 @@ def _run_cyclic_decomposition(inst):
 
 
 def _component_table(table: CayleyTable, comp: tuple[int, ...]) -> CayleyTable:
-    index = {x: pos for pos, x in enumerate(comp, start=1)}
-    return CayleyTable(len(comp), tuple(
-        tuple(index[table.entry(a, b)] for b in comp) for a in comp
-    ))
+    members = np.array(comp) - 1
+    index = np.zeros(table.n, dtype=np.int64)
+    index[members] = np.arange(1, len(comp) + 1)
+    return CayleyTable(len(comp), index[table.grid[np.ix_(members, members)]])
 
 
 def _run_ideal_partition(inst):
@@ -1047,15 +1043,16 @@ def _run_constant_column_forcing(inst):
     return _passed(tid, n, k)
 
 
-def _anchor_conditions(table: CayleyTable, j: int, k: int) -> bool:
-    n = table.n
+def _anchor_conditions(row: list[int], j: int, k: int) -> bool:
+    """The anchor conditions on row j of a table, given as a 1-based list."""
+    n = len(row)
     for s in range(1, n + 1):
-        base = table.entry(j, mod_rep(j - 1 + s, n))
-        if table.entry(j, mod_rep(j - 1 + s - k, n)) != base:
+        base = row[mod_rep(j - 1 + s, n) - 1]
+        if row[mod_rep(j - 1 + s - k, n) - 1] != base:
             return False
-        if table.entry(j, mod_rep(j - 1 + s + k, n)) != base:
+        if row[mod_rep(j - 1 + s + k, n) - 1] != base:
             return False
-        if table.entry(j, mod_rep(j - 1 + base, n)) != base:
+        if row[mod_rep(j - 1 + base, n) - 1] != base:
             return False
     return True
 
@@ -1065,12 +1062,12 @@ def _run_idempotent_anchor_semigroup(inst):
     n, k = inst
     rows = batch.row_array(n, False)
     assoc = batch.space_verdicts("associative", n, k, False)
-    for b in range(len(rows)):
-        table = table_from_sequence(_np_seq(n, k, rows[b]))
+    for b, table in enumerate((batch.product_tables(rows, k) + 1).tolist()):
         for j in range(1, n + 1):
-            if table.entry(j, j) != j or table.entry(j, mod_rep(j - 1, n)) != j:
+            row = table[j - 1]
+            if row[j - 1] != j or row[mod_rep(j - 1, n) - 1] != j:
                 continue
-            if _anchor_conditions(table, j, k) != bool(assoc[b]):
+            if _anchor_conditions(row, j, k) != bool(assoc[b]):
                 return _failed(tid, n, k, _row_witness(rows, b, f"anchor {j} conditions against associativity"))
     return _passed(tid, n, k)
 

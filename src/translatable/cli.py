@@ -217,7 +217,7 @@ def _union_payload(union, fmt: str) -> str:
                 "order": union.table.n,
                 "step": union.step,
                 "copies": [list(c) for c in union.copies()],
-                "table": [list(row) for row in union.table.rows],
+                "table": union.table.rows,
             }
         )
     lines = [f"order: {union.table.n}\n", f"step: {union.step}\n"]
@@ -263,7 +263,7 @@ def _cmd_construct(args) -> int:
                         "n": table.n,
                         "t": args.t,
                         "mapping": [[s, mapping[s]] for s in sorted(mapping)],
-                        "table": [list(row) for row in table.rows],
+                        "table": table.rows,
                     }
                 ),
             )

@@ -106,17 +106,10 @@ def block_product_table(k: int) -> CayleyTable:
     if k < 1:
         raise InvalidInputError(f"step must be at least 1, got {k}")
     n = k + k * k
-    rows = []
-    for x in range(1, n + 1):
-        i = (x - 1) % k + 1
-        s = (x - i) // k
-        row = []
-        for y in range(1, n + 1):
-            j = (y - 1) % k + 1
-            t = (y - j) // k
-            row.append(mod_rep(j + (s + t - i + 1) * k, n))
-        rows.append(tuple(row))
-    return CayleyTable(n, tuple(rows))
+    x = np.arange(n)
+    i, s = (x % k + 1).reshape(n, 1), (x // k).reshape(n, 1)
+    j, t = i.T, s.T
+    return CayleyTable(n, (j + (s + t - i + 1) * k - 1) % n + 1)
 
 
 def constant_column_semigroups(n: int, k: int) -> list[KSequence]:
@@ -231,8 +224,7 @@ def _union_from_product(spec: UnionSpec, step: int, local_index) -> LabeledUnion
     n, t = spec.n, spec.t
     columns = np.arange(t * n)
     copy, local = columns % t + 1, columns // t + 1
-    rows = tuple(tuple((t * (local_index(i, r, local) - 1) + copy).tolist()) for i, r in labels)
-    table = CayleyTable(t * n, rows)
+    table = CayleyTable(t * n, np.array([t * (local_index(i, r, local) - 1) + copy for i, r in labels]))
     if not is_translatable(table, step):
         raise VerificationError(
             f"union table of order {t * n} is not {step}-translatable"

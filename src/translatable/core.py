@@ -2,7 +2,9 @@
 
 Everything here works on 1-based residues: the class of 0 modulo n is
 represented by n itself, so computed values always land in 1..n.  A Cayley
-table is a full n-by-n multiplication grid over the elements 1..n, a step
+table is a full n-by-n multiplication grid over the elements 1..n, stored
+once as a read-only 0-based array with a 1-based `rows` view derived from
+it on demand (the one exception to 1-based values here); a step
 sequence is a first row together with the rotation step k, and an ordering
 is a permutation used to present the same grid with rows and columns
 rearranged.  All types are immutable after construction and safe to share
@@ -11,10 +13,10 @@ across worker processes.
 
 from __future__ import annotations
 
-import itertools
 import json
+import numbers
 import os
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -102,46 +104,60 @@ def _check_step(n: int, k: int) -> None:
         raise InvalidInputError(f"step must satisfy 1 <= k <= n-1, got k={k} for n={n}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CayleyTable:
-    """An n-by-n multiplication table over 1..n, row-major and 1-based."""
+    """An n-by-n multiplication table over 1..n, built from n rows of 1-based
+    cells (tuples, lists or an array) and stored once, as `grid`: a
+    read-only 0-based array, int16 below order 32768.
+
+    `rows` is the same cells as 1-based row tuples, derived from `grid` on
+    first use.  Tables are equal, and hash alike, when their cells agree.
+    """
 
     n: int
-    rows: tuple[tuple[int, ...], ...]
+    cells: InitVar[object]
+    grid: np.ndarray = field(init=False)
 
-    def __post_init__(self) -> None:
-        _check_order(self.n)
-        if len(self.rows) != self.n:
-            raise InvalidInputError(f"expected {self.n} rows, got {len(self.rows)}")
-        # Bulk check first: row lengths, then the least and largest of the
-        # distinct values.  The cell loop below only runs to name the first
-        # bad cell in row-major order.
-        if set(map(len, self.rows)) == {self.n}:
-            values = set().union(*self.rows)
-            if min(values) >= 1 and max(values) <= self.n:
-                return
-        for i, row in enumerate(self.rows, start=1):
-            if len(row) != self.n:
-                raise InvalidInputError(f"row {i} has {len(row)} entries, expected {self.n}")
-            for j, value in enumerate(row, start=1):
-                if not 1 <= value <= self.n:
-                    raise InvalidInputError(
-                        f"entry at ({i}, {j}) is {value}, outside 1..{self.n}"
-                    )
-
-    @classmethod
-    def from_rows(cls, rows) -> CayleyTable:
-        rows = tuple(tuple(int(v) for v in row) for row in rows)
-        return cls(len(rows), rows)
+    def __post_init__(self, cells) -> None:
+        n = self.n
+        _check_order(n)
+        if len(cells) != n:
+            raise InvalidInputError(f"expected {n} rows, got {len(cells)}")
+        # Bulk check first; the cell loop only runs to name the first bad
+        # row or cell in row-major order.
+        try:
+            grid = np.asarray(cells)
+            valid = grid.shape == (n, n) and grid.dtype.kind in "biu" and grid.min() >= 1 and grid.max() <= n
+        except ValueError:  # ragged rows
+            valid = False
+        if not valid:
+            for i, row in enumerate(cells, start=1):
+                if len(row) != n:
+                    raise InvalidInputError(f"row {i} has {len(row)} entries, expected {n}")
+                for j, value in enumerate(row, start=1):
+                    if not isinstance(value, numbers.Integral):
+                        raise InvalidInputError(f"entry at ({i}, {j}) is {value!r}, not an integer")
+                    if not 1 <= value <= n:
+                        raise InvalidInputError(f"entry at ({i}, {j}) is {value}, outside 1..{n}")
+            grid = np.array(cells, dtype=np.int64)  # integral objects numpy left untyped
+        grid = np.subtract(grid, 1, dtype=np.int16 if n < 32768 else np.int32)
+        grid.flags.writeable = False
+        object.__setattr__(self, "grid", grid)
 
     @cached_property
-    def grid(self) -> np.ndarray:
-        """The cells as a read-only 0-based array (int16 below order 32768), built once."""
-        dtype = np.int16 if self.n < 32768 else np.int32
-        cells = np.fromiter(itertools.chain.from_iterable(self.rows), dtype, self.n * self.n)
-        cells -= 1
-        cells.flags.writeable = False
-        return cells.reshape(self.n, self.n)
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        """The cells as 1-based row tuples, one shared int object per value."""
+        return tuple(tuple(row) for row in np.arange(1, self.n + 1, dtype=object)[self.grid])
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, CayleyTable) and np.array_equal(self.grid, other.grid)
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.grid.tobytes()))
+
+    def __reduce__(self):
+        # Unpickle through __init__, so that grid comes back read-only.
+        return CayleyTable, (self.n, self.grid + 1)
 
     def entry(self, i: int, j: int) -> int:
         """Product of i and j (both 1-based)."""
@@ -247,18 +263,15 @@ def reorder(table: CayleyTable, ordering: Ordering) -> CayleyTable:
         raise InvalidInputError(
             f"ordering on {ordering.n} elements cannot present a table of order {table.n}"
         )
-    perm = ordering.perm
-    return CayleyTable(
-        table.n,
-        tuple(tuple(table.rows[p - 1][q - 1] for q in perm) for p in perm),
-    )
+    perm = np.array(ordering.perm) - 1
+    return CayleyTable(table.n, table.grid[np.ix_(perm, perm)] + 1)
 
 
 def serialize(obj: CayleyTable | KSequence, fmt: str = "json") -> str:
     """Canonical representation of a table or sequence, stable byte for byte."""
     if fmt == "json":
         if isinstance(obj, CayleyTable):
-            payload = {"n": obj.n, "table": [list(row) for row in obj.rows]}
+            payload = {"n": obj.n, "table": obj.rows}
         elif isinstance(obj, KSequence):
             payload = {"n": obj.n, "k": obj.k, "seq": list(obj.seq)}
         else:
@@ -312,7 +325,7 @@ def parse_table(text: str, fmt: str | None = None) -> CayleyTable:
         rows = payload["table"]
         if not isinstance(rows, list):
             raise ParseError("table must be a list of rows")
-        return CayleyTable(n, tuple(tuple(_int_list(row, "row")) for row in rows))
+        return CayleyTable(n, [_int_list(row, "row") for row in rows])
     if fmt == "text":
         rows = []
         lines = [line for line in text.splitlines() if line.strip()]
@@ -328,8 +341,8 @@ def parse_table(text: str, fmt: str | None = None) -> CayleyTable:
                     raise ParseError(
                         f"expected an integer, got {field!r}", line=lineno, column=colno
                     ) from None
-            rows.append(tuple(row))
-        return CayleyTable(len(rows), tuple(rows))
+            rows.append(row)
+        return CayleyTable(len(rows), rows)
     raise InvalidInputError(f"unknown format {fmt!r}, expected 'json' or 'text'")
 
 

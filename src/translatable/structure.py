@@ -210,14 +210,11 @@ def iso_idempotent(seq_q: KSequence, seq_s: KSequence) -> Isomorphism:
     cq = _diagonal_ordering(a, "first sequence")
     cs = _diagonal_ordering(b, "second sequence")
     phi = cs.compose(cq.inverse())
-    mapping = tuple(phi.apply(x) for x in range(1, seq_q.n + 1))
-    for r in range(seq_q.n):
-        for s in range(seq_q.n):
-            if mapping[a.rows[r][s] - 1] != b.rows[r][s]:
-                raise VerificationError(
-                    f"diagonal map fails at position ({r + 1},{s + 1})"
-                )
-    return Isomorphism(mapping, True)
+    bad = np.argwhere(np.array(phi.perm)[a.grid] != b.grid + 1)
+    if bad.size:
+        r, s = (bad[0] + 1).tolist()
+        raise VerificationError(f"diagonal map fails at position ({r},{s})")
+    return Isomorphism(phi.perm, True)
 
 
 def _unitary_reordering(seq: KSequence) -> Ordering:
@@ -271,9 +268,8 @@ def cyclic_table(n: int) -> CayleyTable:
     """The table of addition on 1..n with neutral 1: i*j = [i + j - 1]."""
     if n < 1:
         raise InvalidInputError(f"order must be at least 1, got {n}")
-    return CayleyTable(
-        n, tuple(tuple(mod_rep(i + j - 1, n) for j in range(1, n + 1)) for i in range(1, n + 1))
-    )
+    elements = np.arange(n)
+    return CayleyTable(n, np.add.outer(elements, elements) % n + 1)
 
 
 def _neutral_element(table: CayleyTable) -> int | None:

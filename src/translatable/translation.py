@@ -7,12 +7,18 @@ determined by its first row a_1..a_n through
     i * j = a_[k - ki + j]   (index reduced to 1..n)
 
 and cell-by-cell the grid satisfies T[i][j] = T[i+1][j+k].
+
+Each rule is written once, on 0-based arrays: _positions, the index
+(j - k*i) mod n that builds tables here and in batch.product_tables, and
+_rotation_holds, the test that finds steps here and in batch.translatable_mask.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .core import (
     CayleyTable,
@@ -23,42 +29,41 @@ from .core import (
 )
 
 
+def _positions(n: int, k: int) -> np.ndarray:
+    """(n, n) array of the first-row position (j - k*i) mod n that cell
+    (i, j) of a step-k table reads, all 0-based: i*j = a_[k - ki + j]."""
+    index = np.arange(n) - k * np.arange(n).reshape(n, 1)
+    return np.remainder(index, n, out=index)
+
+
+def _rotation_holds(row: np.ndarray, below: np.ndarray, k) -> np.ndarray:
+    """T[i][j] == T[i+1][j+k] for every j (the last axis) of row i and the
+    row below it; leading axes broadcast, over stacks of rows or of steps."""
+    n = row.shape[-1]
+    return (row == below[..., (np.arange(n) + k) % n]).all(axis=-1)
+
+
 def table_from_sequence(seq: KSequence) -> CayleyTable:
     """Grid whose first row is the sequence and whose rows step right by k."""
-    n, k = seq.n, seq.k
-    rows = [seq.seq]
-    for _ in range(n - 1):
-        prev = rows[-1]
-        rows.append(prev[n - k:] + prev[:n - k])
-    return CayleyTable(n, tuple(rows))
+    return CayleyTable(seq.n, np.asarray(seq.seq, dtype=np.int32)[_positions(seq.n, seq.k)])
 
 
-def _translatable_steps(table: CayleyTable, first: int, last: int) -> list[int]:
-    """Steps k in first..last under which T[i][j] = T[i+1][j+k] in every cell.
-
-    Candidates are filtered on the first two rows, then each survivor is
-    checked on the whole grid: every row must equal the next one read from
-    position k+1 on, cyclically.  Whole rows are compared as tuple slices,
-    at C speed and with no array conversion, so small tables stay cheap.
-    """
-    n = table.n
-    rows = table.rows
-    doubled = rows[1] + rows[1]
-    steps = [k for k in range(first, last + 1) if doubled[k] == rows[0][0] and doubled[k:k + n] == rows[0]]
-    below = rows[1:] + rows[:1]
-    return [k for k in steps if all(row == nxt[k:] + nxt[:k] for row, nxt in zip(rows, below))]
+def _translatable_steps(grid: np.ndarray, steps: np.ndarray) -> list[int]:
+    """The steps among `steps` passing the rotation test on every row (the
+    last against the first): filtered on rows 1-2, then each on the whole grid."""
+    below = np.roll(grid, -1, axis=0)
+    steps = steps[_rotation_holds(grid[0], below[0], steps[:, None])]
+    return [k for k in steps.tolist() if _rotation_holds(grid, below, k).all()]
 
 
 def detect(table: CayleyTable) -> frozenset[int]:
     """All steps k in 1..n-1 under which the table is translatable."""
-    if table.n == 1:
-        return frozenset()
-    return frozenset(_translatable_steps(table, 1, table.n - 1))
+    return frozenset(_translatable_steps(table.grid, np.arange(1, table.n)))
 
 
 def is_translatable(table: CayleyTable, k: int) -> bool:
     """Does the grid satisfy T[i][j] = T[i+1][j+k] everywhere?"""
-    return 1 <= k <= table.n - 1 and bool(_translatable_steps(table, k, k))
+    return 1 <= k <= table.n - 1 and bool(_translatable_steps(table.grid, np.array([k])))
 
 
 def rotate_ordering(seq: KSequence) -> tuple[Ordering, KSequence]:
@@ -93,8 +98,7 @@ def all_rotated_presentations(seq: KSequence) -> list[tuple[Ordering, KSequence]
 
 def dual(table: CayleyTable) -> CayleyTable:
     """Transpose: the groupoid with the two arguments swapped."""
-    n = table.n
-    return CayleyTable(n, tuple(tuple(table.rows[j][i] for j in range(n)) for i in range(n)))
+    return CayleyTable(table.n, table.grid.T + 1)
 
 
 @dataclass(frozen=True)

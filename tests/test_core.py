@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import json
+import pickle
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -72,6 +74,29 @@ def test_table_validation():
         CayleyTable(2, ((1, 2),))
     with pytest.raises(InvalidInputError):
         CayleyTable(2, ((1, 2), (2, 3)))
+    with pytest.raises(InvalidInputError, match=r"entry at \(1, 1\) is 1.5, not an integer"):
+        CayleyTable(2, ((1.5, 2), (2, 1)))
+    # Outside the int16 storage too: refused by value, never wrapped round.
+    with pytest.raises(InvalidInputError, match=r"entry at \(2, 2\) is 65537, outside 1..2"):
+        CayleyTable(2, ((1, 2), (2, 65537)))
+
+
+def test_table_equality_and_hash_follow_the_cells():
+    cells = ((1, 2), (2, 1))
+    tables = [
+        CayleyTable(2, cells),
+        CayleyTable(2, [list(row) for row in cells]),
+        CayleyTable(2, np.array(cells)),
+    ]
+    for table in tables:
+        assert table == tables[0] and hash(table) == hash(tables[0])
+    assert len(set(tables)) == 1
+    assert tables[0] != CayleyTable(2, ((1, 2), (2, 2)))
+    assert CayleyTable(1, ((1,),)) != CayleyTable(2, ((1, 1), (1, 1)))
+    assert (tables[0] == cells) is False
+    assert (tables[0] == "table") is False
+    copy = pickle.loads(pickle.dumps(tables[0]))
+    assert copy == tables[0] and not copy.grid.flags.writeable
 
 
 def test_entry_is_one_based():

@@ -46,7 +46,7 @@ def random_table(rng: random.Random, n: int, values: int | None = None) -> Cayle
 def with_cell(table: CayleyTable, i: int, j: int, value: int) -> CayleyTable:
     rows = [list(row) for row in table.rows]
     rows[i - 1][j - 1] = value
-    return CayleyTable.from_rows(rows)
+    return CayleyTable(table.n, rows)
 
 
 def perturbed_first_rows(max_n: int):
@@ -438,6 +438,20 @@ def translation_tables():
             yield table
             i, j = rng.randint(1, n), rng.randint(1, n)
             yield with_cell(table, i, j, table.rows[i - 1][j - 1] % n + 1)
+            # Rows 1 and 2 still agree with step k, so only the check on the
+            # whole grid can see this change.
+            yield with_cell(table, n, j, table.rows[n - 1][j - 1] % n + 1)
+
+
+def test_table_from_sequence_matches_product_tables():
+    # Every first row to n = 5, every permutation row at n = 6.
+    for n in range(2, 7):
+        rows = batch.row_array(n, n == 6)
+        for k in range(1, n):
+            stack = batch.product_tables(rows, k)
+            for row, expected in zip(rows, stack):
+                table = table_from_sequence(KSequence(n, k, tuple((row + 1).tolist())))
+                assert np.array_equal(table.grid, expected)
 
 
 def test_detect_and_is_translatable_match_brute_force():
