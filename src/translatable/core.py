@@ -267,19 +267,26 @@ def reorder(table: CayleyTable, ordering: Ordering) -> CayleyTable:
     return CayleyTable(table.n, table.grid[np.ix_(perm, perm)] + 1)
 
 
+def _cell_texts(table: CayleyTable) -> list[list[str]]:
+    """Each cell's decimal text, row by row, looked up from one string per
+    value rather than formatted once per cell."""
+    return np.array([str(v) for v in range(1, table.n + 1)], dtype=object)[table.grid].tolist()
+
+
 def serialize(obj: CayleyTable | KSequence, fmt: str = "json") -> str:
     """Canonical representation of a table or sequence, stable byte for byte."""
     if fmt == "json":
         if isinstance(obj, CayleyTable):
-            payload = {"n": obj.n, "table": obj.rows}
-        elif isinstance(obj, KSequence):
+            # The bytes of json.dumps({"n": n, "table": rows}, separators=(",", ":")).
+            rows = ",".join("[" + ",".join(row) + "]" for row in _cell_texts(obj))
+            return '{"n":%d,"table":[%s]}\n' % (obj.n, rows)
+        if isinstance(obj, KSequence):
             payload = {"n": obj.n, "k": obj.k, "seq": list(obj.seq)}
-        else:
-            raise InvalidInputError(f"cannot serialize {type(obj).__name__}")
-        return json.dumps(payload, separators=(",", ":")) + "\n"
+            return json.dumps(payload, separators=(",", ":")) + "\n"
+        raise InvalidInputError(f"cannot serialize {type(obj).__name__}")
     if fmt == "text":
         if isinstance(obj, CayleyTable):
-            return "".join(" ".join(str(v) for v in row) + "\n" for row in obj.rows)
+            return "".join(" ".join(row) + "\n" for row in _cell_texts(obj))
         if isinstance(obj, KSequence):
             return f"{obj.n} {obj.k} : " + " ".join(str(v) for v in obj.seq) + "\n"
         raise InvalidInputError(f"cannot serialize {type(obj).__name__}")
@@ -304,12 +311,12 @@ def _json_payload(text: str) -> dict:
 def _int_list(values, what: str) -> list[int]:
     if not isinstance(values, list):
         raise ParseError(f"{what} must be a list")
-    out = []
+    if set(map(type, values)) <= {int}:
+        return values
     for v in values:
         if isinstance(v, bool) or not isinstance(v, int):
             raise ParseError(f"{what} must contain integers, got {v!r}")
-        out.append(v)
-    return out
+    return values
 
 
 def parse_table(text: str, fmt: str | None = None) -> CayleyTable:
@@ -333,15 +340,17 @@ def parse_table(text: str, fmt: str | None = None) -> CayleyTable:
             raise ParseError("empty table input")
         for lineno, line in enumerate(lines, start=1):
             fields = line.split()
-            row = []
-            for colno, field in enumerate(fields, start=1):
-                try:
-                    row.append(int(field))
-                except ValueError:
-                    raise ParseError(
-                        f"expected an integer, got {field!r}", line=lineno, column=colno
-                    ) from None
-            rows.append(row)
+            try:
+                rows.append(list(map(int, fields)))
+            except ValueError:
+                # Name the first field that is not an integer.
+                for colno, field in enumerate(fields, start=1):
+                    try:
+                        int(field)
+                    except ValueError:
+                        raise ParseError(
+                            f"expected an integer, got {field!r}", line=lineno, column=colno
+                        ) from None
         return CayleyTable(len(rows), rows)
     raise InvalidInputError(f"unknown format {fmt!r}, expected 'json' or 'text'")
 

@@ -3,7 +3,12 @@
 Each equational identity is written once, as text, in IDENTITIES.  `check`
 evaluates that definition on one table with numpy, cell by cell, and
 reports the lexicographically least counterexample; the batch masks
-evaluate the same definition over stacks of tables.  Associativity is
+evaluate the same definition over stacks of tables.  `check` sweeps the
+first variable in blocks that start at one slab (one value of it) and
+double, so a table that fails on its first slab costs one slab; it
+evaluates the sides of a premise identity only where the premise holds;
+and on a translatable table it decides medial and paramedial on one slab,
+by the translation lemma stated at _check_identity.  Associativity is
 decided by Light's test and only its witness comes from IDENTITIES; the
 other properties (cancellation, solvability, units, regularity, Clifford's
 conditions) have checkers of their own.  The `lcond_check` and
@@ -29,6 +34,7 @@ from .core import (
     Witness,
     mod_rep,
 )
+from .translation import _blocks, detect
 
 PROPERTY_NAMES = (
     "idempotent",
@@ -256,7 +262,7 @@ class Identity:
         product(a, b) reads the stack at index arrays laid out that way; a
         product of two variables is a view of the stack instead.
         """
-        b, n, _ = tables.shape
+        b = tables.shape[0]
         free = [v for v, d in enumerate(domains) if isinstance(d, range)]
         axis = {v: 1 + k for k, v in enumerate(free)}
         shape = (b, *(len(domains[v]) for v in free))
@@ -283,16 +289,26 @@ class Identity:
         def value(term):
             return _evaluate(term, leaf, product, pair)
 
-        if self.swap and all(d == range(n) for d in domains):
+        if self.swap and all(isinstance(d, range) and d == domains[a] for d, a in zip(domains, self.swap)):
             first = value(self.sides[0])
             values = [first, first.transpose(0, *(1 + a for a in self.swap))]
         else:
             values = [value(term) for term in self.sides]
-        bad = functools.reduce(np.logical_or, map(np.not_equal, values, values[1:]))
+        bad = _differ(values)
         if self.premise:
             left, right, equal = self.premise
             bad = bad & (np.equal if equal else np.not_equal)(value(left), value(right))
         return bad if bad.shape == shape else np.broadcast_to(bad, shape)
+
+
+def _differ(values):
+    """True where some two adjacent values of the chain differ."""
+    return functools.reduce(np.logical_or, map(np.not_equal, values, values[1:]))
+
+
+def _variables(terms) -> set[int]:
+    """The variables the given terms read."""
+    return set().union(*({t} if isinstance(t, int) else _variables(t) for t in terms))
 
 
 def _term(source: str, names):
@@ -354,29 +370,97 @@ IDENTITIES = {
 def _least_witness(name: str, m: np.ndarray, stop: int | None = None) -> Witness | None:
     """The lexicographically least counterexample to IDENTITIES[name] on grid
     m whose first variable is below stop (default n), with the first two
-    adjacent sides that differ there; None if there is none.  The first
-    variable goes in blocks of at most _VECTOR_CELL_LIMIT cells, in order,
-    so the first block that fails holds the least cell."""
+    adjacent sides that differ there; None if there is none.
+
+    The first variable goes in translation._blocks, in order, so the first
+    block that fails holds the least cell: one slab of it (or about 2**16
+    cells) first, then twice as many each time, up to _VECTOR_CELL_LIMIT
+    cells.  A scan that fails on its first slab stops there.  For medial
+    and paramedial of a translatable table, _check_identity first decides
+    on one slab, by the lemma stated there, and calls this only on failure.
+    """
     identity = IDENTITIES[name]
     n = m.shape[0]
-    if identity.arity == 4:
-        _guard_quadruple(n)
     stop = n if stop is None else stop
-    step = max(1, _VECTOR_CELL_LIMIT // n ** (identity.arity - 1))
-    for start in range(0, stop, step):
-        domains = (range(start, min(start + step, stop)),) + (range(n),) * (identity.arity - 1)
-        bad = identity.failures(m[None], domains, lambda a, b: m[a, b])[0]
-        if bad.any():
-            first, *others = _first_cell(bad)
-            cell = (first + start, *others)
+    for block in _blocks(stop, n ** (identity.arity - 1), _VECTOR_CELL_LIMIT):
+        cell = _first_failure(identity, m, block)
+        if cell is not None:
             sides = [_evaluate(term, cell.__getitem__, lambda a, b: int(m[a, b])) for term in identity.sides]
             lhs, rhs = next((a, b) for a, b in zip(sides, sides[1:]) if a != b)
             return Witness(name, tuple(v + 1 for v in cell), lhs + 1, rhs + 1)
     return None
 
 
+def _first_failure(identity: Identity, m: np.ndarray, block: range) -> tuple[int, ...] | None:
+    """The least 0-based cell whose first variable lies in block where the
+    identity fails on grid m; None if there is none.
+
+    A premise that reads only the first p < arity variables is evaluated
+    first, on those p variables alone.  The sides are then evaluated only
+    on the p-tuples where it holds, taken in row-major order with the other
+    variables after them, so the first failing cell is still the least.
+    """
+    n = m.shape[0]
+
+    def product(a, b):
+        return m[a, b]
+
+    lead = identity.arity if identity.premise is None else 1 + max(_variables(identity.premise[:2]))
+    if lead == identity.arity:
+        bad = identity.failures(m[None], (block,) + (range(n),) * (identity.arity - 1), product)[0]
+        if not bad.any():
+            return None
+        first, *others = _first_cell(bad)
+        return (first + block.start, *others)
+    left, right, equal = identity.premise
+    grids = np.ix_(block, *[range(n)] * (lead - 1))
+    held = (np.equal if equal else np.not_equal)(*(_evaluate(t, grids.__getitem__, product) for t in (left, right)))
+    active = np.nonzero(np.broadcast_to(held, [g.size for g in grids]))
+    rest = identity.arity - lead
+    leaves = [g.ravel()[a].reshape(-1, *[1] * rest) for g, a in zip(grids, active)]
+    leaves += [g[None] for g in np.ix_(*[range(n)] * rest)]
+
+    def by_rows(a, b):
+        # A value constant along the last variable's axis, times every value
+        # of it, is whole rows of m: a row gather, about ten times as fast
+        # as gathering the same cells one by one.
+        return m[a[..., 0]] if b is leaves[-1] and a.shape[-1] == 1 else m[a, b]
+
+    bad = _differ([_evaluate(term, leaves.__getitem__, by_rows) for term in identity.sides])
+    if not bad.any():
+        return None
+    pair, *others = _first_cell(bad)
+    return (*(int(leaves[v].flat[pair]) for v in range(lead)), *others)
+
+
+# The variable a translation moves by one (0-based), for the identities
+# that _check_identity decides on the slab where it is 0.
+_SLAB_AXES = {"medial": 0, "paramedial": 2}
+
+
 def _check_identity(table, name):
-    witness = _least_witness(name, table.grid)
+    """check for IDENTITIES[name]: the least witness of the cell sweep.
+
+    On a table translatable by some step k, (i+1)*(j+k) = i*j for all i and
+    j.  So medial, (ij)(wz) = (iw)(jz), holds at (i, j, w, z) exactly when
+    it holds at (i+1, j+k, w+k, z+k*k), where each of the four products is
+    unchanged; the orbit of every cell meets i = 0, so the table is medial
+    exactly when the slab i = 0 passes, and the least counterexample, if
+    any, lies in that slab.  Paramedial, (ij)(wz) = (zj)(wi), is likewise
+    invariant under (i+k, j+k*k, w+1, z+k), so the slab w = 0 decides it.
+    _SLAB_AXES names that variable; a slab that passes is the verdict, and
+    on a failing one the ordinary sweep finds the least witness.
+    """
+    m, n = table.grid, table.n
+    identity = IDENTITIES[name]
+    if identity.arity == 4:
+        _guard_quadruple(n)
+    if name in _SLAB_AXES and detect(table):
+        domains = [range(n)] * identity.arity
+        domains[_SLAB_AXES[name]] = 0
+        if not identity.failures(m[None], domains, lambda a, b: m[a, b]).any():
+            return True, None
+    witness = _least_witness(name, m)
     return witness is None, witness
 
 

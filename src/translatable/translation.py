@@ -11,6 +11,8 @@ and cell-by-cell the grid satisfies T[i][j] = T[i+1][j+k].
 Each rule is written once, on 0-based arrays: _positions, the index
 (j - k*i) mod n that builds tables here and in batch.product_tables, and
 _rotation_holds, the test that finds steps here and in batch.translatable_mask.
+_blocks is the schedule of growing blocks in which the rotation test here
+and the identity sweeps of properties stop at their first failure.
 """
 
 from __future__ import annotations
@@ -48,17 +50,52 @@ def table_from_sequence(seq: KSequence) -> CayleyTable:
     return CayleyTable(seq.n, np.asarray(seq.seq, dtype=np.int32)[_positions(seq.n, seq.k)])
 
 
+def _blocks(stop: int, slab: int, limit: int):
+    """Consecutive ranges that cover range(stop), where each value stands for
+    a slab of `slab` cells.  The first range holds one slab, or about 2**16
+    cells if that is more; each next one twice as many, up to `limit` cells
+    (never under one slab).  So a scan that stops at its first failing
+    range pays for about one slab when the first slab fails, and makes
+    about log2(stop) more calls than fixed ranges of `limit` cells when
+    none fails.
+    """
+    cap = max(1, limit // slab)
+    width = min(cap, max(1, (1 << 16) // slab))
+    start = 0
+    while start < stop:
+        yield range(start, min(start + width, stop))
+        start += width
+        width = min(cap, 2 * width)
+
+
 def _translatable_steps(grid: np.ndarray, steps: np.ndarray) -> list[int]:
     """The steps among `steps` passing the rotation test on every row (the
-    last against the first): filtered on rows 1-2, then each on the whole grid."""
+    last against the first): filtered on rows 1-2, then each survivor on
+    the _blocks of rows, up to its first failing block."""
+    n = grid.shape[0]
     below = np.roll(grid, -1, axis=0)
     steps = steps[_rotation_holds(grid[0], below[0], steps[:, None])]
-    return [k for k in steps.tolist() if _rotation_holds(grid, below, k).all()]
+    return [
+        k for k in steps.tolist()
+        if all(_rotation_holds(grid[r.start:r.stop], below[r.start:r.stop], k).all() for r in _blocks(n, n, n * n))
+    ]
 
 
 def detect(table: CayleyTable) -> frozenset[int]:
-    """All steps k in 1..n-1 under which the table is translatable."""
-    return frozenset(_translatable_steps(table.grid, np.arange(1, table.n)))
+    """All steps k in 1..n-1 under which the table is translatable.
+
+    Let d be the least rotation that maps the first row onto itself (a
+    divisor of n).  Once some step works, every row is a rotation of the
+    first and repeats with period d too; two working steps then differ by
+    a multiple of d, since row i+1 rotated by either is row i, and a
+    working step plus d works again.  So one representative of each class
+    modulo d decides its whole class, and the steps are the classes that
+    pass, less 0.
+    """
+    grid, n = table.grid, table.n
+    first = grid[0].tolist()
+    d = next(d for d in range(1, n + 1) if n % d == 0 and first[d:] == first[:n - d])
+    return frozenset(k for r in _translatable_steps(grid, np.arange(d)) for k in range(r, n, d) if k)
 
 
 def is_translatable(table: CayleyTable, k: int) -> bool:

@@ -167,6 +167,27 @@ def test_parse_errors_carry_position():
         parse_sequence('{"n":3,"k":1}')
 
 
+def test_parse_errors_name_the_first_bad_field_of_a_large_table():
+    n = 1024
+    lines = [" ".join(["1"] * n)] * n
+    lines[699] = "1 2 x 4 y" + " 1" * (n - 5)
+    with pytest.raises(ParseError) as info:
+        parse_table("\n".join(lines))
+    assert str(info.value) == "expected an integer, got 'x' (line 700, column 3)"
+    with pytest.raises(ParseError) as info:
+        parse_table('{"n":2,"table":[[1,2],[1,true,"x"]]}')
+    assert str(info.value) == "row must contain integers, got True"
+
+
+@pytest.mark.parametrize("n", [1, 9, 10, 100, 1024])
+def test_serialized_table_bytes_are_those_of_its_rows(n):
+    rng = np.random.default_rng(n)
+    table = CayleyTable(n, rng.integers(1, n + 1, (n, n)))
+    rows = [list(row) for row in table.rows]
+    assert serialize(table, "json") == json.dumps({"n": n, "table": rows}, separators=(",", ":")) + "\n"
+    assert serialize(table, "text") == "".join(" ".join(map(str, row)) + "\n" for row in rows)
+
+
 def test_parse_table_rejects_bad_shapes():
     with pytest.raises(InvalidInputError):
         parse_table("1 2 3\n1 2 3\n")  # 2 rows of width 3

@@ -118,12 +118,21 @@ def all_slab_associative(table: CayleyTable):
     return True, None
 
 
+def premised(held, lhs, rhs):
+    """The two sides of a premise identity, made equal where the premise fails."""
+    return lhs, np.where(held, rhs, lhs)
+
+
 # Both sides of some three-variable identities over the whole (x, y, z) cube
 # at once, [x, y, z] -> value, for the larger orders.
 CUBES = {
     "associative": lambda m: (m[m], m[:, m]),
     "left-distributive": lambda m: (m[:, m], m[m[:, :, None], m[:, None, :]]),
     "left-modular": lambda m: (m[m], m[m].transpose(2, 1, 0)),
+    "conditionally-commutative": lambda m: premised(
+        (m == m.T)[:, :, None], m[m].transpose(0, 2, 1), m[m].transpose(2, 0, 1)
+    ),
+    "left-commutative": lambda m: premised((m != m.T)[:, :, None], m[m], m[m.T]),
 }
 
 
@@ -409,9 +418,88 @@ def test_blocks_of_the_first_variable_keep_the_least_witness(monkeypatch, name):
             expected = cube_identity(table, name)
             witness = properties._least_witness(name, table.grid)
             assert (witness is None, witness and (witness.elements, witness.lhs, witness.rhs)) == expected
-            assert check(table, name) == (witness is None, witness)
+            assert properties._CHECKERS[name](table) == (witness is None, witness)
             late += witness is not None and witness.elements[0] > 3
     assert late > 0
+
+
+def test_growing_blocks_keep_a_late_witness():
+    # At n = 260 a slab of x holds 260**2 > 2**16 cells, so the blocks of x
+    # hold 1, 2, 4, ... 128 values: x = 201 lies in the eighth, from x = 128.
+    n = 260
+    band = CayleyTable(n, tuple((x,) * n for x in range(1, n + 1)))
+    table = with_cell(band, 201, 7, 5)
+    witness = properties._least_witness("associative", table.grid)
+    assert (witness.elements, witness.lhs, witness.rhs) == cube_identity(table, "associative")[1]
+    assert witness.elements[0] == 201
+
+
+# -- translation slabs --------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", sorted(properties._SLAB_AXES))
+def test_translation_slab_decides_every_small_translatable_table(fresh_memo, name):
+    # Every first row and step to n = 6: the slab passes exactly when the
+    # full sweep does.  For medial the slab holds the smallest first
+    # variable, so it then also holds the least witness.
+    identity = properties.IDENTITIES[name]
+    for n in range(2, 7):
+        rows = batch.row_array(n, False)
+        domains = [range(n)] * 4
+        domains[properties._SLAB_AXES[name]] = 0
+        for k in range(1, n):
+            for start in range(0, rows.shape[0], batch.ROW_CHUNK):
+                stack = batch.product_tables(rows[start:start + batch.ROW_CHUNK], k)
+                slab = identity.failures(stack, domains, lambda a, b: batch.compose(stack, a, b))
+                passes = ~slab.reshape(len(stack), -1).any(axis=1)
+                assert np.array_equal(passes, batch.MASKS[name](stack)), (n, k)
+
+
+@pytest.mark.parametrize("name", sorted(properties._SLAB_AXES))
+def test_translation_slab_keeps_check_equal_to_the_full_sweep(name):
+    # 2 000 seeded rows at n = 7, every other one affine (so medial).
+    rng = random.Random(7)
+    n = 7
+    verdicts = set()
+    for t in range(2000):
+        if t % 2:
+            row = tuple(rng.randint(1, n) for _ in range(n))
+        else:
+            c, e = rng.randrange(n), rng.randrange(n)
+            row = tuple((c * j + e) % n + 1 for j in range(n))
+        table = table_from_sequence(KSequence(n, rng.randrange(1, n), row))
+        witness = properties._least_witness(name, table.grid)
+        assert check(table, name) == (witness is None, witness)
+        verdicts.add(witness is None)
+    assert verdicts == {True, False}
+
+
+def count_cells(monkeypatch) -> list[int]:
+    """Patch Identity.failures to add up the cells it evaluates."""
+    cells = [0]
+    failures = properties.Identity.failures
+
+    def counting(self, tables, domains, product):
+        cells[0] += len(tables) * math.prod(len(d) for d in domains if isinstance(d, range))
+        return failures(self, tables, domains, product)
+
+    monkeypatch.setattr(properties.Identity, "failures", counting)
+    return cells
+
+
+def test_slab_and_first_block_bound_the_order_66_work(monkeypatch):
+    # Medial passes on its slab alone; paramedial fails on its slab, then
+    # the sweep stops after its first block, one slab of i.
+    n = 66
+    semigroup = table_from_sequence(cancellative_semigroups(n, 11)[0])
+    rng = random.Random(66)
+    noise = table_from_sequence(KSequence(n, 7, tuple(rng.randint(1, n) for _ in range(n))))
+    cells = count_cells(monkeypatch)
+    assert check(semigroup, "medial") == (True, None)
+    assert cells[0] <= n ** 3
+    cells[0] = 0
+    ok, witness = check(noise, "paramedial")
+    assert not ok and cells[0] <= 2 * n ** 3
 
 
 # -- translatability ----------------------------------------------------------
@@ -452,6 +540,45 @@ def test_table_from_sequence_matches_product_tables():
             for row, expected in zip(rows, stack):
                 table = table_from_sequence(KSequence(n, k, tuple((row + 1).tolist())))
                 assert np.array_equal(table.grid, expected)
+
+
+def periodic_tables(n: int):
+    """Tables whose rows all repeat with some period d dividing n: the
+    step-k table of a d-periodic first row (every row equal when k = 0),
+    that table with one row swapped for another d-periodic row, and with
+    one cell changed."""
+    rng = random.Random(n)
+    for d in (d for d in range(1, n + 1) if n % d == 0):
+        for k in range(n):
+            first = [rng.randint(1, n) for _ in range(d)] * (n // d)
+            rows = [first[-k * i % n:] + first[:-k * i % n] for i in range(n)]
+            yield CayleyTable(n, rows)
+            i = rng.randrange(n)
+            yield CayleyTable(n, rows[:i] + [[rng.randint(1, n) for _ in range(d)] * (n // d)] + rows[i + 1:])
+            table = CayleyTable(n, rows)
+            i, j = rng.randint(1, n), rng.randint(1, n)
+            yield with_cell(table, i, j, table.rows[i - 1][j - 1] % n + 1)
+
+
+def test_detect_matches_brute_force_on_periodic_tables():
+    several = 0
+    for n in range(1, 9):
+        for table in periodic_tables(n):
+            expected = brute_steps(table)
+            assert detect(table) == expected
+            several += len(expected) > 1
+    assert several
+
+
+def test_rotation_test_reads_every_block_of_rows():
+    # At n = 300 the first block of rows holds 218 of them (about 2**16
+    # cells), so only the second block sees a change in the last row.
+    rng = random.Random(300)
+    n = 300
+    table = table_from_sequence(KSequence(n, 7, tuple(rng.randint(1, n) for _ in range(n))))
+    changed = with_cell(table, n, 5, table.rows[n - 1][4] % n + 1)
+    assert 7 in detect(table) and is_translatable(table, 7)
+    assert detect(changed) == frozenset() and not is_translatable(changed, 7)
 
 
 def test_detect_and_is_translatable_match_brute_force():
