@@ -9,6 +9,13 @@ sequence is a first row together with the rotation step k, and an ordering
 is a permutation used to present the same grid with rows and columns
 rearranged.  All types are immutable after construction and safe to share
 across worker processes.
+
+`parse_table` reads a table in the plain grammar (ASCII digit fields
+separated by spaces and tabs, one row a line, or the compact JSON that
+`serialize` writes) from its bytes into an array in numpy, without a
+Python int per cell.  Any other input is read field by field, which
+accepts the same tables and names the first bad field, so both routes
+give the same table, or the same error, on the same input.
 """
 
 from __future__ import annotations
@@ -16,6 +23,7 @@ from __future__ import annotations
 import json
 import numbers
 import os
+import re
 from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 
@@ -319,9 +327,91 @@ def _int_list(values, what: str) -> list[int]:
     return values
 
 
+# The plain grammar, which parse_table reads straight into an array: text
+# of ASCII digits, spaces, tabs and \n or \r\n line ends, and the compact
+# JSON that serialize writes.  Everything else is read field by field.
+_TEXT_BYTES = b"0123456789 \t\n"
+_JSON_HEAD = re.compile(rb'\{"n":([1-9][0-9]{0,17}),"table":\[\[')
+_JSON_ROW_BYTES = b"0123456789,[]"
+# JSON rows as text lines: 1,2],[2,1 becomes "1 2\n  2 1".
+_JSON_AS_TEXT = bytes.maketrans(b",[]", b"  \n")
+
+
 def parse_table(text: str, fmt: str | None = None) -> CayleyTable:
-    """Read a table from its JSON or line-per-row text form."""
+    """Read a table from its JSON or line-per-row text form.
+
+    Input in the plain grammar goes from bytes to an array in numpy; any
+    other input, and any table the array path does not take as it stands,
+    is read field by field, which names the first bad field.  Both give the
+    same table, or the same error, on the same input.
+    """
     fmt = fmt or _sniff_format(text)
+    if fmt not in ("json", "text"):
+        raise InvalidInputError(f"unknown format {fmt!r}, expected 'json' or 'text'")
+    grid = _plain_grid(text, fmt)
+    if grid is not None:
+        return CayleyTable(len(grid), grid)
+    return _parse_fields(text, fmt)
+
+
+def _plain_grid(text: str, fmt: str) -> np.ndarray | None:
+    """The cells of a table in the plain grammar as an int64 (n, n) array;
+    None when the input is not plain, its rows are not n rows of n fields,
+    or a value lies outside 1..n.
+
+    The one error it raises is the BoundError for an order over the bound,
+    before any cell is converted: plain input is well-formed and all its
+    fields are integers, so that is the first error _parse_fields raises
+    on it too.
+    """
+    if not text.isascii():
+        return None
+    data = text.encode("ascii")
+    if fmt == "json":
+        head = _JSON_HEAD.match(data)
+        rows = data.rstrip(b" \t\n\r")
+        if head is None or not rows.endswith(b"]]}"):
+            return None
+        rows = rows[head.end():-3]
+        # Every bracket left lies in a "],[" row break: the rows are flat.
+        if rows.translate(None, _JSON_ROW_BYTES) or not rows.count(b"],[") == rows.count(b"[") == rows.count(b"]"):
+            return None
+        separators = rows.count(b",")
+        data = rows.translate(_JSON_AS_TEXT)
+    else:
+        if b"\r" in data:
+            data = data.replace(b"\r\n", b"\n")
+        if data.translate(None, _TEXT_BYTES):
+            return None
+    chars = np.frombuffer(data, np.uint8)
+    digit = chars >= ord("0")
+    starts = np.flatnonzero(digit[1:] > digit[:-1]) + 1
+    if digit[:1].any():
+        starts = np.concatenate(([0], starts))
+    # In JSON one comma or row break between each two fields, and no field
+    # that starts with 0 (a leading zero, or the value 0).
+    if fmt == "json" and (len(starts) != separators + 1 or (chars[starts] == ord("0")).any()):
+        return None
+    per_line = np.diff(np.searchsorted(starts, np.flatnonzero(chars == ord("\n"))), prepend=0, append=len(starts))
+    widths = per_line[per_line > 0]
+    n = int(head[1]) if fmt == "json" else len(widths)
+    if n == 0:
+        return None
+    _check_order(n)
+    if len(widths) != n or (widths != n).any():
+        return None
+    grid = _cell_array(data, n)
+    # A value with more digits than int64 holds reads as its maximum.
+    return grid if 1 <= grid.min() and grid.max() <= n else None
+
+
+def _cell_array(data: bytes, n: int) -> np.ndarray:
+    """The n * n integers of data, separated by whitespace, row by row."""
+    return np.fromstring(data, np.int64, sep=" ").reshape(n, n)
+
+
+def _parse_fields(text: str, fmt: str) -> CayleyTable:
+    """parse_table one field at a time, naming the first bad one."""
     if fmt == "json":
         payload = _json_payload(text)
         if set(payload) != {"n", "table"}:
@@ -333,26 +423,24 @@ def parse_table(text: str, fmt: str | None = None) -> CayleyTable:
         if not isinstance(rows, list):
             raise ParseError("table must be a list of rows")
         return CayleyTable(n, [_int_list(row, "row") for row in rows])
-    if fmt == "text":
-        rows = []
-        lines = [line for line in text.splitlines() if line.strip()]
-        if not lines:
-            raise ParseError("empty table input")
-        for lineno, line in enumerate(lines, start=1):
-            fields = line.split()
-            try:
-                rows.append(list(map(int, fields)))
-            except ValueError:
-                # Name the first field that is not an integer.
-                for colno, field in enumerate(fields, start=1):
-                    try:
-                        int(field)
-                    except ValueError:
-                        raise ParseError(
-                            f"expected an integer, got {field!r}", line=lineno, column=colno
-                        ) from None
-        return CayleyTable(len(rows), rows)
-    raise InvalidInputError(f"unknown format {fmt!r}, expected 'json' or 'text'")
+    rows = []
+    lines = [line for line in text.splitlines() if line.strip()]
+    if not lines:
+        raise ParseError("empty table input")
+    for lineno, line in enumerate(lines, start=1):
+        fields = line.split()
+        try:
+            rows.append(list(map(int, fields)))
+        except ValueError:
+            # Name the first field that is not an integer.
+            for colno, field in enumerate(fields, start=1):
+                try:
+                    int(field)
+                except ValueError:
+                    raise ParseError(
+                        f"expected an integer, got {field!r}", line=lineno, column=colno
+                    ) from None
+    return CayleyTable(len(rows), rows)
 
 
 def parse_sequence(text: str, fmt: str | None = None) -> KSequence:

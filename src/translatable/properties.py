@@ -377,7 +377,8 @@ def _least_witness(name: str, m: np.ndarray, stop: int | None = None) -> Witness
     cells) first, then twice as many each time, up to _VECTOR_CELL_LIMIT
     cells.  A scan that fails on its first slab stops there.  For medial
     and paramedial of a translatable table, _check_identity first decides
-    on one slab, by the lemma stated there, and calls this only on failure.
+    on one slab, by the lemma stated there, and calls this only when a
+    paramedial slab fails.
     """
     identity = IDENTITIES[name]
     n = m.shape[0]
@@ -385,10 +386,16 @@ def _least_witness(name: str, m: np.ndarray, stop: int | None = None) -> Witness
     for block in _blocks(stop, n ** (identity.arity - 1), _VECTOR_CELL_LIMIT):
         cell = _first_failure(identity, m, block)
         if cell is not None:
-            sides = [_evaluate(term, cell.__getitem__, lambda a, b: int(m[a, b])) for term in identity.sides]
-            lhs, rhs = next((a, b) for a, b in zip(sides, sides[1:]) if a != b)
-            return Witness(name, tuple(v + 1 for v in cell), lhs + 1, rhs + 1)
+            return _witness(name, m, cell)
     return None
+
+
+def _witness(name: str, m: np.ndarray, cell: tuple[int, ...]) -> Witness:
+    """The counterexample to IDENTITIES[name] at the 0-based cell of grid m,
+    with the first two adjacent sides that differ there."""
+    sides = [_evaluate(term, cell.__getitem__, lambda a, b: int(m[a, b])) for term in IDENTITIES[name].sides]
+    lhs, rhs = next((a, b) for a, b in zip(sides, sides[1:]) if a != b)
+    return Witness(name, tuple(v + 1 for v in cell), lhs + 1, rhs + 1)
 
 
 def _first_failure(identity: Identity, m: np.ndarray, block: range) -> tuple[int, ...] | None:
@@ -448,18 +455,24 @@ def _check_identity(table, name):
     exactly when the slab i = 0 passes, and the least counterexample, if
     any, lies in that slab.  Paramedial, (ij)(wz) = (zj)(wi), is likewise
     invariant under (i+k, j+k*k, w+1, z+k), so the slab w = 0 decides it.
-    _SLAB_AXES names that variable; a slab that passes is the verdict, and
-    on a failing one the ordinary sweep finds the least witness.
+    _SLAB_AXES names that variable; a slab that passes is the verdict.  A
+    failing medial slab holds the least witness, at its own first failing
+    cell; on a failing paramedial slab the ordinary sweep finds it, since
+    the least witness need not have w = 0.
     """
     m, n = table.grid, table.n
     identity = IDENTITIES[name]
     if identity.arity == 4:
         _guard_quadruple(n)
     if name in _SLAB_AXES and detect(table):
+        axis = _SLAB_AXES[name]
         domains = [range(n)] * identity.arity
-        domains[_SLAB_AXES[name]] = 0
-        if not identity.failures(m[None], domains, lambda a, b: m[a, b]).any():
+        domains[axis] = 0
+        bad = identity.failures(m[None], domains, lambda a, b: m[a, b])[0]
+        if not bad.any():
             return True, None
+        if axis == 0:
+            return False, _witness(name, m, (0, *_first_cell(bad)))
     witness = _least_witness(name, m)
     return witness is None, witness
 

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from translatable import core
 from translatable.core import (
     BoundError,
     CayleyTable,
@@ -200,3 +201,172 @@ def test_bound_error_is_translatable_error():
 
     assert issubclass(BoundError, TranslatableError)
     assert issubclass(InvalidInputError, ValueError)
+
+
+# -- parse_table against the field-by-field reader it replaced ----------------
+
+
+def loop_parse_table(text: str, fmt: str | None = None) -> CayleyTable:
+    """parse_table as it was before the array path, kept as the oracle."""
+
+    def json_payload(text):
+        try:
+            payload = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"invalid JSON: {exc.msg}", line=exc.lineno, column=exc.colno) from None
+        if not isinstance(payload, dict):
+            raise ParseError("expected a JSON object")
+        return payload
+
+    def int_list(values, what):
+        if not isinstance(values, list):
+            raise ParseError(f"{what} must be a list")
+        if set(map(type, values)) <= {int}:
+            return values
+        for v in values:
+            if isinstance(v, bool) or not isinstance(v, int):
+                raise ParseError(f"{what} must contain integers, got {v!r}")
+        return values
+
+    fmt = fmt or ("json" if text.lstrip().startswith("{") else "text")
+    if fmt == "json":
+        payload = json_payload(text)
+        if set(payload) != {"n", "table"}:
+            raise ParseError(f"table object needs keys n and table, got {sorted(payload)}")
+        n = payload["n"]
+        if isinstance(n, bool) or not isinstance(n, int):
+            raise ParseError(f"n must be an integer, got {n!r}")
+        rows = payload["table"]
+        if not isinstance(rows, list):
+            raise ParseError("table must be a list of rows")
+        return CayleyTable(n, [int_list(row, "row") for row in rows])
+    if fmt == "text":
+        rows = []
+        lines = [line for line in text.splitlines() if line.strip()]
+        if not lines:
+            raise ParseError("empty table input")
+        for lineno, line in enumerate(lines, start=1):
+            fields = line.split()
+            try:
+                rows.append(list(map(int, fields)))
+            except ValueError:
+                # Name the first field that is not an integer.
+                for colno, field in enumerate(fields, start=1):
+                    try:
+                        int(field)
+                    except ValueError:
+                        raise ParseError(
+                            f"expected an integer, got {field!r}", line=lineno, column=colno
+                        ) from None
+        return CayleyTable(len(rows), rows)
+    raise InvalidInputError(f"unknown format {fmt!r}, expected 'json' or 'text'")
+
+
+def outcome(parse, text, fmt=None):
+    """The table's cells, or the error's type, text and position."""
+    try:
+        table = parse(text, fmt)
+    except Exception as exc:  # the oracle decides which errors are expected
+        return type(exc), str(exc), getattr(exc, "line", None), getattr(exc, "column", None)
+    return table.n, table.grid.tobytes()
+
+
+def square(n: int, seed: int) -> CayleyTable:
+    return CayleyTable(n, np.random.default_rng(seed).integers(1, n + 1, (n, n)))
+
+
+def big_inputs():
+    """Plain input at orders 1, 2, 66 and 1024, and below 1024 one-field
+    changes of it."""
+    for n in (1, 2, 66, 1024):
+        table = square(n, n)
+        text, compact = serialize(table, "text"), serialize(table, "json")
+        yield from (text, compact, text.replace("\n", "\r\n"))
+        head, tail = compact[: compact.rindex("]]")].rsplit(",", 1)[0] + ("," if n > 1 else "["), "]]}"
+        if n == 1024:
+            continue
+        yield text[:-1] + " 0\n"  # one field too many in the last row
+        yield text.replace("\n", " \n\t\n", 1)  # a whitespace-only line
+        yield compact.replace("]", ",1]", 1)  # first row too wide
+        last = text.rsplit(" ", 1)[0] if n > 1 else ""
+        for field in ("0", str(n + 1), "+1", "x", "18446744073709551617", "0" * 25 + "1"):
+            yield last + (" " if last else "") + field + "\n"
+            yield head + field + tail
+
+
+SMALL_INPUTS = [
+    # text: line ends, tabs, blank and whitespace-only lines
+    "1 2\n2 1\n", "1 2\r\n2 1\r\n", "1 2\r2 1\r", "1 2\r\n2 1", "1\t2\n\t2  1\t\n",
+    "\n\n1 2\n   \n2 1\n\t\n", "  1   2  \n 2 1", "1 2\n\r\n2 1\n", "1 2\n2 1\r",
+    # text: signs, zeros and long integers
+    "01 2\n2 001\n", "+1 2\n2 1\n", "-1 2\n2 1\n", "0 2\n2 1\n", "3 2\n2 1\n",
+    "18446744073709551617 2\n2 1\n", "99999999999999999999 1\n1 1\n",
+    "00000000000000000000001 2\n2 1\n", "1_0 1\n1 1\n", "1+2\n2 1\n", "2-1\n1 2\n",
+    # text: Unicode digits and whitespace beyond the plain grammar
+    "١ 2\n2 1\n", "１ 2\n2 1\n", "1\x0b2\n2 1\n", "1 2\x0b2 1\n", "1\x0c2\n2 1\n",
+    "1 2\x0c2 1", "1 2\n2 1\n", "1 2 2 1", "1 2\x852 1",
+    # text: ragged, wrong row count, empty
+    "1 2\n2\n", "1 2 3\n1 2 3\n", "1 2\n2 1\n1 2\n", "1\n", "", "   \n\n", "1 x\n", "1 2\n2 1 x\n",
+    # JSON: layouts other than the compact one
+    '{"n":2,"table":[[1,2],[2,1]]}', '{"n":2,"table":[[1,2],[2,1]]}\n \t\r\n',
+    json.dumps({"n": 2, "table": [[1, 2], [2, 1]]}, indent=2), '{"n": 2, "table": [[1, 2], [2, 1]]}',
+    '  {"n":2,"table":[[1,2],[2,1]]}', '{"table":[[1,2],[2,1]],"n":2}',
+    '{"n":2,"n":2,"table":[[1,2],[2,1]]}', '{"n":2,"table":[[1,2],[2,1]],"x":1}',
+    '{"n":2,"table":[[1,2]],"table":[[1,2],[2,1]]}',
+    # JSON: values and rows that are not plain
+    '{"n":2,"table":[[true,2],[2,1]]}', '{"n":2,"table":[[1.0,2],[2,1]]}', '{"n":2,"table":[[1e0,2],[2,1]]}',
+    '{"n":2,"table":[[1e2,2],[2,1]]}', '{"n":2,"table":[[01,2],[2,1]]}', '{"n":2,"table":[[0,2],[2,1]]}',
+    '{"n":2,"table":[[-1,2],[2,1]]}', '{"n":2,"table":[[3,2],[2,1]]}', '{"n":02,"table":[[1,2],[2,1]]}',
+    '{"n":2,"table":[[],[]]}', '{"n":2,"table":[]}', '{"n":2,"table":[[1,2],[]]}',
+    '{"n":2,"table":[[[1],2],[2,1]]}', '{"n":2,"table":[[1,2],[2,1]],[[1]]}', '{"n":2,"table":[[1,2]],[[2,1]]}',
+    '{"n":2,"table":[[1,2],[2,1]]}x', '{"n":2,"table":[[1,2],[2,1]]}}', '{"n":2,"table":[[1,2],[2,1]]]}',
+    '{"n":2,"table":[[1,,2],[2,1]]}', '{"n":2,"table":[[,1,2],[2,1]]}', '{"n":2,"table":[[1,2,],[2,1]]}',
+    '{"n":2,"table":[[1,2],,[2,1]]}', '{"n":2,"table":[[1,2]],[2,1]]}', '{"n":2,"table":[[1,2],[2,1]]}\x0c',
+    '{"n":2,"table":[[1,2],[2],[1]]}', '{"n":2,"table":[[1],2,[1]]}', '{"n":2,"table":[[1,2],2,[1]]}',
+    '{"n":2,"table":[[1,2],[2,1]],"table":[[1]]}', '{"n":"2","table":[[1,2],[2,1]]}',
+    '{"n":true,"table":[[1,2],[2,1]]}', '{"n":0,"table":[[1]]}', '{"n":-2,"table":[[1,2],[2,1]]}',
+    '{"n":3,"table":[[1,2],[2,1]]}', '{"n":1,"table":[[1,2],[2,1]]}', '{"n":2,"table":[[1,2,1],[2,1]]}',
+    '{"n":1,"table":[[1]]}', '{"n":1,"table":[[]]}', '{"n":2,"table":[[18446744073709551617,2],[2,1]]}',
+    '{"n":99999999999999999999,"table":[[1]]}', '{"n":2000,"table":[[1]]}', '["n",2]', "{not json",
+]
+
+
+@pytest.mark.parametrize("fmt", [None, "json", "text"])
+def test_parse_table_matches_the_field_by_field_reader(fmt):
+    for text in SMALL_INPUTS:
+        assert outcome(parse_table, text, fmt) == outcome(loop_parse_table, text, fmt), text
+    assert outcome(parse_table, "1", "yaml") == outcome(loop_parse_table, "1", "yaml")
+
+
+def test_parse_table_matches_the_field_by_field_reader_at_large_orders():
+    for text in big_inputs():
+        assert outcome(parse_table, text) == outcome(loop_parse_table, text), text[:80]
+
+
+@pytest.mark.parametrize("n", [1, 2, 66, 1024])
+def test_plain_input_takes_the_array_path(monkeypatch, n):
+    def refuse(text, fmt):
+        raise AssertionError("read field by field")
+
+    monkeypatch.setattr(core, "_parse_fields", refuse)
+    table = square(n, n + 1)
+    text = serialize(table, "text")
+    for plain in (text, text.replace("\n", "\r\n"), serialize(table, "json"), "\t\n" + text.replace(" ", " \t ")):
+        assert parse_table(plain) == table
+
+
+def test_an_order_over_the_bound_is_refused_before_any_cell_is_read(monkeypatch):
+    monkeypatch.setenv("TRANSLATABLE_MAX_ORDER", "8")
+    rows = [[1] * 9] * 9
+    inputs = (
+        "\n".join(" ".join(map(str, row)) for row in rows),
+        json.dumps({"n": 9, "table": rows}, separators=(",", ":")),
+    )
+    expected = [outcome(loop_parse_table, text) for text in inputs]
+    assert expected == [(BoundError, "order 9 exceeds the bound 8", None, None)] * 2
+
+    def refuse(data, n):
+        raise AssertionError("cells converted")
+
+    monkeypatch.setattr(core, "_cell_array", refuse)
+    assert [outcome(parse_table, text) for text in inputs] == expected

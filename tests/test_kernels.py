@@ -474,6 +474,25 @@ def test_translation_slab_keeps_check_equal_to_the_full_sweep(name):
     assert verdicts == {True, False}
 
 
+def test_failing_medial_takes_its_witness_from_the_slab(monkeypatch):
+    # Every row and step to n = 4, and 200 seeded rows at every step for
+    # n = 5 and 6 (all rows to n = 6 would be 233 280 check calls): check
+    # returns the full sweep's least witness without running that sweep.
+    rng = random.Random(56)
+    rows = [(n, row) for n in range(2, 5) for row in itertools.product(range(1, n + 1), repeat=n)]
+    rows += [(n, tuple(rng.randint(1, n) for _ in range(n))) for n in (5, 6) for _ in range(200)]
+    tables = [table_from_sequence(KSequence(n, k, row)) for n, row in rows for k in range(1, n)]
+    expected = [properties._least_witness("medial", table.grid) for table in tables]
+    assert sum(w is not None for w in expected) > len(tables) / 2
+
+    def no_sweep(name, m, stop=None):
+        raise AssertionError("medial swept past its slab")
+
+    monkeypatch.setattr(properties, "_least_witness", no_sweep)
+    for table, witness in zip(tables, expected):
+        assert check(table, "medial") == (witness is None, witness)
+
+
 def count_cells(monkeypatch) -> list[int]:
     """Patch Identity.failures to add up the cells it evaluates."""
     cells = [0]
@@ -488,8 +507,8 @@ def count_cells(monkeypatch) -> list[int]:
 
 
 def test_slab_and_first_block_bound_the_order_66_work(monkeypatch):
-    # Medial passes on its slab alone; paramedial fails on its slab, then
-    # the sweep stops after its first block, one slab of i.
+    # Medial passes or fails on its slab alone; paramedial fails on its
+    # slab, then the sweep stops after its first block, one slab of i.
     n = 66
     semigroup = table_from_sequence(cancellative_semigroups(n, 11)[0])
     rng = random.Random(66)
@@ -497,6 +516,9 @@ def test_slab_and_first_block_bound_the_order_66_work(monkeypatch):
     cells = count_cells(monkeypatch)
     assert check(semigroup, "medial") == (True, None)
     assert cells[0] <= n ** 3
+    cells[0] = 0
+    ok, witness = check(noise, "medial")
+    assert not ok and cells[0] <= n ** 3
     cells[0] = 0
     ok, witness = check(noise, "paramedial")
     assert not ok and cells[0] <= 2 * n ** 3
