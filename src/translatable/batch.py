@@ -137,19 +137,20 @@ def compose(tables: np.ndarray, x, y) -> np.ndarray:
     return tables.reshape(-1)[(base + x) * n + y]
 
 
-def _sieve(tables: np.ndarray, slab_ok, slabs) -> np.ndarray:
+def _sieve(tables: np.ndarray, slab_ok, slabs, size: int | None = None) -> np.ndarray:
     """True for each table on which slab_ok(chunk, slab) holds for every slab.
 
-    Tables go through in ROW_CHUNK blocks.  After each slab a block keeps
-    only the tables still passing, so later slabs read only those and a
-    table that fails its first slab costs one slab.  slab_ok returns one
-    boolean per table of the chunk it is given; slabs is re-iterated for
-    every block.
+    Tables go through in blocks of `size` (default ROW_CHUNK).  After each
+    slab a block keeps only the tables still passing, so later slabs read
+    only those and a table that fails its first slab costs one slab.
+    slab_ok returns one boolean per table of the chunk it is given; slabs
+    is re-iterated for every block.
     """
     b = tables.shape[0]
+    size = size or ROW_CHUNK
     ok = np.zeros(b, dtype=bool)
-    for start in range(0, b, ROW_CHUNK):
-        chunk = tables[start:start + ROW_CHUNK]
+    for start in range(0, b, size):
+        chunk = tables[start:start + size]
         alive = np.arange(start, start + chunk.shape[0])
         for slab in slabs:
             keep = slab_ok(chunk, slab)
@@ -197,14 +198,31 @@ paramedial_mask = _mask_for("paramedial")
 alterable_mask = _mask_for("alterable")
 
 
+def _distinct(tables: np.ndarray, axis: int) -> np.ndarray:
+    """For each line along `axis` (not the stack axis 0) of a stack of
+    0-based values below n, n the line's length: does it hold n distinct
+    values, that is every value once?  It does when the OR of 1 << v along
+    the line is 2**n - 1; ROW_CHUNK entries of the stack at a time, in
+    int16 to n = 15 and int64 to n = 63, by sorting above that.
+    """
+    n = tables.shape[axis]
+    if n > 63:
+        values = np.arange(n).reshape((n,) + (1,) * (tables.ndim - 1 - axis))
+        return (np.sort(tables, axis=axis) == values).all(axis=axis)
+    one = np.int16(1) if n <= 15 else np.int64(1)
+    out = np.empty(tables.shape[:axis] + tables.shape[axis + 1:], dtype=bool)
+    for start in range(0, tables.shape[0], ROW_CHUNK):
+        bits = np.left_shift(one, tables[start:start + ROW_CHUNK])
+        out[start:start + ROW_CHUNK] = np.bitwise_or.reduce(bits, axis=axis) == (1 << n) - 1
+    return out
+
+
 def left_cancellative_mask(tables: np.ndarray) -> np.ndarray:
-    n = tables.shape[1]
-    return (np.sort(tables, axis=2) == np.arange(n)).all(axis=(1, 2))
+    return _distinct(tables, 2).all(axis=1)
 
 
 def right_cancellative_mask(tables: np.ndarray) -> np.ndarray:
-    n = tables.shape[1]
-    return (np.sort(tables, axis=1) == np.arange(n).reshape(n, 1)).all(axis=(1, 2))
+    return _distinct(tables, 1).all(axis=1)
 
 
 def quasigroup_mask(tables: np.ndarray) -> np.ndarray:

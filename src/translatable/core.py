@@ -135,9 +135,13 @@ class CayleyTable:
         # row or cell in row-major order.
         try:
             grid = np.asarray(cells)
-            valid = grid.shape == (n, n) and grid.dtype.kind in "biu" and grid.min() >= 1 and grid.max() <= n
         except ValueError:  # ragged rows
-            valid = False
+            grid = np.empty(0)
+        valid = grid.shape == (n, n) and grid.dtype.kind in "biu" and grid.min() >= 1 and grid.max() <= n
+        if not valid and grid.shape == (n, n) and grid.dtype.kind in "iu":
+            # Every cell is an integer, so the first bad one is out of range.
+            i, j = divmod(int(((grid < 1) | (grid > n)).argmax()), n)
+            raise InvalidInputError(f"entry at ({i + 1}, {j + 1}) is {grid[i, j]}, outside 1..{n}")
         if not valid:
             for i, row in enumerate(cells, start=1):
                 if len(row) != n:

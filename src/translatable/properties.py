@@ -11,10 +11,13 @@ and on a translatable table it decides medial and paramedial on one slab,
 by the translation lemma stated at _check_identity.  Associativity is
 decided by Light's test and only its witness comes from IDENTITIES; the
 other properties (cancellation, solvability, units, regularity, Clifford's
-conditions) have checkers of their own.  The `lcond_check` and
-`left_unitary_characterize` functions are a second, independent route:
-closed-form modular conditions that characterise the same identities on
-translatable tables; tests confront the two routes with each other.
+conditions) have checkers of their own.  The closed forms are a second,
+independent route: modular conditions that characterise the same
+identities on translatable tables, and tests confront the two routes with
+each other.  Each form of LCOND_NAMES is written once, in _CLOSED_FORMS,
+as residue arithmetic on index grids that reads only the first row, n and
+k; `lcond_verdicts` evaluates it over a stack of rows and `lcond_check` is
+its one-row case.  `left_unitary_characterize` answers from k alone.
 """
 
 from __future__ import annotations
@@ -689,82 +692,76 @@ def _require_permutation(seq: KSequence, who: str) -> None:
         )
 
 
-def lcond_check(seq: KSequence, name: str) -> bool:
-    """Closed-form verdict for a left-cancellative translatable table.
+# Each closed form as residue arithmetic on 0-based index grids: the arity
+# of the grid and a function of P, k and one grid per variable giving
+# values that must all be 0 modulo n.  P(x, y) = a[(y - kx) mod n] reads
+# the first row a at the position cell (x, y) takes its value from, so a
+# form reads only a, n and k, never a table.  Medial is evaluated on its
+# slab i = 0 and alterable with its premise solved for z; both are
+# explained at lcond_verdicts.
+_CLOSED_FORMS = {
+    "idempotent": (1, lambda P, k, i: (P(i, i) - i,)),
+    "elastic": (2, lambda P, k, i, j: (i + k * i - P(j, i) - k * P(i, j),)),
+    "strongly-elastic": (2, lambda P, k, i, j: (
+        i + k * i - P(j, i) - k * P(i, j), i + k * P(j, i) - j - k * P(i, j))),
+    "bookend": (2, lambda P, k, i, j: (P(P(j, i), P(i, j)) - i,)),
+    "left-distributive": (3, lambda P, k, i, j, s: (P(i, j) + k * P(s, i) - P(s, j) - k * s,)),
+    "right-distributive": (3, lambda P, k, i, j, s: (s + k * P(i, s) - P(j, s) - k * P(i, j),)),
+    "medial": (3, lambda P, k, j, w, z: (P(w, z) + k * P(0, w) - P(j, z) - k * P(0, j),)),
+    "alterable": (3, lambda P, k, i, j, w: (w + k * (j + k * w - k * i) - i - k * j,)),
+    "commutative": (1, lambda P, k, i: (k + 1,)),
+    "associative": (3, lambda P, k, i, j, s: (i + k * j - P(s, i) - k * P(j, s),)),
+}
 
-    Works directly on (n, k, a): products are table lookups through the
-    first row and everything else is residue arithmetic.
+
+def lcond_verdicts(rows: np.ndarray, k: int, name: str) -> np.ndarray:
+    """The closed form for `name` at step k on each row of a (B, n) stack of
+    0-based permutation rows: one boolean per row.
+
+    The form's first variable goes in translation._blocks, each block only
+    on the rows that passed every earlier one (batch._sieve), with no more
+    than _VECTOR_CELL_LIMIT cells in one block.  Medial is the condition
+    at every (i, j, w, z); since P(x + 1, y + k) = P(x, y), it takes the
+    same value at (i + 1, j + k, w + k, z + k*k), and that orbit meets
+    i = 0, so the slab i = 0 decides it.  Alterable asks the condition at
+    every (i, j, w, z) with j + kw = z + ki, that is at z = j + kw - ki.
+    Both still refuse the orders whose full four-variable grid is over
+    _VECTOR_CELL_LIMIT cells.
     """
+    from . import batch  # batch reads IDENTITIES from this module
+
+    arity, form = _CLOSED_FORMS[name]
+    n = rows.shape[1]
+    if name in ("medial", "alterable"):
+        _guard_quadruple(n)
+    span = n ** (arity - 1)
+    chunk = max(1, min(len(rows), batch.ROW_CHUNK, _VECTOR_CELL_LIMIT // span))
+
+    def holds(stack, block):
+        def P(x, y):
+            at = (y - k * x) % n
+            if at.shape[0] == 1:
+                return stack[:, at[0]]
+            return np.take_along_axis(stack, at.reshape(len(stack), -1), axis=1).reshape(at.shape)
+
+        shape = (len(stack), len(block)) + (n,) * (arity - 1)
+        grids = np.ix_(range(1), block, *[range(n)] * (arity - 1))[1:]
+        ok = np.ones(len(stack), dtype=bool)
+        for value in form(P, k, *grids):
+            ok &= (np.broadcast_to(value, shape) % n == 0).reshape(len(stack), -1).all(axis=1)
+        return ok
+
+    stack = np.asarray(rows, dtype=np.intp)
+    return batch._sieve(stack, holds, list(_blocks(n, chunk * span, _VECTOR_CELL_LIMIT)), chunk)
+
+
+def lcond_check(seq: KSequence, name: str) -> bool:
+    """Closed-form verdict for a left-cancellative translatable table: the
+    one-row case of lcond_verdicts, on (n, k, a) alone."""
     _require_permutation(seq, "lcond_check")
     if name not in LCOND_NAMES:
         raise InvalidInputError(f"no closed-form condition for {name!r}; known: {', '.join(LCOND_NAMES)}")
-    n, k, a = seq.n, seq.k, seq.seq
-    if name in ("medial", "alterable"):
-        _guard_quadruple(n)
-
-    def prod(i, j):
-        return a[(k - k * i + j - 1) % n]
-
-    rng = range(1, n + 1)
-    if name == "idempotent":
-        return all(a[(k - k * i + i - 1) % n] == i for i in rng)
-    if name == "elastic":
-        return all(
-            mod_rep(i + k * i, n) == mod_rep(prod(j, i) + k * prod(i, j), n)
-            for i in rng
-            for j in rng
-        )
-    if name == "strongly-elastic":
-        return lcond_check(seq, "elastic") and all(
-            mod_rep(i + k * prod(j, i), n) == mod_rep(j + k * prod(i, j), n)
-            for i in rng
-            for j in rng
-        )
-    if name == "bookend":
-        return all(
-            a[(k - k * prod(j, i) + prod(i, j) - 1) % n] == i for i in rng for j in rng
-        )
-    if name == "left-distributive":
-        return all(
-            mod_rep(prod(i, j) + k * prod(s, i), n) == mod_rep(prod(s, j) + k * s, n)
-            for i in rng
-            for j in rng
-            for s in rng
-        )
-    if name == "right-distributive":
-        return all(
-            mod_rep(s + k * prod(i, s), n) == mod_rep(prod(j, s) + k * prod(i, j), n)
-            for i in rng
-            for j in rng
-            for s in rng
-        )
-    if name == "medial":
-        return all(
-            mod_rep(prod(w, z) + k * prod(i, w), n) == mod_rep(prod(j, z) + k * prod(i, j), n)
-            for i in rng
-            for j in rng
-            for w in rng
-            for z in rng
-        )
-    if name == "alterable":
-        return all(
-            mod_rep(w + k * z, n) == mod_rep(i + k * j, n)
-            for i in rng
-            for j in rng
-            for w in rng
-            for z in rng
-            if mod_rep(j + k * w, n) == mod_rep(z + k * i, n)
-        )
-    if name == "commutative":
-        return k == n - 1
-    if name == "associative":
-        return all(
-            mod_rep(i + k * j, n) == mod_rep(prod(s, i) + k * prod(j, s), n)
-            for i in rng
-            for j in rng
-            for s in rng
-        )
-    raise AssertionError(name)
+    return bool(lcond_verdicts(np.array([seq.seq]) - 1, seq.k, name)[0])
 
 
 LEFT_UNITARY_NAMES = (

@@ -99,7 +99,7 @@ def catalog(n: int, permutation_only: bool = False) -> dict[tuple[int, frozenset
     """
     _check_enumeration_bound(n, permutation_only)
     rows = batch.row_array(n, permutation_only)
-    perm = (np.sort(rows, axis=1) == np.arange(n)).all(axis=1)
+    perm = batch._distinct(rows, 1)
     census: dict[tuple[int, frozenset[str]], int] = {}
     for k in range(1, n):
         tables = batch.product_tables(rows, k)

@@ -82,6 +82,51 @@ def test_table_validation():
         CayleyTable(2, ((1, 2), (2, 65537)))
 
 
+def first_bad_cell_by_loop(n, cells) -> str:
+    for i, row in enumerate(cells, start=1):
+        for j, value in enumerate(row, start=1):
+            if not 1 <= value <= n:
+                return f"entry at ({i}, {j}) is {value}, outside 1..{n}"
+    raise AssertionError("no bad cell")
+
+
+class NoCellLoop:
+    """Integer cells that numpy can read in bulk but Python cannot iterate."""
+
+    def __init__(self, grid):
+        self.grid = grid
+
+    def __len__(self):
+        return len(self.grid)
+
+    def __array__(self, dtype=None, copy=None):
+        return self.grid
+
+    def __iter__(self):
+        raise AssertionError("the cell loop ran")
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.uint8, np.int16, np.int64, np.uint64])
+def test_an_out_of_range_integer_cell_is_named_without_the_cell_loop(dtype):
+    rng = np.random.default_rng(7)
+    for n, bad in [(1, [(0, 0)]), (5, [(4, 4)]), (9, [(3, 8), (6, 0)]), (100, [(99, 99), (99, 98)])]:
+        grid = rng.integers(1, n + 1, (n, n)).astype(dtype)
+        for i, j in bad:
+            grid[i, j] = 0 if (i + j) % 2 or dtype in (np.int8, np.uint8) else n + 1
+        want = first_bad_cell_by_loop(n, grid.tolist())
+        for cells in (NoCellLoop(grid), grid.tolist()):
+            with pytest.raises(InvalidInputError) as info:
+                CayleyTable(n, cells)
+            assert str(info.value) == want
+
+
+def test_an_out_of_range_cell_of_an_order_1024_array_is_named():
+    grid = np.ones((1024, 1024), dtype=np.int64)
+    grid[-1, -1] = 1025
+    with pytest.raises(InvalidInputError, match=r"^entry at \(1024, 1024\) is 1025, outside 1..1024$"):
+        CayleyTable(1024, NoCellLoop(grid))
+
+
 def test_table_equality_and_hash_follow_the_cells():
     cells = ((1, 2), (2, 1))
     tables = [

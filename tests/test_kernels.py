@@ -1030,3 +1030,37 @@ def test_eas_masks_match_the_literal_formula(fresh_memo, monkeypatch, n):
         assert (ee1 == want_ee1[perm]).all(), k
         outcomes.update(eas.tolist())
     assert outcomes == ({True} if n == 1 else {True, False})
+
+
+def sorted_distinct(stack: np.ndarray, axis: int) -> np.ndarray:
+    n = stack.shape[axis]
+    return (np.sort(stack, axis=axis) == np.arange(n).reshape((n,) + (1,) * (stack.ndim - 1 - axis))).all(axis=axis)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_distinct_matches_the_sort_test_on_every_row(fresh_memo, monkeypatch, n):
+    monkeypatch.setattr(batch, "ROW_CHUNK", 97)
+    rows = batch.row_array(n, False)
+    assert (batch._distinct(rows, 1) == sorted_distinct(rows, 1)).all()
+    assert batch._distinct(rows, 1).sum() == math.factorial(n)
+    for k in range(n):
+        tables = batch.product_tables(rows, k)
+        for axis in (1, 2):
+            assert (batch._distinct(tables, axis) == sorted_distinct(tables, axis)).all(), (k, axis)
+
+
+@pytest.mark.parametrize("n", [9, 15, 16, 40, 63, 64, 70])
+def test_distinct_matches_the_sort_test_across_the_dtype_switches(monkeypatch, n):
+    monkeypatch.setattr(batch, "ROW_CHUNK", 7)
+    rng = np.random.default_rng(n)
+    stack = rng.integers(0, n, (30, n, n)).astype(np.int8)
+    latin = np.array([[rng.permutation(n) for _ in range(n)] for _ in range(10)], dtype=np.int8)
+    stack[:10] = latin  # every row holds n distinct values
+    stack[10:20] = latin.transpose(0, 2, 1)  # every column does
+    stack[0, 3, 0] = stack[0, 3, 1]  # but one row of the first table repeats a value
+    for axis in (1, 2):
+        got = batch._distinct(stack, axis)
+        assert (got == sorted_distinct(stack, axis)).all(), axis
+        assert got.any() and not got.all(), axis
+    rows = stack[:, 0, :]
+    assert (batch._distinct(rows, 1) == sorted_distinct(rows, 1)).all()

@@ -5,9 +5,11 @@ from __future__ import annotations
 import itertools
 from math import gcd
 
+import numpy as np
 import pytest
 
-from translatable import properties
+from translatable import batch, properties
+from translatable.campaigns import _run_modular_conditions
 from translatable.constructions import cancellative_semigroups
 from translatable.core import (
     CayleyTable,
@@ -23,6 +25,7 @@ from translatable.properties import (
     check,
     idempotent_elements,
     lcond_check,
+    lcond_verdicts,
     left_neutral,
     left_neutral_elements,
     left_unitary_characterize,
@@ -116,6 +119,160 @@ def test_closed_forms_match_cell_sweeps_exhaustively():
             table = table_from_sequence(seq)
             for name in LCOND_NAMES:
                 assert lcond_check(seq, name) == check(table, name)[0], (values, name)
+
+
+def generator_lcond(seq: KSequence, name: str) -> bool:
+    """The closed forms as Python generators over 1-based index tuples, as
+    lcond_check evaluated them before the numpy forms: the oracle for them."""
+    n, k, a = seq.n, seq.k, seq.seq
+
+    def prod(i, j):
+        return a[(k - k * i + j - 1) % n]
+
+    rng = range(1, n + 1)
+    if name == "idempotent":
+        return all(a[(k - k * i + i - 1) % n] == i for i in rng)
+    if name == "elastic":
+        return all(
+            mod_rep(i + k * i, n) == mod_rep(prod(j, i) + k * prod(i, j), n)
+            for i in rng
+            for j in rng
+        )
+    if name == "strongly-elastic":
+        return generator_lcond(seq, "elastic") and all(
+            mod_rep(i + k * prod(j, i), n) == mod_rep(j + k * prod(i, j), n)
+            for i in rng
+            for j in rng
+        )
+    if name == "bookend":
+        return all(
+            a[(k - k * prod(j, i) + prod(i, j) - 1) % n] == i for i in rng for j in rng
+        )
+    if name == "left-distributive":
+        return all(
+            mod_rep(prod(i, j) + k * prod(s, i), n) == mod_rep(prod(s, j) + k * s, n)
+            for i in rng
+            for j in rng
+            for s in rng
+        )
+    if name == "right-distributive":
+        return all(
+            mod_rep(s + k * prod(i, s), n) == mod_rep(prod(j, s) + k * prod(i, j), n)
+            for i in rng
+            for j in rng
+            for s in rng
+        )
+    if name == "medial":
+        return all(
+            mod_rep(prod(w, z) + k * prod(i, w), n) == mod_rep(prod(j, z) + k * prod(i, j), n)
+            for i in rng
+            for j in rng
+            for w in rng
+            for z in rng
+        )
+    if name == "alterable":
+        return all(
+            mod_rep(w + k * z, n) == mod_rep(i + k * j, n)
+            for i in rng
+            for j in rng
+            for w in rng
+            for z in rng
+            if mod_rep(j + k * w, n) == mod_rep(z + k * i, n)
+        )
+    if name == "commutative":
+        return k == n - 1
+    if name == "associative":
+        return all(
+            mod_rep(i + k * j, n) == mod_rep(prod(s, i) + k * prod(j, s), n)
+            for i in rng
+            for j in rng
+            for s in rng
+        )
+    raise AssertionError(name)
+
+
+def oracle_verdicts(rows, k, name) -> list[bool]:
+    n = rows.shape[1]
+    return [generator_lcond(KSequence(n, k, tuple(int(v) + 1 for v in row)), name) for row in rows]
+
+
+def seeded_permutations(n: int, count: int) -> np.ndarray:
+    rng = np.random.default_rng(n)
+    return np.array([rng.permutation(n) for _ in range(count)], dtype=np.int8)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_closed_form_stacks_match_the_generator_forms_on_every_row(n):
+    rows = batch.row_array(n, True)
+    for k in range(1, n):
+        for name in LCOND_NAMES:
+            assert lcond_verdicts(rows, k, name).tolist() == oracle_verdicts(rows, k, name), (k, name)
+
+
+@pytest.mark.parametrize("n", [7, 8])
+def test_closed_form_stacks_match_the_generator_forms_on_seeded_rows(n):
+    rows = seeded_permutations(n, 500)
+    rows[0] = np.arange(n)  # the left unitary row passes the most forms
+    for k in range(1, n):
+        for name in LCOND_NAMES:
+            assert lcond_verdicts(rows, k, name).tolist() == oracle_verdicts(rows, k, name), (k, name)
+
+
+@pytest.mark.parametrize("n", range(2, 6))
+def test_lcond_check_is_the_one_row_stack(n):
+    rows = batch.row_array(n, True)
+    for k in range(1, n):
+        for name in LCOND_NAMES:
+            want = oracle_verdicts(rows, k, name)
+            assert [lcond_check(KSequence(n, k, tuple(int(v) + 1 for v in row)), name) for row in rows] == want
+
+
+def test_closed_form_verdicts_do_not_depend_on_the_blocks(monkeypatch):
+    n = 7
+    rows = seeded_permutations(n, 300)
+    rows[0] = np.arange(n)
+    want = {(k, name): lcond_verdicts(rows, k, name) for k in range(1, n) for name in LCOND_NAMES}
+    # Four rows a chunk, and the three-variable forms one value of their
+    # first variable at a time.  The limit is under n**4, so the order
+    # guard of medial and alterable is lifted for the test.
+    monkeypatch.setattr(batch, "ROW_CHUNK", 4)
+    monkeypatch.setattr(properties, "_VECTOR_CELL_LIMIT", 4 * n * n)
+    monkeypatch.setattr(properties, "_guard_quadruple", lambda n: None)
+    for (k, name), verdicts in want.items():
+        assert (lcond_verdicts(rows, k, name) == verdicts).all(), (k, name)
+
+
+def flipped_mask(mask, rows):
+    def patched(tables):
+        got = mask(tables).copy()
+        got[rows] = ~got[rows]
+        return got
+    return patched
+
+
+@pytest.mark.parametrize("flips", [
+    {("bookend", 0), ("associative", 9), ("idempotent", 17), ("medial", 9)},
+    {("associative", 9), ("idempotent", 17), ("medial", 9)},
+    {("idempotent", 17)},
+    set(),
+])
+@pytest.mark.parametrize("n, k", [(6, 5), (5, 2), (4, 3)])
+def test_modular_conditions_reports_the_failure_the_row_loop_found(monkeypatch, n, k, flips):
+    for name in {name for name, _ in flips}:
+        monkeypatch.setitem(batch.MASKS, name, flipped_mask(batch.MASKS[name], [b for m, b in flips if m == name]))
+    rows = batch.row_array(n, True)
+    tables = batch.product_tables(rows, k)
+    masks = {name: batch.MASKS[name](tables) for name in LCOND_NAMES}
+    want = None
+    for b, row in enumerate(rows):
+        seq = KSequence(n, k, tuple(int(v) + 1 for v in row))
+        name = next((name for name in LCOND_NAMES if generator_lcond(seq, name) != masks[name][b]), None)
+        if name is not None:
+            want = {"row": list(seq.seq), "property": name,
+                    "closed-form": generator_lcond(seq, name), "table": bool(masks[name][b])}
+            break
+    [result] = _run_modular_conditions((n, k))
+    assert (result.status, result.witness) == (("pass", None) if want is None else ("fail", want))
 
 
 def test_closed_forms_require_permutation_rows():
