@@ -212,7 +212,9 @@ def _distinct(tables: np.ndarray, axis: int) -> np.ndarray:
     one = np.int16(1) if n <= 15 else np.int64(1)
     out = np.empty(tables.shape[:axis] + tables.shape[axis + 1:], dtype=bool)
     for start in range(0, tables.shape[0], ROW_CHUNK):
-        bits = np.left_shift(one, tables[start:start + ROW_CHUNK])
+        # dtype pins the shift to `one`'s width; without it NumPy 1.x casts
+        # by value and shifts int8 tables in int8, losing bits 7 and up.
+        bits = np.left_shift(one, tables[start:start + ROW_CHUNK], dtype=one.dtype)
         out[start:start + ROW_CHUNK] = np.bitwise_or.reduce(bits, axis=axis) == (1 << n) - 1
     return out
 

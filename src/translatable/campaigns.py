@@ -202,8 +202,9 @@ def _run_modular_conditions(inst):
     tables = batch.product_tables(rows, k)
     masks = np.stack([batch.MASKS[name](tables) for name in LCOND_NAMES], axis=1)
     wrong = np.stack([lcond_verdicts(rows, k, name) for name in LCOND_NAMES], axis=1) != masks
-    # The first row also goes through lcond_check, the one-row entry point
-    # that `translatable lcond` uses, so that path is held to the masks too.
+    # Row 0 again, through lcond_check: this adds no check, as lcond_check is
+    # the one-row case of lcond_verdicts.  It stays while bench/tracing.py
+    # predicts an lcond_check call on verify-rowspace (ROADMAP item 3).
     first = _np_seq(n, k, rows[0])
     wrong[0] |= np.array([lcond_check(first, name) for name in LCOND_NAMES]) != masks[0]
     if wrong.any():

@@ -140,8 +140,9 @@ class CayleyTable:
         valid = grid.shape == (n, n) and grid.dtype.kind in "biu" and grid.min() >= 1 and grid.max() <= n
         if not valid and grid.shape == (n, n) and grid.dtype.kind in "iu":
             # Every cell is an integer, so the first bad one is out of range.
+            # It is named as given (False, not 0), as the cell loop names it.
             i, j = divmod(int(((grid < 1) | (grid > n)).argmax()), n)
-            raise InvalidInputError(f"entry at ({i + 1}, {j + 1}) is {grid[i, j]}, outside 1..{n}")
+            raise InvalidInputError(f"entry at ({i + 1}, {j + 1}) is {cells[i][j]}, outside 1..{n}")
         if not valid:
             for i, row in enumerate(cells, start=1):
                 if len(row) != n:

@@ -102,6 +102,9 @@ class NoCellLoop:
     def __array__(self, dtype=None, copy=None):
         return self.grid
 
+    def __getitem__(self, i):
+        return self.grid[i]
+
     def __iter__(self):
         raise AssertionError("the cell loop ran")
 
@@ -118,6 +121,14 @@ def test_an_out_of_range_integer_cell_is_named_without_the_cell_loop(dtype):
             with pytest.raises(InvalidInputError) as info:
                 CayleyTable(n, cells)
             assert str(info.value) == want
+
+
+def test_a_bool_cell_among_integers_is_named_as_given():
+    # numpy reads these as int64; the cell loop names the cell False, not 0.
+    with pytest.raises(InvalidInputError, match=r"^entry at \(1, 2\) is False, outside 1..2$"):
+        CayleyTable(2, [[1, False], [1, 1]])
+    with pytest.raises(InvalidInputError, match=r"^entry at \(2, 1\) is 3, outside 1..2$"):
+        CayleyTable(2, [[True, 2], [3, False]])
 
 
 def test_an_out_of_range_cell_of_an_order_1024_array_is_named():
