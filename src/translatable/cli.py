@@ -44,6 +44,7 @@ from .core import (
 from .properties import (
     LCOND_NAMES,
     PROPERTY_NAMES,
+    idempotent_elements,
     lcond_check,
     report,
 )
@@ -366,7 +367,7 @@ def _cmd_decompose(args) -> int:
 
 def _cmd_idempotents(args) -> int:
     table = _table_from_args(args)
-    found = sorted(e for e in range(1, table.n + 1) if table.entry(e, e) == e)
+    found = list(idempotent_elements(table))
     if args.format == "json":
         _emit(args, _json_line({"n": table.n, "idempotents": found}))
     else:

@@ -119,7 +119,9 @@ class CayleyTable:
     read-only 0-based array, int16 below order 32768.
 
     `rows` is the same cells as 1-based row tuples, derived from `grid` on
-    first use.  Tables are equal, and hash alike, when their cells agree.
+    first use: a convenience for scalar loops on small tables, about 10**6
+    Python ints at order 1024, where code reads `grid` instead.  Tables
+    are equal, and hash alike, when their cells agree.
     """
 
     n: int
@@ -362,12 +364,13 @@ def parse_table(text: str, fmt: str | None = None) -> CayleyTable:
 def _plain_grid(text: str, fmt: str) -> np.ndarray | None:
     """The cells of a table in the plain grammar as an int64 (n, n) array;
     None when the input is not plain, its rows are not n rows of n fields,
-    or a value lies outside 1..n.
+    or a value does not fit in int64.
 
     The one error it raises is the BoundError for an order over the bound,
     before any cell is converted: plain input is well-formed and all its
     fields are integers, so that is the first error _parse_fields raises
-    on it too.
+    on it too.  A value outside 1..n is left for CayleyTable to name, as
+    it names it on the rows _parse_fields reads.
     """
     if not text.isascii():
         return None
@@ -407,7 +410,7 @@ def _plain_grid(text: str, fmt: str) -> np.ndarray | None:
         return None
     grid = _cell_array(data, n)
     # A value with more digits than int64 holds reads as its maximum.
-    return grid if 1 <= grid.min() and grid.max() <= n else None
+    return grid if grid.max() < np.iinfo(np.int64).max else None
 
 
 def _cell_array(data: bytes, n: int) -> np.ndarray:

@@ -107,26 +107,27 @@ def _check_associative(table):
     yet generated by the slabs passed so far, and each passing y joins the
     generators before the next pick.
 
-    Any failing slab holds a counterexample at its least x, which bounds the
-    least x over all counterexamples; the first-failure scan of
-    IDENTITIES["associative"] up to it returns the lexicographically least
-    (x, y, z), whichever slab failed first.
+    The first slab that fails, at y, has its first bad cell at (x0, z0),
+    with x0 its least x.  A counterexample with a smaller x is the least
+    one; the first-failure scan of IDENTITIES["associative"] looks for it
+    below x0 only.  If there is none, (x0, y, z0) is the least: every
+    y' < y is good, generated or passed, and z0 is the first bad z of row
+    x0 in the slab.
     """
     m = table.grid
     mt = np.ascontiguousarray(m.T)
     left = np.empty_like(m)
     right = np.empty_like(m)
     bad = np.empty(m.shape, dtype=bool)
-    have, members, gens = [False] * table.n, [], []
+    have, members, columns = [False] * table.n, [], []
     for y in range(table.n):
         if have[y]:
             continue
         if _associative_slab(m, mt, y, left, right, bad).any():
-            witness = _least_witness("associative", m, _first_cell(bad)[0] + 1)
-            if witness is None:
-                raise VerificationError("a failing associativity slab has no witness at or before its least x")
-            return False, witness
-        _add_generator(table.rows, have, members, gens, y)
+            x0, z0 = _first_cell(bad)
+            witness = _least_witness("associative", m, x0)
+            return False, witness or _witness("associative", m, (x0, y, z0))
+        _add_generator(m, have, members, columns, y)
     return True, None
 
 
@@ -137,8 +138,9 @@ def _associative_slab(m, mt, y, left, right, bad):
     return np.not_equal(left, right.T, out=bad)
 
 
-def _add_generator(rows, have, members, gens, y):
-    """Add the 0-based generator y and grow what the generators reach.
+def _add_generator(m, have, members, columns, y):
+    """Add the 0-based generator y of grid m and grow what the generators
+    reach; `columns` holds the column m[:, g] of each generator g, as a list.
 
     `members` (flagged in `have`) holds every product reached from the
     generators by multiplying on the right by a generator.  Each is a good
@@ -147,18 +149,18 @@ def _add_generator(rows, have, members, gens, y):
     u*(v*g) = (u*v)*g because v is good.  Each member meets each generator
     once, so a whole sweep costs O(n * generators) lookups.
     """
-    gens.append(y)
+    column = m[:, y].tolist()
+    columns.append(column)
     have[y] = True
     fresh = [y]
     for s in members:
-        p = rows[s][y] - 1
+        p = column[s]
         if not have[p]:
             have[p] = True
             fresh.append(p)
     for s in fresh:    # runs over the elements appended on the way too
-        row = rows[s]
-        for g in gens:
-            p = row[g] - 1
+        for col in columns:
+            p = col[s]
             if not have[p]:
                 have[p] = True
                 fresh.append(p)
@@ -379,9 +381,9 @@ def _least_witness(name: str, m: np.ndarray, stop: int | None = None) -> Witness
     block that fails holds the least cell: one slab of it (or about 2**16
     cells) first, then twice as many each time, up to _VECTOR_CELL_LIMIT
     cells.  A scan that fails on its first slab stops there.  For medial
-    and paramedial of a translatable table, _check_identity first decides
-    on one slab, by the lemma stated there, and calls this only when a
-    paramedial slab fails.
+    and paramedial of a translatable table over order 11, _check_identity
+    first decides on one slab, by the lemma stated there, and calls this
+    only when a paramedial slab fails.
     """
     identity = IDENTITIES[name]
     n = m.shape[0]
@@ -397,7 +399,10 @@ def _witness(name: str, m: np.ndarray, cell: tuple[int, ...]) -> Witness:
     """The counterexample to IDENTITIES[name] at the 0-based cell of grid m,
     with the first two adjacent sides that differ there."""
     sides = [_evaluate(term, cell.__getitem__, lambda a, b: int(m[a, b])) for term in IDENTITIES[name].sides]
-    lhs, rhs = next((a, b) for a, b in zip(sides, sides[1:]) if a != b)
+    differ = next(((a, b) for a, b in zip(sides, sides[1:]) if a != b), None)
+    if differ is None:
+        raise VerificationError(f"{name} holds at the cell {cell} taken for a counterexample")
+    lhs, rhs = differ
     return Witness(name, tuple(v + 1 for v in cell), lhs + 1, rhs + 1)
 
 
@@ -447,6 +452,10 @@ def _first_failure(identity: Identity, m: np.ndarray, block: range) -> tuple[int
 # that _check_identity decides on the slab where it is 0.
 _SLAB_AXES = {"medial": 0, "paramedial": 2}
 
+# Up to this many cells, n**4 at n <= 11, one sweep of the whole grid costs
+# no more than detect and a slab; from n = 12 on the slab route is cheaper.
+_WHOLE_SWEEP_CELLS = 1 << 14
+
 
 def _check_identity(table, name):
     """check for IDENTITIES[name]: the least witness of the cell sweep.
@@ -462,11 +471,17 @@ def _check_identity(table, name):
     failing medial slab holds the least witness, at its own first failing
     cell; on a failing paramedial slab the ordinary sweep finds it, since
     the least witness need not have w = 0.
+
+    Up to order 11 the whole grid is swept at once instead, in one block of
+    _blocks, which costs less there than detect and a slab.
     """
     m, n = table.grid, table.n
     identity = IDENTITIES[name]
     if identity.arity == 4:
         _guard_quadruple(n)
+    if name in _SLAB_AXES and n ** 4 <= _WHOLE_SWEEP_CELLS:
+        cell = _first_failure(identity, m, range(n))
+        return (True, None) if cell is None else (False, _witness(name, m, cell))
     if name in _SLAB_AXES and detect(table):
         axis = _SLAB_AXES[name]
         domains = [range(n)] * identity.arity
@@ -486,9 +501,9 @@ def _guard_quadruple(n):
 
 
 def left_neutral_elements(table: CayleyTable) -> tuple[int, ...]:
-    """All e with e * x = x for every x."""
-    identity = tuple(range(1, table.n + 1))
-    return tuple(e for e in identity if table.rows[e - 1] == identity)
+    """All e with e * x = x for every x: the rows of the grid equal to 0..n-1."""
+    neutral = (table.grid == np.arange(table.n)).all(axis=1)
+    return tuple((np.flatnonzero(neutral) + 1).tolist())
 
 
 def _check_left_unitary(table):
@@ -565,7 +580,9 @@ def _check_intra_regular(table):
 
 
 def idempotent_elements(table: CayleyTable) -> tuple[int, ...]:
-    return tuple(i for i in range(1, table.n + 1) if table.rows[i - 1][i - 1] == i)
+    """All i with i * i = i, in increasing order, read off the grid's diagonal."""
+    fixed = np.diagonal(table.grid) == np.arange(table.n)
+    return tuple((np.flatnonzero(fixed) + 1).tolist())
 
 
 def _check_orthodox(table):

@@ -30,7 +30,7 @@ from .properties import (
     left_neutral_elements,
     semigroup_criterion,
 )
-from .translation import table_from_sequence
+from .translation import _blocks, table_from_sequence
 
 
 def idempotent_set(table: CayleyTable) -> frozenset[int]:
@@ -79,6 +79,12 @@ def _least_multiplier(base: int, n: int) -> int:
     raise VerificationError(f"no multiple of {base} vanishes modulo {n}")
 
 
+# The most cells of a component's (x, y, z) associativity cube compared at
+# once, in the growing blocks of _blocks: one value of x at order 1024,
+# where larger blocks ran slower and took up to 110 MiB more.
+_CUBE_BLOCK_CELLS = 1 << 20
+
+
 def _verify_component_group(m: np.ndarray, comp: tuple[int, ...], e: int, gen: int) -> None:
     """Re-check on the 0-based grid m that comp is a cyclic group."""
     members = set(comp)
@@ -92,13 +98,17 @@ def _verify_component_group(m: np.ndarray, comp: tuple[int, ...], e: int, gen: i
     if escapes.any():
         x, y = np.unravel_index(escapes.argmax(), escapes.shape)
         raise VerificationError(f"component {comp} is not closed: {comp[x]}*{comp[y]} escapes")
-    for pos, x in enumerate(comp):
-        left = m[sub[pos]][:, c]           # [y, z] -> (x*y)*z
-        right = m[x - 1][sub]              # [y, z] -> x*(y*z)
-        bad = left != right
+    place = np.empty(m.shape[0], dtype=np.intp)
+    place[c] = np.arange(len(c))
+    local = place[sub]                     # [x, y] -> position of x*y in comp
+    for block in _blocks(len(c), len(c) ** 2, _CUBE_BLOCK_CELLS):
+        xs = slice(block.start, block.stop)
+        bad = sub[local[xs]] != sub[xs, local]   # [x, y, z]: (x*y)*z != x*(y*z)
         if bad.any():
-            y, z = np.unravel_index(bad.argmax(), bad.shape)
-            raise VerificationError(f"component {comp} is not associative at ({x},{comp[y]},{comp[z]})")
+            x, y, z = np.unravel_index(bad.argmax(), bad.shape)
+            raise VerificationError(
+                f"component {comp} is not associative at ({comp[block.start + x]},{comp[y]},{comp[z]})"
+            )
     if (m[e - 1, c] != c).any() or (m[c, e - 1] != c).any():
         raise VerificationError(f"{e} is not neutral in component {comp}")
     has_inverse = ((sub == e - 1) & (sub.T == e - 1)).any(axis=1)
@@ -134,15 +144,17 @@ def decompose(table: CayleyTable, seq: KSequence) -> Decomposition:
             "table is not generated by the given sequence", prerequisite="matching-table"
         )
     n, k = seq.n, seq.k
+    grid = table.grid
     idems = idempotent_elements(table)
     if frozenset(idems) != idempotent_set_formula(seq):
         raise VerificationError("diagonal idempotents disagree with the closed form")
     if idems != left_neutral_elements(table):
         raise VerificationError("idempotents are not exactly the left neutral elements")
-    for e in idems:
-        for f in idems:
-            if table.entry(e, f) != f:
-                raise VerificationError(f"idempotents are not a right-zero band: {e}*{f}")
+    ix = np.array(idems, dtype=np.intp) - 1
+    band = grid[np.ix_(ix, ix)] != ix      # [e, f]: e*f != f
+    if band.any():
+        e, f = np.unravel_index(band.argmax(), band.shape)
+        raise VerificationError(f"idempotents are not a right-zero band: {idems[e]}*{idems[f]}")
     m = _least_multiplier(k, n)
     t = _least_multiplier(m, n)
     g = math.gcd(n, k)
@@ -153,7 +165,6 @@ def decompose(table: CayleyTable, seq: KSequence) -> Decomposition:
     components = []
     generators = []
     covered: set[int] = set()
-    grid = table.grid
     for e in idems:
         comp = tuple(np.unique(grid[:, e - 1] + 1).tolist())
         if len(comp) != m:
@@ -184,7 +195,7 @@ class Isomorphism:
 
 
 def _diagonal_ordering(table: CayleyTable, who: str) -> Ordering:
-    diag = tuple(table.rows[r][r] for r in range(table.n))
+    diag = tuple((np.diagonal(table.grid) + 1).tolist())
     if sorted(diag) != list(range(1, table.n + 1)):
         raise PreconditionError(
             f"{who} is not an idempotent presentation: its diagonal is not a permutation",

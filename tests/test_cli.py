@@ -169,6 +169,15 @@ def test_decompose_golden(capsys):
     assert payload["components"] == [[1, 3, 5], [2, 4, 6]]
 
 
+def test_idempotents_golden_bytes_and_exit(capsys):
+    for seq, k, text, payload, code in (
+        ("1 2 3 4 5 6", "2", "1 4\n", '{"n":6,"idempotents":[1,4]}\n', 0),
+        ("2 1 1", "2", "none\n", '{"n":3,"idempotents":[]}\n', 1),
+    ):
+        assert run(capsys, "idempotents", "--k", k, "--seq", seq)[:2] == (code, text)
+        assert run(capsys, "idempotents", "--k", k, "--seq", seq, "--format", "json")[:2] == (code, payload)
+
+
 def test_iso_golden_and_negative(capsys):
     code, out, _ = run(
         capsys,

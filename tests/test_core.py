@@ -411,6 +411,45 @@ def test_plain_input_takes_the_array_path(monkeypatch, n):
         assert parse_table(plain) == table
 
 
+def test_an_out_of_range_value_is_named_on_the_array_path(monkeypatch):
+    # Plain order-1024 input whose one fault is its last value, outside
+    # 1..n: the array path names it with the field reader's message,
+    # without reading the cells again one by one.
+    grid = square(1024, 7).grid + 1
+    grid[-1, -1] = 1
+    table = CayleyTable(1024, grid)
+    text, compact = serialize(table, "text"), serialize(table, "json")
+    assert text.endswith(" 1\n") and compact.endswith(",1]]}\n")
+    inputs = [text[:-2] + "1025\n", text[:-2] + "0\n", compact[:-5] + "1025]]}\n"]
+    expected = [outcome(loop_parse_table, text) for text in inputs]
+    assert [e[:2] for e in expected] == [
+        (InvalidInputError, f"entry at (1024, 1024) is {value}, outside 1..1024") for value in (1025, 0, 1025)
+    ]
+
+    def refuse(text, fmt):
+        raise AssertionError("read field by field")
+
+    monkeypatch.setattr(core, "_parse_fields", refuse)
+    assert [outcome(parse_table, text) for text in inputs] == expected
+
+
+def test_a_value_past_int64_is_read_field_by_field(monkeypatch):
+    seen = []
+    fields = core._parse_fields
+
+    def spy(text, fmt):
+        seen.append(fmt)
+        return fields(text, fmt)
+
+    monkeypatch.setattr(core, "_parse_fields", spy)
+    huge = "9" * 20
+    for text in (f"1 2\n2 {huge}\n", '{"n":2,"table":[[1,2],[2,%s]]}' % huge):
+        got = outcome(parse_table, text)
+        assert got == outcome(loop_parse_table, text)
+        assert got[:2] == (InvalidInputError, f"entry at (2, 2) is {huge}, outside 1..2")
+    assert seen == ["text", "json"]
+
+
 def test_an_order_over_the_bound_is_refused_before_any_cell_is_read(monkeypatch):
     monkeypatch.setenv("TRANSLATABLE_MAX_ORDER", "8")
     rows = [[1] * 9] * 9

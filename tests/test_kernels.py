@@ -11,11 +11,12 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import re
 
 import numpy as np
 import pytest
 
-from translatable import batch, properties
+from translatable import batch, properties, structure
 from translatable.campaigns import _eas_masks, _perm_alterable_mask
 from translatable.constructions import (
     UnionSpec,
@@ -194,6 +195,12 @@ def test_associative_witness_lands_beyond_the_first_slab():
     assert late > 0
 
 
+def test_a_witness_is_never_taken_from_a_cell_where_the_identity_holds():
+    m = table_from_sequence(cancellative_semigroups(6, 2)[0]).grid
+    with pytest.raises(VerificationError, match="associative holds at the cell"):
+        properties._witness("associative", m, (0, 1, 2))
+
+
 def test_associative_single_cell_perturbations():
     rng = random.Random(7)
     for n, k in ((6, 2), (12, 3), (20, 4)):
@@ -300,10 +307,12 @@ def right_orbit(rows, gens) -> set[int]:
 
 def grown_sets(table: CayleyTable, order):
     """What _add_generator holds after each generator of `order` joins."""
-    have, members, gens = [False] * table.n, [], []
+    have, members, columns, gens = [False] * table.n, [], [], []
     for y in order:
         if not have[y]:
-            properties._add_generator(table.rows, have, members, gens, y)
+            gens.append(y)
+            properties._add_generator(table.grid, have, members, columns, y)
+        assert columns == [table.grid[:, g].tolist() for g in gens]
         assert sorted(members) == [x for x in range(table.n) if have[x]]
         yield list(gens), set(members)
 
@@ -493,6 +502,52 @@ def test_failing_medial_takes_its_witness_from_the_slab(monkeypatch):
         assert check(table, "medial") == (witness is None, witness)
 
 
+def test_orders_to_11_sweep_medial_and_paramedial_without_detect(monkeypatch):
+    # There one sweep of the whole grid is cheaper than detect and a slab;
+    # from order 12 on translatable tables take the slab again.
+    rng = random.Random(11)
+    tables = {
+        n: [table_from_sequence(KSequence(n, rng.randrange(1, n), tuple(rng.randint(1, n) for _ in range(n))))
+            for _ in range(20)]
+        for n in (2, 5, 11, 12)
+    }
+    tables[11].append(table_from_sequence(KSequence(11, 10, tuple(range(1, 12)))))
+    expected = {
+        (n, name): [properties._least_witness(name, t.grid) for t in tables[n]]
+        for n in tables for name in properties._SLAB_AXES
+    }
+    assert any(w is None for w in expected[11, "medial"]) and any(expected[11, "medial"])
+    calls = []
+
+    def spy(table):
+        calls.append(table.n)
+        return detect(table)
+
+    monkeypatch.setattr(properties, "detect", spy)
+    for (n, name), witnesses in expected.items():
+        assert [check(t, name) for t in tables[n]] == [(w is None, w) for w in witnesses], (n, name)
+    assert set(calls) == {12}
+
+
+def test_failing_medial_takes_its_witness_from_the_slab_past_order_11(monkeypatch):
+    # As test_failing_medial_takes_its_witness_from_the_slab, at orders
+    # where the slab is used.
+    rng = random.Random(12)
+    tables = [
+        table_from_sequence(KSequence(n, rng.randrange(1, n), tuple(rng.randint(1, n) for _ in range(n))))
+        for n in (12, 16, 20) for _ in range(15)
+    ]
+    expected = [properties._least_witness("medial", table.grid) for table in tables]
+    assert sum(w is not None for w in expected) > len(tables) / 2
+
+    def no_sweep(name, m, stop=None):
+        raise AssertionError("medial swept past its slab")
+
+    monkeypatch.setattr(properties, "_least_witness", no_sweep)
+    for table, witness in zip(tables, expected):
+        assert check(table, "medial") == (witness is None, witness)
+
+
 def count_cells(monkeypatch) -> list[int]:
     """Patch Identity.failures to add up the cells it evaluates."""
     cells = [0]
@@ -648,6 +703,37 @@ def test_component_check_rejects_a_non_associative_component():
     grid[x - 1, a - 1], grid[x - 1, b - 1] = grid[x - 1, b - 1], grid[x - 1, a - 1]
     with pytest.raises(VerificationError, match="not associative"):
         _verify_component_group(grid, comp, e, gen)
+
+
+def test_component_check_names_the_first_non_associative_triple(monkeypatch):
+    # Every swap of two cells inside a row of a component: the message names
+    # the row-major least failing (x, y, z) of comp, found by a loop, with
+    # the whole cube as one block and with one x per block.
+    seq = cancellative_semigroups(12, 3)[0]
+    table = table_from_sequence(seq)
+    dec = decompose(table, seq)
+    comp, e, gen = dec.components[0], min(dec.idempotents), dec.generators[0]
+    cases = 0
+    for x, a, b in itertools.product(comp, comp, comp):
+        if a >= b:
+            continue
+        grid = table.grid.copy()
+        grid[x - 1, a - 1], grid[x - 1, b - 1] = grid[x - 1, b - 1], grid[x - 1, a - 1]
+        rows = grid.tolist()
+        first = next(
+            ((p, q, r) for p, q, r in itertools.product(comp, repeat=3)
+             if rows[rows[p - 1][q - 1]][r - 1] != rows[p - 1][rows[q - 1][r - 1]]),
+            None,
+        )
+        if first is None:
+            continue
+        cases += 1
+        want = re.escape(f"component {comp} is not associative at ({first[0]},{first[1]},{first[2]})")
+        for limit in (structure._CUBE_BLOCK_CELLS, len(comp) ** 2):
+            monkeypatch.setattr(structure, "_CUBE_BLOCK_CELLS", limit)
+            with pytest.raises(VerificationError, match=want):
+                _verify_component_group(grid, comp, e, gen)
+    assert cases > 0
 
 
 def test_component_check_rejects_wrong_neutral_generator_and_members():

@@ -6,8 +6,12 @@ from math import gcd
 
 import pytest
 
-from translatable.core import BoundError, KSequence, PreconditionError, mod_rep
+from translatable import properties
+from translatable.constructions import cancellative_semigroups
+from translatable.core import BoundError, CayleyTable, KSequence, PreconditionError, mod_rep
+from translatable.properties import check, idempotent_elements, left_neutral_elements, semigroup_criterion
 from translatable.structure import (
+    Decomposition,
     cyclic_table,
     decompose,
     ideals,
@@ -180,3 +184,38 @@ def test_ideals_bound_guard():
     # explicit bound lifts the guard; a group has only the trivial ideal
     found = ideals(table_from_sequence(seq), "left", bound=16)
     assert [i.elements for i in found] == [tuple(range(1, 17))]
+
+
+def test_order_992_paths_read_the_grid_not_the_rows_view(monkeypatch):
+    # check associative, decompose and the diagonal and neutral scans answer
+    # on the order-992 semigroup and on a one-cell change of it without the
+    # 1-based rows view; each answer is set against an oracle of its own.
+    seq = cancellative_semigroups(992, 31)[0]
+    table = table_from_sequence(seq)
+    cells = table.grid + 1
+    cells[500, 700] = cells[500, 700] % 992 + 1
+    changed = CayleyTable(992, cells)
+    rows = {t: t.grid.tolist() for t in (table, changed)}
+    witness = properties._least_witness("associative", changed.grid)
+    assert witness is not None and semigroup_criterion(seq)
+    n, k = seq.n, seq.k
+    idems = sorted(idempotent_set_formula(seq))
+    expected = Decomposition(
+        frozenset(idems), n // gcd(n, k), gcd(n, k),
+        tuple(tuple(sorted({r[e - 1] + 1 for r in rows[table]})) for e in idems),
+        tuple(mod_rep(e - k, n) for e in idems),
+    )
+
+    def refuse(self):
+        raise AssertionError("the rows view was built")
+
+    monkeypatch.setattr(CayleyTable, "rows", property(refuse))
+    assert check(table, "associative") == (True, None)
+    assert check(changed, "associative") == (False, witness)
+    assert decompose(table, seq) == expected
+    with pytest.raises(PreconditionError, match="not generated by the given sequence"):
+        decompose(changed, seq)
+    for t, r in rows.items():
+        assert idempotent_elements(t) == tuple(i + 1 for i in range(n) if r[i][i] == i)
+        assert left_neutral_elements(t) == tuple(e + 1 for e in range(n) if r[e] == list(range(n)))
+    assert idempotent_elements(table) == tuple(idems) == left_neutral_elements(table)
