@@ -224,11 +224,9 @@ def _run_idempotent_elastic_sum(inst):
     tid = "idempotent-elastic-sum"
     n, k = inst
     table = table_from_sequence(idempotent_groupoid(n, k))
-    fast = all(
-        mod_rep(table.entry(i, j) + table.entry(j, i), n) == mod_rep(i + j, n)
-        for i in range(1, n + 1)
-        for j in range(1, n + 1)
-    )
+    grid, elements = table.grid, np.arange(n)
+    # [i*j + j*i] = [i + j], written on 0-based elements and products
+    fast = not ((elements[:, None] + elements - grid - grid.T) % n).any()
     slow = check(table, "elastic")[0]
     if fast != slow:
         return _failed(tid, n, k, {"sum-rule": fast, "elastic": slow})
@@ -263,9 +261,15 @@ def _run_alterable_solvable_quasigroup(inst):
         # right solvability forces a permutation first row here
         tables = batch.product_tables(rows, k)
     alter = batch.alterable_mask(tables) if k is None else batch.space_verdicts("alterable", n, k, True)
-    premise = alter & batch.right_distributive_mask(tables)
-    conclusion = batch.idempotent_mask(tables) & batch.quasigroup_mask(tables)
-    bad = np.flatnonzero(premise & ~conclusion)
+    # Each mask runs only on the tables kept so far, if any; they stay in
+    # order, so the first bad index is the same as over every table.
+    premise = np.flatnonzero(alter)
+    if premise.size:
+        premise = premise[batch.right_distributive_mask(tables[premise])]
+    bad = premise
+    if premise.size:
+        kept = tables[premise]
+        bad = premise[~(batch.idempotent_mask(kept) & batch.quasigroup_mask(kept))]
     if bad.size:
         b = int(bad[0])
         return _failed(tid, n, k, {
@@ -509,18 +513,19 @@ def _run_embedding(inst):
         small = table_from_sequence(seq)
         for t in range(1, 4):
             big, phi = embed(seq, t)
-            for i in range(1, n + 1):
-                for j in range(1, n + 1):
-                    if big.entry(phi[i], phi[j]) != phi[small.entry(i, j)]:
-                        return _failed(tid, n, k, {
-                            "source": label, "copies": t, "i": i, "j": j,
-                            "note": "image product disagrees with embedded product",
-                        })
+            image = np.array([phi[i] for i in range(1, n + 1)]) - 1
+            bad = big.grid[np.ix_(image, image)] != image[small.grid]   # [i, j]: phi(i)*phi(j) != phi(i*j)
+            if bad.any():
+                i, j = np.unravel_index(bad.argmax(), bad.shape)
+                return _failed(tid, n, k, {
+                    "source": label, "copies": t, "i": int(i) + 1, "j": int(j) + 1,
+                    "note": "image product disagrees with embedded product",
+                })
             if not is_translatable(big, k):
                 return _failed(tid, n, k, {"source": label, "copies": t, "note": "embedded table lost the step"})
             if seq.is_permutation() and not check(big, "left-cancellative")[0]:
                 return _failed(tid, n, k, {"source": label, "copies": t, "note": "left cancellativity lost"})
-            if seq.seq == _identity(n) and big.row(1) != _identity(big.n):
+            if seq.seq == _identity(n) and (big.grid[0] != np.arange(big.n)).any():
                 return _failed(tid, n, k, {"source": label, "copies": t, "note": "left neutrality lost"})
     return _passed(tid, n, k)
 
@@ -719,13 +724,13 @@ def _run_block_product_formula(inst):
         return _failed(tid, n, k, {"note": "block product is not a left cancellative semigroup"})
     if k >= 2 and (check(table, "commutative")[0] or check(table, "quasigroup")[0]):
         return _failed(tid, n, k, {"note": "block product unexpectedly commutative or cancellable"})
-    for col in range(1, n + 1):
-        counts = {}
-        for x in range(1, n + 1):
-            v = table.entry(x, col)
-            counts[v] = counts.get(v, 0) + 1
-        if set(counts.values()) != {k} or len(counts) != n // k:
-            return _failed(tid, n, k, {"column": col, "note": f"solvable equations do not have exactly {k} solutions"})
+    # counts[c, v]: how many x solve x*c = v, that is how often v fills column c
+    counts = np.bincount((table.grid + n * np.arange(n)).ravel(), minlength=n * n).reshape(n, n)
+    present = counts > 0
+    bad = (present & (counts != k)).any(axis=1) | (present.sum(axis=1) != n // k)
+    if bad.any():
+        col = int(bad.argmax()) + 1
+        return _failed(tid, n, k, {"column": col, "note": f"solvable equations do not have exactly {k} solutions"})
     return _passed(tid, n, k)
 
 
@@ -738,10 +743,11 @@ def _run_left_unitary_reordering(inst):
     for seq in cancellative_semigroups(n, k):
         table = table_from_sequence(seq)
         ak = seq.seq[k - 1]
-        ordering = Ordering(tuple(mod_rep(-ak - k + s - 2, n) for s in range(1, n + 1)))
+        # b_s = [-a_k - k + s - 2] for s = 1..n
+        ordering = Ordering(tuple(((np.arange(n) - ak - k - 2) % n + 1).tolist()))
         shuffled = reorder(table, ordering)
-        front = ordering.perm[0]
-        if any(table.entry(front, ordering.perm[s - 1]) != ordering.perm[s - 1] for s in range(1, n + 1)):
+        order = np.array(ordering.perm) - 1
+        if (table.grid[order[0], order] != order).any():
             return _failed(tid, n, k, {"row": list(seq.seq), "note": "promised front element is not left neutral"})
         if not is_translatable(shuffled, k):
             return _failed(tid, n, k, {"row": list(seq.seq), "note": "reordering lost the step"})
@@ -813,10 +819,11 @@ def _run_idempotent_set_formula(inst):
             return _failed(tid, n, k, {"row": list(seq.seq), "observed": sorted(observed)})
         if observed != frozenset(left_neutral_elements(table)):
             return _failed(tid, n, k, {"row": list(seq.seq), "note": "idempotents differ from left neutrals"})
-        for e in observed:
-            for f in observed:
-                if table.entry(e, f) != f:
-                    return _failed(tid, n, k, {"row": list(seq.seq), "e": e, "f": f, "note": "not a right zero band"})
+        ix = np.array(sorted(observed)) - 1
+        band = table.grid[np.ix_(ix, ix)] != ix   # [e, f]: e*f != f
+        if band.any():
+            e, f = (ix[np.unravel_index(band.argmax(), band.shape)] + 1).tolist()
+            return _failed(tid, n, k, {"row": list(seq.seq), "e": e, "f": f, "note": "not a right zero band"})
     return _passed(tid, n, k)
 
 
@@ -895,11 +902,11 @@ def _run_ideal_partition(inst):
         dec = decompose(table, seq)
         listed = {ideal.elements for ideal in ideals(table, "left", bound=max(n, 14))}
         for comp in dec.components:
-            members = set(comp)
-            for q in range(1, n + 1):
-                for c in comp:
-                    if table.entry(q, c) not in members:
-                        return _failed(tid, n, k, {"row": list(seq.seq), "component": list(comp), "note": "not a left ideal"})
+            cols = np.array(comp) - 1
+            members = np.zeros(n, dtype=bool)
+            members[cols] = True
+            if not members[table.grid[:, cols]].all():   # some q*c outside the component
+                return _failed(tid, n, k, {"row": list(seq.seq), "component": list(comp), "note": "not a left ideal"})
             if comp not in listed:
                 return _failed(tid, n, k, {"row": list(seq.seq), "component": list(comp), "note": "component missing from the ideal list"})
             iso = iso_to_cyclic(_component_table(table, comp))
@@ -918,9 +925,19 @@ def _run_block_order_decomposition(inst):
     return _passed(tid, n, k)
 
 
-def _iter_subsets(n: int):
-    for mask in range(1, 1 << n):
-        yield tuple(x for x in range(1, n + 1) if mask >> (x - 1) & 1)
+def _closed_subsets(grid: np.ndarray, side: str) -> set[int]:
+    """Every nonempty S with Q*S in S (side "left") or S*Q in S ("right"),
+    as a bitmask with bit x for the 0-based x.  All 2**n - 1 subsets are
+    tested at once: S is closed when, for each s in S, the products q*s
+    (column s) or s*q (row s) all lie in S."""
+    n = len(grid)
+    lines = grid.T if side == "left" else grid
+    reach = np.bitwise_or.reduce(np.left_shift(1, lines, dtype=np.int64), axis=1)   # [s]: products as a mask
+    subsets = np.arange(1, 1 << n)
+    need = np.zeros_like(subsets)
+    for s in range(n):
+        need |= np.where(subsets >> s & 1, reach[s], 0)
+    return set(subsets[(need & ~subsets) == 0].tolist())
 
 
 def _run_semiprime_ideals(inst):
@@ -928,27 +945,17 @@ def _run_semiprime_ideals(inst):
     n, k = inst
     for seq in cancellative_semigroups(n, k):
         table = table_from_sequence(seq)
+        diagonal = (np.diagonal(table.grid) + 1).tolist()
         for side in ("left", "right"):
             listed = ideals(table, side, bound=max(n, 14))
             for ideal in listed:
                 members = set(ideal.elements)
-                square_in = all(
-                    table.entry(x, x) not in members or x in members
-                    for x in range(1, n + 1)
-                )
+                square_in = all(square not in members or x in members for x, square in enumerate(diagonal, start=1))
                 if not ideal.semiprime or not square_in:
                     return _failed(tid, n, k, {"row": list(seq.seq), "side": side, "ideal": list(ideal.elements)})
             if n <= 10:
-                brute = set()
-                for subset in _iter_subsets(n):
-                    members = set(subset)
-                    if side == "left":
-                        closed = all(table.entry(q, s) in members for q in range(1, n + 1) for s in subset)
-                    else:
-                        closed = all(table.entry(s, q) in members for q in range(1, n + 1) for s in subset)
-                    if closed:
-                        brute.add(subset)
-                if brute != {ideal.elements for ideal in listed}:
+                listed_masks = {sum(1 << (x - 1) for x in ideal.elements) for ideal in listed}
+                if _closed_subsets(table.grid, side) != listed_masks:
                     return _failed(tid, n, k, {"row": list(seq.seq), "side": side, "note": "ideal list differs from the subset scan"})
     return _passed(tid, n, k)
 
@@ -1131,10 +1138,9 @@ def _check_union(tid: str, union, n: int, k: int, step: int):
         members[cols] = True
         if not members[table.grid[:, cols]].all():
             return _failed(tid, n, k, {"copy": copy, "note": "copy is not a left ideal"})
-        local = {x: pos for pos, x in enumerate(comp, start=1)}
-        first = comp[0]
-        row = tuple(local[table.entry(first, b)] for b in comp)
-        seq = KSequence(n, k, row)
+        local = np.zeros(big_n, dtype=np.int64)
+        local[cols] = np.arange(1, n + 1)
+        seq = KSequence(n, k, tuple(local[table.grid[cols[0], cols]].tolist()))   # the copy's first row
         if not semigroup_criterion(seq):
             return _failed(tid, n, k, {"copy": copy, "note": "copy misses the semigroup criterion"})
         if not iso_left_unitary(seq, lu_small).verified:
@@ -1200,26 +1206,28 @@ def _run_pair_union(inst):
             return _passed(tid, n, k, {"note": "odd step rejected"})
         return _failed(tid, n, k, {"note": "odd step accepted"})
     union = pair_union(k)
-    table = union.table
+    cells = union.table.grid + 1          # 1-based products; odd labels are copy 1, even copy 2
     q = k // 2
-    odds = tuple(range(1, 2 * n + 1, 2))
-    evens = tuple(range(2, 2 * n + 1, 2))
-    if {table.entry(a, b) for a in odds for b in evens} != set(evens):
+    odds, evens = np.arange(1, 2 * n + 1, 2), np.arange(2, 2 * n + 1, 2)
+    if not np.array_equal(np.unique(cells[::2, 1::2]), evens):
         return _failed(tid, n, k, {"note": "odd times even does not cover the even copy"})
-    if {table.entry(a, b) for a in evens for b in odds} != set(odds):
+    if not np.array_equal(np.unique(cells[1::2, ::2]), odds):
         return _failed(tid, n, k, {"note": "even times odd does not cover the odd copy"})
     small = table_from_sequence(left_unitary_groupoid(n, k))
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if table.entry(2 * i - 1, 2 * j - 1) != 2 * small.entry(i, j) - 1:
-                return _failed(tid, n, k, {"i": i, "j": j, "note": "odd copy changed its products"})
-            if table.entry(2 * i - 1, 2 * j) != 2 * mod_rep(k - k * i + j, n):
-                return _failed(tid, n, k, {"i": i, "j": j, "note": "odd times even misses its formula"})
-            if table.entry(2 * i, 2 * j - 1) != 2 * mod_rep(k * (1 + q) - k * i + j, n) - 1:
-                return _failed(tid, n, k, {"i": i, "j": j, "note": "even times odd misses its formula"})
-            if table.entry(2 * i, 2 * j) != 2 * mod_rep(k * (1 + q) - k * i + j, n):
-                return _failed(tid, n, k, {"i": i, "j": j, "note": "even times even misses its formula"})
-    row = tuple(table.entry(2, 2 * j) // 2 for j in range(1, n + 1))
+    i, j = np.arange(1, n + 1)[:, None], np.arange(1, n + 1)
+    # Each rule on the products of the labels 2i - 1 or 2i and 2j - 1 or 2j, as [i, j] misses
+    rules = (
+        ("odd copy changed its products", cells[::2, ::2] != 2 * (small.grid + 1) - 1),
+        ("odd times even misses its formula", cells[::2, 1::2] != 2 * mod_rep(k - k * i + j, n)),
+        ("even times odd misses its formula", cells[1::2, ::2] != 2 * mod_rep(k * (1 + q) - k * i + j, n) - 1),
+        ("even times even misses its formula", cells[1::2, 1::2] != 2 * mod_rep(k * (1 + q) - k * i + j, n)),
+    )
+    missed = np.stack([bad for _, bad in rules])   # [rule, i, j]
+    if missed.any():
+        x, y = np.unravel_index(missed.any(axis=0).argmax(), (n, n))
+        note = rules[int(missed[:, x, y].argmax())][0]
+        return _failed(tid, n, k, {"i": int(x) + 1, "j": int(y) + 1, "note": note})
+    row = tuple((cells[1, 1::2] // 2).tolist())
     if not iso_left_unitary(KSequence(n, k, row), left_unitary_groupoid(n, k)).verified:
         return _failed(tid, n, k, {"note": "even copy not isomorphic to the base table"})
     return _passed(tid, n, k, {"order": 2 * n})

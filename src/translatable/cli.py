@@ -218,7 +218,7 @@ def _union_payload(union, fmt: str) -> str:
                 "order": union.table.n,
                 "step": union.step,
                 "copies": [list(c) for c in union.copies()],
-                "table": union.table.rows,
+                "table": (union.table.grid + 1).tolist(),
             }
         )
     lines = [f"order: {union.table.n}\n", f"step: {union.step}\n"]
@@ -264,7 +264,7 @@ def _cmd_construct(args) -> int:
                         "n": table.n,
                         "t": args.t,
                         "mapping": [[s, mapping[s]] for s in sorted(mapping)],
-                        "table": table.rows,
+                        "table": (table.grid + 1).tolist(),
                     }
                 ),
             )

@@ -87,7 +87,7 @@ def cancellative_semigroups(n: int, k: int) -> list[KSequence]:
     for v in range(1, n + 1):
         if mod_rep((1 + k) * v, n) != n:
             continue
-        seq = KSequence(n, k, tuple(mod_rep(i - k - k * v, n) for i in range(1, n + 1)))
+        seq = KSequence(n, k, tuple(((np.arange(n) - k - k * v) % n + 1).tolist()))   # [i - k - kv]
         if seq.seq[k - 1] != v or not semigroup_criterion(seq):
             raise VerificationError(
                 f"row derived from v={v} fails the semigroup criterion at n={n}, k={k}"
@@ -198,38 +198,30 @@ class LabeledUnion:
 
     def copies(self) -> list[tuple[int, ...]]:
         """Elements of each copy, in local order."""
-        return [
-            tuple(self.element(i, r) for r in range(1, self.spec.n + 1))
-            for i in range(1, self.spec.t + 1)
-        ]
-
-
-def _labels(spec: UnionSpec) -> tuple[tuple[int, int], ...]:
-    t = spec.t
-    return tuple(
-        ((x - 1) % t + 1, (x - 1) // t + 1) for x in range(1, spec.t * spec.n + 1)
-    )
+        t, n = self.spec.t, self.spec.n
+        return [tuple(range(i, t * n + 1, t)) for i in range(1, t + 1)]   # element(i, 1..n)
 
 
 def _union_from_product(spec: UnionSpec, step: int, local_index) -> LabeledUnion:
     """Fill the big table from a product rule on (copy, local) labels.
 
-    local_index(i, r, s) gives the local index x of i_r * j_s, with s the
-    array of every column's local index; the copy of the result is always
-    j.  The filled table is then re-checked to be step-translatable,
+    local_index(i, r, s) gives the local index x of i_r * j_s, evaluated
+    once on arrays: i and r are the labels of every row as a column, s
+    the local index of every column as a row.  The copy of the result is
+    always j.  The filled table is then re-checked to be step-translatable,
     exercising the rotation description independently of the product
     formula.
     """
-    labels = _labels(spec)
     n, t = spec.n, spec.t
-    columns = np.arange(t * n)
-    copy, local = columns % t + 1, columns // t + 1
-    table = CayleyTable(t * n, np.array([t * (local_index(i, r, local) - 1) + copy for i, r in labels]))
+    elements = np.arange(t * n)
+    copy, local = elements % t + 1, elements // t + 1
+    products = local_index(copy[:, None], local[:, None], local)
+    table = CayleyTable(t * n, t * (products - 1) + copy)
     if not is_translatable(table, step):
         raise VerificationError(
             f"union table of order {t * n} is not {step}-translatable"
         )
-    return LabeledUnion(spec, step, table, labels)
+    return LabeledUnion(spec, step, table, tuple(zip(copy.tolist(), local.tolist())))
 
 
 def union_same_step(spec: UnionSpec) -> LabeledUnion:
@@ -286,10 +278,8 @@ def pair_union(k: int) -> LabeledUnion:
     n = k + k * k
     spec = UnionSpec(n, k, 2)
 
-    def local_index(i: int, r: int, s: int) -> int:
-        if i == 1:
-            return mod_rep(k - k * r + s, n)
-        return mod_rep(k * (1 + q) - k * r + s, n)
+    def local_index(i, r, s):
+        return np.where(i == 1, mod_rep(k - k * r + s, n), mod_rep(k * (1 + q) - k * r + s, n))
 
     union = _union_from_product(spec, k + n, local_index)
     against = union_shifted_step(spec)

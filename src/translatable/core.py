@@ -3,8 +3,8 @@
 Everything here works on 1-based residues: the class of 0 modulo n is
 represented by n itself, so computed values always land in 1..n.  A Cayley
 table is a full n-by-n multiplication grid over the elements 1..n, stored
-once as a read-only 0-based array with a 1-based `rows` view derived from
-it on demand (the one exception to 1-based values here); a step
+once as a read-only 0-based array (the one exception to 1-based values
+here), with 1-based conveniences read from it; a step
 sequence is a first row together with the rotation step k, and an ordering
 is a permutation used to present the same grid with rows and columns
 rearranged.  All types are immutable after construction and safe to share
@@ -116,12 +116,15 @@ def _check_step(n: int, k: int) -> None:
 class CayleyTable:
     """An n-by-n multiplication table over 1..n, built from n rows of 1-based
     cells (tuples, lists or an array) and stored once, as `grid`: a
-    read-only 0-based array, int16 below order 32768.
+    read-only 0-based array, int16 below order 32768, which is how the
+    package reads cells.
 
-    `rows` is the same cells as 1-based row tuples, derived from `grid` on
-    first use: a convenience for scalar loops on small tables, about 10**6
-    Python ints at order 1024, where code reads `grid` instead.  Tables
-    are equal, and hash alike, when their cells agree.
+    `entry`, `row` and `column` read 1-based cells from `grid`, and `rows`
+    is all of them as 1-based row tuples, built on first use: public
+    conveniences for scalar loops on small tables.  `rows` is about 10**6
+    Python ints at order 1024; in the package only the small-order scalar
+    checkers of `properties` loop over it.  Tables are equal, and hash
+    alike, when their cells agree.
     """
 
     n: int
@@ -178,17 +181,17 @@ class CayleyTable:
         """Product of i and j (both 1-based)."""
         if not 1 <= i <= self.n or not 1 <= j <= self.n:
             raise IndexError(f"({i}, {j}) outside 1..{self.n}")
-        return self.rows[i - 1][j - 1]
+        return int(self.grid[i - 1, j - 1]) + 1
 
     def row(self, i: int) -> tuple[int, ...]:
         if not 1 <= i <= self.n:
             raise IndexError(f"row {i} outside 1..{self.n}")
-        return self.rows[i - 1]
+        return tuple((self.grid[i - 1] + 1).tolist())
 
     def column(self, j: int) -> tuple[int, ...]:
         if not 1 <= j <= self.n:
             raise IndexError(f"column {j} outside 1..{self.n}")
-        return tuple(row[j - 1] for row in self.rows)
+        return tuple((self.grid[:, j - 1] + 1).tolist())
 
 
 @dataclass(frozen=True)

@@ -97,7 +97,13 @@ def _first_cell(bad: np.ndarray) -> tuple[int, ...]:
 
 
 def _check_associative(table):
-    """Associativity by Light's test: sweep the y-slabs of a generating set.
+    """Associativity of the table by Light's test, _light_test."""
+    return _light_test(table.grid)
+
+
+def _light_test(m: np.ndarray):
+    """Associativity of the 0-based grid m by Light's test: sweep the
+    y-slabs of a generating set, and give the least witness if one fails.
 
     Call y good when (x*y)*z = x*(y*z) for every x and z.  Good elements are
     closed under the product: for good y1, y2,
@@ -114,13 +120,13 @@ def _check_associative(table):
     y' < y is good, generated or passed, and z0 is the first bad z of row
     x0 in the slab.
     """
-    m = table.grid
+    n = m.shape[0]
     mt = np.ascontiguousarray(m.T)
     left = np.empty_like(m)
     right = np.empty_like(m)
     bad = np.empty(m.shape, dtype=bool)
-    have, members, columns = [False] * table.n, [], []
-    for y in range(table.n):
+    have, members, columns = [False] * n, [], []
+    for y in range(n):
         if have[y]:
             continue
         if _associative_slab(m, mt, y, left, right, bad).any():

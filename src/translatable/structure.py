@@ -25,12 +25,13 @@ from .core import (
     mod_rep,
 )
 from .properties import (
+    _light_test,
     check,
     idempotent_elements,
     left_neutral_elements,
     semigroup_criterion,
 )
-from .translation import _blocks, table_from_sequence
+from .translation import table_from_sequence
 
 
 def idempotent_set(table: CayleyTable) -> frozenset[int]:
@@ -79,12 +80,6 @@ def _least_multiplier(base: int, n: int) -> int:
     raise VerificationError(f"no multiple of {base} vanishes modulo {n}")
 
 
-# The most cells of a component's (x, y, z) associativity cube compared at
-# once, in the growing blocks of _blocks: one value of x at order 1024,
-# where larger blocks ran slower and took up to 110 MiB more.
-_CUBE_BLOCK_CELLS = 1 << 20
-
-
 def _verify_component_group(m: np.ndarray, comp: tuple[int, ...], e: int, gen: int) -> None:
     """Re-check on the 0-based grid m that comp is a cyclic group."""
     members = set(comp)
@@ -100,15 +95,12 @@ def _verify_component_group(m: np.ndarray, comp: tuple[int, ...], e: int, gen: i
         raise VerificationError(f"component {comp} is not closed: {comp[x]}*{comp[y]} escapes")
     place = np.empty(m.shape[0], dtype=np.intp)
     place[c] = np.arange(len(c))
-    local = place[sub]                     # [x, y] -> position of x*y in comp
-    for block in _blocks(len(c), len(c) ** 2, _CUBE_BLOCK_CELLS):
-        xs = slice(block.start, block.stop)
-        bad = sub[local[xs]] != sub[xs, local]   # [x, y, z]: (x*y)*z != x*(y*z)
-        if bad.any():
-            x, y, z = np.unravel_index(bad.argmax(), bad.shape)
-            raise VerificationError(
-                f"component {comp} is not associative at ({comp[block.start + x]},{comp[y]},{comp[z]})"
-            )
+    # Light's test on the component's own grid: its least witness is the
+    # row-major first failure of the (x, y, z) cube, comp being sorted.
+    associative, witness = _light_test(place[sub])
+    if not associative:
+        x, y, z = (comp[v - 1] for v in witness.elements)
+        raise VerificationError(f"component {comp} is not associative at ({x},{y},{z})")
     if (m[e - 1, c] != c).any() or (m[c, e - 1] != c).any():
         raise VerificationError(f"{e} is not neutral in component {comp}")
     has_inverse = ((sub == e - 1) & (sub.T == e - 1)).any(axis=1)
@@ -232,7 +224,7 @@ def _unitary_reordering(seq: KSequence) -> Ordering:
     """Theorem ordering b_s = [-a_k - k + s - 2] turning the table left unitary."""
     n, k = seq.n, seq.k
     v = seq.seq[k - 1]
-    return Ordering(tuple(mod_rep(-v - k + s - 2, n) for s in range(1, n + 1)))
+    return Ordering(tuple(((np.arange(n) - v - k - 2) % n + 1).tolist()))
 
 
 def iso_left_unitary(seq_q: KSequence, seq_g: KSequence) -> Isomorphism:
@@ -255,7 +247,6 @@ def iso_left_unitary(seq_q: KSequence, seq_g: KSequence) -> Isomorphism:
                 f"{who} sequence does not pass the semigroup criterion",
                 prerequisite="semigroup-criterion",
             )
-    n = seq_q.n
     grid_q = table_from_sequence(seq_q).grid
     grid_g = table_from_sequence(seq_g).grid
     bq = _unitary_reordering(seq_q)
@@ -264,14 +255,12 @@ def iso_left_unitary(seq_q: KSequence, seq_g: KSequence) -> Isomorphism:
         order = np.array(b.perm) - 1
         if (grid[order[0], order] != order).any():
             raise VerificationError("reordered table has no left neutral in front")
-    phi = bg.compose(bq.inverse())
-    mapping = tuple(phi.apply(x) for x in range(1, n + 1))
+    mapping = bg.compose(bq.inverse()).perm
     image = np.array(mapping) - 1
-    for x in range(n):
-        bad = image[grid_q[x]] != grid_g[image[x]][image]   # phi(x*y) vs phi(x)*phi(y)
-        if bad.any():
-            y = int(np.flatnonzero(bad)[0])
-            raise VerificationError(f"unitary map fails on the product {x + 1}*{y + 1}")
+    bad = image[grid_q] != grid_g[np.ix_(image, image)]   # [x, y]: phi(x*y) != phi(x)*phi(y)
+    if bad.any():
+        x, y = np.unravel_index(bad.argmax(), bad.shape)
+        raise VerificationError(f"unitary map fails on the product {x + 1}*{y + 1}")
     return Isomorphism(mapping, True)
 
 
@@ -283,22 +272,24 @@ def cyclic_table(n: int) -> CayleyTable:
     return CayleyTable(n, np.add.outer(elements, elements) % n + 1)
 
 
-def _neutral_element(table: CayleyTable) -> int | None:
-    n = table.n
-    for e in range(1, n + 1):
-        if table.row(e) == tuple(range(1, n + 1)) and table.column(e) == tuple(range(1, n + 1)):
-            return e
-    return None
+def _neutral_element(grid: np.ndarray) -> int | None:
+    """The least 0-based two-sided neutral element of grid, or None."""
+    elements = np.arange(len(grid))
+    neutral = (grid == elements).all(axis=1) & (grid == elements[:, None]).all(axis=0)
+    return int(neutral.argmax()) if neutral.any() else None
 
 
-def _element_order(table: CayleyTable, g: int, e: int) -> int:
+def _element_order(grid: np.ndarray, g: int, e: int) -> int:
+    """Order of g with neutral e, both 0-based: its powers g, g*g, .. are
+    read off the column of g."""
+    column = grid[:, g].tolist()
     p = g
     steps = 1
     while p != e:
-        p = table.entry(p, g)
+        p = column[p]
         steps += 1
-        if steps > table.n:
-            raise VerificationError(f"powers of {g} never reach the neutral {e}")
+        if steps > len(column):
+            raise VerificationError(f"powers of {g + 1} never reach the neutral {e + 1}")
     return steps
 
 
@@ -309,33 +300,29 @@ def iso_to_cyclic(table: CayleyTable) -> Isomorphism | None:
     n.  Otherwise the least such element g is sent to 2, its powers follow,
     and the verified isomorphism is returned.
     """
-    n = table.n
+    n, grid = table.n, table.grid
     ok, _ = check(table, "associative")
     if not ok:
         return None
-    e = _neutral_element(table)
+    e = _neutral_element(grid)
     if e is None:
         return None
-    for x in range(1, n + 1):
-        if not any(table.entry(x, y) == e and table.entry(y, x) == e for y in range(1, n + 1)):
-            return None
-    generator = None
-    for g in range(1, n + 1):
-        if _element_order(table, g, e) == n:
-            generator = g
-            break
+    if not ((grid == e) & (grid.T == e)).any(axis=1).all():   # some x without an inverse
+        return None
+    generator = next((g for g in range(n) if _element_order(grid, g, e) == n), None)
     if generator is None:
         return None
+    column = grid[:, generator].tolist()
     mapping = [0] * n
     p = e
-    for m in range(n):
-        mapping[p - 1] = mod_rep(m + 1, n)
-        p = table.entry(p, generator)
-    target = cyclic_table(n)
-    for x in range(1, n + 1):
-        for y in range(1, n + 1):
-            if mapping[table.entry(x, y) - 1] != target.entry(mapping[x - 1], mapping[y - 1]):
-                raise VerificationError(f"cyclic map fails on the product {x}*{y}")
+    for power in range(1, n + 1):   # e goes to 1, the generator to 2, ..
+        mapping[p] = power
+        p = column[p]
+    image = np.array(mapping) - 1
+    bad = image[grid] != cyclic_table(n).grid[np.ix_(image, image)]   # [x, y]: phi(x*y) != phi(x)*phi(y)
+    if bad.any():
+        x, y = np.unravel_index(bad.argmax(), bad.shape)
+        raise VerificationError(f"cyclic map fails on the product {x + 1}*{y + 1}")
     return Isomorphism(tuple(mapping), True)
 
 
@@ -352,19 +339,20 @@ DEFAULT_IDEAL_BOUND = 14
 
 
 def principal_ideal(table: CayleyTable, x: int, side: str) -> tuple[int, ...]:
-    """Smallest one-sided ideal containing x: {x} with Q*x or x*Q."""
-    n = table.n
+    """Smallest one-sided ideal containing x: {x} with Q*x (column x) or
+    x*Q (row x)."""
     if side == "left":
-        members = {x} | {table.entry(y, x) for y in range(1, n + 1)}
+        products = table.column(x)
     elif side == "right":
-        members = {x} | {table.entry(x, y) for y in range(1, n + 1)}
+        products = table.row(x)
     else:
         raise InvalidInputError(f"side must be 'left' or 'right', got {side!r}")
-    return tuple(sorted(members))
+    return tuple(sorted({x, *products}))
 
 
-def _is_semiprime(table: CayleyTable, members: set[int]) -> bool:
-    return all(x in members for x in range(1, table.n + 1) if table.entry(x, x) in members)
+def _is_semiprime(diagonal: list[int], members: frozenset[int]) -> bool:
+    """Is x in members whenever x*x is?  diagonal[x - 1] is x*x."""
+    return all(x in members for x, square in enumerate(diagonal, start=1) if square in members)
 
 
 def ideals(table: CayleyTable, side: str, bound: int = DEFAULT_IDEAL_BOUND) -> list[Ideal]:
@@ -391,7 +379,8 @@ def ideals(table: CayleyTable, side: str, bound: int = DEFAULT_IDEAL_BOUND) -> l
         for chosen in itertools.combinations(principals, count):
             union = frozenset(x for p in chosen for x in p)
             seen.add(union)
-    out = []
-    for members in sorted(seen, key=lambda f: (len(f), tuple(sorted(f)))):
-        out.append(Ideal(side, tuple(sorted(members)), _is_semiprime(table, set(members))))
-    return out
+    diagonal = (np.diagonal(table.grid) + 1).tolist()
+    return [
+        Ideal(side, tuple(sorted(members)), _is_semiprime(diagonal, members))
+        for members in sorted(seen, key=lambda f: (len(f), tuple(sorted(f))))
+    ]

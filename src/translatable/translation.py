@@ -70,10 +70,12 @@ def _blocks(stop: int, slab: int, limit: int):
 
 def _translatable_steps(grid: np.ndarray, steps: np.ndarray) -> list[int]:
     """The steps among `steps` passing the rotation test on every row (the
-    last against the first): filtered on rows 1-2, then each survivor on
-    the _blocks of rows, up to its first failing block."""
+    last against the first): filtered on the one cell T[1][1] = T[2][1+k],
+    then on rows 1-2, then each survivor on the _blocks of rows, up to its
+    first failing block."""
     n = grid.shape[0]
     below = np.roll(grid, -1, axis=0)
+    steps = steps[below[0, steps % n] == grid[0, 0]]
     steps = steps[_rotation_holds(grid[0], below[0], steps[:, None])]
     return [
         k for k in steps.tolist()

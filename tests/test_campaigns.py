@@ -1,11 +1,17 @@
-"""Every registered campaign replays clean at a small order bound."""
+"""Every registered campaign replays clean at a small order bound; the
+construction campaigns read cells through the grid only."""
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
-from translatable.campaigns import THEOREMS
+from translatable.campaigns import THEOREMS, _closed_subsets
+from translatable.constructions import cancellative_semigroups
+from translatable.core import CayleyTable
 from translatable.search import verify
+from translatable.translation import table_from_sequence
 
 SMALL_BOUND = 6
 
@@ -21,3 +27,67 @@ def test_every_result_names_its_campaign():
     report = verify("semigroup-criterion", max_n=5)
     assert {r.theorem for r in report.results} == {"semigroup-criterion"}
     assert all(r.status in ("pass", "fail", "expected-fail") for r in report.results)
+
+
+# One instance of each construction campaign that reads whole tables, with
+# its pass payload.  union-shifted-step (600, 24, 1) builds an order-600 union.
+GRID_ONLY_INSTANCES = [
+    ("union-same-step", (16, 15, 3), {"copies": 3, "order": 48}),
+    ("union-shifted-step", (600, 24, 1), {"copies": 1, "order": 600, "step": 24}),
+    ("union-shifted-step", (156, 12, 3), {"copies": 3, "order": 468, "step": 324}),
+    ("pair-union", (72, 8), {"order": 144}),
+    ("semiprime-ideals", (10, 4), None),
+    ("semiprime-ideals", (12, 3), None),
+    ("ideal-partition", (12, 3), None),
+    ("cyclic-decomposition", (24, 8), None),
+    ("cancellative-semigroup-isomorphism", (12, 3), {"rows": 4}),
+]
+
+
+@pytest.mark.parametrize(("theorem_id", "inst", "payload"), GRID_ONLY_INSTANCES)
+def test_construction_campaigns_read_the_grid_only(monkeypatch, theorem_id, inst, payload):
+    # With the 1-based rows view and entry refused, each instance gives the
+    # same results as without the patch, and passes.
+    run = THEOREMS[theorem_id].run
+    before = [r.as_dict() for r in run(inst)]
+
+    def refuse(*args):
+        raise AssertionError("a construction campaign read a cell outside grid")
+
+    monkeypatch.setattr(CayleyTable, "rows", property(refuse))
+    monkeypatch.setattr(CayleyTable, "entry", refuse)
+    after = [r.as_dict() for r in run(inst)]
+    assert after == before
+    assert [(r["status"], r["witness"]) for r in after] == [("pass", payload)]
+
+
+def loop_closed_subsets(rows, side):
+    """_closed_subsets by the subset loop: every subset of 1..n, as a
+    bitmask, whose products with any q on the given side stay inside."""
+    n = len(rows)
+    found = set()
+    for mask in range(1, 1 << n):
+        subset = [x for x in range(1, n + 1) if mask >> (x - 1) & 1]
+        if side == "left":
+            closed = all(rows[q - 1][s - 1] in subset for q in range(1, n + 1) for s in subset)
+        else:
+            closed = all(rows[s - 1][q - 1] in subset for q in range(1, n + 1) for s in subset)
+        if closed:
+            found.add(mask)
+    return found
+
+
+def test_bitmask_subset_scan_matches_the_subset_loop():
+    # Every cancellative semigroup with n <= 10, and seeded tables at n <= 6
+    # whose subsets are not all unions of principal ideals.
+    tables = [
+        table_from_sequence(seq)
+        for n in range(2, 11) for k in range(1, n) for seq in cancellative_semigroups(n, k)
+    ]
+    rng = random.Random(10)
+    tables += [CayleyTable(n, [[rng.randint(1, n) for _ in range(n)] for _ in range(n)]) for n in (1, 3, 5, 6) for _ in range(5)]
+    assert any(t.n == 10 for t in tables)
+    for table in tables:
+        rows = (table.grid + 1).tolist()
+        for side in ("left", "right"):
+            assert _closed_subsets(table.grid, side) == loop_closed_subsets(rows, side), (rows, side)

@@ -16,7 +16,7 @@ import re
 import numpy as np
 import pytest
 
-from translatable import batch, properties, structure
+from translatable import batch, properties
 from translatable.campaigns import _eas_masks, _perm_alterable_mask
 from translatable.constructions import (
     UnionSpec,
@@ -484,20 +484,29 @@ def test_translation_slab_keeps_check_equal_to_the_full_sweep(name):
 
 
 def test_failing_medial_takes_its_witness_from_the_slab(monkeypatch):
-    # Every row and step to n = 4, and 200 seeded rows at every step for
-    # n = 5 and 6 (all rows to n = 6 would be 233 280 check calls): check
-    # returns the full sweep's least witness without running that sweep.
+    # Every step at n = 12..15 (below 12 check sweeps the whole grid and
+    # takes no slab), each with two seeded rows and one affine row
+    # c*j + e, whose table is medial: check returns the full sweep's least
+    # witness, or passes, without running that sweep.
     rng = random.Random(56)
-    rows = [(n, row) for n in range(2, 5) for row in itertools.product(range(1, n + 1), repeat=n)]
-    rows += [(n, tuple(rng.randint(1, n) for _ in range(n))) for n in (5, 6) for _ in range(200)]
-    tables = [table_from_sequence(KSequence(n, k, row)) for n, row in rows for k in range(1, n)]
+    rows = []
+    for n in range(12, 16):
+        for k in range(1, n):
+            rows += [(n, k, tuple(rng.randint(1, n) for _ in range(n))) for _ in range(2)]
+            c, e = rng.randrange(n), rng.randrange(n)
+            rows.append((n, k, tuple((c * j + e) % n + 1 for j in range(n))))
+    tables = [table_from_sequence(KSequence(n, k, row)) for n, k, row in rows]
     expected = [properties._least_witness("medial", table.grid) for table in tables]
     assert sum(w is not None for w in expected) > len(tables) / 2
+    assert any(w is None for w in expected)
 
-    def no_sweep(name, m, stop=None):
+    def no_sweep(*args, **kwargs):
         raise AssertionError("medial swept past its slab")
 
+    # _first_failure is the block scan of both the ordinary sweep and the
+    # one-block sweep of the whole grid.
     monkeypatch.setattr(properties, "_least_witness", no_sweep)
+    monkeypatch.setattr(properties, "_first_failure", no_sweep)
     for table, witness in zip(tables, expected):
         assert check(table, "medial") == (witness is None, witness)
 
@@ -705,10 +714,9 @@ def test_component_check_rejects_a_non_associative_component():
         _verify_component_group(grid, comp, e, gen)
 
 
-def test_component_check_names_the_first_non_associative_triple(monkeypatch):
+def test_component_check_names_the_first_non_associative_triple():
     # Every swap of two cells inside a row of a component: the message names
-    # the row-major least failing (x, y, z) of comp, found by a loop, with
-    # the whole cube as one block and with one x per block.
+    # the row-major least failing (x, y, z) of comp, found by a loop.
     seq = cancellative_semigroups(12, 3)[0]
     table = table_from_sequence(seq)
     dec = decompose(table, seq)
@@ -729,10 +737,8 @@ def test_component_check_names_the_first_non_associative_triple(monkeypatch):
             continue
         cases += 1
         want = re.escape(f"component {comp} is not associative at ({first[0]},{first[1]},{first[2]})")
-        for limit in (structure._CUBE_BLOCK_CELLS, len(comp) ** 2):
-            monkeypatch.setattr(structure, "_CUBE_BLOCK_CELLS", limit)
-            with pytest.raises(VerificationError, match=want):
-                _verify_component_group(grid, comp, e, gen)
+        with pytest.raises(VerificationError, match=want):
+            _verify_component_group(grid, comp, e, gen)
     assert cases > 0
 
 

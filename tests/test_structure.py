@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import random
 from math import gcd
 
 import pytest
 
-from translatable import properties
+from translatable import properties, structure
 from translatable.constructions import cancellative_semigroups
-from translatable.core import BoundError, CayleyTable, KSequence, PreconditionError, mod_rep
+from translatable.core import BoundError, CayleyTable, KSequence, PreconditionError, VerificationError, mod_rep
 from translatable.properties import check, idempotent_elements, left_neutral_elements, semigroup_criterion
 from translatable.structure import (
     Decomposition,
@@ -219,3 +220,42 @@ def test_order_992_paths_read_the_grid_not_the_rows_view(monkeypatch):
         assert idempotent_elements(t) == tuple(i + 1 for i in range(n) if r[i][i] == i)
         assert left_neutral_elements(t) == tuple(e + 1 for e in range(n) if r[e] == list(range(n)))
     assert idempotent_elements(table) == tuple(idems) == left_neutral_elements(table)
+
+
+def test_iso_to_cyclic_names_the_first_failing_product_of_a_loop(monkeypatch):
+    # Against a target table with one cell changed the verification fails;
+    # the product it names is the first (x, y), row-major, where a loop over
+    # all n**2 products finds phi(x*y) != phi(x)*phi(y).
+    rng = random.Random(5)
+    cases = []
+    for n in (2, 5, 6, 9):
+        for seq in cancellative_semigroups(n, n - 1):
+            table = table_from_sequence(seq)
+            phi = iso_to_cyclic(table).mapping
+            rows = (table.grid + 1).tolist()
+            for _ in range(4):
+                target = (cyclic_table(n).grid + 1).tolist()
+                a, b = rng.randrange(n), rng.randrange(n)
+                target[a][b] = target[a][b] % n + 1
+                first = next(
+                    (x, y)
+                    for x in range(1, n + 1)
+                    for y in range(1, n + 1)
+                    if phi[rows[x - 1][y - 1] - 1] != target[phi[x - 1] - 1][phi[y - 1] - 1]
+                )
+                cases.append((table, target, first))
+    assert len({first for _, _, first in cases}) > 10
+    for table, target, first in cases:
+        monkeypatch.setattr(structure, "cyclic_table", lambda n, target=target: CayleyTable(n, target))
+        with pytest.raises(VerificationError, match=rf"cyclic map fails on the product {first[0]}\*{first[1]}$"):
+            iso_to_cyclic(table)
+
+
+def test_order_1024_cyclic_group_decomposes_into_one_component():
+    # t = 1, m = 1024: the component's associativity is Light's test on
+    # the generator's slab, not the 1024**3 cube.
+    seq = cancellative_semigroups(1024, 1023)[0]
+    n, k = seq.n, seq.k
+    (e,) = idempotent_set_formula(seq)
+    expected = Decomposition(frozenset({e}), n, 1, (tuple(range(1, n + 1)),), (mod_rep(e - k, n),))
+    assert decompose(table_from_sequence(seq), seq) == expected
