@@ -49,6 +49,7 @@ from .properties import (
     lcond_verdicts,
     left_neutral_elements,
     left_unitary_characterize,
+    report,
     semigroup_criterion,
 )
 from .structure import (
@@ -976,17 +977,17 @@ _SURVEY_ALWAYS = (
 def _run_semigroup_class_survey(inst):
     tid = "semigroup-class-survey"
     n, k = inst
+    names = [*_SURVEY_ALWAYS, "anticommutative"] + (["clifford-left"] if math.gcd(k, n) == 1 else [])
     for seq in cancellative_semigroups(n, k):
-        table = table_from_sequence(seq)
+        verdicts = report(table_from_sequence(seq), names)
         for name in _SURVEY_ALWAYS:
-            got, witness = check(table, name)
+            got, witness = verdicts[name]
             if not got:
                 return _failed(tid, n, k, {"row": list(seq.seq), "property": name,
                                            "witness": witness.as_dict() if witness else None})
-        anti = check(table, "anticommutative")[0]
-        if anti != (math.gcd(1 + k, n) == 1):
+        if verdicts["anticommutative"][0] != (math.gcd(1 + k, n) == 1):
             return _failed(tid, n, k, {"row": list(seq.seq), "property": "anticommutative", "gcd": math.gcd(1 + k, n)})
-        if math.gcd(k, n) == 1 and not check(table, "clifford-left")[0]:
+        if "clifford-left" in verdicts and not verdicts["clifford-left"][0]:
             return _failed(tid, n, k, {"row": list(seq.seq), "property": "clifford-left"})
     return _passed(tid, n, k)
 

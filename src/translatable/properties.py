@@ -16,8 +16,10 @@ independent route: modular conditions that characterise the same
 identities on translatable tables, and tests confront the two routes with
 each other.  Each form of LCOND_NAMES is written once, in _CLOSED_FORMS,
 as residue arithmetic on index grids that reads only the first row, n and
-k; `lcond_verdicts` evaluates it over a stack of rows and `lcond_check` is
-its one-row case.  `left_unitary_characterize` answers from k alone.
+k; `lcond_verdicts` evaluates it over a stack of rows, a three-variable
+form on three coordinate planes (exact since each term reads at most two
+variables), and `lcond_check` is its one-row case.
+`left_unitary_characterize` answers from k alone.
 """
 
 from __future__ import annotations
@@ -483,8 +485,8 @@ def _check_identity(table, name):
     """
     m, n = table.grid, table.n
     identity = IDENTITIES[name]
-    if identity.arity == 4:
-        _guard_quadruple(n)
+    if identity.arity == 4 and n ** 4 > _VECTOR_CELL_LIMIT:
+        raise BoundError(f"four-variable identity scan is too large for order {n}")
     if name in _SLAB_AXES and n ** 4 <= _WHOLE_SWEEP_CELLS:
         cell = _first_failure(identity, m, range(n))
         return (True, None) if cell is None else (False, _witness(name, m, cell))
@@ -499,11 +501,6 @@ def _check_identity(table, name):
             return False, _witness(name, m, (0, *_first_cell(bad)))
     witness = _least_witness(name, m)
     return witness is None, witness
-
-
-def _guard_quadruple(n):
-    if n ** 4 > _VECTOR_CELL_LIMIT:
-        raise BoundError(f"four-variable identity scan is too large for order {n}")
 
 
 def left_neutral_elements(table: CayleyTable) -> tuple[int, ...]:
@@ -719,9 +716,10 @@ def _require_permutation(seq: KSequence, who: str) -> None:
 # of the grid and a function of P, k and one grid per variable giving
 # values that must all be 0 modulo n.  P(x, y) = a[(y - kx) mod n] reads
 # the first row a at the position cell (x, y) takes its value from, so a
-# form reads only a, n and k, never a table.  Medial is evaluated on its
-# slab i = 0 and alterable with its premise solved for z; both are
-# explained at lcond_verdicts.
+# form reads only a, n and k, never a table.  Medial is taken on its slab
+# i = 0 and alterable with its premise solved for z, so that each term of
+# a three-variable form reads at most two variables, as lcond_verdicts
+# needs (both are explained there).
 _CLOSED_FORMS = {
     "idempotent": (1, lambda P, k, i: (P(i, i) - i,)),
     "elastic": (2, lambda P, k, i, j: (i + k * i - P(j, i) - k * P(i, j),)),
@@ -741,41 +739,40 @@ def lcond_verdicts(rows: np.ndarray, k: int, name: str) -> np.ndarray:
     """The closed form for `name` at step k on each row of a (B, n) stack of
     0-based permutation rows: one boolean per row.
 
-    The form's first variable goes in translation._blocks, each block only
-    on the rows that passed every earlier one (batch._sieve), with no more
-    than _VECTOR_CELL_LIMIT cells in one block.  Medial is the condition
+    A three-variable form F is a sum of terms that each read at most two
+    variables, so its third mixed difference is 0: F(x, y, z) = F(x, y, 0)
+    + F(x, 0, z) + F(0, y, z) - F(x, 0, 0) - F(0, y, 0) - F(0, 0, z) +
+    F(0, 0, 0).  F is 0 modulo n on all n**3 cells exactly when it is on
+    the planes x = 0, y = 0 and z = 0, each a slab of batch._sieve; a
+    smaller form is one slab, its whole grid.  Medial is the condition
     at every (i, j, w, z); since P(x + 1, y + k) = P(x, y), it takes the
     same value at (i + 1, j + k, w + k, z + k*k), and that orbit meets
     i = 0, so the slab i = 0 decides it.  Alterable asks the condition at
     every (i, j, w, z) with j + kw = z + ki, that is at z = j + kw - ki.
-    Both still refuse the orders whose full four-variable grid is over
-    _VECTOR_CELL_LIMIT cells.
     """
     from . import batch  # batch reads IDENTITIES from this module
 
     arity, form = _CLOSED_FORMS[name]
     n = rows.shape[1]
-    if name in ("medial", "alterable"):
-        _guard_quadruple(n)
-    span = n ** (arity - 1)
-    chunk = max(1, min(len(rows), batch.ROW_CHUNK, _VECTOR_CELL_LIMIT // span))
+    chunk = max(1, min(len(rows), batch.ROW_CHUNK, _VECTOR_CELL_LIMIT // (n * n)))
 
-    def holds(stack, block):
+    def holds(stack, plane):
         def P(x, y):
             at = (y - k * x) % n
             if at.shape[0] == 1:
                 return stack[:, at[0]]
             return np.take_along_axis(stack, at.reshape(len(stack), -1), axis=1).reshape(at.shape)
 
-        shape = (len(stack), len(block)) + (n,) * (arity - 1)
-        grids = np.ix_(range(1), block, *[range(n)] * (arity - 1))[1:]
+        domains = [range(1) if v == plane else range(n) for v in range(arity)]
+        shape = (len(stack), *map(len, domains))
+        grids = np.ix_(range(1), *domains)[1:]
         ok = np.ones(len(stack), dtype=bool)
         for value in form(P, k, *grids):
             ok &= (np.broadcast_to(value, shape) % n == 0).reshape(len(stack), -1).all(axis=1)
         return ok
 
     stack = np.asarray(rows, dtype=np.intp)
-    return batch._sieve(stack, holds, list(_blocks(n, chunk * span, _VECTOR_CELL_LIMIT)), chunk)
+    return batch._sieve(stack, holds, range(3) if arity == 3 else [None], chunk)
 
 
 def lcond_check(seq: KSequence, name: str) -> bool:
@@ -838,8 +835,8 @@ def semigroup_criterion(seq: KSequence) -> bool:
     n, k, a = seq.n, seq.k, seq.seq
     if mod_rep(k * k + k, n) != n:
         return False
-    ak = a[k - 1]
-    return all(a[i - 1] == mod_rep(i - k - k * ak, n) for i in range(1, n + 1))
+    i = np.arange(1, n + 1)
+    return bool((np.array(a) == (i - k - k * a[k - 1] - 1) % n + 1).all())
 
 
 def left_neutral(seq: KSequence) -> int:

@@ -232,14 +232,52 @@ def test_closed_form_verdicts_do_not_depend_on_the_blocks(monkeypatch):
     rows = seeded_permutations(n, 300)
     rows[0] = np.arange(n)
     want = {(k, name): lcond_verdicts(rows, k, name) for k in range(1, n) for name in LCOND_NAMES}
-    # Four rows a chunk, and the three-variable forms one value of their
-    # first variable at a time.  The limit is under n**4, so the order
-    # guard of medial and alterable is lifted for the test.
+    # Four rows a chunk.
     monkeypatch.setattr(batch, "ROW_CHUNK", 4)
     monkeypatch.setattr(properties, "_VECTOR_CELL_LIMIT", 4 * n * n)
-    monkeypatch.setattr(properties, "_guard_quadruple", lambda n: None)
     for (k, name), verdicts in want.items():
         assert (lcond_verdicts(rows, k, name) == verdicts).all(), (k, name)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_three_variable_closed_forms_have_no_third_mixed_difference(n):
+    # lcond_verdicts decides these forms on the planes x = 0, y = 0, z = 0,
+    # which is exact only when F(x,y,z) is fixed by its values there.
+    rows = seeded_permutations(n, 20)
+    rows[0] = np.arange(n)
+    grids = np.ix_(range(n), range(n), range(n))
+    for name, (arity, form) in properties._CLOSED_FORMS.items():
+        if arity != 3:
+            continue
+        for k in range(n):
+            for a in rows.astype(np.intp):
+                for value in form(lambda x, y: a[(y - k * x) % n], k, *grids):
+                    f = np.broadcast_to(value, (n, n, n))
+                    mixed = (f - f[:, :, :1] - f[:, :1] - f[:1] + f[:, :1, :1] + f[:1, :, :1] + f[:1, :1]
+                             - f[:1, :1, :1])
+                    assert not (mixed % n).any(), (name, k, a.tolist())
+
+
+@pytest.mark.parametrize("n, steps", [(67, (1, 2, 66)), (1024, (1, 512, 1023))])
+def test_closed_forms_on_the_left_unitary_row_past_order_66(n, steps):
+    for k in steps:
+        seq = KSequence(n, k, tuple(range(1, n + 1)))
+        facts = left_unitary_characterize(n, k)
+        for name in set(LCOND_NAMES) & set(LEFT_UNITARY_NAMES):
+            assert lcond_check(seq, name) == facts[name], (k, name)
+
+
+@pytest.mark.parametrize("n", [67, 128])
+def test_closed_forms_match_cell_sweeps_on_seeded_rows_past_order_66(n):
+    rows = seeded_permutations(n, 3)
+    rows[0] = np.arange(n)
+    for k in (1, n // 2, n - 1):
+        for row in rows:
+            seq = KSequence(n, k, tuple(int(v) + 1 for v in row))
+            table = table_from_sequence(seq)
+            for name in ("idempotent", "elastic", "bookend", "left-distributive", "right-distributive",
+                         "commutative", "associative"):
+                assert lcond_check(seq, name) == check(table, name)[0], (k, row.tolist(), name)
 
 
 def flipped_mask(mask, rows):
