@@ -6,8 +6,12 @@ or a counting formula) is compared against an independent definitional
 sweep, usually over every candidate first row.  A campaign never trusts
 the closed form it is checking; the oracle side only reads table cells.
 
-Campaign granularity is one result per (n, k) instance.  Failures carry a
-small JSON-safe witness naming the first offending row and cell.
+Campaign granularity is one result per (n, k) instance.  A runner takes
+one instance and returns only its outcome, a (status, witness) pair; it
+never names itself.  Campaign.result labels that outcome with the registry
+id and the instance's first two members as (n, k), so every result is
+labelled in one place.  Failures carry a small JSON-safe witness naming
+the first offending row and cell.
 """
 
 from __future__ import annotations
@@ -36,7 +40,6 @@ from .core import (
     CayleyTable,
     ConstructionError,
     KSequence,
-    Ordering,
     TranslatableError,
     mod_rep,
     reorder,
@@ -51,8 +54,10 @@ from .properties import (
     left_unitary_characterize,
     report,
     semigroup_criterion,
+    semigroup_verdicts,
 )
 from .structure import (
+    _unitary_reordering,
     decompose,
     ideals,
     idempotent_set,
@@ -70,6 +75,9 @@ from .translation import (
     is_translatable,
     table_from_sequence,
 )
+
+
+Outcome = tuple[str, dict | None]   # (status, witness) of one instance
 
 
 @dataclass(frozen=True)
@@ -100,19 +108,25 @@ class Campaign:
     summary: str
     default_max_n: int
     instances: Callable[[int], list[tuple]]
-    run: Callable[[tuple], list[InstanceResult]]
+    run: Callable[[tuple], Outcome]
+
+    def result(self, inst: tuple) -> InstanceResult:
+        """Run one instance and label its outcome.  A union's third member
+        t is not part of the label, and scaled-residues' t stands as k."""
+        status, witness = self.run(inst)
+        return InstanceResult(self.theorem_id, inst[0], inst[1], status, witness)
 
 
-def _passed(tid: str, n, k, witness=None) -> list[InstanceResult]:
-    return [InstanceResult(tid, n, k, "pass", witness)]
+def _passed(witness=None) -> Outcome:
+    return "pass", witness
 
 
-def _failed(tid: str, n, k, witness) -> list[InstanceResult]:
-    return [InstanceResult(tid, n, k, "fail", witness)]
+def _failed(witness) -> Outcome:
+    return "fail", witness
 
 
-def _expected_fail(tid: str, n, k, witness) -> list[InstanceResult]:
-    return [InstanceResult(tid, n, k, "expected-fail", witness)]
+def _expected_fail(witness) -> Outcome:
+    return "expected-fail", witness
 
 
 def _all_pairs(max_n: int, min_n: int = 2) -> list[tuple]:
@@ -142,7 +156,6 @@ def _identity(n: int) -> tuple[int, ...]:
 # --- propagation of cancellativity ------------------------------------------
 
 def _run_left_cancellative_propagation(inst):
-    tid = "left-cancellative-propagation"
     n, k = inst
     rows = batch.row_array(n, False)
     tables = batch.product_tables(rows, k)
@@ -151,28 +164,26 @@ def _run_left_cancellative_propagation(inst):
     every = row_is_perm.all(axis=1)
     bad = np.flatnonzero(some & ~every)
     if bad.size:
-        return _failed(tid, n, k, _row_witness(rows, bad[0], "one cancellable element without full cancellativity"))
-    return _passed(tid, n, k)
+        return _failed(_row_witness(rows, bad[0], "one cancellable element without full cancellativity"))
+    return _passed()
 
 
 def _run_unique_step(inst):
-    tid = "unique-step"
     n, k = inst
     rows = batch.row_array(n, True)
     tables = batch.product_tables(rows, k)
     if not batch.translatable_mask(tables, k).all():
-        return _failed(tid, n, k, {"note": "generated table lost its own step"})
+        return _failed({"note": "generated table lost its own step"})
     for other in range(1, n):
         if other == k:
             continue
         hit = np.flatnonzero(batch.translatable_mask(tables, other))
         if hit.size:
-            return _failed(tid, n, k, _row_witness(rows, hit[0], f"also translatable with step {other}"))
-    return _passed(tid, n, k)
+            return _failed(_row_witness(rows, hit[0], f"also translatable with step {other}"))
+    return _passed()
 
 
 def _run_detection_equivalence(inst):
-    tid = "detection-equivalence"
     n, k = inst
     if n <= 3:
         grids = np.array(
@@ -185,19 +196,18 @@ def _run_detection_equivalence(inst):
     by_shift = batch.translatable_mask(grids, k)
     by_columns = (np.roll(grids, k, axis=2) == np.roll(grids, -1, axis=1)).all(axis=(1, 2))
     if n > 3 and not (by_formula.all() and by_shift.all() and by_columns.all()):
-        return _failed(tid, n, k, {"note": "a generated table failed one of the three descriptions"})
+        return _failed({"note": "a generated table failed one of the three descriptions"})
     disagree = np.flatnonzero((by_formula != by_shift) | (by_shift != by_columns))
     if disagree.size:
         b = int(disagree[0])
-        return _failed(tid, n, k, {
+        return _failed({
             "table": [[int(v) + 1 for v in r] for r in grids[b]],
             "note": "first-row formula, row shift, and column shift disagree",
         })
-    return _passed(tid, n, k)
+    return _passed()
 
 
 def _run_modular_conditions(inst):
-    tid = "modular-conditions"
     n, k = inst
     rows = batch.row_array(n, True)
     tables = batch.product_tables(rows, k)
@@ -205,24 +215,23 @@ def _run_modular_conditions(inst):
     wrong = np.stack([lcond_verdicts(rows, k, name) for name in LCOND_NAMES], axis=1) != masks
     # Row 0 again, through lcond_check: this adds no check, as lcond_check is
     # the one-row case of lcond_verdicts.  It stays while bench/tracing.py
-    # predicts an lcond_check call on verify-rowspace (ROADMAP item 3).
+    # predicts a properties.closed_form/lcond_check span on verify-rowspace.
     first = _np_seq(n, k, rows[0])
     wrong[0] |= np.array([lcond_check(first, name) for name in LCOND_NAMES]) != masks[0]
     if wrong.any():
         b, c = np.unravel_index(int(wrong.argmax()), wrong.shape)
-        return _failed(tid, n, k, {
+        return _failed({
             "row": [int(v) + 1 for v in rows[b]],
             "property": LCOND_NAMES[c],
             "closed-form": not masks[b, c],
             "table": bool(masks[b, c]),
         })
-    return _passed(tid, n, k)
+    return _passed()
 
 
 # --- idempotent groupoids ----------------------------------------------------
 
 def _run_idempotent_elastic_sum(inst):
-    tid = "idempotent-elastic-sum"
     n, k = inst
     table = table_from_sequence(idempotent_groupoid(n, k))
     grid, elements = table.grid, np.arange(n)
@@ -230,19 +239,18 @@ def _run_idempotent_elastic_sum(inst):
     fast = not ((elements[:, None] + elements - grid - grid.T) % n).any()
     slow = check(table, "elastic")[0]
     if fast != slow:
-        return _failed(tid, n, k, {"sum-rule": fast, "elastic": slow})
-    return _passed(tid, n, k)
+        return _failed({"sum-rule": fast, "elastic": slow})
+    return _passed()
 
 
 def _run_idempotent_distributive_symmetry(inst):
-    tid = "idempotent-distributive-symmetry"
     n, k = inst
     table = table_from_sequence(idempotent_groupoid(n, k))
     left = check(table, "left-distributive")[0]
     right = check(table, "right-distributive")[0]
     if left != right:
-        return _failed(tid, n, k, {"left-distributive": left, "right-distributive": right})
-    return _passed(tid, n, k)
+        return _failed({"left-distributive": left, "right-distributive": right})
+    return _passed()
 
 
 def _instances_alterable_solvable(max_n: int) -> list[tuple]:
@@ -251,7 +259,6 @@ def _instances_alterable_solvable(max_n: int) -> list[tuple]:
 
 
 def _run_alterable_solvable_quasigroup(inst):
-    tid = "alterable-solvable-quasigroup"
     n, k = inst
     rows = batch.row_array(n, True)
     if k is None:
@@ -273,11 +280,11 @@ def _run_alterable_solvable_quasigroup(inst):
         bad = premise[~(batch.idempotent_mask(kept) & batch.quasigroup_mask(kept))]
     if bad.size:
         b = int(bad[0])
-        return _failed(tid, n, k, {
+        return _failed({
             "table": [[int(v) + 1 for v in r] for r in tables[b]],
             "note": "alterable right-solvable right-distributive but not an idempotent quasigroup",
         })
-    return _passed(tid, n, k)
+    return _passed()
 
 
 def _instances_idempotent_existence(max_n: int) -> list[tuple]:
@@ -285,7 +292,6 @@ def _instances_idempotent_existence(max_n: int) -> list[tuple]:
 
 
 def _run_idempotent_existence(inst):
-    tid = "idempotent-existence"
     n, k = inst
     g = math.gcd(k - 1, n)
     if g == 1:
@@ -297,8 +303,8 @@ def _run_idempotent_existence(inst):
             and k in detect(table)
         )
         if not ok:
-            return _failed(tid, n, k, {"row": list(seq.seq), "note": "construction lost a promised property"})
-        return _passed(tid, n, k)
+            return _failed({"row": list(seq.seq), "note": "construction lost a promised property"})
+        return _passed()
     try:
         seq = idempotent_groupoid(n, k)
     except ConstructionError as err:
@@ -308,100 +314,94 @@ def _run_idempotent_existence(inst):
             tables = batch.product_tables(rows, k)
             hits = np.flatnonzero(batch.idempotent_mask(tables))
             if hits.size:
-                return _failed(tid, n, k, _row_witness(rows, hits[0], "an idempotent table exists despite the collision"))
+                return _failed(_row_witness(rows, hits[0], "an idempotent table exists despite the collision"))
             witness["exhausted-rows"] = int(rows.shape[0])
-        return _expected_fail(tid, n, k, witness)
-    return _failed(tid, n, k, {"row": list(seq.seq), "note": "construction succeeded where positions must collide"})
+        return _expected_fail(witness)
+    return _failed({"row": list(seq.seq), "note": "construction succeeded where positions must collide"})
 
 
 def _run_idempotent_isomorphism(inst):
-    tid = "idempotent-isomorphism"
     n, k = inst
     seq = idempotent_groupoid(n, k)
     for ordering, rotated in all_rotated_presentations(seq):
         iso = iso_idempotent(seq, rotated)
         if not iso.verified:
-            return _failed(tid, n, k, {"ordering": list(ordering.perm), "note": "rotation not isomorphic"})
+            return _failed({"ordering": list(ordering.perm), "note": "rotation not isomorphic"})
     if n <= 7:
         rows = batch.row_array(n, True)
         tables = batch.product_tables(rows, k)
         count = int(batch.idempotent_mask(tables).sum())
         if count != 1:
-            return _failed(tid, n, k, {"count": count, "note": "idempotent table not unique"})
-    return _passed(tid, n, k)
+            return _failed({"count": count, "note": "idempotent table not unique"})
+    return _passed()
 
 
 def _run_idempotent_quasigroup(inst):
-    tid = "idempotent-quasigroup"
     n, k = inst
     table = table_from_sequence(idempotent_groupoid(n, k))
     got, witness = check(table, "quasigroup")
     expect = math.gcd(k, n) == 1
     if got != expect:
-        return _failed(tid, n, k, {
+        return _failed({
             "gcd": math.gcd(k, n),
             "quasigroup": got,
             "witness": witness.as_dict() if witness else None,
         })
-    return _passed(tid, n, k)
+    return _passed()
 
 
 def _run_right_cancellable_gcd(inst):
-    tid = "right-cancellable-gcd"
     n, k = inst
     if math.gcd(k, n) == 1:
         table = table_from_sequence(left_unitary_groupoid(n, k))
         if not check(table, "right-cancellative")[0]:
-            return _failed(tid, n, k, {"note": "no right cancellable element found where one must exist"})
-        return _passed(tid, n, k)
+            return _failed({"note": "no right cancellable element found where one must exist"})
+        return _passed()
     rows = batch.row_array(n, n > 6)
     tables = batch.product_tables(rows, k)
     col_distinct = batch._distinct(tables, 1)
     hits = np.flatnonzero(col_distinct.any(axis=1))
     if hits.size:
-        return _failed(tid, n, k, _row_witness(rows, hits[0], "right cancellable element with gcd(k, n) > 1"))
-    return _passed(tid, n, k)
+        return _failed(_row_witness(rows, hits[0], "right cancellable element with gcd(k, n) > 1"))
+    return _passed()
 
 
 # --- alterability and steps --------------------------------------------------
 
 def _run_alterable_cancellative_step(inst):
-    tid = "alterable-cancellative-step"
     n, k = inst
     rows = batch.row_array(n, True)
     tables = batch.product_tables(rows, k)
     alter = batch.space_verdicts("alterable", n, k, True)
     target = mod_rep(k * k, n) == n - 1
     if target:
-        return _passed(tid, n, k)
+        return _passed()
     for variant, extra in (("left", np.ones(alter.shape, dtype=bool)), ("right", batch.quasigroup_mask(tables))):
         hit = np.flatnonzero(alter & extra)
         if hit.size:
-            return _failed(tid, n, k, _row_witness(rows, hit[0], f"{variant} cancellative alterable table with [k*k] != n-1"))
-    return _passed(tid, n, k)
+            return _failed(_row_witness(rows, hit[0], f"{variant} cancellative alterable table with [k*k] != n-1"))
+    return _passed()
 
 
 def _run_alterable_square(inst):
-    tid = "alterable-square"
     n, k = inst
     rows = batch.row_array(n, True)
     alter = batch.space_verdicts("alterable", n, k, True)
     closed = mod_rep(k * k, n) == n - 1
     bad = np.flatnonzero(alter != closed)
     if bad.size:
-        return _failed(tid, n, k, _row_witness(rows, bad[0], f"alterable={not closed} against closed form"))
-    return _passed(tid, n, k)
+        return _failed(_row_witness(rows, bad[0], f"alterable={not closed} against closed form"))
+    return _passed()
 
 
 def _run_left_unitary_isomorphism(inst):
-    tid = "left-unitary-isomorphism"
     n, k = inst
     canonical = table_from_sequence(left_unitary_groupoid(n, k))
     rows = batch.row_array(n, True)
     tables = batch.product_tables(rows, k)
     holders = np.flatnonzero(batch.left_neutral_mask(tables))
     if holders.size != n // math.gcd(k, n):
-        return _failed(tid, n, k, {"count": int(holders.size), "note": "unexpected number of tables owning a left neutral"})
+        return _failed({"count": int(holders.size), "note": "unexpected number of tables owning a left neutral"})
     for b in holders:
         seq = _np_seq(n, k, rows[b])
         table = table_from_sequence(seq)
@@ -410,44 +410,41 @@ def _run_left_unitary_isomorphism(inst):
         bad = np.argwhere(table.grid[np.ix_(phi, phi)] != phi[canonical.grid])
         if bad.size:
             x, y = (bad[0] + 1).tolist()
-            return _failed(tid, n, k, {
+            return _failed({
                 "row": list(seq.seq), "x": x, "y": y,
                 "note": "shift map to the canonical table breaks a product",
             })
-    return _passed(tid, n, k)
+    return _passed()
 
 
 def _run_left_unitary_medial(inst):
-    tid = "left-unitary-medial"
     n, k = inst
     table = table_from_sequence(left_unitary_groupoid(n, k))
     medial, med_wit = check(table, "medial")
     rdist = check(table, "right-distributive")[0]
     if not medial:
-        return _failed(tid, n, k, {"witness": med_wit.as_dict() if med_wit else None})
+        return _failed({"witness": med_wit.as_dict() if med_wit else None})
     if rdist:
-        return _failed(tid, n, k, {"note": "left unitary table is right distributive"})
-    return _passed(tid, n, k)
+        return _failed({"note": "left unitary table is right distributive"})
+    return _passed()
 
 
 def _run_unitary_step(inst):
-    tid = "unitary-step"
     n, k = inst
     rows = batch.row_array(n, True)
     tables = batch.product_tables(rows, k)
     has_unit = batch.unitary_mask(tables)
     if k == n - 1:
         if not has_unit.any():
-            return _failed(tid, n, k, {"note": "no table with a two-sided neutral at the top step"})
+            return _failed({"note": "no table with a two-sided neutral at the top step"})
     else:
         hit = np.flatnonzero(has_unit)
         if hit.size:
-            return _failed(tid, n, k, _row_witness(rows, hit[0], "two-sided neutral away from step n-1"))
-    return _passed(tid, n, k)
+            return _failed(_row_witness(rows, hit[0], "two-sided neutral away from step n-1"))
+    return _passed()
 
 
 def _run_group_step_cyclic(inst):
-    tid = "group-step-cyclic"
     n, k = inst
     rows = batch.row_array(n, True)
     tables = batch.product_tables(rows, k)
@@ -455,32 +452,30 @@ def _run_group_step_cyclic(inst):
     hits = np.flatnonzero(group_like)
     if k != n - 1:
         if hits.size:
-            return _failed(tid, n, k, _row_witness(rows, hits[0], "associative quasigroup away from step n-1"))
-        return _passed(tid, n, k)
+            return _failed(_row_witness(rows, hits[0], "associative quasigroup away from step n-1"))
+        return _passed()
     if not hits.size:
-        return _failed(tid, n, k, {"note": "no group found at the top step"})
+        return _failed({"note": "no group found at the top step"})
     for b in hits:
         seq = _np_seq(n, k, rows[b])
         iso = iso_to_cyclic(table_from_sequence(seq))
         if iso is None or not iso.verified:
-            return _failed(tid, n, k, {"row": list(seq.seq), "note": "group is not cyclic"})
-    return _passed(tid, n, k)
+            return _failed({"row": list(seq.seq), "note": "group is not cyclic"})
+    return _passed()
 
 
 def _run_left_unitary_step_conditions(inst):
-    tid = "left-unitary-step-conditions"
     n, k = inst
     table = table_from_sequence(left_unitary_groupoid(n, k))
     chars = left_unitary_characterize(n, k)
     for name in LEFT_UNITARY_NAMES:
         got = check(table, name)[0]
         if got != chars[name]:
-            return _failed(tid, n, k, {"property": name, "closed-form": chars[name], "table": got})
-    return _passed(tid, n, k)
+            return _failed({"property": name, "closed-form": chars[name], "table": got})
+    return _passed()
 
 
 def _run_left_unitary_modular_links(inst):
-    tid = "left-unitary-modular-links"
     n, k = inst
     table = table_from_sequence(left_unitary_groupoid(n, k))
     lmod = check(table, "left-modular")[0]
@@ -488,12 +483,12 @@ def _run_left_unitary_modular_links(inst):
     para = check(table, "paramedial")[0]
     elas = check(table, "elastic")[0]
     if lmod != para:
-        return _failed(tid, n, k, {"left-modular": lmod, "paramedial": para})
+        return _failed({"left-modular": lmod, "paramedial": para})
     if rmod and not (lmod and elas and para):
-        return _failed(tid, n, k, {"right-modular": rmod, "left-modular": lmod, "elastic": elas, "paramedial": para})
+        return _failed({"right-modular": rmod, "left-modular": lmod, "elastic": elas, "paramedial": para})
     if check(table, "strongly-elastic")[0]:
-        return _failed(tid, n, k, {"note": "left unitary table is strongly elastic"})
-    return _passed(tid, n, k)
+        return _failed({"note": "left unitary table is strongly elastic"})
+    return _passed()
 
 
 def _embedding_sources(n: int, k: int) -> list[tuple[str, KSequence]]:
@@ -508,7 +503,6 @@ def _embedding_sources(n: int, k: int) -> list[tuple[str, KSequence]]:
 
 
 def _run_embedding(inst):
-    tid = "embedding"
     n, k = inst
     for label, seq in _embedding_sources(n, k):
         small = table_from_sequence(seq)
@@ -518,23 +512,22 @@ def _run_embedding(inst):
             bad = big.grid[np.ix_(image, image)] != image[small.grid]   # [i, j]: phi(i)*phi(j) != phi(i*j)
             if bad.any():
                 i, j = np.unravel_index(bad.argmax(), bad.shape)
-                return _failed(tid, n, k, {
+                return _failed({
                     "source": label, "copies": t, "i": int(i) + 1, "j": int(j) + 1,
                     "note": "image product disagrees with embedded product",
                 })
             if not is_translatable(big, k):
-                return _failed(tid, n, k, {"source": label, "copies": t, "note": "embedded table lost the step"})
+                return _failed({"source": label, "copies": t, "note": "embedded table lost the step"})
             if seq.is_permutation() and not check(big, "left-cancellative")[0]:
-                return _failed(tid, n, k, {"source": label, "copies": t, "note": "left cancellativity lost"})
+                return _failed({"source": label, "copies": t, "note": "left cancellativity lost"})
             if seq.seq == _identity(n) and (big.grid[0] != np.arange(big.n)).any():
-                return _failed(tid, n, k, {"source": label, "copies": t, "note": "left neutrality lost"})
-    return _passed(tid, n, k)
+                return _failed({"source": label, "copies": t, "note": "left neutrality lost"})
+    return _passed()
 
 
 # --- dual tables -------------------------------------------------------------
 
 def _run_dual_step(inst):
-    tid = "dual-step"
     n, k = inst
     rows = batch.row_array(n, True)
     dual_masks = batch.dual_step_verdicts(n, k)
@@ -546,13 +539,13 @@ def _run_dual_step(inst):
             found = kstar
         if closed and not mask.all():
             b = int(np.flatnonzero(~mask)[0])
-            return _failed(tid, n, k, _row_witness(rows, b, f"dual missed promised step {kstar}"))
+            return _failed(_row_witness(rows, b, f"dual missed promised step {kstar}"))
         if not closed and mask.any():
             b = int(np.flatnonzero(mask)[0])
-            return _failed(tid, n, k, _row_witness(rows, b, f"dual gained unplanned step {kstar}"))
+            return _failed(_row_witness(rows, b, f"dual gained unplanned step {kstar}"))
     if dual_step(n, k).kstar != found:
-        return _failed(tid, n, k, {"reported": dual_step(n, k).kstar, "observed": found})
-    return _passed(tid, n, k)
+        return _failed({"reported": dual_step(n, k).kstar, "observed": found})
+    return _passed()
 
 
 def _perm_alterable_mask(rows: np.ndarray, n: int, k: int) -> np.ndarray:
@@ -578,7 +571,6 @@ def _perm_alterable_mask(rows: np.ndarray, n: int, k: int) -> np.ndarray:
 
 
 def _run_dual_links(inst):
-    tid = "dual-links"
     n, k = inst
     rows = batch.row_array(n, True)
     dual_masks = batch.dual_step_verdicts(n, k)
@@ -587,11 +579,11 @@ def _run_dual_links(inst):
     closed_same = mod_rep(k * k, n) == 1
     if bool(same_step.all()) != closed_same or bool(same_step.any()) != closed_same:
         b = int(np.flatnonzero(same_step != closed_same)[0])
-        return _failed(tid, n, k, _row_witness(rows, b, "dual with the same step against [k*k] = 1"))
+        return _failed(_row_witness(rows, b, "dual with the same step against [k*k] = 1"))
 
     lu = table_from_sequence(left_unitary_groupoid(n, k))
     if is_translatable(dual(lu), k) != check(lu, "paramedial")[0]:
-        return _failed(tid, n, k, {"note": "left unitary dual step disagrees with paramediality"})
+        return _failed({"note": "left unitary dual step disagrees with paramediality"})
 
     for t in range(1, n + 1):
         kstar = mod_rep(n - t * k, n)
@@ -601,16 +593,16 @@ def _run_dual_links(inst):
         closed = mod_rep(t * k * k, n) == n - 1
         hit = np.flatnonzero(mask != closed)
         if hit.size:
-            return _failed(tid, n, k, _row_witness(rows, int(hit[0]), f"dual step n-{t}k against [t*k*k] = n-1"))
+            return _failed(_row_witness(rows, int(hit[0]), f"dual step n-{t}k against [t*k*k] = n-1"))
 
     alter = _perm_alterable_mask(rows, n, k)
     if n <= 6 and not (alter == batch.space_verdicts("alterable", n, k, True)).all():
-        return _failed(tid, n, k, {"note": "position-based alterability mask disagrees with the cell sweep"})
+        return _failed({"note": "position-based alterability mask disagrees with the cell sweep"})
     opposite = dual_masks[n - k]
     hit = np.flatnonzero(alter != opposite)
     if hit.size:
-        return _failed(tid, n, k, _row_witness(rows, int(hit[0]), "alterable against dual step n-k"))
-    return _passed(tid, n, k)
+        return _failed(_row_witness(rows, int(hit[0]), "alterable against dual step n-k"))
+    return _passed()
 
 
 # --- associativity -----------------------------------------------------------
@@ -650,7 +642,6 @@ def _eas_masks(rows: np.ndarray, n: int, k: int, perm: np.ndarray):
 
 
 def _run_associativity_sequence_form(inst):
-    tid = "associativity-sequence-form"
     n, k = inst
     rows = batch.row_array(n, False)
     assoc = batch.space_verdicts("associative", n, k, False)
@@ -658,35 +649,26 @@ def _run_associativity_sequence_form(inst):
     eas, ee1 = _eas_masks(rows, n, k, perm)
     bad = np.flatnonzero(eas != assoc)
     if bad.size:
-        return _failed(tid, n, k, _row_witness(rows, int(bad[0]), "sequence form against cell associativity"))
+        return _failed(_row_witness(rows, int(bad[0]), "sequence form against cell associativity"))
     bad = np.flatnonzero(ee1 != assoc[perm])
     if bad.size:
-        return _failed(tid, n, k, _row_witness(rows, int(perm[bad[0]]), "cancelled sequence form against cell associativity"))
-    return _passed(tid, n, k)
+        return _failed(_row_witness(rows, int(perm[bad[0]]), "cancelled sequence form against cell associativity"))
+    return _passed()
 
 
 def _run_semigroup_criterion(inst):
-    tid = "semigroup-criterion"
     n, k = inst
     rows = batch.row_array(n, True)
     assoc = batch.space_verdicts("associative", n, k, True)
-    if (k * k + k) % n != 0:
-        crit = np.zeros(len(rows), dtype=bool)
-    else:
-        values = rows.astype(np.int64) + 1
-        ak = values[:, k - 1]
-        i = np.arange(1, n + 1)
-        expect = (i[None, :] - k - k * ak[:, None] - 1) % n + 1
-        crit = (values == expect).all(axis=1)
+    crit = semigroup_verdicts(rows, k)
     bad = np.flatnonzero(crit != assoc)
     if bad.size:
         b = int(bad[0])
-        return _failed(tid, n, k, _row_witness(rows, b, f"criterion={bool(crit[b])} associative={bool(assoc[b])}"))
-    return _passed(tid, n, k)
+        return _failed(_row_witness(rows, b, f"criterion={bool(crit[b])} associative={bool(assoc[b])}"))
+    return _passed()
 
 
 def _run_left_neutral_element(inst):
-    tid = "left-neutral-element"
     n, k = inst
     rows = batch.row_array(n, False)
     tables = batch.product_tables(rows, k)
@@ -696,19 +678,18 @@ def _run_left_neutral_element(inst):
     bad = np.flatnonzero(assoc & (cancel != neutral))
     if bad.size:
         b = int(bad[0])
-        return _failed(tid, n, k, _row_witness(rows, b, f"cancellative={bool(cancel[b])} neutral={bool(neutral[b])}"))
-    return _passed(tid, n, k)
+        return _failed(_row_witness(rows, b, f"cancellative={bool(cancel[b])} neutral={bool(neutral[b])}"))
+    return _passed()
 
 
 def _run_left_unitary_semigroup_criterion(inst):
-    tid = "left-unitary-semigroup-criterion"
     n, k = inst
     table = table_from_sequence(left_unitary_groupoid(n, k))
     got = check(table, "associative")[0]
     closed = (k + k * k) % n == 0
     if got != closed or left_unitary_characterize(n, k)["associative"] != closed:
-        return _failed(tid, n, k, {"closed-form": closed, "table": got})
-    return _passed(tid, n, k)
+        return _failed({"closed-form": closed, "table": got})
+    return _passed()
 
 
 def _instances_block_product(max_n: int) -> list[tuple]:
@@ -716,58 +697,53 @@ def _instances_block_product(max_n: int) -> list[tuple]:
 
 
 def _run_block_product_formula(inst):
-    tid = "block-product-formula"
     n, k = inst
     table = block_product_table(k)
     if table != table_from_sequence(left_unitary_groupoid(n, k)):
-        return _failed(tid, n, k, {"note": "block formula differs from the generated table"})
+        return _failed({"note": "block formula differs from the generated table"})
     if not check(table, "associative")[0] or not check(table, "left-cancellative")[0]:
-        return _failed(tid, n, k, {"note": "block product is not a left cancellative semigroup"})
+        return _failed({"note": "block product is not a left cancellative semigroup"})
     if k >= 2 and (check(table, "commutative")[0] or check(table, "quasigroup")[0]):
-        return _failed(tid, n, k, {"note": "block product unexpectedly commutative or cancellable"})
+        return _failed({"note": "block product unexpectedly commutative or cancellable"})
     # counts[c, v]: how many x solve x*c = v, that is how often v fills column c
     counts = np.bincount((table.grid + n * np.arange(n)).ravel(), minlength=n * n).reshape(n, n)
     present = counts > 0
     bad = (present & (counts != k)).any(axis=1) | (present.sum(axis=1) != n // k)
     if bad.any():
         col = int(bad.argmax()) + 1
-        return _failed(tid, n, k, {"column": col, "note": f"solvable equations do not have exactly {k} solutions"})
-    return _passed(tid, n, k)
+        return _failed({"column": col, "note": f"solvable equations do not have exactly {k} solutions"})
+    return _passed()
 
 
 # --- cancellative semigroups -------------------------------------------------
 
 def _run_left_unitary_reordering(inst):
-    tid = "left-unitary-reordering"
     n, k = inst
     canonical = table_from_sequence(left_unitary_groupoid(n, k))
     for seq in cancellative_semigroups(n, k):
         table = table_from_sequence(seq)
-        ak = seq.seq[k - 1]
-        # b_s = [-a_k - k + s - 2] for s = 1..n
-        ordering = Ordering(tuple(((np.arange(n) - ak - k - 2) % n + 1).tolist()))
+        ordering = _unitary_reordering(seq)
         shuffled = reorder(table, ordering)
         order = np.array(ordering.perm) - 1
         if (table.grid[order[0], order] != order).any():
-            return _failed(tid, n, k, {"row": list(seq.seq), "note": "promised front element is not left neutral"})
+            return _failed({"row": list(seq.seq), "note": "promised front element is not left neutral"})
         if not is_translatable(shuffled, k):
-            return _failed(tid, n, k, {"row": list(seq.seq), "note": "reordering lost the step"})
+            return _failed({"row": list(seq.seq), "note": "reordering lost the step"})
         relabeled = CayleyTable(n, np.array(ordering.inverse().perm)[shuffled.grid])
         if relabeled != canonical:
-            return _failed(tid, n, k, {"row": list(seq.seq), "note": "relabeled table is not the canonical one"})
-    return _passed(tid, n, k)
+            return _failed({"row": list(seq.seq), "note": "relabeled table is not the canonical one"})
+    return _passed()
 
 
 def _run_cancellative_semigroup_isomorphism(inst):
-    tid = "cancellative-semigroup-isomorphism"
     n, k = inst
     rows = cancellative_semigroups(n, k)
     for a in range(len(rows)):
         for b in range(a, len(rows)):
             iso = iso_left_unitary(rows[a], rows[b])
             if not iso.verified:
-                return _failed(tid, n, k, {"first": list(rows[a].seq), "second": list(rows[b].seq)})
-    return _passed(tid, n, k, {"rows": len(rows)})
+                return _failed({"first": list(rows[a].seq), "second": list(rows[b].seq)})
+    return _passed({"rows": len(rows)})
 
 
 def _instances_top_step(max_n: int) -> list[tuple]:
@@ -775,72 +751,66 @@ def _instances_top_step(max_n: int) -> list[tuple]:
 
 
 def _run_ascending_sequence_cyclic(inst):
-    tid = "ascending-sequence-cyclic"
     n, k = inst
     for c in range(n):
         seq = KSequence(n, k, tuple(mod_rep(i + c, n) for i in range(1, n + 1)))
         iso = iso_to_cyclic(table_from_sequence(seq))
         if iso is None or not iso.verified:
-            return _failed(tid, n, k, {"row": list(seq.seq), "note": "ascending row is not a cyclic group"})
-    return _passed(tid, n, k)
+            return _failed({"row": list(seq.seq), "note": "ascending row is not a cyclic group"})
+    return _passed()
 
 
 def _run_top_step_cyclic(inst):
-    tid = "top-step-cyclic"
     n, k = inst
     found = cancellative_semigroups(n, k)
     if len(found) != n:
-        return _failed(tid, n, k, {"count": len(found)})
+        return _failed({"count": len(found)})
     for seq in found:
         iso = iso_to_cyclic(table_from_sequence(seq))
         if iso is None or not iso.verified:
-            return _failed(tid, n, k, {"row": list(seq.seq), "note": "top step semigroup is not the cyclic group"})
-    return _passed(tid, n, k)
+            return _failed({"row": list(seq.seq), "note": "top step semigroup is not the cyclic group"})
+    return _passed()
 
 
 def _run_no_idempotent_semigroup(inst):
-    tid = "no-idempotent-semigroup"
     n, k = inst
     rows = batch.row_array(n, False)
     tables = batch.product_tables(rows, k)
     both = batch.idempotent_mask(tables) & batch.space_verdicts("associative", n, k, False)
     hit = np.flatnonzero(both)
     if hit.size:
-        return _failed(tid, n, k, _row_witness(rows, int(hit[0]), "idempotent semigroup found"))
-    return _passed(tid, n, k)
+        return _failed(_row_witness(rows, int(hit[0]), "idempotent semigroup found"))
+    return _passed()
 
 
 def _run_idempotent_set_formula(inst):
-    tid = "idempotent-set-formula"
     n, k = inst
     for seq in cancellative_semigroups(n, k):
         table = table_from_sequence(seq)
         observed = idempotent_set(table)
         if observed != idempotent_set_formula(seq):
-            return _failed(tid, n, k, {"row": list(seq.seq), "observed": sorted(observed)})
+            return _failed({"row": list(seq.seq), "observed": sorted(observed)})
         if observed != frozenset(left_neutral_elements(table)):
-            return _failed(tid, n, k, {"row": list(seq.seq), "note": "idempotents differ from left neutrals"})
+            return _failed({"row": list(seq.seq), "note": "idempotents differ from left neutrals"})
         ix = np.array(sorted(observed)) - 1
         band = table.grid[np.ix_(ix, ix)] != ix   # [e, f]: e*f != f
         if band.any():
             e, f = (ix[np.unravel_index(band.argmax(), band.shape)] + 1).tolist()
-            return _failed(tid, n, k, {"row": list(seq.seq), "e": e, "f": f, "note": "not a right zero band"})
-    return _passed(tid, n, k)
+            return _failed({"row": list(seq.seq), "e": e, "f": f, "note": "not a right zero band"})
+    return _passed()
 
 
 def _run_idempotent_set_left_unitary(inst):
-    tid = "idempotent-set-left-unitary"
     n, k = inst
     table = table_from_sequence(left_unitary_groupoid(n, k))
     observed = idempotent_set(table)
     formula = left_unitary_idempotents(n, k)
     if observed != formula or len(observed) != math.gcd(n, k):
-        return _failed(tid, n, k, {"observed": sorted(observed), "formula": sorted(formula)})
-    return _passed(tid, n, k)
+        return _failed({"observed": sorted(observed), "formula": sorted(formula)})
+    return _passed()
 
 
 def _run_right_cancellative_semigroup(inst):
-    tid = "right-cancellative-semigroup"
     n, k = inst
     rows = batch.row_array(n, True)
     tables = batch.product_tables(rows, k)
@@ -848,18 +818,17 @@ def _run_right_cancellative_semigroup(inst):
     hits = np.flatnonzero(strong)
     if k != n - 1:
         if hits.size:
-            return _failed(tid, n, k, _row_witness(rows, int(hits[0]), "right cancellative semigroup away from step n-1"))
-        return _passed(tid, n, k)
+            return _failed(_row_witness(rows, int(hits[0]), "right cancellative semigroup away from step n-1"))
+        return _passed()
     for b in hits:
         seq = _np_seq(n, k, rows[b])
         iso = iso_to_cyclic(table_from_sequence(seq))
         if iso is None or not iso.verified:
-            return _failed(tid, n, k, {"row": list(seq.seq), "note": "not the cyclic group"})
-    return _passed(tid, n, k)
+            return _failed({"row": list(seq.seq), "note": "not the cyclic group"})
+    return _passed()
 
 
 def _run_anchor_value_cyclic(inst):
-    tid = "anchor-value-cyclic"
     n, k = inst
     hits = 0
     for seq in cancellative_semigroups(n, k):
@@ -868,24 +837,23 @@ def _run_anchor_value_cyclic(inst):
         hits += 1
         iso = iso_to_cyclic(table_from_sequence(seq))
         if iso is None or not iso.verified:
-            return _failed(tid, n, k, {"row": list(seq.seq), "anchor": seq.seq[k - 1]})
-    return _passed(tid, n, k, {"rows": hits})
+            return _failed({"row": list(seq.seq), "anchor": seq.seq[k - 1]})
+    return _passed({"rows": hits})
 
 
 # --- decomposition -----------------------------------------------------------
 
 def _run_cyclic_decomposition(inst):
-    tid = "cyclic-decomposition"
     n, k = inst
     for seq in cancellative_semigroups(n, k):
         table = table_from_sequence(seq)
         try:
             dec = decompose(table, seq)
         except TranslatableError as err:
-            return _failed(tid, n, k, {"row": list(seq.seq), "error": str(err)})
+            return _failed({"row": list(seq.seq), "error": str(err)})
         if dec.m != n // math.gcd(n, k) or dec.t != math.gcd(n, k):
-            return _failed(tid, n, k, {"row": list(seq.seq), "m": dec.m, "t": dec.t})
-    return _passed(tid, n, k)
+            return _failed({"row": list(seq.seq), "m": dec.m, "t": dec.t})
+    return _passed()
 
 
 def _component_table(table: CayleyTable, comp: tuple[int, ...]) -> CayleyTable:
@@ -896,7 +864,6 @@ def _component_table(table: CayleyTable, comp: tuple[int, ...]) -> CayleyTable:
 
 
 def _run_ideal_partition(inst):
-    tid = "ideal-partition"
     n, k = inst
     for seq in cancellative_semigroups(n, k):
         table = table_from_sequence(seq)
@@ -907,23 +874,22 @@ def _run_ideal_partition(inst):
             members = np.zeros(n, dtype=bool)
             members[cols] = True
             if not members[table.grid[:, cols]].all():   # some q*c outside the component
-                return _failed(tid, n, k, {"row": list(seq.seq), "component": list(comp), "note": "not a left ideal"})
+                return _failed({"row": list(seq.seq), "component": list(comp), "note": "not a left ideal"})
             if comp not in listed:
-                return _failed(tid, n, k, {"row": list(seq.seq), "component": list(comp), "note": "component missing from the ideal list"})
+                return _failed({"row": list(seq.seq), "component": list(comp), "note": "component missing from the ideal list"})
             iso = iso_to_cyclic(_component_table(table, comp))
             if iso is None or not iso.verified:
-                return _failed(tid, n, k, {"row": list(seq.seq), "component": list(comp), "note": "component not cyclic"})
-    return _passed(tid, n, k)
+                return _failed({"row": list(seq.seq), "component": list(comp), "note": "component not cyclic"})
+    return _passed()
 
 
 def _run_block_order_decomposition(inst):
-    tid = "block-order-decomposition"
     n, k = inst
     for seq in cancellative_semigroups(n, k):
         dec = decompose(table_from_sequence(seq), seq)
         if dec.m != k + 1 or dec.t != k or len(dec.components) != k:
-            return _failed(tid, n, k, {"row": list(seq.seq), "m": dec.m, "t": dec.t})
-    return _passed(tid, n, k)
+            return _failed({"row": list(seq.seq), "m": dec.m, "t": dec.t})
+    return _passed()
 
 
 def _closed_subsets(grid: np.ndarray, side: str) -> set[int]:
@@ -942,7 +908,6 @@ def _closed_subsets(grid: np.ndarray, side: str) -> set[int]:
 
 
 def _run_semiprime_ideals(inst):
-    tid = "semiprime-ideals"
     n, k = inst
     for seq in cancellative_semigroups(n, k):
         table = table_from_sequence(seq)
@@ -953,12 +918,12 @@ def _run_semiprime_ideals(inst):
                 members = set(ideal.elements)
                 square_in = all(square not in members or x in members for x, square in enumerate(diagonal, start=1))
                 if not ideal.semiprime or not square_in:
-                    return _failed(tid, n, k, {"row": list(seq.seq), "side": side, "ideal": list(ideal.elements)})
+                    return _failed({"row": list(seq.seq), "side": side, "ideal": list(ideal.elements)})
             if n <= 10:
                 listed_masks = {sum(1 << (x - 1) for x in ideal.elements) for ideal in listed}
                 if _closed_subsets(table.grid, side) != listed_masks:
-                    return _failed(tid, n, k, {"row": list(seq.seq), "side": side, "note": "ideal list differs from the subset scan"})
-    return _passed(tid, n, k)
+                    return _failed({"row": list(seq.seq), "side": side, "note": "ideal list differs from the subset scan"})
+    return _passed()
 
 
 _SURVEY_ALWAYS = (
@@ -975,7 +940,6 @@ _SURVEY_ALWAYS = (
 
 
 def _run_semigroup_class_survey(inst):
-    tid = "semigroup-class-survey"
     n, k = inst
     names = [*_SURVEY_ALWAYS, "anticommutative"] + (["clifford-left"] if math.gcd(k, n) == 1 else [])
     for seq in cancellative_semigroups(n, k):
@@ -983,17 +947,16 @@ def _run_semigroup_class_survey(inst):
         for name in _SURVEY_ALWAYS:
             got, witness = verdicts[name]
             if not got:
-                return _failed(tid, n, k, {"row": list(seq.seq), "property": name,
-                                           "witness": witness.as_dict() if witness else None})
+                return _failed({"row": list(seq.seq), "property": name,
+                                "witness": witness.as_dict() if witness else None})
         if verdicts["anticommutative"][0] != (math.gcd(1 + k, n) == 1):
-            return _failed(tid, n, k, {"row": list(seq.seq), "property": "anticommutative", "gcd": math.gcd(1 + k, n)})
+            return _failed({"row": list(seq.seq), "property": "anticommutative", "gcd": math.gcd(1 + k, n)})
         if "clifford-left" in verdicts and not verdicts["clifford-left"][0]:
-            return _failed(tid, n, k, {"row": list(seq.seq), "property": "clifford-left"})
-    return _passed(tid, n, k)
+            return _failed({"row": list(seq.seq), "property": "clifford-left"})
+    return _passed()
 
 
 def _run_paramedial_cyclic(inst):
-    tid = "paramedial-cyclic"
     n, k = inst
     for seq in cancellative_semigroups(n, k):
         table = table_from_sequence(seq)
@@ -1001,8 +964,8 @@ def _run_paramedial_cyclic(inst):
             continue
         iso = iso_to_cyclic(table)
         if iso is None or not iso.verified:
-            return _failed(tid, n, k, {"row": list(seq.seq), "note": "paramedial semigroup is not a cyclic group"})
-    return _passed(tid, n, k)
+            return _failed({"row": list(seq.seq), "note": "paramedial semigroup is not a cyclic group"})
+    return _passed()
 
 
 # --- constant column semigroups ---------------------------------------------
@@ -1016,7 +979,6 @@ def _constant_column_masks(rows: np.ndarray, k: int):
 
 
 def _run_constant_column_criterion(inst):
-    tid = "constant-column-criterion"
     n, k = inst
     rows = batch.row_array(n, False)
     tables = batch.product_tables(rows, k)
@@ -1025,20 +987,19 @@ def _run_constant_column_criterion(inst):
     crit = _constant_column_masks(rows, k)
     bad = np.flatnonzero((assoc & rowsame) != crit)
     if bad.size:
-        return _failed(tid, n, k, _row_witness(rows, int(bad[0]), "criterion against associativity with constant columns"))
+        return _failed(_row_witness(rows, int(bad[0]), "criterion against associativity with constant columns"))
     produced = {seq.seq for seq in constant_column_semigroups(n, k)}
     swept = {tuple(int(v) + 1 for v in rows[b]) for b in np.flatnonzero(crit)}
     if produced != swept:
-        return _failed(tid, n, k, {"produced": len(produced), "swept": len(swept)})
+        return _failed({"produced": len(produced), "swept": len(swept)})
     d = math.gcd(k, n)
     for row in sorted(swept):
         if len(set(row)) > d:
-            return _failed(tid, n, k, {"row": list(row), "note": f"more than {d} distinct values"})
-    return _passed(tid, n, k, {"rows": len(swept)})
+            return _failed({"row": list(row), "note": f"more than {d} distinct values"})
+    return _passed({"rows": len(swept)})
 
 
 def _run_constant_column_forcing(inst):
-    tid = "constant-column-forcing"
     n, k = inst
     rows = batch.row_array(n, False)
     tables = batch.product_tables(rows, k)
@@ -1052,8 +1013,8 @@ def _run_constant_column_forcing(inst):
     shape2 &= tail
     bad = np.flatnonzero((shape1 | shape2) & assoc & ~rowsame)
     if bad.size:
-        return _failed(tid, n, k, _row_witness(rows, int(bad[0]), "bent first row with a non-constant semigroup"))
-    return _passed(tid, n, k)
+        return _failed(_row_witness(rows, int(bad[0]), "bent first row with a non-constant semigroup"))
+    return _passed()
 
 
 def _anchor_conditions(row: list[int], j: int, k: int) -> bool:
@@ -1071,7 +1032,6 @@ def _anchor_conditions(row: list[int], j: int, k: int) -> bool:
 
 
 def _run_idempotent_anchor_semigroup(inst):
-    tid = "idempotent-anchor-semigroup"
     n, k = inst
     rows = batch.row_array(n, False)
     assoc = batch.space_verdicts("associative", n, k, False)
@@ -1081,12 +1041,11 @@ def _run_idempotent_anchor_semigroup(inst):
             if row[j - 1] != j or row[mod_rep(j - 1, n) - 1] != j:
                 continue
             if _anchor_conditions(row, j, k) != bool(assoc[b]):
-                return _failed(tid, n, k, _row_witness(rows, b, f"anchor {j} conditions against associativity"))
-    return _passed(tid, n, k)
+                return _failed(_row_witness(rows, b, f"anchor {j} conditions against associativity"))
+    return _passed()
 
 
 def _run_idempotent_one_semigroup(inst):
-    tid = "idempotent-one-semigroup"
     n, k = inst
     rows = batch.row_array(n, False)
     assoc = batch.space_verdicts("associative", n, k, False)
@@ -1097,8 +1056,8 @@ def _run_idempotent_one_semigroup(inst):
     anchored = (rows[:, 0] == 0) & (rows[:, n - 1] == 0)
     bad = np.flatnonzero(anchored & (cond != assoc))
     if bad.size:
-        return _failed(tid, n, k, _row_witness(rows, int(bad[0]), "four-way condition against associativity"))
-    return _passed(tid, n, k)
+        return _failed(_row_witness(rows, int(bad[0]), "four-way condition against associativity"))
+    return _passed()
 
 
 # --- scaled residues and unions ---------------------------------------------
@@ -1108,44 +1067,44 @@ def _instances_scaled_residues(max_n: int) -> list[tuple]:
 
 
 def _run_scaled_residues(inst):
-    tid = "scaled-residues"
     n, t = inst
     for x in range(1, 3 * n + 1):
         if mod_rep(t * x, t * n) != t * mod_rep(x, n):
-            return _failed(tid, n, t, {"x": x, "note": "scaling of [tx]"})
+            return _failed({"x": x, "note": "scaling of [tx]"})
         if mod_rep(t * (x - 1), t * n) != t * mod_rep(mod_rep(x, n) - 1, n):
-            return _failed(tid, n, t, {"x": x, "note": "scaling of [t(x-1)]"})
+            return _failed({"x": x, "note": "scaling of [t(x-1)]"})
     root = int(math.isqrt(n))
     if root * root + root == n and root % t == 0:
         big = root + (t - 1) * n
         if mod_rep(big + big * big, t * n) != t * n:
-            return _failed(tid, n, t, {"k": root, "note": "shifted step misses the semigroup divisibility"})
-    return _passed(tid, n, t)
+            return _failed({"k": root, "note": "shifted step misses the semigroup divisibility"})
+    return _passed()
 
 
-def _check_union(tid: str, union, n: int, k: int, step: int):
+def _check_union(union, n: int, k: int, step: int) -> Outcome | None:
+    """The failure of a union's checks, or None when they all pass."""
     table = union.table
     big_n = table.n
     if not is_translatable(table, step) or detect(table) != frozenset({step}):
-        return _failed(tid, n, k, {"copies": union.spec.t, "note": "wrong set of steps"})
+        return _failed({"copies": union.spec.t, "note": "wrong set of steps"})
     if table != table_from_sequence(left_unitary_groupoid(big_n, step)):
-        return _failed(tid, n, k, {"copies": union.spec.t, "note": "union differs from the left unitary table"})
+        return _failed({"copies": union.spec.t, "note": "union differs from the left unitary table"})
     if not check(table, "associative")[0]:
-        return _failed(tid, n, k, {"copies": union.spec.t, "note": "union is not associative"})
+        return _failed({"copies": union.spec.t, "note": "union is not associative"})
     lu_small = left_unitary_groupoid(n, k)
     for copy, comp in enumerate(union.copies(), start=1):
         cols = [c - 1 for c in comp]
         members = np.zeros(big_n, dtype=bool)
         members[cols] = True
         if not members[table.grid[:, cols]].all():
-            return _failed(tid, n, k, {"copy": copy, "note": "copy is not a left ideal"})
+            return _failed({"copy": copy, "note": "copy is not a left ideal"})
         local = np.zeros(big_n, dtype=np.int64)
         local[cols] = np.arange(1, n + 1)
         seq = KSequence(n, k, tuple(local[table.grid[cols[0], cols]].tolist()))   # the copy's first row
         if not semigroup_criterion(seq):
-            return _failed(tid, n, k, {"copy": copy, "note": "copy misses the semigroup criterion"})
+            return _failed({"copy": copy, "note": "copy misses the semigroup criterion"})
         if not iso_left_unitary(seq, lu_small).verified:
-            return _failed(tid, n, k, {"copy": copy, "note": "copy not isomorphic to the small table"})
+            return _failed({"copy": copy, "note": "copy not isomorphic to the small table"})
     return None
 
 
@@ -1162,13 +1121,9 @@ def _instances_union_same_step(max_n: int) -> list[tuple]:
 
 
 def _run_union_same_step(inst):
-    tid = "union-same-step"
     n, k, t = inst
     union = union_same_step(UnionSpec(n, k, t))
-    bad = _check_union(tid, union, n, k, k)
-    if bad:
-        return bad
-    return _passed(tid, n, k, {"copies": t, "order": t * n})
+    return _check_union(union, n, k, k) or _passed({"copies": t, "order": t * n})
 
 
 def _instances_union_shifted_step(max_n: int) -> list[tuple]:
@@ -1184,13 +1139,10 @@ def _instances_union_shifted_step(max_n: int) -> list[tuple]:
 
 
 def _run_union_shifted_step(inst):
-    tid = "union-shifted-step"
     n, k, t = inst
     union = union_shifted_step(UnionSpec(n, k, t))
-    bad = _check_union(tid, union, n, k, k + (t - 1) * n)
-    if bad:
-        return bad
-    return _passed(tid, n, k, {"copies": t, "order": t * n, "step": k + (t - 1) * n})
+    step = k + (t - 1) * n
+    return _check_union(union, n, k, step) or _passed({"copies": t, "order": t * n, "step": step})
 
 
 def _instances_pair_union(max_n: int) -> list[tuple]:
@@ -1198,22 +1150,21 @@ def _instances_pair_union(max_n: int) -> list[tuple]:
 
 
 def _run_pair_union(inst):
-    tid = "pair-union"
     n, k = inst
     if k % 2:
         try:
             pair_union(k)
         except ConstructionError:
-            return _passed(tid, n, k, {"note": "odd step rejected"})
-        return _failed(tid, n, k, {"note": "odd step accepted"})
+            return _passed({"note": "odd step rejected"})
+        return _failed({"note": "odd step accepted"})
     union = pair_union(k)
     cells = union.table.grid + 1          # 1-based products; odd labels are copy 1, even copy 2
     q = k // 2
     odds, evens = np.arange(1, 2 * n + 1, 2), np.arange(2, 2 * n + 1, 2)
     if not np.array_equal(np.unique(cells[::2, 1::2]), evens):
-        return _failed(tid, n, k, {"note": "odd times even does not cover the even copy"})
+        return _failed({"note": "odd times even does not cover the even copy"})
     if not np.array_equal(np.unique(cells[1::2, ::2]), odds):
-        return _failed(tid, n, k, {"note": "even times odd does not cover the odd copy"})
+        return _failed({"note": "even times odd does not cover the odd copy"})
     small = table_from_sequence(left_unitary_groupoid(n, k))
     i, j = np.arange(1, n + 1)[:, None], np.arange(1, n + 1)
     # Each rule on the products of the labels 2i - 1 or 2i and 2j - 1 or 2j, as [i, j] misses
@@ -1227,11 +1178,11 @@ def _run_pair_union(inst):
     if missed.any():
         x, y = np.unravel_index(missed.any(axis=0).argmax(), (n, n))
         note = rules[int(missed[:, x, y].argmax())][0]
-        return _failed(tid, n, k, {"i": int(x) + 1, "j": int(y) + 1, "note": note})
+        return _failed({"i": int(x) + 1, "j": int(y) + 1, "note": note})
     row = tuple((cells[1, 1::2] // 2).tolist())
     if not iso_left_unitary(KSequence(n, k, row), left_unitary_groupoid(n, k)).verified:
-        return _failed(tid, n, k, {"note": "even copy not isomorphic to the base table"})
-    return _passed(tid, n, k, {"order": 2 * n})
+        return _failed({"note": "even copy not isomorphic to the base table"})
+    return _passed({"order": 2 * n})
 
 
 def _campaigns() -> dict[str, Campaign]:

@@ -825,18 +825,26 @@ def left_unitary_characterize(n: int, k: int) -> dict[str, bool]:
     }
 
 
-def semigroup_criterion(seq: KSequence) -> bool:
-    """Is the table of this permutation first row associative?
+def semigroup_verdicts(rows: np.ndarray, k: int) -> np.ndarray:
+    """The semigroup criterion at step k on each row of a (B, n) stack of
+    0-based permutation rows: one boolean per row.
 
     Holds exactly when k*k + k is divisible by n and every entry satisfies
     a_i = [i - k - k*a_k].
     """
-    _require_permutation(seq, "semigroup_criterion")
-    n, k, a = seq.n, seq.k, seq.seq
+    n = rows.shape[1]
     if mod_rep(k * k + k, n) != n:
-        return False
+        return np.zeros(len(rows), dtype=bool)
+    a = np.asarray(rows, dtype=np.int64) + 1
     i = np.arange(1, n + 1)
-    return bool((np.array(a) == (i - k - k * a[k - 1] - 1) % n + 1).all())
+    return (a == (i - k - k * a[:, k - 1:k] - 1) % n + 1).all(axis=1)
+
+
+def semigroup_criterion(seq: KSequence) -> bool:
+    """Is the table of this permutation first row associative?  The
+    one-row case of semigroup_verdicts."""
+    _require_permutation(seq, "semigroup_criterion")
+    return bool(semigroup_verdicts(np.array([seq.seq]) - 1, seq.k)[0])
 
 
 def left_neutral(seq: KSequence) -> int:

@@ -161,9 +161,9 @@ def _campaign(theorem_id: str) -> Campaign:
         raise InvalidInputError(f"unknown campaign {theorem_id!r}") from None
 
 
-def _run_instance(arg: tuple[str, tuple]) -> list[InstanceResult]:
+def _run_instance(arg: tuple[str, tuple]) -> InstanceResult:
     theorem_id, instance = arg
-    return THEOREMS[theorem_id].run(instance)
+    return THEOREMS[theorem_id].result(instance)
 
 
 def _worker_count(jobs: int, instances: int, cpus: int | None) -> int:
@@ -172,16 +172,14 @@ def _worker_count(jobs: int, instances: int, cpus: int | None) -> int:
 
 
 def _results(campaign: Campaign, instances: list[tuple], jobs: int) -> Iterator[InstanceResult]:
-    """Every instance's results in instance order, each as its instance finishes."""
+    """Every instance's result in instance order, each as its instance finishes."""
     workers = _worker_count(jobs, len(instances), os.cpu_count())
     if workers == 1:
-        for instance in instances:
-            yield from campaign.run(instance)
+        yield from map(campaign.result, instances)
         return
     with multiprocessing.Pool(workers) as pool:
         tasks = [(campaign.theorem_id, inst) for inst in instances]
-        for chunk in pool.imap(_run_instance, tasks):
-            yield from chunk
+        yield from pool.imap(_run_instance, tasks)
 
 
 def verify(

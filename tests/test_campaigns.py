@@ -7,9 +7,12 @@ import random
 
 import pytest
 
+import numpy as np
+
+from translatable import campaigns
 from translatable.campaigns import THEOREMS, _closed_subsets
 from translatable.constructions import cancellative_semigroups
-from translatable.core import CayleyTable
+from translatable.core import CayleyTable, Ordering
 from translatable.search import verify
 from translatable.translation import table_from_sequence
 
@@ -21,6 +24,9 @@ def test_campaign_passes_at_small_bound(theorem_id):
     bound = min(THEOREMS[theorem_id].default_max_n, SMALL_BOUND)
     report = verify(theorem_id, max_n=bound)
     assert report.passed, [f.as_dict() for f in report.failures]
+    # Each result carries the registry id and its instance's (n, k).
+    labels = [(r.theorem, r.n, r.k) for r in report.results]
+    assert labels == [(theorem_id, *inst[:2]) for inst in THEOREMS[theorem_id].instances(bound)]
 
 
 def test_every_result_names_its_campaign():
@@ -49,16 +55,38 @@ def test_construction_campaigns_read_the_grid_only(monkeypatch, theorem_id, inst
     # With the 1-based rows view and entry refused, each instance gives the
     # same results as without the patch, and passes.
     run = THEOREMS[theorem_id].run
-    before = [r.as_dict() for r in run(inst)]
+    before = run(inst)
 
     def refuse(*args):
         raise AssertionError("a construction campaign read a cell outside grid")
 
     monkeypatch.setattr(CayleyTable, "rows", property(refuse))
     monkeypatch.setattr(CayleyTable, "entry", refuse)
-    after = [r.as_dict() for r in run(inst)]
+    after = run(inst)
     assert after == before
-    assert [(r["status"], r["witness"]) for r in after] == [("pass", payload)]
+    assert after == ("pass", payload)
+
+
+def test_semigroup_criterion_campaign_checks_the_library(monkeypatch):
+    # A library criterion that forgets the first-row recurrence turns the
+    # campaign red: it reads properties' criterion, not a copy of it.
+    def divisibility_only(rows, k):
+        return np.full(len(rows), (k * k + k) % rows.shape[1] == 0)
+
+    monkeypatch.setattr(campaigns, "semigroup_verdicts", divisibility_only)
+    assert not verify("semigroup-criterion", max_n=4).passed
+
+
+def test_left_unitary_reordering_campaign_checks_the_library(monkeypatch):
+    # A library reordering rotated by one place turns the campaign red.
+    right = campaigns._unitary_reordering
+
+    def rotated(seq):
+        perm = right(seq).perm
+        return Ordering(perm[1:] + perm[:1])
+
+    monkeypatch.setattr(campaigns, "_unitary_reordering", rotated)
+    assert not verify("left-unitary-reordering", max_n=6).passed
 
 
 def loop_closed_subsets(rows, side):
