@@ -6,6 +6,9 @@ fully parametrised family of left-cancellative translatable semigroups,
 and the constant-column semigroups.  On top of those sit the block-product
 presentation of the order k+k*k semigroup, the order-(t+1)n embedding, and
 the union constructions gluing t disjoint copies into one larger table.
+Each construction checks the order it will build (n, t*n, k + k*k,
+2(k + k*k) or (t+1)n) against the order bound before it builds anything,
+so a request past the bound is a BoundError, never a huge allocation.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from .core import (
     InvalidInputError,
     KSequence,
     VerificationError,
+    _check_order,
     mod_rep,
 )
 from .properties import semigroup_criterion
@@ -29,8 +33,7 @@ from .translation import is_translatable, table_from_sequence
 
 
 def _check_pair(n: int, k: int) -> None:
-    if n < 1:
-        raise InvalidInputError(f"order must be at least 1, got {n}")
+    _check_order(n)
     if not 1 <= k <= n - 1:
         raise InvalidInputError(f"step must satisfy 1 <= k <= n-1, got k={k} for n={n}")
 
@@ -106,6 +109,7 @@ def block_product_table(k: int) -> CayleyTable:
     if k < 1:
         raise InvalidInputError(f"step must be at least 1, got {k}")
     n = k + k * k
+    _check_order(n)
     x = np.arange(n)
     i, s = (x % k + 1).reshape(n, 1), (x // k).reshape(n, 1)
     j, t = i.T, s.T
@@ -149,6 +153,7 @@ def embed(seq: KSequence, t: int) -> tuple[CayleyTable, dict[int, int]]:
         raise InvalidInputError(f"need at least one spare element per slot, got t={t}")
     n, k = seq.n, seq.k
     big_n = (t + 1) * n
+    _check_order(big_n)
     image = {i: (i - 1) * (t + 1) + 1 for i in range(1, n + 1)}
     row = list(range(1, big_n + 1))
     for i in range(1, n + 1):
@@ -159,7 +164,8 @@ def embed(seq: KSequence, t: int) -> tuple[CayleyTable, dict[int, int]]:
 
 @dataclass(frozen=True)
 class UnionSpec:
-    """Parameters for glueing t copies of an order-n step-k component."""
+    """Parameters for glueing t copies of an order-n step-k component into
+    a table of order t*n, which must be within the order bound."""
 
     n: int
     k: int
@@ -175,6 +181,7 @@ class UnionSpec:
                 f"{self.t} does not divide {self.k}",
                 obstruction=f"t={self.t} must divide k={self.k}",
             )
+        _check_order(self.t * self.n)
         object.__setattr__(self, "q", self.k // self.t)
 
 

@@ -3,12 +3,12 @@
 Everything here works on 1-based residues: the class of 0 modulo n is
 represented by n itself, so computed values always land in 1..n.  A Cayley
 table is a full n-by-n multiplication grid over the elements 1..n, stored
-once as a read-only 0-based array (the one exception to 1-based values
-here), with 1-based conveniences read from it; a step
-sequence is a first row together with the rotation step k, and an ordering
-is a permutation used to present the same grid with rows and columns
-rearranged.  All types are immutable after construction and safe to share
-across worker processes.
+once, as its one representation: a read-only 0-based array (the one
+exception to 1-based values here), from which `entry`, `row` and `column`
+read 1-based cells, rows and columns.  A step sequence is a first row
+together with the rotation step k, and an ordering is a permutation used
+to present the same grid with rows and columns rearranged.  All types are
+immutable after construction and safe to share across worker processes.
 
 `parse_table` reads a table in the plain grammar (ASCII digit fields
 separated by spaces and tabs, one row a line, or the compact JSON that
@@ -25,7 +25,6 @@ import numbers
 import os
 import re
 from dataclasses import InitVar, dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -119,12 +118,9 @@ class CayleyTable:
     read-only 0-based array, int16 below order 32768, which is how the
     package reads cells.
 
-    `entry`, `row` and `column` read 1-based cells from `grid`, and `rows`
-    is all of them as 1-based row tuples, built on first use: public
-    conveniences for scalar loops on small tables.  `rows` is about 10**6
-    Python ints at order 1024; in the package only the small-order scalar
-    checkers of `properties` loop over it.  Tables are equal, and hash
-    alike, when their cells agree.
+    `grid` is the table's only representation: `entry`, `row` and `column`
+    read 1-based cells, rows and columns from it.  Tables are equal, and
+    hash alike, when their cells agree.
     """
 
     n: int
@@ -161,11 +157,6 @@ class CayleyTable:
         grid = np.subtract(grid, 1, dtype=np.int16 if n < 32768 else np.int32)
         grid.flags.writeable = False
         object.__setattr__(self, "grid", grid)
-
-    @cached_property
-    def rows(self) -> tuple[tuple[int, ...], ...]:
-        """The cells as 1-based row tuples, one shared int object per value."""
-        return tuple(tuple(row) for row in np.arange(1, self.n + 1, dtype=object)[self.grid])
 
     def __eq__(self, other) -> bool:
         return isinstance(other, CayleyTable) and np.array_equal(self.grid, other.grid)

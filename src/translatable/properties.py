@@ -9,12 +9,15 @@ double, so a table that fails on its first slab costs one slab; it
 evaluates the sides of a premise identity only where the premise holds;
 and on a translatable table it decides medial and paramedial on one slab,
 by the translation lemma stated at _check_identity.  Associativity is
-decided by Light's test and only its witness comes from IDENTITIES; the
-other properties (cancellation, solvability, units, regularity, Clifford's
-conditions) have checkers of their own.  The closed forms are a second,
-independent route: modular conditions that characterise the same
-identities on translatable tables, and tests confront the two routes with
-each other.  Each form of LCOND_NAMES is written once, in _CLOSED_FORMS,
+decided by Light's test and only its witness comes from IDENTITIES.  The
+other properties (cancellation, solvability, units, anticommutativity,
+regularity, Clifford's conditions) are read off whole rows, columns or
+grids of `grid`, each witness from the first failing line or cell; the
+two sides of a mirror pair are one function, applied to the grid and to
+its transpose, and "every line is a permutation" is batch._distinct, as
+for the masks.  The closed forms are a second, independent route:
+modular conditions that characterise the same identities on translatable
+tables, and tests confront the two routes with each other.  Each form of LCOND_NAMES is written once, in _CLOSED_FORMS,
 as residue arithmetic on index grids that reads only the first row, n and
 k; `lcond_verdicts` evaluates it over a stack of rows, a three-variable
 form on three coordinate planes (exact since each term reads at most two
@@ -173,65 +176,6 @@ def _add_generator(m, have, members, columns, y):
                 have[p] = True
                 fresh.append(p)
     members.extend(fresh)
-
-
-def _first_duplicate(values):
-    seen = {}
-    for pos, v in enumerate(values, start=1):
-        if v in seen:
-            return seen[v], pos
-        seen[v] = pos
-    return None
-
-
-def _check_left_cancellative(table):
-    for i in range(1, table.n + 1):
-        dup = _first_duplicate(table.rows[i - 1])
-        if dup is not None:
-            j1, j2 = dup
-            return False, Witness("left-cancellative", (i, j1, j2), j1, j2)
-    return True, None
-
-
-def _check_right_cancellative(table):
-    for j in range(1, table.n + 1):
-        dup = _first_duplicate(table.column(j))
-        if dup is not None:
-            i1, i2 = dup
-            return False, Witness("right-cancellative", (j, i1, i2), i1, i2)
-    return True, None
-
-
-def _check_right_solvable(table):
-    # a * x = b has a unique solution for every a, b: rows are permutations.
-    n = table.n
-    for a in range(1, n + 1):
-        row = set(table.rows[a - 1])
-        if len(row) != n:
-            b = min(set(range(1, n + 1)) - row)
-            return False, Witness("right-solvable", (a, b), table.rows[a - 1][0], b)
-    return True, None
-
-
-def _check_left_solvable(table):
-    # x * a = b has a unique solution for every a, b: columns are permutations.
-    n = table.n
-    for a in range(1, n + 1):
-        col = table.column(a)
-        if len(set(col)) != n:
-            b = min(set(range(1, n + 1)) - set(col))
-            return False, Witness("left-solvable", (a, b), col[0], b)
-    return True, None
-
-
-def _check_quasigroup(table):
-    ok, witness = _check_right_solvable(table)
-    if not ok:
-        return False, Witness("quasigroup", witness.elements, witness.lhs, witness.rhs)
-    ok, witness = _check_left_solvable(table)
-    if not ok:
-        return False, Witness("quasigroup", witness.elements, witness.lhs, witness.rhs)
-    return True, None
 
 
 # -- equational identities ----------------------------------------------------
@@ -509,142 +453,169 @@ def left_neutral_elements(table: CayleyTable) -> tuple[int, ...]:
     return tuple((np.flatnonzero(neutral) + 1).tolist())
 
 
-def _check_left_unitary(table):
-    if left_neutral_elements(table):
-        return True, None
-    row = table.rows[0]
-    x = next(x for x in range(1, table.n + 1) if row[x - 1] != x)
-    return False, Witness("left-unitary", (1, x), row[x - 1], x)
-
-
-def _check_unitary(table):
-    n = table.n
-    lefts = left_neutral_elements(table)
-    for e in lefts:
-        if all(table.rows[x - 1][e - 1] == x for x in range(1, n + 1)):
-            return True, None
-    if not lefts:
-        row = table.rows[0]
-        x = next(x for x in range(1, n + 1) if row[x - 1] != x)
-        return False, Witness("unitary", (1, x), row[x - 1], x)
-    e = lefts[0]
-    x = next(x for x in range(1, n + 1) if table.rows[x - 1][e - 1] != x)
-    return False, Witness("unitary", (e, x), table.rows[x - 1][e - 1], x)
-
-
-def _check_anticommutative(table):
-    n = table.n
-    rows = table.rows
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if i != j and rows[i - 1][j - 1] == rows[j - 1][i - 1]:
-                return False, Witness("anticommutative", (i, j), i, j)
-    return True, None
-
-
-def _check_left_regular(table):
-    n = table.n
-    rows = table.rows
-    for j in range(1, n + 1):
-        jj = rows[j - 1][j - 1]
-        if all(rows[x - 1][jj - 1] != j for x in range(1, n + 1)):
-            return False, Witness("left-regular", (j,), rows[0][jj - 1], j)
-    return True, None
-
-
-def _check_right_regular(table):
-    n = table.n
-    rows = table.rows
-    for j in range(1, n + 1):
-        jj = rows[j - 1][j - 1]
-        if all(rows[jj - 1][y - 1] != j for y in range(1, n + 1)):
-            return False, Witness("right-regular", (j,), rows[jj - 1][0], j)
-    return True, None
-
-
-def _check_regular(table):
-    n = table.n
-    rows = table.rows
-    for i in range(1, n + 1):
-        if all(rows[rows[i - 1][x - 1] - 1][i - 1] != i for x in range(1, n + 1)):
-            return False, Witness("regular", (i,), rows[rows[i - 1][0] - 1][i - 1], i)
-    return True, None
-
-
-def _check_intra_regular(table):
-    n = table.n
-    rows = table.rows
-    for i in range(1, n + 1):
-        heads = {rows[rows[x - 1][i - 1] - 1][i - 1] for x in range(1, n + 1)}
-        if all(rows[h - 1][y - 1] != i for h in heads for y in range(1, n + 1)):
-            h0 = rows[rows[0][i - 1] - 1][i - 1]
-            return False, Witness("intra-regular", (i,), rows[h0 - 1][0], i)
-    return True, None
-
-
 def idempotent_elements(table: CayleyTable) -> tuple[int, ...]:
     """All i with i * i = i, in increasing order, read off the grid's diagonal."""
     fixed = np.diagonal(table.grid) == np.arange(table.n)
     return tuple((np.flatnonzero(fixed) + 1).tolist())
 
 
+def _neutral_element(m: np.ndarray) -> int | None:
+    """The least 0-based two-sided neutral element of grid m, or None."""
+    elements = np.arange(len(m))
+    neutral = (m == elements).all(axis=1) & (m == elements[:, None]).all(axis=0)
+    return int(neutral.argmax()) if neutral.any() else None
+
+
+# -- the other properties -------------------------------------------------------
+# Each reads the 0-based grid m and takes its witness from the first failing
+# line or cell in row-major order.  A mirror pair is one function, applied to
+# m for one side and to m.T for the other, since a column of m is a row of m.T.
+
+
+def _verdict(bad: np.ndarray, witness) -> tuple[bool, Witness | None]:
+    """(True, None) if no cell of bad is set, else (False, witness(*cell))
+    at its first set cell."""
+    return (True, None) if not bad.any() else (False, witness(*_first_cell(bad)))
+
+
+def _present(m: np.ndarray) -> np.ndarray:
+    """[r, v]: does the value v appear in row r of m?"""
+    seen = np.zeros(m.shape, dtype=bool)
+    seen[np.arange(len(m))[:, None], m] = True
+    return seen
+
+
+def _permutation_rows(m: np.ndarray) -> np.ndarray:
+    """Which rows of m hold every value 0..n-1 once (batch._distinct)."""
+    from . import batch  # batch reads IDENTITIES from this module
+
+    return batch._distinct(m[None], 2)[0]
+
+
+def _cancellative(m: np.ndarray, name: str):
+    """Left-cancellative on m, right-cancellative on m.T: in the first row i
+    with a repeated value, the first position j2 that repeats an earlier j1."""
+
+    def witness(i):
+        first: dict[int, int] = {}
+        for j2, v in enumerate(m[i].tolist()):
+            j1 = first.setdefault(v, j2)
+            if j1 != j2:
+                return Witness(name, (i + 1, j1 + 1, j2 + 1), j1 + 1, j2 + 1)
+
+    return _verdict(~_permutation_rows(m), witness)
+
+
+def _solvable(m: np.ndarray, name: str):
+    """Right-solvable on m (a * x = b has one solution x: each row is a
+    permutation), left-solvable on m.T: the first row a that is not one,
+    with the least value b it misses."""
+
+    def witness(a):
+        b = int(np.bincount(m[a], minlength=len(m)).argmin())
+        return Witness(name, (a + 1, b + 1), int(m[a, 0]) + 1, b + 1)
+
+    return _verdict(~_permutation_rows(m), witness)
+
+
+def _check_quasigroup(table):
+    ok, witness = _solvable(table.grid, "quasigroup")
+    return _solvable(table.grid.T, "quasigroup") if ok else (ok, witness)
+
+
+def _identity_miss(name: str, e: int, line: np.ndarray) -> Witness:
+    """The first x where line, the row or column of e, does not hold x."""
+    x = int((line != np.arange(len(line))).argmax())
+    return Witness(name, (e + 1, x + 1), int(line[x]) + 1, x + 1)
+
+
+def _check_left_unitary(table):
+    if left_neutral_elements(table):
+        return True, None
+    return False, _identity_miss("left-unitary", 0, table.grid[0])
+
+
+def _check_unitary(table):
+    """A two-sided neutral element; else the first miss in the column of
+    the least left neutral element, or in row 1 if there is none."""
+    m = table.grid
+    if _neutral_element(m) is not None:
+        return True, None
+    lefts = left_neutral_elements(table)
+    e = lefts[0] - 1 if lefts else 0
+    return False, _identity_miss("unitary", e, m[:, e] if lefts else m[0])
+
+
+def _check_anticommutative(table):
+    bad = table.grid == table.grid.T
+    np.fill_diagonal(bad, False)
+    return _verdict(bad, lambda i, j: Witness("anticommutative", (i + 1, j + 1), i + 1, j + 1))
+
+
+def _regular_side(m: np.ndarray, name: str):
+    """Left-regular on m, j = x * (j*j) for some x: j is in the column of
+    j*j; right-regular on m.T, j in the row of j*j."""
+    squares = np.diagonal(m)
+    bad = ~_present(m.T)[squares, np.arange(len(m))]
+    return _verdict(bad, lambda j: Witness(name, (j + 1,), int(m[0, squares[j]]) + 1, j + 1))
+
+
+def _check_regular(table, name="regular"):
+    """i = (i * x) * i for some x."""
+    m = table.grid
+    own = np.arange(len(m))[:, None]
+    back = m[m, own]    # [i, x] -> (i*x)*i
+    bad = ~(back == own).any(axis=1)
+    return _verdict(bad, lambda i: Witness(name, (i + 1,), int(back[i, 0]) + 1, i + 1))
+
+
+def _check_intra_regular(table):
+    """i = ((x * i) * i) * y for some x and y."""
+    m = table.grid
+    elements = np.arange(len(m))
+    heads = m[m, elements]    # [x, i] -> (x*i)*i
+    bad = ~_present(m)[heads, elements].any(axis=0)
+    return _verdict(bad, lambda i: Witness("intra-regular", (i + 1,), int(m[heads[0, i], 0]) + 1, i + 1))
+
+
 def _check_orthodox(table):
-    ok, witness = _check_regular(table)
+    """Regular, and each product of two idempotents is idempotent."""
+    ok, witness = _check_regular(table, "orthodox")
     if not ok:
-        return False, Witness("orthodox", witness.elements, witness.lhs, witness.rhs)
-    rows = table.rows
-    ids = idempotent_elements(table)
-    for e in ids:
-        for f in ids:
-            ef = rows[e - 1][f - 1]
-            sq = rows[ef - 1][ef - 1]
-            if sq != ef:
-                return False, Witness("orthodox", (e, f), sq, ef)
-    return True, None
+        return ok, witness
+    m = table.grid
+    ids = np.array(idempotent_elements(table), dtype=np.intp) - 1
+    products = m[ids][:, ids]
+    squares = m[products, products]
+    return _verdict(squares != products, lambda a, b: Witness(
+        "orthodox", (int(ids[a]) + 1, int(ids[b]) + 1), int(squares[a, b]) + 1, int(products[a, b]) + 1))
 
 
-def _check_clifford_right(table):
-    n = table.n
-    rows = table.rows
-    for i in range(1, n + 1):
-        right = {rows[i - 1][x - 1] for x in range(1, n + 1)}
-        for j in range(1, n + 1):
-            ji = rows[j - 1][i - 1]
-            if ji not in right:
-                return False, Witness("clifford-right", (i, j), ji, rows[i - 1][0])
-    return True, None
-
-
-def _check_clifford_left(table):
-    n = table.n
-    rows = table.rows
-    for i in range(1, n + 1):
-        left = {rows[x - 1][i - 1] for x in range(1, n + 1)}
-        for j in range(1, n + 1):
-            ij = rows[i - 1][j - 1]
-            if ij not in left:
-                return False, Witness("clifford-left", (i, j), ij, rows[0][i - 1])
-    return True, None
+def _clifford(m: np.ndarray, name: str):
+    """Clifford-left on m, i * j in the column of i for all j; clifford-right
+    on m.T, j * i in the row of i."""
+    inside = _present(m.T)[np.arange(len(m))[:, None], m]
+    return _verdict(~inside, lambda i, j: Witness(name, (i + 1, j + 1), int(m[i, j]) + 1, int(m[0, i]) + 1))
 
 
 _CHECKERS = {
     **{name: functools.partial(_check_identity, name=name) for name in IDENTITIES},
     "associative": _check_associative,
-    "left-cancellative": _check_left_cancellative,
-    "right-cancellative": _check_right_cancellative,
-    "left-solvable": _check_left_solvable,
-    "right-solvable": _check_right_solvable,
+    "left-cancellative": lambda table: _cancellative(table.grid, "left-cancellative"),
+    "right-cancellative": lambda table: _cancellative(table.grid.T, "right-cancellative"),
+    "right-solvable": lambda table: _solvable(table.grid, "right-solvable"),
+    "left-solvable": lambda table: _solvable(table.grid.T, "left-solvable"),
     "quasigroup": _check_quasigroup,
     "left-unitary": _check_left_unitary,
     "unitary": _check_unitary,
     "anticommutative": _check_anticommutative,
-    "left-regular": _check_left_regular,
-    "right-regular": _check_right_regular,
+    "left-regular": lambda table: _regular_side(table.grid, "left-regular"),
+    "right-regular": lambda table: _regular_side(table.grid.T, "right-regular"),
     "regular": _check_regular,
     "intra-regular": _check_intra_regular,
     "orthodox": _check_orthodox,
-    "clifford-left": _check_clifford_left,
-    "clifford-right": _check_clifford_right,
+    "clifford-left": lambda table: _clifford(table.grid, "clifford-left"),
+    "clifford-right": lambda table: _clifford(table.grid.T, "clifford-right"),
 }
 
 assert set(_CHECKERS) == set(PROPERTY_NAMES)

@@ -26,6 +26,7 @@ from .core import (
 )
 from .properties import (
     _light_test,
+    _neutral_element,
     check,
     idempotent_elements,
     left_neutral_elements,
@@ -270,13 +271,6 @@ def cyclic_table(n: int) -> CayleyTable:
         raise InvalidInputError(f"order must be at least 1, got {n}")
     elements = np.arange(n)
     return CayleyTable(n, np.add.outer(elements, elements) % n + 1)
-
-
-def _neutral_element(grid: np.ndarray) -> int | None:
-    """The least 0-based two-sided neutral element of grid, or None."""
-    elements = np.arange(len(grid))
-    neutral = (grid == elements).all(axis=1) & (grid == elements[:, None]).all(axis=0)
-    return int(neutral.argmax()) if neutral.any() else None
 
 
 def _element_order(grid: np.ndarray, g: int, e: int) -> int:

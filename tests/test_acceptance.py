@@ -58,9 +58,13 @@ def brute_associative(table: CayleyTable) -> bool:
     )
 
 
+def rows_of(table: CayleyTable) -> tuple[tuple[int, ...], ...]:
+    return tuple(table.row(i) for i in range(1, table.n + 1))
+
+
 def full_scan_associative(table: CayleyTable) -> bool:
     """Cell-complete O(n^3) associativity sweep, row-vectorised."""
-    grid = np.array(table.rows, dtype=np.int32) - 1
+    grid = table.grid.astype(np.int32)
     for x in range(table.n):
         left = grid[grid[x], :]  # (x*y)*z over all y, z
         right = grid[x, grid]  # x*(y*z)
@@ -71,11 +75,11 @@ def full_scan_associative(table: CayleyTable) -> bool:
 
 def test_criterion_01_golden_walkthrough_tables():
     z4 = table_from_sequence(KSequence(4, 3, (1, 2, 3, 4)))
-    assert z4.rows == ((1, 2, 3, 4), (2, 3, 4, 1), (3, 4, 1, 2), (4, 1, 2, 3))
+    assert rows_of(z4) == ((1, 2, 3, 4), (2, 3, 4, 1), (3, 4, 1, 2), (4, 1, 2, 3))
     moved = reorder(z4, Ordering((1, 3, 4, 2)))
-    assert moved.rows == ((1, 3, 4, 2), (3, 1, 2, 4), (4, 2, 3, 1), (2, 4, 1, 3))
+    assert rows_of(moved) == ((1, 3, 4, 2), (3, 1, 2, 4), (4, 2, 3, 1), (2, 4, 1, 3))
     idem = table_from_sequence(KSequence(4, 2, (1, 4, 3, 2)))
-    assert idem.rows == ((1, 4, 3, 2), (3, 2, 1, 4), (1, 4, 3, 2), (3, 2, 1, 4))
+    assert rows_of(idem) == ((1, 4, 3, 2), (3, 2, 1, 4), (1, 4, 3, 2), (3, 2, 1, 4))
     started = time.perf_counter()
     found = (detect(z4), detect(moved), detect(idem))
     elapsed = time.perf_counter() - started

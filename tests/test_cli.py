@@ -154,6 +154,25 @@ def test_missing_flags_exit_two(capsys):
     assert code == 2
 
 
+# Each asks for a table far past the bound (block-product k = 3000 is
+# order 9003000, about 590 TiB of cells), which is refused before any of
+# it is built.
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("block-product", "--k", "3000"),
+        ("union-same-step", "--n", "1000000", "--k", "999999", "--t", "1"),
+        ("union-same-step", "--n", "1024", "--k", "1023", "--t", "1023"),
+        ("pair-union", "--k", "3000"),
+        ("embed", "--t", str(10**12), "--k", "1", "--seq", "1 2"),
+    ],
+)
+def test_constructions_past_the_order_bound_exit_two(capsys, argv):
+    code, out, err = run(capsys, "construct", *argv)
+    assert code == 2 and out == ""
+    assert "exceeds the bound" in err
+
+
 def test_dual_subcommand(capsys):
     code, out, _ = run(capsys, "dual", "--n", "7", "--k", "3")
     assert (code, out) == (0, "kstar: 5\n")

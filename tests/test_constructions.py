@@ -156,7 +156,7 @@ def test_constant_column_direct_oracle_order_six():
     for values in itertools.product(range(1, n + 1), repeat=n):
         seq = KSequence(n, k, values)
         table = table_from_sequence(seq)
-        if len(set(table.rows)) == 1 and brute_associative(table):
+        if (table.grid == table.grid[0]).all() and brute_associative(table):
             expected.add(values)
     assert {s.seq for s in constant_column_semigroups(n, k)} == expected
 

@@ -240,7 +240,7 @@ def test_parse_errors_name_the_first_bad_field_of_a_large_table():
 def test_serialized_table_bytes_are_those_of_its_rows(n):
     rng = np.random.default_rng(n)
     table = CayleyTable(n, rng.integers(1, n + 1, (n, n)))
-    rows = [list(row) for row in table.rows]
+    rows = (table.grid + 1).tolist()
     assert serialize(table, "json") == json.dumps({"n": n, "table": rows}, separators=(",", ":")) + "\n"
     assert serialize(table, "text") == "".join(" ".join(map(str, row)) + "\n" for row in rows)
 

@@ -32,6 +32,7 @@ from translatable.core import (
     KSequence,
     Ordering,
     VerificationError,
+    Witness,
 )
 from translatable.properties import check
 from translatable.search import _worker_count
@@ -45,7 +46,7 @@ def random_table(rng: random.Random, n: int, values: int | None = None) -> Cayle
 
 
 def with_cell(table: CayleyTable, i: int, j: int, value: int) -> CayleyTable:
-    rows = [list(row) for row in table.rows]
+    rows = (table.grid + 1).tolist()
     rows[i - 1][j - 1] = value
     return CayleyTable(table.n, rows)
 
@@ -94,7 +95,7 @@ ORACLE = {
 def brute_identity(table: CayleyTable, name: str):
     """The verdict and least (elements, lhs, rhs) counterexample of a named
     identity, by a loop over every cell in lexicographic order."""
-    rows = table.rows
+    rows = (table.grid + 1).tolist()
 
     def p(a, b):
         return rows[a - 1][b - 1]
@@ -163,7 +164,7 @@ def assert_associative_agrees(table: CayleyTable, oracle=brute_identity) -> tupl
 def random_cell_change(rng: random.Random, base: CayleyTable) -> CayleyTable:
     n = base.n
     i, j = rng.randint(1, n), rng.randint(1, n)
-    value = rng.choice([v for v in range(1, n + 1) if v != base.rows[i - 1][j - 1]])
+    value = rng.choice([v for v in range(1, n + 1) if v != base.entry(i, j)])
     return with_cell(base, i, j, value)
 
 
@@ -588,11 +589,213 @@ def test_slab_and_first_block_bound_the_order_66_work(monkeypatch):
     assert not ok and cells[0] <= 2 * n ** 3
 
 
+# -- the other properties -----------------------------------------------------
+
+
+# The properties of properties._CHECKERS that are not in IDENTITIES, each a
+# plain loop over 1-based rows (rows[i - 1][j - 1] = i*j) that scans lines
+# and cells in the order the checker promises, giving (verdict, Witness).
+
+
+def first_duplicate(values):
+    seen = {}
+    for pos, v in enumerate(values, start=1):
+        if v in seen:
+            return seen[v], pos
+        seen[v] = pos
+    return None
+
+
+def brute_cancellative(lines, name):
+    for i, line in enumerate(lines, start=1):
+        dup = first_duplicate(line)
+        if dup is not None:
+            j1, j2 = dup
+            return False, Witness(name, (i, j1, j2), j1, j2)
+    return True, None
+
+
+def brute_solvable(lines, name):
+    n = len(lines)
+    for a, line in enumerate(lines, start=1):
+        if len(set(line)) != n:
+            b = min(set(range(1, n + 1)) - set(line))
+            return False, Witness(name, (a, b), line[0], b)
+    return True, None
+
+
+def brute_quasigroup(rows, cols):
+    ok, witness = brute_solvable(rows, "quasigroup")
+    return brute_solvable(cols, "quasigroup") if ok else (ok, witness)
+
+
+def brute_unitary(rows, name):
+    n = len(rows)
+    lefts = [e for e in range(1, n + 1) if rows[e - 1] == list(range(1, n + 1))]
+    for e in lefts:
+        if name == "left-unitary" or all(rows[x - 1][e - 1] == x for x in range(1, n + 1)):
+            return True, None
+    if not lefts:
+        row = rows[0]
+        x = next(x for x in range(1, n + 1) if row[x - 1] != x)
+        return False, Witness(name, (1, x), row[x - 1], x)
+    e = lefts[0]
+    x = next(x for x in range(1, n + 1) if rows[x - 1][e - 1] != x)
+    return False, Witness(name, (e, x), rows[x - 1][e - 1], x)
+
+
+def brute_anticommutative(rows):
+    n = len(rows)
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            if i != j and rows[i - 1][j - 1] == rows[j - 1][i - 1]:
+                return False, Witness("anticommutative", (i, j), i, j)
+    return True, None
+
+
+def brute_left_regular(rows):
+    n = len(rows)
+    for j in range(1, n + 1):
+        jj = rows[j - 1][j - 1]
+        if all(rows[x - 1][jj - 1] != j for x in range(1, n + 1)):
+            return False, Witness("left-regular", (j,), rows[0][jj - 1], j)
+    return True, None
+
+
+def brute_right_regular(rows):
+    n = len(rows)
+    for j in range(1, n + 1):
+        jj = rows[j - 1][j - 1]
+        if all(rows[jj - 1][y - 1] != j for y in range(1, n + 1)):
+            return False, Witness("right-regular", (j,), rows[jj - 1][0], j)
+    return True, None
+
+
+def brute_regular(rows, name="regular"):
+    n = len(rows)
+    for i in range(1, n + 1):
+        if all(rows[rows[i - 1][x - 1] - 1][i - 1] != i for x in range(1, n + 1)):
+            return False, Witness(name, (i,), rows[rows[i - 1][0] - 1][i - 1], i)
+    return True, None
+
+
+def brute_intra_regular(rows):
+    n = len(rows)
+    for i in range(1, n + 1):
+        heads = {rows[rows[x - 1][i - 1] - 1][i - 1] for x in range(1, n + 1)}
+        if all(rows[h - 1][y - 1] != i for h in heads for y in range(1, n + 1)):
+            h0 = rows[rows[0][i - 1] - 1][i - 1]
+            return False, Witness("intra-regular", (i,), rows[h0 - 1][0], i)
+    return True, None
+
+
+def brute_orthodox(rows):
+    ok, witness = brute_regular(rows, "orthodox")
+    if not ok:
+        return ok, witness
+    ids = [i for i in range(1, len(rows) + 1) if rows[i - 1][i - 1] == i]
+    for e in ids:
+        for f in ids:
+            ef = rows[e - 1][f - 1]
+            sq = rows[ef - 1][ef - 1]
+            if sq != ef:
+                return False, Witness("orthodox", (e, f), sq, ef)
+    return True, None
+
+
+def brute_clifford_right(rows):
+    n = len(rows)
+    for i in range(1, n + 1):
+        right = set(rows[i - 1])
+        for j in range(1, n + 1):
+            ji = rows[j - 1][i - 1]
+            if ji not in right:
+                return False, Witness("clifford-right", (i, j), ji, rows[i - 1][0])
+    return True, None
+
+
+def brute_clifford_left(rows):
+    n = len(rows)
+    for i in range(1, n + 1):
+        left = {rows[x - 1][i - 1] for x in range(1, n + 1)}
+        for j in range(1, n + 1):
+            ij = rows[i - 1][j - 1]
+            if ij not in left:
+                return False, Witness("clifford-left", (i, j), ij, rows[0][i - 1])
+    return True, None
+
+
+# name -> oracle of (rows, columns), both lists of 1-based lines.
+BRUTE = {
+    "left-cancellative": lambda rows, cols: brute_cancellative(rows, "left-cancellative"),
+    "right-cancellative": lambda rows, cols: brute_cancellative(cols, "right-cancellative"),
+    "right-solvable": lambda rows, cols: brute_solvable(rows, "right-solvable"),
+    "left-solvable": lambda rows, cols: brute_solvable(cols, "left-solvable"),
+    "quasigroup": brute_quasigroup,
+    "left-unitary": lambda rows, cols: brute_unitary(rows, "left-unitary"),
+    "unitary": lambda rows, cols: brute_unitary(rows, "unitary"),
+    "anticommutative": lambda rows, cols: brute_anticommutative(rows),
+    "left-regular": lambda rows, cols: brute_left_regular(rows),
+    "right-regular": lambda rows, cols: brute_right_regular(rows),
+    "regular": lambda rows, cols: brute_regular(rows),
+    "intra-regular": lambda rows, cols: brute_intra_regular(rows),
+    "orthodox": lambda rows, cols: brute_orthodox(rows),
+    "clifford-left": lambda rows, cols: brute_clifford_left(rows),
+    "clifford-right": lambda rows, cols: brute_clifford_right(rows),
+}
+
+
+def brute_property(table: CayleyTable, name: str):
+    rows = (table.grid + 1).tolist()
+    return BRUTE[name](rows, [list(col) for col in zip(*rows)])
+
+
+def property_pool():
+    """Random tables up to order 8 and at order 70, translatable tables of
+    permutation and of arbitrary first rows, every cancellative semigroup up
+    to order 24, bands, constant tables, semilattices and cyclic groups."""
+    rng = random.Random(15)
+    for n in range(1, 9):
+        for values in (n, min(n, 2), min(n, 3)):
+            for _ in range(20):
+                yield random_table(rng, n, values)
+        for k in range(1, n):
+            for _ in range(3):
+                yield table_from_sequence(KSequence(n, k, tuple(rng.sample(range(1, n + 1), n))))
+                yield table_from_sequence(KSequence(n, k, tuple(rng.randint(1, n) for _ in range(n))))
+    for n in range(2, 25):
+        for k in range(1, n):
+            for seq in cancellative_semigroups(n, k):
+                yield table_from_sequence(seq)
+    for n in (1, 2, 5, 9):
+        yield from bands(n)
+        yield from semilattices_and_cyclic_groups(n)
+    # Past order 63 batch._distinct sorts instead of or-ing bits.
+    yield random_table(rng, 70, 3)
+    yield table_from_sequence(KSequence(70, 9, tuple(rng.sample(range(1, 71), 70))))
+
+
+def test_brute_oracles_cover_every_other_property():
+    assert set(BRUTE) == set(properties.PROPERTY_NAMES) - set(properties.IDENTITIES)
+
+
+@pytest.mark.parametrize("name", sorted(BRUTE))
+def test_other_properties_match_the_loop_oracles(name):
+    # Each checker is called directly, so the semigroup-only ones also run
+    # on the tables that are not associative.
+    verdicts = set()
+    for table in property_pool():
+        got = properties._CHECKERS[name](table)
+        assert got == brute_property(table, name), (name, table.grid.tolist())
+        verdicts.add(got[0])
+    assert verdicts == {True, False}, name
+
+
 # -- translatability ----------------------------------------------------------
 
 
 def brute_steps(table: CayleyTable) -> frozenset[int]:
-    n, rows = table.n, table.rows
+    n, rows = table.n, table.grid.tolist()
     return frozenset(
         k for k in range(1, n)
         if all(rows[i][j] == rows[(i + 1) % n][(j + k) % n] for i in range(n) for j in range(n))
@@ -611,10 +814,10 @@ def translation_tables():
             table = table_from_sequence(KSequence(n, k, tuple(rng.randint(1, n) for _ in range(n))))
             yield table
             i, j = rng.randint(1, n), rng.randint(1, n)
-            yield with_cell(table, i, j, table.rows[i - 1][j - 1] % n + 1)
+            yield with_cell(table, i, j, table.entry(i, j) % n + 1)
             # Rows 1 and 2 still agree with step k, so only the check on the
             # whole grid can see this change.
-            yield with_cell(table, n, j, table.rows[n - 1][j - 1] % n + 1)
+            yield with_cell(table, n, j, table.entry(n, j) % n + 1)
 
 
 def test_table_from_sequence_matches_product_tables():
@@ -643,7 +846,7 @@ def periodic_tables(n: int):
             yield CayleyTable(n, rows[:i] + [[rng.randint(1, n) for _ in range(d)] * (n // d)] + rows[i + 1:])
             table = CayleyTable(n, rows)
             i, j = rng.randint(1, n), rng.randint(1, n)
-            yield with_cell(table, i, j, table.rows[i - 1][j - 1] % n + 1)
+            yield with_cell(table, i, j, table.entry(i, j) % n + 1)
 
 
 def test_detect_matches_brute_force_on_periodic_tables():
@@ -662,7 +865,7 @@ def test_rotation_test_reads_every_block_of_rows():
     rng = random.Random(300)
     n = 300
     table = table_from_sequence(KSequence(n, 7, tuple(rng.randint(1, n) for _ in range(n))))
-    changed = with_cell(table, n, 5, table.rows[n - 1][4] % n + 1)
+    changed = with_cell(table, n, 5, table.entry(n, 5) % n + 1)
     assert 7 in detect(table) and is_translatable(table, 7)
     assert detect(changed) == frozenset() and not is_translatable(changed, 7)
 
@@ -758,7 +961,7 @@ def test_iso_left_unitary_rejects_a_wrong_mapping(monkeypatch):
     seq_q, seq_g = cancellative_semigroups(n, k)[:2]
     right = iso_left_unitary(seq_q, seq_g).mapping
     wrong = (right[1], right[0]) + right[2:]
-    tq, tg = table_from_sequence(seq_q).rows, table_from_sequence(seq_g).rows
+    tq, tg = ((table_from_sequence(seq).grid + 1).tolist() for seq in (seq_q, seq_g))
     first = next(
         (x, y)
         for x in range(1, n + 1)
@@ -983,7 +1186,7 @@ def stock_tables(n: int):
 
 
 def translatable_by_loop(table: CayleyTable, k: int) -> bool:
-    n, rows = table.n, table.rows
+    n, rows = table.n, table.grid.tolist()
     return all(rows[i][j] == rows[(i + 1) % n][(j + k) % n] for i in range(n) for j in range(n))
 
 
@@ -1000,7 +1203,7 @@ def mask_pool(n: int) -> list[CayleyTable]:
         pool.append(table)
         if n > 1 and detect(table):
             j = rng.randint(1, n)
-            pool.append(with_cell(table, n, j, table.rows[n - 1][j - 1] % n + 1))
+            pool.append(with_cell(table, n, j, table.entry(n, j) % n + 1))
     return pool
 
 
@@ -1052,7 +1255,7 @@ def single_cell_changes(n: int, name: str):
         if not check(table, name)[0]:
             continue
         for i, j, value in itertools.product(range(1, n + 1), repeat=3):
-            if value != table.rows[i - 1][j - 1]:
+            if value != table.entry(i, j):
                 changed = with_cell(table, i, j, value)
                 ok, witness = check(changed, name)
                 yield changed, ok, None if ok else witness.elements[:lead]

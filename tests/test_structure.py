@@ -189,8 +189,9 @@ def test_ideals_bound_guard():
 
 def test_order_992_paths_read_the_grid_not_the_rows_view(monkeypatch):
     # check associative, decompose and the diagonal and neutral scans answer
-    # on the order-992 semigroup and on a one-cell change of it without the
-    # 1-based rows view; each answer is set against an oracle of its own.
+    # on the order-992 semigroup and on a one-cell change of it from grid
+    # alone, with the 1-based entry, row and column refused; each answer is
+    # set against an oracle of its own.
     seq = cancellative_semigroups(992, 31)[0]
     table = table_from_sequence(seq)
     cells = table.grid + 1
@@ -207,10 +208,11 @@ def test_order_992_paths_read_the_grid_not_the_rows_view(monkeypatch):
         tuple(mod_rep(e - k, n) for e in idems),
     )
 
-    def refuse(self):
-        raise AssertionError("the rows view was built")
+    def refuse(*args):
+        raise AssertionError("a 1-based view of the table was read")
 
-    monkeypatch.setattr(CayleyTable, "rows", property(refuse))
+    for name in ("entry", "row", "column"):
+        monkeypatch.setattr(CayleyTable, name, refuse)
     assert check(table, "associative") == (True, None)
     assert check(changed, "associative") == (False, witness)
     assert decompose(table, seq) == expected
