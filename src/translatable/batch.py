@@ -5,7 +5,9 @@ same ones `check` evaluates on a single table, with numpy across a whole
 batch of tables so that exhaustive campaigns over n! or n^n first rows
 finish in seconds.  Tables are stored as a (B, n, n) array of 0-based
 entries; every mask returns one boolean per table and is computed cell by
-cell, never through a closed form.
+cell, never through a closed form.  The neutral-element masks read the
+stack forms properties._left_neutrals and _neutrals, the same tests `check`
+and the structure functions apply to one grid.
 
 The identity masks and the rotation test are sieved (_sieve): the cells
 are cut into slabs, one value of the outer variable of a three-variable
@@ -15,10 +17,19 @@ only on the tables that passed every earlier slab, ROW_CHUNK tables at a
 time.  Most rows of a row space fail an early slab, so a
 whole-space mask costs a few slabs per row rather than all of them.
 
+A sweep over a whole row space (space_verdicts, dual_step_verdicts) never
+holds the tables of the whole space: _blocks generates them one block of
+first rows at a time (_row_blocks, at most _BLOCK_CELLS cells, 4 Mi int8
+cells, a block), sieves that block, and joins the blocks' verdicts in row
+order.  The 9! permutation tables alone would take 29.4 MB.
+
 Row spaces and the masks campaigns take over a whole row space are
-memoised as read-only arrays until clear_memo(); the verify command clears
-them when it starts and when it ends, so one command computes each row
-space and each whole-space mask once, still cell by cell.
+memoised until clear_memo(); the verify command clears them when it starts
+and when it ends, so one command computes each row space and each
+whole-space mask once, still cell by cell.  Row spaces and space_verdicts
+are kept as read-only arrays and handed out shared; the dual verdicts are
+kept bit-packed (np.packbits, one bit per table) and each call unpacks
+them into fresh read-only arrays.
 """
 
 from __future__ import annotations
@@ -30,16 +41,18 @@ import math
 import numpy as np
 
 from .core import BoundError
-from .properties import IDENTITIES
+from .properties import IDENTITIES, _left_neutrals, _neutrals
 from .translation import _positions, _rotation_holds
 
 ROW_CHUNK = 4096
 # Most table cells (rows times n*n) a row space may generate: every default
 # campaign window fits (permutations to n = 9, all rows to n = 7).
 ROW_CELL_BUDGET = 1 << 26
+# Most table cells a whole-space sweep generates at once.
+_BLOCK_CELLS = ROW_CELL_BUDGET // 16
 
 _ROWS: dict[tuple[int, bool], np.ndarray] = {}
-_VERDICTS: dict[tuple, np.ndarray | dict[int, np.ndarray]] = {}
+_VERDICTS: dict[tuple, np.ndarray | tuple[np.ndarray, int]] = {}
 
 
 def clear_memo() -> None:
@@ -93,13 +106,27 @@ def row_array(n: int, permutation_only: bool) -> np.ndarray:
     return rows
 
 
+def _row_blocks(rows: np.ndarray):
+    """Consecutive slices of a (B, n) row stack, in order, each generating
+    at most _BLOCK_CELLS table cells (one row at least)."""
+    size = max(1, _BLOCK_CELLS // rows.shape[1] ** 2)
+    for start in range(0, rows.shape[0], size):
+        yield rows[start:start + size]
+
+
+def _blocks(n: int, k: int, permutation_only: bool, verdicts_of) -> np.ndarray:
+    """verdicts_of over the step-k tables of row_array(n, permutation_only),
+    one row block at a time, joined along the last axis in row order."""
+    blocks = _row_blocks(row_array(n, permutation_only))
+    return np.concatenate([verdicts_of(product_tables(rows, k)) for rows in blocks], axis=-1)
+
+
 def space_verdicts(name: str, n: int, k: int, permutation_only: bool) -> np.ndarray:
     """MASKS[name] over every table of row_array(n, permutation_only) at step k."""
     key = (name, n, k, bool(permutation_only))
     verdicts = _VERDICTS.get(key)
     if verdicts is None:
-        tables = product_tables(row_array(n, permutation_only), k)
-        verdicts = _VERDICTS[key] = _frozen(MASKS[name](tables))
+        verdicts = _VERDICTS[key] = _frozen(_blocks(n, k, permutation_only, MASKS[name]))
     return verdicts
 
 
@@ -107,13 +134,20 @@ def dual_step_verdicts(n: int, k: int) -> dict[int, np.ndarray]:
     """translatable_mask at every step 1..n-1 over the duals (transposes) of
     every step-k table with a permutation first row."""
     key = ("dual", n, k)
-    verdicts = _VERDICTS.get(key)
-    if verdicts is None:
-        duals = product_tables(row_array(n, True), k).transpose(0, 2, 1)
-        verdicts = _VERDICTS[key] = {
-            kstar: _frozen(translatable_mask(duals, kstar)) for kstar in range(1, n)
-        }
-    return verdicts
+    if key not in _VERDICTS:
+
+        def steps(tables):
+            duals = tables.transpose(0, 2, 1)
+            out = np.empty((n - 1, duals.shape[0]), dtype=bool)
+            for kstar in range(1, n):
+                out[kstar - 1] = translatable_mask(duals, kstar)
+            return out
+
+        verdicts = _blocks(n, k, True, steps)
+        _VERDICTS[key] = (np.packbits(verdicts, axis=1), verdicts.shape[1])
+    packed, count = _VERDICTS[key]
+    verdicts = _frozen(np.unpackbits(packed, axis=1, count=count).view(bool))
+    return {kstar: verdicts[kstar - 1] for kstar in range(1, n)}
 
 
 def product_tables(rows: np.ndarray, k: int) -> np.ndarray:
@@ -233,16 +267,12 @@ def quasigroup_mask(tables: np.ndarray) -> np.ndarray:
 
 def left_neutral_mask(tables: np.ndarray) -> np.ndarray:
     """Tables having at least one e with e*x = x for all x."""
-    n = tables.shape[1]
-    return (tables == np.arange(n)).all(axis=2).any(axis=1)
+    return _left_neutrals(tables).any(axis=1)
 
 
 def unitary_mask(tables: np.ndarray) -> np.ndarray:
     """Tables having a two-sided neutral element."""
-    n = tables.shape[1]
-    rows_ok = (tables == np.arange(n)).all(axis=2)
-    cols_ok = (tables == np.arange(n).reshape(n, 1)).all(axis=1)
-    return (rows_ok & cols_ok).any(axis=1)
+    return _neutrals(tables).any(axis=1)
 
 
 def translatable_mask(tables: np.ndarray, k: int) -> np.ndarray:

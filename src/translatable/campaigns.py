@@ -263,8 +263,9 @@ def _run_alterable_solvable_quasigroup(inst):
     rows = batch.row_array(n, True)
     if k is None:
         # every table with permutation rows, not only translatable ones,
-        # in the lexicographic order of their row tuples
-        tables = rows[np.indices((len(rows),) * n).reshape(n, -1).T]
+        # in the lexicographic order of their row tuples (n <= 4, so every
+        # index is below 24 and fits int8)
+        tables = rows[np.indices((len(rows),) * n, dtype=np.int8).reshape(n, -1).T]
     else:
         # right solvability forces a permutation first row here
         tables = batch.product_tables(rows, k)
@@ -563,11 +564,7 @@ def _perm_alterable_mask(rows: np.ndarray, n: int, k: int) -> np.ndarray:
     lo, hi = np.minimum(y1, y2), np.maximum(y1, y2)
     pairs = np.unique((lo * n + hi)[lo != hi])
     y1, y2 = pairs // n, pairs % n
-    parts = []
-    for start in range(0, rows.shape[0], 65536):
-        chunk = rows[start:start + 65536]
-        parts.append((chunk[:, y1] == chunk[:, y2]).all(axis=1))
-    return np.concatenate(parts)
+    return np.concatenate([(block[:, y1] == block[:, y2]).all(axis=1) for block in batch._row_blocks(rows)])
 
 
 def _run_dual_links(inst):

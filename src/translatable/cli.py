@@ -605,6 +605,11 @@ def main(argv=None) -> int:
     except TranslatableError as exc:
         print(f"translatable: {exc}", file=sys.stderr)
         return NEGATIVE
+    except MemoryError as exc:
+        # An input too large for this machine's memory is unusable, not a "no".
+        detail = f": {exc}" if str(exc) else ""
+        print(f"translatable: out of memory{detail}", file=sys.stderr)
+        return USAGE
 
 
 if __name__ == "__main__":

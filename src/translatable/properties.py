@@ -447,10 +447,22 @@ def _check_identity(table, name):
     return witness is None, witness
 
 
+def _left_neutrals(m: np.ndarray) -> np.ndarray:
+    """For a 0-based grid, or each grid of a (..., n, n) stack, whether each
+    e has e * x = x for every x: whether row e equals 0..n-1."""
+    return (m == np.arange(m.shape[-1])).all(axis=-1)
+
+
+def _neutrals(m: np.ndarray) -> np.ndarray:
+    """As _left_neutrals, for a two-sided neutral: row e and column e both
+    equal 0..n-1."""
+    elements = np.arange(m.shape[-1])
+    return _left_neutrals(m) & (m == elements[:, None]).all(axis=-2)
+
+
 def left_neutral_elements(table: CayleyTable) -> tuple[int, ...]:
     """All e with e * x = x for every x: the rows of the grid equal to 0..n-1."""
-    neutral = (table.grid == np.arange(table.n)).all(axis=1)
-    return tuple((np.flatnonzero(neutral) + 1).tolist())
+    return tuple((np.flatnonzero(_left_neutrals(table.grid)) + 1).tolist())
 
 
 def idempotent_elements(table: CayleyTable) -> tuple[int, ...]:
@@ -461,8 +473,7 @@ def idempotent_elements(table: CayleyTable) -> tuple[int, ...]:
 
 def _neutral_element(m: np.ndarray) -> int | None:
     """The least 0-based two-sided neutral element of grid m, or None."""
-    elements = np.arange(len(m))
-    neutral = (m == elements).all(axis=1) & (m == elements[:, None]).all(axis=0)
+    neutral = _neutrals(m)
     return int(neutral.argmax()) if neutral.any() else None
 
 

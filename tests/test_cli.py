@@ -8,7 +8,7 @@ import json
 
 import pytest
 
-from translatable import batch, search
+from translatable import batch, cli, search
 from translatable.cli import main
 from translatable.properties import left_unitary_characterize
 
@@ -171,6 +171,17 @@ def test_constructions_past_the_order_bound_exit_two(capsys, argv):
     code, out, err = run(capsys, "construct", *argv)
     assert code == 2 and out == ""
     assert "exceeds the bound" in err
+
+
+@pytest.mark.parametrize("message", ["Unable to allocate 29.4 MiB for an array", ""])
+def test_memory_error_exits_two_without_a_traceback(capsys, monkeypatch, message):
+    def exhausted(args):
+        raise MemoryError(message)
+
+    monkeypatch.setitem(cli.HANDLERS, "build", exhausted)
+    code, out, err = run(capsys, "build", "--k", "3", "--seq", "1 2 3 4")
+    assert code == 2 and out == ""
+    assert err == f"translatable: out of memory{': ' + message if message else ''}\n"
 
 
 def test_dual_subcommand(capsys):

@@ -12,6 +12,7 @@ import itertools
 import math
 import random
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -1067,9 +1068,24 @@ def test_memoised_arrays_are_read_only_and_shared(fresh_memo):
     assert batch.row_array(5, True) is not rows
 
 
-def test_space_verdicts_match_the_mask_on_fresh_tables(fresh_memo):
-    for n, k, perm in ((4, 1, False), (5, 3, True), (6, 2, True)):
-        tables = batch.product_tables(batch.row_array(n, perm), k)
+def _prime_above(m: int) -> int:
+    p = m + 1
+    while any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
+        p += 1
+    return p
+
+
+def test_space_verdicts_match_the_mask_on_fresh_tables(fresh_memo, monkeypatch):
+    # Whole-space sweeps go in row blocks; here a block is a prime number of
+    # rows above n, so it never divides the space and the last block is short.
+    perm_spaces = [(n, k, True) for n in range(2, 8) for k in range(1, n)]
+    for n, k, perm in [(4, 1, False), (5, 3, False)] + perm_spaces + [(8, 3, True), (8, 7, True)]:
+        rows = batch.row_array(n, perm)
+        size = _prime_above(max(n, len(rows) // 7))
+        monkeypatch.setattr(batch, "_BLOCK_CELLS", size * n * n)
+        sizes = [len(block) for block in batch._row_blocks(rows)]
+        assert sizes == [size] * (len(rows) // size) + [len(rows) % size]
+        tables = batch.product_tables(rows, k)
         for name in ("associative", "alterable"):
             expected = batch.MASKS[name](tables)
             assert (batch.space_verdicts(name, n, k, perm) == expected).all()
@@ -1077,6 +1093,34 @@ def test_space_verdicts_match_the_mask_on_fresh_tables(fresh_memo):
         if perm:
             for kstar, verdicts in batch.dual_step_verdicts(n, k).items():
                 assert (verdicts == batch.translatable_mask(duals, kstar)).all()
+
+
+def test_neutral_masks_agree_with_check_table_by_table(fresh_memo):
+    # Every translatable table of order 3, including groups, semigroups with
+    # several left neutrals and tables with none.
+    rows = batch.row_array(3, False)
+    tables = np.concatenate([batch.product_tables(rows, k) for k in (1, 2)])
+    for mask, name in ((batch.left_neutral_mask, "left-unitary"), (batch.unitary_mask, "unitary")):
+        expected = [check(CayleyTable(3, (grid + 1).tolist()), name)[0] for grid in tables]
+        assert mask(tables).tolist() == expected
+        assert any(expected) and not all(expected)
+
+
+def test_dual_verdicts_at_order_nine_stay_small(fresh_memo):
+    # A whole-space dual sweep holds one row block of tables at a time, and
+    # the memo keeps one bit per table and step.
+    batch.row_array(9, True)
+    tracemalloc.start()
+    try:
+        batch.dual_step_verdicts(9, 2)
+        _, peak = tracemalloc.get_traced_memory()
+        for k in range(1, 9):
+            batch.dual_step_verdicts(9, k)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 << 20
+    assert held < 8 << 20
 
 
 def test_row_space_budget_refuses_before_allocating(fresh_memo, monkeypatch):
