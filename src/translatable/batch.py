@@ -13,9 +13,18 @@ The identity masks and the rotation test are sieved (_sieve): the cells
 are cut into slabs, one value of the outer variable of a three-variable
 identity, one (i, j) pair of a four-variable one, one pair of adjacent
 rows, or a single slab below three variables, and each slab is checked
-only on the tables that passed every earlier slab, ROW_CHUNK tables at a
-time.  Most rows of a row space fail an early slab, so a
-whole-space mask costs a few slabs per row rather than all of them.
+only on the tables that passed every earlier slab.  The first slab is
+small: the one cell T[0][0] = T[1][k] of the rotation test, and for a
+three-variable identity the line with every variable but the last at 0.
+Most rows of a row space fail that first cell or line, so a whole-space
+mask costs about one cell or one line per row, and the full slabs run
+only on the few survivors.  Four-variable identities get no such line:
+medial's, (00)(0z) = (00)(0z), holds trivially, and on the row spaces
+the campaigns sweep the line made medial, paramedial and alterable
+slower, not faster.  A chunk holds as many tables as make one full slab
+read about ROW_CHUNK*n*n cells: ROW_CHUNK tables for the n*n-cell slabs
+of the identities, ROW_CHUNK*n for the n-cell row pairs of the rotation
+test.
 
 A sweep over a whole row space (space_verdicts, dual_step_verdicts) never
 holds the tables of the whole space: _blocks generates them one block of
@@ -42,7 +51,7 @@ import numpy as np
 
 from .core import BoundError
 from .properties import IDENTITIES, _left_neutrals, _neutrals
-from .translation import _positions, _rotation_holds
+from .translation import _first_cell_holds, _positions, _rotation_holds
 
 ROW_CHUNK = 4096
 # Most table cells (rows times n*n) a row space may generate: every default
@@ -174,11 +183,13 @@ def compose(tables: np.ndarray, x, y) -> np.ndarray:
 def _sieve(tables: np.ndarray, slab_ok, slabs, size: int | None = None) -> np.ndarray:
     """True for each table on which slab_ok(chunk, slab) holds for every slab.
 
-    Tables go through in blocks of `size` (default ROW_CHUNK).  After each
-    slab a block keeps only the tables still passing, so later slabs read
-    only those and a table that fails its first slab costs one slab.
-    slab_ok returns one boolean per table of the chunk it is given; slabs
-    is re-iterated for every block.
+    Tables go through in chunks of `size` (default ROW_CHUNK; the caller
+    picks it so that one full slab over a chunk reads about ROW_CHUNK*n*n
+    cells, whatever the slab's shape).  After each slab a chunk keeps only
+    the tables still passing, so later slabs read only those, and a table
+    that fails the first slab, one cell or one line in the hot sweeps,
+    costs only that.  slab_ok returns one boolean per table of the chunk
+    it is given; slabs is re-iterated for every chunk.
     """
     b = tables.shape[0]
     size = size or ROW_CHUNK
@@ -199,19 +210,23 @@ def _sieve(tables: np.ndarray, slab_ok, slabs, size: int | None = None) -> np.nd
 
 def _mask_for(name: str):
     """properties.IDENTITIES[name] over a stack, sieved over its first
-    arity - 2 variables (one slab below three variables)."""
+    arity - 2 variables (one slab below three variables); a three-variable
+    identity first on the line where both leading variables are 0."""
     identity = IDENTITIES[name]
     lead = max(0, identity.arity - 2)
 
     def mask(tables: np.ndarray) -> np.ndarray:
         n = tables.shape[1]
         free = (range(n),) * (identity.arity - lead)
+        slabs = [fixed + free for fixed in itertools.product(range(n), repeat=lead)]
+        if identity.arity == 3:
+            slabs.insert(0, (0, 0, range(n)))
 
-        def slab(chunk, fixed):
-            bad = identity.failures(chunk, fixed + free, functools.partial(compose, chunk))
+        def slab(chunk, domains):
+            bad = identity.failures(chunk, domains, functools.partial(compose, chunk))
             return ~bad.any(axis=tuple(range(1, bad.ndim)))
 
-        return _sieve(tables, slab, list(itertools.product(range(n), repeat=lead)))
+        return _sieve(tables, slab, slabs)
 
     mask.__doc__ = f"{identity.text}, sieved over its first {lead} variables"
     return mask
@@ -276,15 +291,18 @@ def unitary_mask(tables: np.ndarray) -> np.ndarray:
 
 
 def translatable_mask(tables: np.ndarray, k: int) -> np.ndarray:
-    """Cell-by-cell rotation test T[i][j] == T[i+1][j+k], sieved over i;
-    each slab compares row i with row i+1 (translation._rotation_holds, as
-    for detect)."""
+    """Cell-by-cell rotation test T[i][j] == T[i+1][j+k], on the schedule of
+    detect: first the one cell T[0][0] == T[1][k] (_first_cell_holds), then
+    sieved over i, each slab comparing row i with row i+1 (_rotation_holds).
+    A chunk holds ROW_CHUNK*n tables, since a slab reads one row of each."""
     n = tables.shape[1]
 
     def slab(chunk, i):
+        if i is None:
+            return _first_cell_holds(chunk[:, 0, :], chunk[:, 1 % n, :], k)
         return _rotation_holds(chunk[:, i, :], chunk[:, (i + 1) % n, :], k)
 
-    return _sieve(tables, slab, range(n))
+    return _sieve(tables, slab, [None, *range(n)], ROW_CHUNK * n)
 
 
 MASKS = {

@@ -555,7 +555,9 @@ def _perm_alterable_mask(rows: np.ndarray, n: int, k: int) -> np.ndarray:
     For a permutation first row two entries agree exactly when they sit at
     the same position, so only quadruples whose left sides share a position
     need their right sides compared.  Those comparisons read only distinct
-    unordered position pairs; a pair of one position always agrees.
+    unordered position pairs, one pair a slab of batch._sieve; a pair of one
+    position always agrees, and on a permutation row the first pair of two
+    positions already fails.
     """
     i, j, w = np.indices((n, n, n))
     z = (j - k * i + k * w) % n
@@ -563,8 +565,11 @@ def _perm_alterable_mask(rows: np.ndarray, n: int, k: int) -> np.ndarray:
     y2 = (i - k * z) % n
     lo, hi = np.minimum(y1, y2), np.maximum(y1, y2)
     pairs = np.unique((lo * n + hi)[lo != hi])
-    y1, y2 = pairs // n, pairs % n
-    return np.concatenate([(block[:, y1] == block[:, y2]).all(axis=1) for block in batch._row_blocks(rows)])
+
+    def agree(chunk, pair):
+        return chunk[:, pair // n] == chunk[:, pair % n]
+
+    return batch._sieve(rows, agree, pairs.tolist(), batch.ROW_CHUNK * n * n)
 
 
 def _run_dual_links(inst):
@@ -608,34 +613,37 @@ def _eas_masks(rows: np.ndarray, n: int, k: int, perm: np.ndarray):
     """Literal sequence forms of associativity, evaluated per row.
 
     The full form eas covers every row; the cancelled form ee1 covers only
-    rows[perm], the permutation rows, where it is read.  Both are sieved
-    over x, and each slab spans every (y, z).
+    rows[perm], the permutation rows, where it is read.  eas is sieved
+    first on the line x = y = 1, then over x, each slab spanning every
+    (y, z); ee1 over x alone.
     """
-    y = np.arange(1, n + 1).reshape(n, 1)
     z = np.arange(1, n + 1).reshape(1, n)
+    every_y = np.arange(1, n + 1).reshape(n, 1)
 
-    def inner(chunk, x):
+    def inner(chunk, slab):
+        x, y = slab
         values = chunk.astype(np.intp) + 1
         inner_xy = values[:, (k - k * x + y - 1) % n]
         inner_yz = values[:, (k - k * y + z - 1) % n]
         return values, inner_xy, inner_yz
 
-    def eas_slab(chunk, x):
-        values, inner_xy, inner_yz = inner(chunk, x)
+    def eas_slab(chunk, slab):
+        values, inner_xy, inner_yz = inner(chunk, slab)
         flat = values.reshape(-1)
         base = (np.arange(values.shape[0]) * n).reshape(-1, 1, 1)
         lhs = flat[base + (k - k * inner_xy + z - 1) % n]
-        rhs = flat[base + (k - k * x + inner_yz - 1) % n]
+        rhs = flat[base + (k - k * slab[0] + inner_yz - 1) % n]
         return (lhs == rhs).all(axis=(1, 2))
 
-    def ee1_slab(chunk, x):
-        _, inner_xy, inner_yz = inner(chunk, x)
+    def ee1_slab(chunk, slab):
+        _, inner_xy, inner_yz = inner(chunk, slab)
         left = (z - k * inner_xy - 1) % n
-        right = (inner_yz - k * x - 1) % n
+        right = (inner_yz - k * slab[0] - 1) % n
         return (left == right).all(axis=(1, 2))
 
-    xs = range(1, n + 1)
-    return batch._sieve(rows, eas_slab, xs), batch._sieve(rows[perm], ee1_slab, xs)
+    slabs = [(x, every_y) for x in range(1, n + 1)]
+    eas = batch._sieve(rows, eas_slab, [(1, np.array([[1]])), *slabs])
+    return eas, batch._sieve(rows[perm], ee1_slab, slabs)
 
 
 def _run_associativity_sequence_form(inst):

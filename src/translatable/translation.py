@@ -11,8 +11,11 @@ and cell-by-cell the grid satisfies T[i][j] = T[i+1][j+k].
 Each rule is written once, on 0-based arrays: _positions, the index
 (j - k*i) mod n that builds tables here and in batch.product_tables, and
 _rotation_holds, the test that finds steps here and in batch.translatable_mask.
-_blocks is the schedule of growing blocks in which the rotation test here
-and the identity sweeps of properties stop at their first failure.
+detect and translatable_mask share one schedule: the single cell
+T[0][0] = T[1][k] first (_first_cell_holds), then whole pairs of adjacent
+rows, each only on what passed so far.  _blocks is the schedule of growing
+blocks in which the rotation test here and the identity sweeps of
+properties stop at their first failure.
 """
 
 from __future__ import annotations
@@ -45,6 +48,12 @@ def _rotation_holds(row: np.ndarray, below: np.ndarray, k) -> np.ndarray:
     return (row == below[..., (np.arange(n) + k) % n]).all(axis=-1)
 
 
+def _first_cell_holds(row: np.ndarray, below: np.ndarray, k) -> np.ndarray:
+    """T[i][0] == T[i+1][k]: _rotation_holds on the first cell of row i
+    alone; leading axes broadcast the same way."""
+    return row[..., 0] == below[..., k % row.shape[-1]]
+
+
 def table_from_sequence(seq: KSequence) -> CayleyTable:
     """Grid whose first row is the sequence and whose rows step right by k."""
     return CayleyTable(seq.n, np.asarray(seq.seq, dtype=np.int32)[_positions(seq.n, seq.k)])
@@ -75,7 +84,7 @@ def _translatable_steps(grid: np.ndarray, steps: np.ndarray) -> list[int]:
     first failing block."""
     n = grid.shape[0]
     below = np.roll(grid, -1, axis=0)
-    steps = steps[below[0, steps % n] == grid[0, 0]]
+    steps = steps[_first_cell_holds(grid[0], below[0], steps)]
     steps = steps[_rotation_holds(grid[0], below[0], steps[:, None])]
     return [
         k for k in steps.tolist()

@@ -184,6 +184,36 @@ def test_memory_error_exits_two_without_a_traceback(capsys, monkeypatch, message
     assert err == f"translatable: out of memory{': ' + message if message else ''}\n"
 
 
+@pytest.mark.parametrize("message", ["", "table cache corrupt"])
+def test_internal_error_exits_three_and_names_the_exception(capsys, monkeypatch, message):
+    def broken(args):
+        raise RuntimeError(message)
+
+    monkeypatch.setitem(cli.HANDLERS, "build", broken)
+    code, out, err = run(capsys, "build", "--k", "3", "--seq", "1 2 3 4")
+    assert code == 3 and out == ""
+    assert err.startswith("Traceback (most recent call last):\n") and "in broken" in err
+    assert err.endswith(f"\ntranslatable: internal error: RuntimeError{': ' + message if message else ''}\n")
+
+
+def test_one_parser_serves_independent_calls(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_build_parser", None)  # main must not build another
+    calls = [
+        (("build", "--k", "3", "--seq", "1 2 3 4", "--format", "json"), 0, '{"n":4,'),
+        (("build", "--k", "3", "--seq", "1 2 3 4"), 0, Z4_TEXT),
+        (("check", "--k", "3", "--seq", "1 2 3 4", "--property", "commutative"), 0, "commutative: yes\n"),
+        (("check", "--k", "3", "--seq", "1 2 3 4", "--property", "idempotent"), 1, "idempotent: no"),
+        (("dual", "--n", "7", "--k", "3"), 0, "kstar: 5\n"),
+        (("check", "--k", "3", "--seq", "1 2 3 4", "--property", "commutative"), 0, "commutative: yes\n"),
+    ]
+    for argv, want_code, want_out in calls:
+        code, out, _ = run(capsys, *argv)
+        assert code == want_code and out.startswith(want_out), argv
+    # A flag given to one call (append or --format) does not leak into the next.
+    code, out, _ = run(capsys, "check", "--k", "3", "--seq", "1 2 3 4")
+    assert code == 1 and out.startswith("idempotent: no") and "commutative: yes" in out
+
+
 def test_dual_subcommand(capsys):
     code, out, _ = run(capsys, "dual", "--n", "7", "--k", "3")
     assert (code, out) == (0, "kstar: 5\n")

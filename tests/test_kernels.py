@@ -38,7 +38,7 @@ from translatable.core import (
 from translatable.properties import check
 from translatable.search import _worker_count
 from translatable.structure import _verify_component_group, decompose, iso_left_unitary
-from translatable.translation import detect, is_translatable, table_from_sequence
+from translatable.translation import _rotation_holds, detect, is_translatable, table_from_sequence
 
 
 def random_table(rng: random.Random, n: int, values: int | None = None) -> CayleyTable:
@@ -1268,6 +1268,73 @@ def test_every_mask_matches_check_and_the_rotation_loop(monkeypatch, n, chunk):
     for k in range(0, n + 2):
         got = batch.translatable_mask(stack, k)
         assert got.tolist() == [translatable_by_loop(table, k) for table in pool], k
+
+
+@pytest.mark.parametrize("chunk", [3, 97])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_first_cell_probe_matches_the_rotation_loop_at_the_edges(fresh_memo, monkeypatch, n, chunk):
+    # The probe reads T[1 % n][k % n]: order 1, k = 0 and k >= n all wrap.
+    # Every first row at every step, some with one cell changed, shuffled so
+    # that the tables passing the probe fall on both sides of chunk edges
+    # (translatable_mask takes ROW_CHUNK * n tables a chunk).
+    monkeypatch.setattr(batch, "ROW_CHUNK", chunk)
+    rng = np.random.default_rng(n)
+    rows = batch.row_array(n, False)
+    stack = np.concatenate([batch.product_tables(rows, k) for k in range(n)])
+    changed = rng.random(len(stack)) < 0.3
+    stack[changed, n - 1, rng.integers(n)] = rng.integers(n, size=changed.sum())
+    stack = stack[rng.permutation(len(stack))]
+    assert len(stack) > chunk * n or n < 4
+    pool = [CayleyTable(n, grid + 1) for grid in stack]
+    outcomes = set()
+    for k in (0, 1, n - 1, n, n + 1, 2 * n + 1):
+        got = batch.translatable_mask(stack, k)
+        assert got.tolist() == [translatable_by_loop(table, k) for table in pool], k
+        outcomes.update(got.tolist())
+    assert outcomes == ({True} if n == 1 else {True, False})
+
+
+@pytest.mark.parametrize("chunk", [3, 97])
+def test_perm_alterable_sieve_matches_every_position_pair(monkeypatch, chunk):
+    # Rows of few values, so that many pass a pair and go on to the next,
+    # across chunk edges (ROW_CHUNK * n * n rows a chunk); and the spaces
+    # with no pair of two positions, where every row passes.
+    monkeypatch.setattr(batch, "ROW_CHUNK", chunk)
+    rng = np.random.default_rng(chunk)
+    no_pairs = {(1, 0), (1, 1), (2, 1), (5, 2), (5, 3)}
+    for n in range(1, 7):
+        rows = np.concatenate([
+            rng.integers(0, 2, size=(chunk * n * n + 50, n), dtype=np.int8),
+            rng.integers(0, n, size=(60, n), dtype=np.int8),
+            np.zeros((5, n), dtype=np.int8),
+            np.array([rng.permutation(n) for _ in range(20)], dtype=np.int8),
+        ])
+        rows = rows[rng.permutation(len(rows))]
+        for k in range(0, n + 1):
+            got = _perm_alterable_mask(rows, n, k)
+            assert (got == positional_alterable(rows, n, k)).all(), (n, k)
+            assert got.all() == ((n, k) in no_pairs), (n, k)
+
+
+def test_translatable_mask_compares_no_rows_once_the_first_cell_fails_everywhere(fresh_memo, monkeypatch):
+    # On permutation rows the step-k tables pass T[0][0] == T[1][s] at no
+    # step s other than k mod n, so no pair of rows is ever compared.
+    calls = []
+
+    def counted(*args):
+        calls.append(args[0].shape[0])
+        return _rotation_holds(*args)
+
+    monkeypatch.setattr(batch, "_rotation_holds", counted)
+    for n, k in ((5, 2), (7, 3), (8, 5)):
+        tables = batch.product_tables(batch.row_array(n, True), k)
+        for step in range(1, n):
+            if step != k:
+                assert not batch.translatable_mask(tables, step).any()
+        assert calls == [], (n, k)
+        assert batch.translatable_mask(tables, k + n).all()
+        assert calls and sum(calls) == n * len(tables)
+        calls.clear()
 
 
 @pytest.mark.parametrize("n", range(1, 7))
