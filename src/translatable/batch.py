@@ -321,5 +321,9 @@ MASKS = {
     "alterable": alterable_mask,
     "left-cancellative": left_cancellative_mask,
     "right-cancellative": right_cancellative_mask,
+    "right-solvable": left_cancellative_mask,  # every row a permutation
+    "left-solvable": right_cancellative_mask,  # every column a permutation
     "quasigroup": quasigroup_mask,
+    "left-unitary": left_neutral_mask,
+    "unitary": unitary_mask,
 }

@@ -1,16 +1,17 @@
 """Row enumeration, property census, and the campaign runner.
 
-enumerate_sequences walks candidate first rows in lexicographic order and
-keeps the ones whose generated table matches a property filter.  catalog
-counts tables per exact property fingerprint.  verify replays one named
-campaign and collects per-instance results, handing each to a callback as
-its instance finishes; with jobs > 1 instances are spread over worker
-processes while keeping the serial result order.
+enumerate_sequences and catalog sweep a row space as (B, n, n) stacks of
+step-k tables (batch.row_array, batch.product_tables) through the batch
+masks; enumerate_sequences sieves each row block through its filter, masked
+properties first, and a property with no mask costs one `check` per table
+still alive.  catalog counts tables per exact property fingerprint.  verify
+replays one named campaign and collects per-instance results, handing each
+to a callback as its instance finishes; with jobs > 1 instances are spread
+over worker processes while keeping the serial result order.
 """
 
 from __future__ import annotations
 
-import itertools
 import multiprocessing
 import os
 import time
@@ -21,9 +22,8 @@ import numpy as np
 
 from . import batch
 from .campaigns import THEOREMS, Campaign, InstanceResult
-from .core import BoundError, InvalidInputError, KSequence, PreconditionError
-from .properties import PROPERTY_NAMES, check
-from .translation import table_from_sequence
+from .core import BoundError, CayleyTable, InvalidInputError, KSequence, _check_order, _check_step
+from .properties import NEEDS_ASSOCIATIVITY, PROPERTY_NAMES, check
 
 PERMUTATION_BOUND = 8
 FULL_BOUND = 6
@@ -57,37 +57,39 @@ class SequenceFilter:
             )
 
 
-def _holds(table, name: str) -> bool:
-    try:
-        return check(table, name)[0]
-    except PreconditionError:
-        return False
+def _passes(tables: np.ndarray, test: tuple[str, bool]) -> np.ndarray:
+    """Whether the named property's verdict on each table of a (B, n, n)
+    stack is the wanted one, test being (name, wanted).  The verdict is the
+    property's batch mask if it has one, else `check` table by table; a
+    semigroup-only property holds on no non-associative table."""
+    name, wanted = test
+    if name in batch.MASKS:
+        return batch.MASKS[name](tables) == wanted
+    ok = batch.associative_mask(tables) if name in NEEDS_ASSOCIATIVITY else np.ones(len(tables), bool)
+    for b in np.flatnonzero(ok):
+        ok[b] = check(CayleyTable(tables.shape[1], tables[b] + 1), name)[0]
+    return ok == wanted
 
 
 def _check_enumeration_bound(n: int, permutation_only: bool) -> None:
-    if n < 1:
-        raise InvalidInputError(f"order must be at least 1, got {n}")
     limit = PERMUTATION_BOUND if permutation_only else FULL_BOUND
     kind = "permutation rows" if permutation_only else "all rows"
     if n > limit:
         raise BoundError(f"enumeration over {kind} stops at n = {limit}, got {n}")
+    _check_order(n)
 
 
 def enumerate_sequences(n: int, k: int, filt: SequenceFilter | None = None) -> Iterator[KSequence]:
     """First rows, in lexicographic order, whose tables pass the filter."""
     filt = filt or SequenceFilter()
     _check_enumeration_bound(n, filt.permutation_only)
-    if filt.permutation_only:
-        rows = itertools.permutations(range(1, n + 1))
-    else:
-        rows = itertools.product(range(1, n + 1), repeat=n)
-    for row in rows:
-        seq = KSequence(n, k, tuple(row))
-        table = table_from_sequence(seq)
-        if all(_holds(table, name) for name in filt.required) and not any(
-            _holds(table, name) for name in filt.forbidden
-        ):
-            yield seq
+    _check_step(n, k)
+    tests = [(name, True) for name in filt.required] + [(name, False) for name in filt.forbidden]
+    tests.sort(key=lambda test: test[0] not in batch.MASKS)
+    for rows in batch._row_blocks(batch.row_array(n, filt.permutation_only)):
+        keep = batch._sieve(batch.product_tables(rows, k), _passes, tests)
+        for row in (rows[keep] + 1).tolist():
+            yield KSequence(n, k, tuple(row))
 
 
 def catalog(n: int, permutation_only: bool = False) -> dict[tuple[int, frozenset[str]], int]:
@@ -103,17 +105,9 @@ def catalog(n: int, permutation_only: bool = False) -> dict[tuple[int, frozenset
     census: dict[tuple[int, frozenset[str]], int] = {}
     for k in range(1, n):
         tables = batch.product_tables(rows, k)
-        flags = {
-            "permutation": perm,
-            "idempotent": batch.idempotent_mask(tables),
-            "associative": batch.associative_mask(tables),
-            "left-cancellative": batch.left_cancellative_mask(tables),
-            "quasigroup": batch.quasigroup_mask(tables),
-            "commutative": batch.commutative_mask(tables),
-        }
-        bits = np.zeros(rows.shape[0], dtype=np.int64)
-        for pos, name in enumerate(CATALOG_FLAGS):
-            bits |= flags[name].astype(np.int64) << pos
+        bits = perm.astype(np.int64)
+        for pos, name in enumerate(CATALOG_FLAGS[1:], start=1):
+            bits |= batch.MASKS[name](tables).astype(np.int64) << pos
         counts = np.bincount(bits, minlength=1 << len(CATALOG_FLAGS))
         for code in np.flatnonzero(counts):
             named = frozenset(

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import io
 import json
 
@@ -294,6 +295,45 @@ def test_row_sweeps_refuse_orders_below_one(capsys, command, n, perm):
     code, out, err = run(capsys, command, "--n", n, "--k", "1", *perm)
     assert code == 2 and out == ""
     assert f"order must be at least 1, got {n}" in err
+
+
+# SHA-256 of stdout, exit code and line count of three row enumerations, as
+# the per-row loop (test_kernels.brute_enumerate) gives them.
+ENUMERATION_GOLDENS = [
+    (("--n", "6", "--k", "5", "--require", "medial"),
+     "f0d8b45526c2de0c8c68af4661f42faa8a1350d6c0abe174f45dda7c8369a313", 0, 450),
+    (("--n", "8", "--k", "3", "--permutation-only", "--require", "paramedial"),
+     "d44a414b764cd5d2c40bab12459640d3ca55abbb124bd645696208593f087962", 0, 32),
+    (("--n", "6", "--k", "1", "--require", "idempotent"),
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 1, 0),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,digest,want,lines", ENUMERATION_GOLDENS, ids=["medial", "paramedial", "idempotent"]
+)
+def test_enumerate_keeps_the_per_row_loop_bytes(capsys, argv, digest, want, lines):
+    code, out, _ = run(capsys, "enumerate", *argv)
+    assert (code, len(out.splitlines())) == (want, lines)
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("n,k", [(4, 0), (4, 9), (1, 1)])
+def test_enumerate_refuses_a_bad_step_before_any_row(capsys, n, k):
+    code, out, err = run(capsys, "enumerate", "--n", str(n), "--k", str(k), "--require", "idempotent")
+    assert code == 2 and out == ""
+    assert f"step must satisfy 1 <= k <= n-1, got k={k} for n={n}" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("enumerate", "--n", "6", "--k", "1", "--require", "idempotent"),
+    ("catalog", "--n", "6"),
+])
+def test_row_sweeps_refuse_orders_over_the_order_bound(capsys, monkeypatch, argv):
+    monkeypatch.setenv("TRANSLATABLE_MAX_ORDER", "5")
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "order 6 exceeds the bound 5" in err
 
 
 def test_catalog_deterministic_bytes(capsys):

@@ -32,11 +32,13 @@ from translatable.core import (
     InvalidInputError,
     KSequence,
     Ordering,
+    PreconditionError,
+    TranslatableError,
     VerificationError,
     Witness,
 )
 from translatable.properties import check
-from translatable.search import _worker_count
+from translatable.search import SequenceFilter, _worker_count, enumerate_sequences
 from translatable.structure import _verify_component_group, decompose, iso_left_unitary
 from translatable.translation import _rotation_holds, detect, is_translatable, table_from_sequence
 
@@ -790,6 +792,74 @@ def test_other_properties_match_the_loop_oracles(name):
         assert got == brute_property(table, name), (name, table.grid.tolist())
         verdicts.add(got[0])
     assert verdicts == {True, False}, name
+
+
+# -- enumeration ---------------------------------------------------------------
+
+
+def brute_enumerate(n: int, k: int, filt: SequenceFilter):
+    """The per-row loop: every first row in lexicographic order, its table
+    built and each filter property checked on it; a semigroup-only property
+    does not hold on a table that is not associative."""
+
+    def holds(table, name):
+        try:
+            return check(table, name)[0]
+        except PreconditionError:
+            return False
+
+    if filt.permutation_only:
+        rows = itertools.permutations(range(1, n + 1))
+    else:
+        rows = itertools.product(range(1, n + 1), repeat=n)
+    for row in rows:
+        seq = KSequence(n, k, row)
+        table = table_from_sequence(seq)
+        if all(holds(table, name) for name in filt.required) and not any(
+            holds(table, name) for name in filt.forbidden
+        ):
+            yield seq
+
+
+def outcome(found):
+    """The list a row enumeration yields, or the type and text of its refusal."""
+    try:
+        return list(found)
+    except TranslatableError as exc:
+        return type(exc), str(exc)
+
+
+# Masked, semigroup-only and unmasked properties, required and forbidden,
+# alone and mixed, and no filter at all.
+ENUMERATION_FILTERS = [
+    ((), ()),
+    (("medial",), ()),
+    (("left-regular",), ()),
+    (("orthodox",), ("idempotent",)),
+    (("anticommutative",), ()),
+    ((), ("associative",)),
+    ((), ("left-regular", "anticommutative")),
+    (("right-solvable", "clifford-left"), ()),
+    (("clifford-left",), ("unitary",)),
+    (("left-unitary", "intra-regular"), ("idempotent",)),
+]
+
+
+@pytest.mark.parametrize("permutation_only", [False, True])
+def test_enumerate_matches_the_per_row_loop(permutation_only):
+    # Every order to 4 at every step, the invalid steps 0 and n included.
+    # Over all rows every filter keeps some row.
+    kept = set()
+    for n in range(1, 5):
+        for k in range(0, n + 1):
+            for required, forbidden in ENUMERATION_FILTERS:
+                filt = SequenceFilter(permutation_only, required, forbidden)
+                want = outcome(brute_enumerate(n, k, filt))
+                assert outcome(enumerate_sequences(n, k, filt)) == want, (n, k, filt)
+                if isinstance(want, list) and want:
+                    kept.add((required, forbidden))
+    if not permutation_only:
+        assert kept == set(ENUMERATION_FILTERS)
 
 
 # -- translatability ----------------------------------------------------------
