@@ -5,9 +5,10 @@ same ones `check` evaluates on a single table, with numpy across a whole
 batch of tables so that exhaustive campaigns over n! or n^n first rows
 finish in seconds.  Tables are stored as a (B, n, n) array of 0-based
 entries; every mask returns one boolean per table and is computed cell by
-cell, never through a closed form.  The neutral-element masks read the
-stack forms properties._left_neutrals and _neutrals, the same tests `check`
-and the structure functions apply to one grid.
+cell, never through a closed form.  The neutral-element masks and the
+anticommutative one read the stack forms properties._left_neutrals,
+_neutrals and _commuting_pairs, the same tests `check` and the structure
+functions apply to one grid.
 
 The identity masks and the rotation test are sieved (_sieve): the cells
 are cut into slabs, one value of the outer variable of a three-variable
@@ -26,19 +27,24 @@ read about ROW_CHUNK*n*n cells: ROW_CHUNK tables for the n*n-cell slabs
 of the identities, ROW_CHUNK*n for the n-cell row pairs of the rotation
 test.
 
-A sweep over a whole row space (space_verdicts, dual_step_verdicts) never
-holds the tables of the whole space: _blocks generates them one block of
-first rows at a time (_row_blocks, at most _BLOCK_CELLS cells, 4 Mi int8
-cells, a block), sieves that block, and joins the blocks' verdicts in row
-order.  The 9! permutation tables alone would take 29.4 MB.
+A sweep over a whole row space (space_verdicts, step_verdicts, or a
+per-table test a caller hands to _blocks) never holds the tables of the
+whole space: _blocks generates them one block of first rows at a time
+(_row_blocks, at most _BLOCK_CELLS cells, 4 Mi int8 cells, a block), sweeps
+that block, and joins the blocks' verdicts in row order.  The 9!
+permutation tables alone would take 29.4 MB.  step_verdicts is the one
+"translatable at every step" sweep: translatable_mask at each step 1..n-1
+over the step-k tables of the permutation rows, or over their duals
+(transposes).
 
-Row spaces and the masks campaigns take over a whole row space are
-memoised until clear_memo(); the verify command clears them when it starts
-and when it ends, so one command computes each row space and each
-whole-space mask once, still cell by cell.  Row spaces and space_verdicts
-are kept as read-only arrays and handed out shared; the dual verdicts are
-kept bit-packed (np.packbits, one bit per table) and each call unpacks
-them into fresh read-only arrays.
+Row spaces and the whole-space verdicts of space_verdicts and step_verdicts
+are memoised until clear_memo(); the verify command clears them when it
+starts and when it ends, so one command computes each row space and each
+whole-space verdict once, still cell by cell, and every campaign that asks
+for the same property over the same space reads the same verdicts.  Row
+spaces and space_verdicts are kept as read-only arrays and handed out
+shared; the step verdicts are kept bit-packed (np.packbits, one bit per
+table and step) and each call unpacks them into fresh read-only arrays.
 """
 
 from __future__ import annotations
@@ -50,7 +56,7 @@ import math
 import numpy as np
 
 from .core import BoundError
-from .properties import IDENTITIES, _left_neutrals, _neutrals
+from .properties import IDENTITIES, _commuting_pairs, _left_neutrals, _neutrals
 from .translation import _first_cell_holds, _positions, _rotation_holds
 
 ROW_CHUNK = 4096
@@ -139,17 +145,18 @@ def space_verdicts(name: str, n: int, k: int, permutation_only: bool) -> np.ndar
     return verdicts
 
 
-def dual_step_verdicts(n: int, k: int) -> dict[int, np.ndarray]:
-    """translatable_mask at every step 1..n-1 over the duals (transposes) of
-    every step-k table with a permutation first row."""
-    key = ("dual", n, k)
+def step_verdicts(n: int, k: int, transposed: bool) -> dict[int, np.ndarray]:
+    """translatable_mask at every step 1..n-1 over every step-k table with a
+    permutation first row, or over their duals (transposes) if transposed."""
+    key = ("steps", n, k, bool(transposed))
     if key not in _VERDICTS:
 
         def steps(tables):
-            duals = tables.transpose(0, 2, 1)
-            out = np.empty((n - 1, duals.shape[0]), dtype=bool)
+            if transposed:
+                tables = tables.transpose(0, 2, 1)
+            out = np.empty((n - 1, tables.shape[0]), dtype=bool)
             for kstar in range(1, n):
-                out[kstar - 1] = translatable_mask(duals, kstar)
+                out[kstar - 1] = translatable_mask(tables, kstar)
             return out
 
         verdicts = _blocks(n, k, True, steps)
@@ -326,4 +333,5 @@ MASKS = {
     "quasigroup": quasigroup_mask,
     "left-unitary": left_neutral_mask,
     "unitary": unitary_mask,
+    "anticommutative": lambda tables: ~_commuting_pairs(tables).any(axis=(1, 2)),
 }

@@ -11,7 +11,15 @@ one instance and returns only its outcome, a (status, witness) pair; it
 never names itself.  Campaign.result labels that outcome with the registry
 id and the instance's first two members as (n, k), so every result is
 labelled in one place.  Failures carry a small JSON-safe witness naming
-the first offending row and cell.
+the first offending row and cell; _first_bad_row names the first row of a
+row space where a verdict is wrong.
+
+A runner that sweeps a row space takes its whole-space verdicts from
+batch: a mask from space_verdicts and the steps of every table or its dual
+from step_verdicts, both memoised for the whole command, and a test of its
+own from _blocks, one block of rows at a time.  Only detection-equivalence
+builds a whole space of tables: it compares three descriptions of the same
+grids.
 """
 
 from __future__ import annotations
@@ -145,8 +153,14 @@ def _np_seq(n: int, k: int, row) -> KSequence:
     return KSequence(n, k, tuple(int(v) + 1 for v in row))
 
 
-def _row_witness(rows: np.ndarray, b: int, note: str) -> dict:
-    return {"row": [int(v) + 1 for v in rows[b]], "note": note}
+def _first_bad_row(rows: np.ndarray, bad: np.ndarray, note) -> Outcome | None:
+    """The failure naming rows[b] for the first b where bad is set, or None.
+    note is the witness's note, or a function giving it from b."""
+    hit = np.flatnonzero(bad)
+    if not hit.size:
+        return None
+    b = int(hit[0])
+    return _failed({"row": [int(v) + 1 for v in rows[b]], "note": note(b) if callable(note) else note})
 
 
 def _identity(n: int) -> tuple[int, ...]:
@@ -157,29 +171,22 @@ def _identity(n: int) -> tuple[int, ...]:
 
 def _run_left_cancellative_propagation(inst):
     n, k = inst
-    rows = batch.row_array(n, False)
-    tables = batch.product_tables(rows, k)
-    row_is_perm = batch._distinct(tables, 2)
-    some = row_is_perm.any(axis=1)
-    every = row_is_perm.all(axis=1)
-    bad = np.flatnonzero(some & ~every)
-    if bad.size:
-        return _failed(_row_witness(rows, bad[0], "one cancellable element without full cancellativity"))
-    return _passed()
+    row_is_perm = batch._blocks(n, k, False, lambda tables: batch._distinct(tables, 2).T)   # [row, table]
+    bad = row_is_perm.any(axis=0) & ~row_is_perm.all(axis=0)
+    note = "one cancellable element without full cancellativity"
+    return _first_bad_row(batch.row_array(n, False), bad, note) or _passed()
 
 
 def _run_unique_step(inst):
     n, k = inst
-    rows = batch.row_array(n, True)
-    tables = batch.product_tables(rows, k)
-    if not batch.translatable_mask(tables, k).all():
+    steps = batch.step_verdicts(n, k, False)
+    if not steps[k].all():
         return _failed({"note": "generated table lost its own step"})
+    rows = batch.row_array(n, True)
     for other in range(1, n):
-        if other == k:
-            continue
-        hit = np.flatnonzero(batch.translatable_mask(tables, other))
-        if hit.size:
-            return _failed(_row_witness(rows, hit[0], f"also translatable with step {other}"))
+        failure = _first_bad_row(rows, steps[other], f"also translatable with step {other}") if other != k else None
+        if failure:
+            return failure
     return _passed()
 
 
@@ -210,8 +217,7 @@ def _run_detection_equivalence(inst):
 def _run_modular_conditions(inst):
     n, k = inst
     rows = batch.row_array(n, True)
-    tables = batch.product_tables(rows, k)
-    masks = np.stack([batch.MASKS[name](tables) for name in LCOND_NAMES], axis=1)
+    masks = np.stack([batch.space_verdicts(name, n, k, True) for name in LCOND_NAMES], axis=1)
     wrong = np.stack([lcond_verdicts(rows, k, name) for name in LCOND_NAMES], axis=1) != masks
     # Row 0 again, through lcond_check: this adds no check, as lcond_check is
     # the one-row case of lcond_verdicts.  It stays while bench/tracing.py
@@ -266,23 +272,19 @@ def _run_alterable_solvable_quasigroup(inst):
         # in the lexicographic order of their row tuples (n <= 4, so every
         # index is below 24 and fits int8)
         tables = rows[np.indices((len(rows),) * n, dtype=np.int8).reshape(n, -1).T]
+        tables = tables[batch.alterable_mask(tables)]
     else:
         # right solvability forces a permutation first row here
-        tables = batch.product_tables(rows, k)
-    alter = batch.alterable_mask(tables) if k is None else batch.space_verdicts("alterable", n, k, True)
+        tables = batch.product_tables(rows[batch.space_verdicts("alterable", n, k, True)], k)
     # Each mask runs only on the tables kept so far, if any; they stay in
-    # order, so the first bad index is the same as over every table.
-    premise = np.flatnonzero(alter)
-    if premise.size:
-        premise = premise[batch.right_distributive_mask(tables[premise])]
-    bad = premise
-    if premise.size:
-        kept = tables[premise]
-        bad = premise[~(batch.idempotent_mask(kept) & batch.quasigroup_mask(kept))]
-    if bad.size:
-        b = int(bad[0])
+    # order, so the first table left is the first bad one of the space.
+    if len(tables):
+        tables = tables[batch.right_distributive_mask(tables)]
+    if len(tables):
+        tables = tables[~(batch.idempotent_mask(tables) & batch.quasigroup_mask(tables))]
+    if len(tables):
         return _failed({
-            "table": [[int(v) + 1 for v in r] for r in tables[b]],
+            "table": [[int(v) + 1 for v in r] for r in tables[0]],
             "note": "alterable right-solvable right-distributive but not an idempotent quasigroup",
         })
     return _passed()
@@ -312,11 +314,9 @@ def _run_idempotent_existence(inst):
         witness = {"obstruction": err.obstruction}
         if n <= 7:
             rows = batch.row_array(n, False)
-            tables = batch.product_tables(rows, k)
-            hits = np.flatnonzero(batch.idempotent_mask(tables))
-            if hits.size:
-                return _failed(_row_witness(rows, hits[0], "an idempotent table exists despite the collision"))
             witness["exhausted-rows"] = int(rows.shape[0])
+            hits = batch.space_verdicts("idempotent", n, k, False)
+            return _first_bad_row(rows, hits, "an idempotent table exists despite the collision") or _expected_fail(witness)
         return _expected_fail(witness)
     return _failed({"row": list(seq.seq), "note": "construction succeeded where positions must collide"})
 
@@ -329,9 +329,7 @@ def _run_idempotent_isomorphism(inst):
         if not iso.verified:
             return _failed({"ordering": list(ordering.perm), "note": "rotation not isomorphic"})
     if n <= 7:
-        rows = batch.row_array(n, True)
-        tables = batch.product_tables(rows, k)
-        count = int(batch.idempotent_mask(tables).sum())
+        count = int(batch.space_verdicts("idempotent", n, k, True).sum())
         if count != 1:
             return _failed({"count": count, "note": "idempotent table not unique"})
     return _passed()
@@ -358,49 +356,38 @@ def _run_right_cancellable_gcd(inst):
         if not check(table, "right-cancellative")[0]:
             return _failed({"note": "no right cancellable element found where one must exist"})
         return _passed()
-    rows = batch.row_array(n, n > 6)
-    tables = batch.product_tables(rows, k)
-    col_distinct = batch._distinct(tables, 1)
-    hits = np.flatnonzero(col_distinct.any(axis=1))
-    if hits.size:
-        return _failed(_row_witness(rows, hits[0], "right cancellable element with gcd(k, n) > 1"))
-    return _passed()
+    perm = n > 6
+    hits = batch._blocks(n, k, perm, lambda tables: batch._distinct(tables, 1).any(axis=1))
+    note = "right cancellable element with gcd(k, n) > 1"
+    return _first_bad_row(batch.row_array(n, perm), hits, note) or _passed()
 
 
 # --- alterability and steps --------------------------------------------------
 
 def _run_alterable_cancellative_step(inst):
     n, k = inst
-    rows = batch.row_array(n, True)
-    tables = batch.product_tables(rows, k)
-    alter = batch.space_verdicts("alterable", n, k, True)
-    target = mod_rep(k * k, n) == n - 1
-    if target:
+    if mod_rep(k * k, n) == n - 1:
         return _passed()
-    for variant, extra in (("left", np.ones(alter.shape, dtype=bool)), ("right", batch.quasigroup_mask(tables))):
-        hit = np.flatnonzero(alter & extra)
-        if hit.size:
-            return _failed(_row_witness(rows, hit[0], f"{variant} cancellative alterable table with [k*k] != n-1"))
-    return _passed()
+    rows = batch.row_array(n, True)
+    alter = batch.space_verdicts("alterable", n, k, True)
+    right = alter & batch.space_verdicts("quasigroup", n, k, True)
+    note = "cancellative alterable table with [k*k] != n-1"
+    return _first_bad_row(rows, alter, f"left {note}") or _first_bad_row(rows, right, f"right {note}") or _passed()
 
 
 def _run_alterable_square(inst):
     n, k = inst
-    rows = batch.row_array(n, True)
     alter = batch.space_verdicts("alterable", n, k, True)
     closed = mod_rep(k * k, n) == n - 1
-    bad = np.flatnonzero(alter != closed)
-    if bad.size:
-        return _failed(_row_witness(rows, bad[0], f"alterable={not closed} against closed form"))
-    return _passed()
+    note = f"alterable={not closed} against closed form"
+    return _first_bad_row(batch.row_array(n, True), alter != closed, note) or _passed()
 
 
 def _run_left_unitary_isomorphism(inst):
     n, k = inst
     canonical = table_from_sequence(left_unitary_groupoid(n, k))
     rows = batch.row_array(n, True)
-    tables = batch.product_tables(rows, k)
-    holders = np.flatnonzero(batch.left_neutral_mask(tables))
+    holders = np.flatnonzero(batch.space_verdicts("left-unitary", n, k, True))
     if holders.size != n // math.gcd(k, n):
         return _failed({"count": int(holders.size), "note": "unexpected number of tables owning a left neutral"})
     for b in holders:
@@ -433,28 +420,21 @@ def _run_left_unitary_medial(inst):
 def _run_unitary_step(inst):
     n, k = inst
     rows = batch.row_array(n, True)
-    tables = batch.product_tables(rows, k)
-    has_unit = batch.unitary_mask(tables)
-    if k == n - 1:
-        if not has_unit.any():
-            return _failed({"note": "no table with a two-sided neutral at the top step"})
-    else:
-        hit = np.flatnonzero(has_unit)
-        if hit.size:
-            return _failed(_row_witness(rows, hit[0], "two-sided neutral away from step n-1"))
+    has_unit = batch.space_verdicts("unitary", n, k, True)
+    if k != n - 1:
+        return _first_bad_row(rows, has_unit, "two-sided neutral away from step n-1") or _passed()
+    if not has_unit.any():
+        return _failed({"note": "no table with a two-sided neutral at the top step"})
     return _passed()
 
 
 def _run_group_step_cyclic(inst):
     n, k = inst
     rows = batch.row_array(n, True)
-    tables = batch.product_tables(rows, k)
-    group_like = batch.space_verdicts("associative", n, k, True) & batch.quasigroup_mask(tables)
-    hits = np.flatnonzero(group_like)
+    group_like = batch.space_verdicts("associative", n, k, True) & batch.space_verdicts("quasigroup", n, k, True)
     if k != n - 1:
-        if hits.size:
-            return _failed(_row_witness(rows, hits[0], "associative quasigroup away from step n-1"))
-        return _passed()
+        return _first_bad_row(rows, group_like, "associative quasigroup away from step n-1") or _passed()
+    hits = np.flatnonzero(group_like)
     if not hits.size:
         return _failed({"note": "no group found at the top step"})
     for b in hits:
@@ -531,19 +511,16 @@ def _run_embedding(inst):
 def _run_dual_step(inst):
     n, k = inst
     rows = batch.row_array(n, True)
-    dual_masks = batch.dual_step_verdicts(n, k)
+    dual_masks = batch.step_verdicts(n, k, True)
     found = None
     for kstar in range(1, n):
-        mask = dual_masks[kstar]
         closed = mod_rep(k * kstar, n) == 1
         if closed:
             found = kstar
-        if closed and not mask.all():
-            b = int(np.flatnonzero(~mask)[0])
-            return _failed(_row_witness(rows, b, f"dual missed promised step {kstar}"))
-        if not closed and mask.any():
-            b = int(np.flatnonzero(mask)[0])
-            return _failed(_row_witness(rows, b, f"dual gained unplanned step {kstar}"))
+        note = f"dual missed promised step {kstar}" if closed else f"dual gained unplanned step {kstar}"
+        failure = _first_bad_row(rows, dual_masks[kstar] != closed, note)
+        if failure:
+            return failure
     if dual_step(n, k).kstar != found:
         return _failed({"reported": dual_step(n, k).kstar, "observed": found})
     return _passed()
@@ -575,13 +552,12 @@ def _perm_alterable_mask(rows: np.ndarray, n: int, k: int) -> np.ndarray:
 def _run_dual_links(inst):
     n, k = inst
     rows = batch.row_array(n, True)
-    dual_masks = batch.dual_step_verdicts(n, k)
+    dual_masks = batch.step_verdicts(n, k, True)
 
-    same_step = dual_masks[k]
     closed_same = mod_rep(k * k, n) == 1
-    if bool(same_step.all()) != closed_same or bool(same_step.any()) != closed_same:
-        b = int(np.flatnonzero(same_step != closed_same)[0])
-        return _failed(_row_witness(rows, b, "dual with the same step against [k*k] = 1"))
+    failure = _first_bad_row(rows, dual_masks[k] != closed_same, "dual with the same step against [k*k] = 1")
+    if failure:
+        return failure
 
     lu = table_from_sequence(left_unitary_groupoid(n, k))
     if is_translatable(dual(lu), k) != check(lu, "paramedial")[0]:
@@ -591,20 +567,15 @@ def _run_dual_links(inst):
         kstar = mod_rep(n - t * k, n)
         if kstar == n:
             continue
-        mask = dual_masks[kstar]
         closed = mod_rep(t * k * k, n) == n - 1
-        hit = np.flatnonzero(mask != closed)
-        if hit.size:
-            return _failed(_row_witness(rows, int(hit[0]), f"dual step n-{t}k against [t*k*k] = n-1"))
+        failure = _first_bad_row(rows, dual_masks[kstar] != closed, f"dual step n-{t}k against [t*k*k] = n-1")
+        if failure:
+            return failure
 
     alter = _perm_alterable_mask(rows, n, k)
     if n <= 6 and not (alter == batch.space_verdicts("alterable", n, k, True)).all():
         return _failed({"note": "position-based alterability mask disagrees with the cell sweep"})
-    opposite = dual_masks[n - k]
-    hit = np.flatnonzero(alter != opposite)
-    if hit.size:
-        return _failed(_row_witness(rows, int(hit[0]), "alterable against dual step n-k"))
-    return _passed()
+    return _first_bad_row(rows, alter != dual_masks[n - k], "alterable against dual step n-k") or _passed()
 
 
 # --- associativity -----------------------------------------------------------
@@ -652,13 +623,11 @@ def _run_associativity_sequence_form(inst):
     assoc = batch.space_verdicts("associative", n, k, False)
     perm = np.flatnonzero(batch._distinct(rows, 1))
     eas, ee1 = _eas_masks(rows, n, k, perm)
-    bad = np.flatnonzero(eas != assoc)
-    if bad.size:
-        return _failed(_row_witness(rows, int(bad[0]), "sequence form against cell associativity"))
-    bad = np.flatnonzero(ee1 != assoc[perm])
-    if bad.size:
-        return _failed(_row_witness(rows, int(perm[bad[0]]), "cancelled sequence form against cell associativity"))
-    return _passed()
+    return (
+        _first_bad_row(rows, eas != assoc, "sequence form against cell associativity")
+        or _first_bad_row(rows[perm], ee1 != assoc[perm], "cancelled sequence form against cell associativity")
+        or _passed()
+    )
 
 
 def _run_semigroup_criterion(inst):
@@ -666,25 +635,20 @@ def _run_semigroup_criterion(inst):
     rows = batch.row_array(n, True)
     assoc = batch.space_verdicts("associative", n, k, True)
     crit = semigroup_verdicts(rows, k)
-    bad = np.flatnonzero(crit != assoc)
-    if bad.size:
-        b = int(bad[0])
-        return _failed(_row_witness(rows, b, f"criterion={bool(crit[b])} associative={bool(assoc[b])}"))
-    return _passed()
+    return _first_bad_row(
+        rows, crit != assoc, lambda b: f"criterion={bool(crit[b])} associative={bool(assoc[b])}"
+    ) or _passed()
 
 
 def _run_left_neutral_element(inst):
     n, k = inst
-    rows = batch.row_array(n, False)
-    tables = batch.product_tables(rows, k)
     assoc = batch.space_verdicts("associative", n, k, False)
-    cancel = batch.left_cancellative_mask(tables)
-    neutral = batch.left_neutral_mask(tables)
-    bad = np.flatnonzero(assoc & (cancel != neutral))
-    if bad.size:
-        b = int(bad[0])
-        return _failed(_row_witness(rows, b, f"cancellative={bool(cancel[b])} neutral={bool(neutral[b])}"))
-    return _passed()
+    cancel = batch.space_verdicts("left-cancellative", n, k, False)
+    neutral = batch.space_verdicts("left-unitary", n, k, False)
+    return _first_bad_row(
+        batch.row_array(n, False), assoc & (cancel != neutral),
+        lambda b: f"cancellative={bool(cancel[b])} neutral={bool(neutral[b])}",
+    ) or _passed()
 
 
 def _run_left_unitary_semigroup_criterion(inst):
@@ -779,13 +743,8 @@ def _run_top_step_cyclic(inst):
 
 def _run_no_idempotent_semigroup(inst):
     n, k = inst
-    rows = batch.row_array(n, False)
-    tables = batch.product_tables(rows, k)
-    both = batch.idempotent_mask(tables) & batch.space_verdicts("associative", n, k, False)
-    hit = np.flatnonzero(both)
-    if hit.size:
-        return _failed(_row_witness(rows, int(hit[0]), "idempotent semigroup found"))
-    return _passed()
+    both = batch.space_verdicts("idempotent", n, k, False) & batch.space_verdicts("associative", n, k, False)
+    return _first_bad_row(batch.row_array(n, False), both, "idempotent semigroup found") or _passed()
 
 
 def _run_idempotent_set_formula(inst):
@@ -818,14 +777,10 @@ def _run_idempotent_set_left_unitary(inst):
 def _run_right_cancellative_semigroup(inst):
     n, k = inst
     rows = batch.row_array(n, True)
-    tables = batch.product_tables(rows, k)
-    strong = batch.space_verdicts("associative", n, k, True) & batch.right_cancellative_mask(tables)
-    hits = np.flatnonzero(strong)
+    strong = batch.space_verdicts("associative", n, k, True) & batch.space_verdicts("right-cancellative", n, k, True)
     if k != n - 1:
-        if hits.size:
-            return _failed(_row_witness(rows, int(hits[0]), "right cancellative semigroup away from step n-1"))
-        return _passed()
-    for b in hits:
+        return _first_bad_row(rows, strong, "right cancellative semigroup away from step n-1") or _passed()
+    for b in np.flatnonzero(strong):
         seq = _np_seq(n, k, rows[b])
         iso = iso_to_cyclic(table_from_sequence(seq))
         if iso is None or not iso.verified:
@@ -983,16 +938,21 @@ def _constant_column_masks(rows: np.ndarray, k: int):
     return crit
 
 
+def _constant_columns(n: int, k: int) -> np.ndarray:
+    """Over every step-k table of the full row space: does every row equal
+    the first, so that each column is constant?"""
+    return batch._blocks(n, k, False, lambda tables: (tables == tables[:, :1, :]).all(axis=(1, 2)))
+
+
 def _run_constant_column_criterion(inst):
     n, k = inst
     rows = batch.row_array(n, False)
-    tables = batch.product_tables(rows, k)
     assoc = batch.space_verdicts("associative", n, k, False)
-    rowsame = (tables == tables[:, :1, :]).all(axis=(1, 2))
     crit = _constant_column_masks(rows, k)
-    bad = np.flatnonzero((assoc & rowsame) != crit)
-    if bad.size:
-        return _failed(_row_witness(rows, int(bad[0]), "criterion against associativity with constant columns"))
+    note = "criterion against associativity with constant columns"
+    failure = _first_bad_row(rows, (assoc & _constant_columns(n, k)) != crit, note)
+    if failure:
+        return failure
     produced = {seq.seq for seq in constant_column_semigroups(n, k)}
     swept = {tuple(int(v) + 1 for v in rows[b]) for b in np.flatnonzero(crit)}
     if produced != swept:
@@ -1007,47 +967,44 @@ def _run_constant_column_criterion(inst):
 def _run_constant_column_forcing(inst):
     n, k = inst
     rows = batch.row_array(n, False)
-    tables = batch.product_tables(rows, k)
     assoc = batch.space_verdicts("associative", n, k, False)
-    rowsame = (tables == tables[:, :1, :]).all(axis=(1, 2))
     shape1 = (rows[:, 0] == n - 1) & (rows[:, 1] == n - 1)
     shape2 = rows[:, 0] == 0
     tail = np.zeros(len(rows), dtype=bool)
     for j in range(2, n):
         tail |= rows[:, j - 1] == j
     shape2 &= tail
-    bad = np.flatnonzero((shape1 | shape2) & assoc & ~rowsame)
-    if bad.size:
-        return _failed(_row_witness(rows, int(bad[0]), "bent first row with a non-constant semigroup"))
-    return _passed()
+    bad = (shape1 | shape2) & assoc & ~_constant_columns(n, k)
+    return _first_bad_row(rows, bad, "bent first row with a non-constant semigroup") or _passed()
 
 
-def _anchor_conditions(row: list[int], j: int, k: int) -> bool:
-    """The anchor conditions on row j of a table, given as a 1-based list."""
-    n = len(row)
-    for s in range(1, n + 1):
-        base = row[mod_rep(j - 1 + s, n) - 1]
-        if row[mod_rep(j - 1 + s - k, n) - 1] != base:
-            return False
-        if row[mod_rep(j - 1 + s + k, n) - 1] != base:
-            return False
-        if row[mod_rep(j - 1 + base, n) - 1] != base:
-            return False
-    return True
+def _anchor_rows(tables: np.ndarray, k: int) -> np.ndarray:
+    """On 0-based tables, positions taken mod n: [0, j, b], is j anchored in
+    table b, j*j = j*(j-1) = j?  [1, j, b], does row j of table b meet the
+    anchor conditions: each entry v equals the entries k places either
+    side of it and the entry at position j + v?"""
+    b, n, _ = tables.shape
+    at = np.arange(n)
+    out = np.empty((2, n, b), dtype=bool)
+    for j in range(n):
+        row = tables[:, j, :].astype(np.intp)
+        out[0, j] = (row[:, j] == j) & (row[:, (j - 1) % n] == j)
+        out[1, j] = (
+            (row[:, (at - k) % n] == row)
+            & (row[:, (at + k) % n] == row)
+            & (np.take_along_axis(row, (j + row) % n, axis=1) == row)
+        ).all(axis=1)
+    return out
 
 
 def _run_idempotent_anchor_semigroup(inst):
     n, k = inst
-    rows = batch.row_array(n, False)
-    assoc = batch.space_verdicts("associative", n, k, False)
-    for b, table in enumerate((batch.product_tables(rows, k) + 1).tolist()):
-        for j in range(1, n + 1):
-            row = table[j - 1]
-            if row[j - 1] != j or row[mod_rep(j - 1, n) - 1] != j:
-                continue
-            if _anchor_conditions(row, j, k) != bool(assoc[b]):
-                return _failed(_row_witness(rows, b, f"anchor {j} conditions against associativity"))
-    return _passed()
+    anchored, holds = batch._blocks(n, k, False, lambda tables: _anchor_rows(tables, k))
+    bad = anchored & (holds != batch.space_verdicts("associative", n, k, False))   # [j, b]
+    return _first_bad_row(
+        batch.row_array(n, False), bad.any(axis=0),
+        lambda b: f"anchor {int(bad[:, b].argmax()) + 1} conditions against associativity",
+    ) or _passed()
 
 
 def _run_idempotent_one_semigroup(inst):
@@ -1059,10 +1016,7 @@ def _run_idempotent_one_semigroup(inst):
     cond &= (rows == rows[:, (idx + k) % n]).all(axis=1)
     cond &= (np.take_along_axis(rows, rows.astype(np.int64), axis=1) == rows).all(axis=1)
     anchored = (rows[:, 0] == 0) & (rows[:, n - 1] == 0)
-    bad = np.flatnonzero(anchored & (cond != assoc))
-    if bad.size:
-        return _failed(_row_witness(rows, int(bad[0]), "four-way condition against associativity"))
-    return _passed()
+    return _first_bad_row(rows, anchored & (cond != assoc), "four-way condition against associativity") or _passed()
 
 
 # --- scaled residues and unions ---------------------------------------------

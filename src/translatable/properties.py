@@ -557,9 +557,15 @@ def _check_unitary(table):
     return False, _identity_miss("unitary", e, m[:, e] if lefts else m[0])
 
 
+def _commuting_pairs(m: np.ndarray) -> np.ndarray:
+    """For a 0-based grid, or each grid of a (..., n, n) stack, whether
+    i * j = j * i at each cell (i, j) off the diagonal: the cells where
+    anticommutativity fails."""
+    return (m == np.swapaxes(m, -1, -2)) & ~np.eye(m.shape[-1], dtype=bool)
+
+
 def _check_anticommutative(table):
-    bad = table.grid == table.grid.T
-    np.fill_diagonal(bad, False)
+    bad = _commuting_pairs(table.grid)
     return _verdict(bad, lambda i, j: Witness("anticommutative", (i + 1, j + 1), i + 1, j + 1))
 
 

@@ -3,11 +3,13 @@
 enumerate_sequences and catalog sweep a row space as (B, n, n) stacks of
 step-k tables (batch.row_array, batch.product_tables) through the batch
 masks; enumerate_sequences sieves each row block through its filter, masked
-properties first, and a property with no mask costs one `check` per table
-still alive.  catalog counts tables per exact property fingerprint.  verify
-replays one named campaign and collects per-instance results, handing each
-to a callback as its instance finishes; with jobs > 1 instances are spread
-over worker processes while keeping the serial result order.
+properties first, and a property with no mask (the semigroup-only ones)
+costs one `check` per table still alive.  catalog counts tables per exact
+property fingerprint, reading its flags one row block at a time
+(batch._blocks).  verify replays one named campaign and collects
+per-instance results, handing each to a callback as its instance finishes;
+with jobs > 1 instances are spread over worker processes while keeping the
+serial result order.
 """
 
 from __future__ import annotations
@@ -100,14 +102,16 @@ def catalog(n: int, permutation_only: bool = False) -> dict[tuple[int, frozenset
     dropped.
     """
     _check_enumeration_bound(n, permutation_only)
-    rows = batch.row_array(n, permutation_only)
-    perm = batch._distinct(rows, 1)
+    perm = batch._distinct(batch.row_array(n, permutation_only), 1)
     census: dict[tuple[int, frozenset[str]], int] = {}
+
+    def flags(tables):
+        return np.stack([batch.MASKS[name](tables) for name in CATALOG_FLAGS[1:]])
+
     for k in range(1, n):
-        tables = batch.product_tables(rows, k)
         bits = perm.astype(np.int64)
-        for pos, name in enumerate(CATALOG_FLAGS[1:], start=1):
-            bits |= batch.MASKS[name](tables).astype(np.int64) << pos
+        for pos, verdicts in enumerate(batch._blocks(n, k, permutation_only, flags), start=1):
+            bits |= verdicts.astype(np.int64) << pos
         counts = np.bincount(bits, minlength=1 << len(CATALOG_FLAGS))
         for code in np.flatnonzero(counts):
             named = frozenset(

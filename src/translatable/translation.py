@@ -36,9 +36,16 @@ from .core import (
 
 def _positions(n: int, k: int) -> np.ndarray:
     """(n, n) array of the first-row position (j - k*i) mod n that cell
-    (i, j) of a step-k table reads, all 0-based: i*j = a_[k - ki + j]."""
-    index = np.arange(n) - k * np.arange(n).reshape(n, 1)
-    return np.remainder(index, n, out=index)
+    (i, j) of a step-k table reads, all 0-based: i*j = a_[k - ki + j].
+
+    Row i is row 0, that is 0..n-1, rotated right by k*i, so it is the
+    window of n values at (-k*i) mod n in 0..n-1 written twice; the rows
+    are gathered from a strided view of those windows, with no remainder
+    taken per cell.
+    """
+    doubled = np.arange(2 * n) % n
+    windows = np.ndarray((n + 1, n), doubled.dtype, doubled, strides=(doubled.itemsize,) * 2)
+    return windows[-(k % n) * np.arange(n) % n]
 
 
 def _rotation_holds(row: np.ndarray, below: np.ndarray, k) -> np.ndarray:

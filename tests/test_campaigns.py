@@ -10,7 +10,7 @@ import pytest
 import numpy as np
 
 from translatable import campaigns
-from translatable.campaigns import THEOREMS, _closed_subsets
+from translatable.campaigns import THEOREMS, _closed_subsets, _first_bad_row
 from translatable.constructions import cancellative_semigroups
 from translatable.core import CayleyTable, Ordering
 from translatable.search import verify
@@ -121,3 +121,13 @@ def test_bitmask_subset_scan_matches_the_subset_loop():
         rows = (table.grid + 1).tolist()
         for side in ("left", "right"):
             assert _closed_subsets(table.grid, side) == loop_closed_subsets(rows, side), (rows, side)
+
+
+def test_first_bad_row_names_the_first_set_entry():
+    rows = np.array([[0, 1, 2], [2, 0, 1], [1, 2, 0], [2, 1, 0]], dtype=np.int8)
+    assert _first_bad_row(rows, np.zeros(4, dtype=bool), "never") is None
+    bad = np.array([False, False, True, True])
+    assert _first_bad_row(rows, bad, "odd row") == ("fail", {"row": [2, 3, 1], "note": "odd row"})
+    seen = []
+    got = _first_bad_row(rows, bad, lambda b: seen.append(b) or f"row {b}")
+    assert got == ("fail", {"row": [2, 3, 1], "note": "row 2"}) and seen == [2]

@@ -17,7 +17,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from translatable import batch, properties
+from translatable import batch, properties, search
 from translatable.campaigns import _eas_masks, _perm_alterable_mask
 from translatable.constructions import (
     UnionSpec,
@@ -1129,7 +1129,7 @@ def test_memoised_arrays_are_read_only_and_shared(fresh_memo):
     assert batch.row_array(5, True) is rows
     verdicts = batch.space_verdicts("associative", 5, 2, True)
     assert batch.space_verdicts("associative", 5, 2, True) is verdicts
-    duals = batch.dual_step_verdicts(5, 2)
+    duals = batch.step_verdicts(5, 2, True)
     assert sorted(duals) == [1, 2, 3, 4]
     for array in (rows, verdicts, *duals.values()):
         with pytest.raises(ValueError):
@@ -1159,10 +1159,12 @@ def test_space_verdicts_match_the_mask_on_fresh_tables(fresh_memo, monkeypatch):
         for name in ("associative", "alterable"):
             expected = batch.MASKS[name](tables)
             assert (batch.space_verdicts(name, n, k, perm) == expected).all()
-        duals = tables.transpose(0, 2, 1)
         if perm:
-            for kstar, verdicts in batch.dual_step_verdicts(n, k).items():
-                assert (verdicts == batch.translatable_mask(duals, kstar)).all()
+            for transposed, stack in ((False, tables), (True, tables.transpose(0, 2, 1))):
+                steps = batch.step_verdicts(n, k, transposed)
+                assert sorted(steps) == list(range(1, n))
+                for kstar, verdicts in steps.items():
+                    assert (verdicts == batch.translatable_mask(stack, kstar)).all()
 
 
 def test_neutral_masks_agree_with_check_table_by_table(fresh_memo):
@@ -1176,16 +1178,35 @@ def test_neutral_masks_agree_with_check_table_by_table(fresh_memo):
         assert any(expected) and not all(expected)
 
 
+def test_anticommutative_mask_agrees_with_check_table_by_table(fresh_memo):
+    # Every translatable table of orders 3 and 4, some anticommutative.
+    for n in (3, 4):
+        rows = batch.row_array(n, False)
+        tables = np.concatenate([batch.product_tables(rows, k) for k in range(1, n)])
+        expected = [check(CayleyTable(n, (grid + 1).tolist()), "anticommutative")[0] for grid in tables]
+        assert batch.MASKS["anticommutative"](tables).tolist() == expected
+        assert any(expected) and not all(expected)
+
+
+def test_enumerate_decides_anticommutative_on_the_stack(fresh_memo, monkeypatch):
+    # 46,656 tables at (6, 5), none anticommutative, and not one `check`.
+    def refuse(table, name):
+        raise AssertionError(f"check was called for {name}")
+
+    monkeypatch.setattr(search, "check", refuse)
+    assert list(enumerate_sequences(6, 5, SequenceFilter(required=("anticommutative",)))) == []
+
+
 def test_dual_verdicts_at_order_nine_stay_small(fresh_memo):
     # A whole-space dual sweep holds one row block of tables at a time, and
     # the memo keeps one bit per table and step.
     batch.row_array(9, True)
     tracemalloc.start()
     try:
-        batch.dual_step_verdicts(9, 2)
+        batch.step_verdicts(9, 2, True)
         _, peak = tracemalloc.get_traced_memory()
         for k in range(1, 9):
-            batch.dual_step_verdicts(9, k)
+            batch.step_verdicts(9, k, True)
         held, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -280,6 +280,15 @@ def test_closed_forms_match_cell_sweeps_on_seeded_rows_past_order_66(n):
                 assert lcond_check(seq, name) == check(table, name)[0], (k, row.tolist(), name)
 
 
+@pytest.fixture
+def fresh_memo():
+    # The runner reads memoised whole-space verdicts, so each case must
+    # compute them afresh from its own patched masks, and leave none behind.
+    batch.clear_memo()
+    yield
+    batch.clear_memo()
+
+
 def flipped_mask(mask, rows):
     def patched(tables):
         got = mask(tables).copy()
@@ -295,7 +304,7 @@ def flipped_mask(mask, rows):
     set(),
 ])
 @pytest.mark.parametrize("n, k", [(6, 5), (5, 2), (4, 3)])
-def test_modular_conditions_reports_the_failure_the_row_loop_found(monkeypatch, n, k, flips):
+def test_modular_conditions_reports_the_failure_the_row_loop_found(fresh_memo, monkeypatch, n, k, flips):
     for name in {name for name, _ in flips}:
         monkeypatch.setitem(batch.MASKS, name, flipped_mask(batch.MASKS[name], [b for m, b in flips if m == name]))
     rows = batch.row_array(n, True)

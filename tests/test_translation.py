@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from translatable.core import (
@@ -13,6 +14,7 @@ from translatable.core import (
     reorder,
 )
 from translatable.translation import (
+    _positions,
     all_rotated_presentations,
     detect,
     dual,
@@ -141,3 +143,15 @@ def test_two_element_edge():
     assert detect(table) == frozenset({1})
     with pytest.raises(InvalidInputError):
         KSequence(2, 2, (1, 2))
+
+
+@pytest.mark.parametrize("n", [*range(2, 41), 1024])
+def test_positions_are_the_index_rule(n):
+    # Every step a table of order n is built at (1..n-1), the steps 0 and n,
+    # and steps past n, as the unions pass: (j - k*i) mod n at every cell.
+    i, j = np.indices((n, n))
+    steps = range(0, n + 2) if n <= 40 else (1, 2, 31, 512, 1023, 1024, 2 * n + 1)
+    for k in [*steps, 3 * n - 1]:
+        got = _positions(n, k)
+        assert got.shape == (n, n) and got.dtype.kind == "i"
+        assert (got == (j - k * i) % n).all(), k
