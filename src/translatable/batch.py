@@ -14,9 +14,10 @@ The identity masks and the rotation test are sieved (_sieve): the cells
 are cut into slabs, one value of the outer variable of a three-variable
 identity, one (i, j) pair of a four-variable one, one pair of adjacent
 rows, or a single slab below three variables, and each slab is checked
-only on the tables that passed every earlier slab.  The first slab is
-small: the one cell T[0][0] = T[1][k] of the rotation test, and for a
-three-variable identity the line with every variable but the last at 0.
+once over the whole stack, only on the tables that passed every earlier
+slab.  The first slab is small: the one cell T[0][0] = T[1][k] of the
+rotation test, and for a three-variable identity the line with every
+variable but the last at 0.
 Most rows of a row space fail that first cell or line, so a whole-space
 mask costs about one cell or one line per row, and the full slabs run
 only on the few survivors.  Four-variable identities get no such line:
@@ -190,28 +191,27 @@ def compose(tables: np.ndarray, x, y) -> np.ndarray:
 def _sieve(tables: np.ndarray, slab_ok, slabs, size: int | None = None) -> np.ndarray:
     """True for each table on which slab_ok(chunk, slab) holds for every slab.
 
-    Tables go through in chunks of `size` (default ROW_CHUNK; the caller
-    picks it so that one full slab over a chunk reads about ROW_CHUNK*n*n
-    cells, whatever the slab's shape).  After each slab a chunk keeps only
-    the tables still passing, so later slabs read only those, and a table
-    that fails the first slab, one cell or one line in the hot sweeps,
-    costs only that.  slab_ok returns one boolean per table of the chunk
-    it is given; slabs is re-iterated for every chunk.
+    Each slab runs once over every table still passing, in chunks of
+    `size` (default ROW_CHUNK; the caller picks it so that one full slab
+    over a chunk reads about ROW_CHUNK*n*n cells, whatever the slab's
+    shape), and the stack is then cut down to the tables that pass it.  So
+    later slabs read only the survivors of the whole stack, in full chunks,
+    and a table that fails the first slab, one cell or one line in the hot
+    sweeps, costs only that.  slab_ok returns one boolean per table of the
+    chunk it is given; slabs is iterated once, and not at all for an empty
+    stack.
     """
     b = tables.shape[0]
     size = size or ROW_CHUNK
+    alive = np.arange(b)
+    for slab in slabs:
+        if not alive.size:
+            break
+        keep = np.concatenate([slab_ok(tables[start:start + size], slab) for start in range(0, alive.size, size)])
+        if not keep.all():
+            alive, tables = alive[keep], tables[keep]
     ok = np.zeros(b, dtype=bool)
-    for start in range(0, b, size):
-        chunk = tables[start:start + size]
-        alive = np.arange(start, start + chunk.shape[0])
-        for slab in slabs:
-            keep = slab_ok(chunk, slab)
-            if not keep.all():
-                alive = alive[keep]
-                if not alive.size:
-                    break
-                chunk = chunk[keep]
-        ok[alive] = True
+    ok[alive] = True
     return ok
 
 

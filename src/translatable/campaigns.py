@@ -6,13 +6,16 @@ or a counting formula) is compared against an independent definitional
 sweep, usually over every candidate first row.  A campaign never trusts
 the closed form it is checking; the oracle side only reads table cells.
 
+Each campaign is declared once, by the _campaign decorator directly above
+its runner: its id, summary, default bound and instance window.  The
+decorator adds it to THEOREMS, in the order the runners are defined.
 Campaign granularity is one result per (n, k) instance.  A runner takes
 one instance and returns only its outcome, a (status, witness) pair; it
-never names itself.  Campaign.result labels that outcome with the registry
-id and the instance's first two members as (n, k), so every result is
-labelled in one place.  Failures carry a small JSON-safe witness naming
-the first offending row and cell; _first_bad_row names the first row of a
-row space where a verdict is wrong.
+never names itself.  Campaign.result labels that outcome with the id it
+was declared under and the instance's first two members as (n, k), so
+every result is labelled in one place.  Failures carry a small JSON-safe
+witness naming the first offending row and cell; _first_bad_row names the
+first row of a row space where a verdict is wrong.
 
 A runner that sweeps a row space takes its whole-space verdicts from
 batch: a mask from space_verdicts and the steps of every table or its dual
@@ -149,6 +152,20 @@ def _idempotent_pairs(max_n: int) -> list[tuple]:
     return [(n, k) for n, k in _all_pairs(max_n) if math.gcd(k - 1, n) == 1]
 
 
+THEOREMS: dict[str, Campaign] = {}
+
+
+def _campaign(theorem_id: str, summary: str, default_max_n: int, instances=_all_pairs):
+    """Register the decorated runner as a campaign.  THEOREMS keeps the order
+    in which the runners are defined, the order `verify --theorem list` prints."""
+
+    def register(run):
+        THEOREMS[theorem_id] = Campaign(theorem_id, summary, default_max_n, instances, run)
+        return run
+
+    return register
+
+
 def _np_seq(n: int, k: int, row) -> KSequence:
     return KSequence(n, k, tuple(int(v) + 1 for v in row))
 
@@ -169,6 +186,7 @@ def _identity(n: int) -> tuple[int, ...]:
 
 # --- propagation of cancellativity ------------------------------------------
 
+@_campaign("left-cancellative-propagation", "one left cancellable element spreads to the whole table", 6)
 def _run_left_cancellative_propagation(inst):
     n, k = inst
     row_is_perm = batch._blocks(n, k, False, lambda tables: batch._distinct(tables, 2).T)   # [row, table]
@@ -177,6 +195,7 @@ def _run_left_cancellative_propagation(inst):
     return _first_bad_row(batch.row_array(n, False), bad, note) or _passed()
 
 
+@_campaign("unique-step", "a left cancellative table keeps exactly one step per ordering", 7)
 def _run_unique_step(inst):
     n, k = inst
     steps = batch.step_verdicts(n, k, False)
@@ -190,6 +209,7 @@ def _run_unique_step(inst):
     return _passed()
 
 
+@_campaign("detection-equivalence", "first-row formula, row shift, and column shift describe the same tables", 6)
 def _run_detection_equivalence(inst):
     n, k = inst
     if n <= 3:
@@ -214,6 +234,7 @@ def _run_detection_equivalence(inst):
     return _passed()
 
 
+@_campaign("modular-conditions", "closed forms on the first row match cell-by-cell property checks", 6)
 def _run_modular_conditions(inst):
     n, k = inst
     rows = batch.row_array(n, True)
@@ -237,6 +258,8 @@ def _run_modular_conditions(inst):
 
 # --- idempotent groupoids ----------------------------------------------------
 
+@_campaign("idempotent-elastic-sum", "elasticity of idempotent tables reads as a two-term sum rule",
+           12, _idempotent_pairs)
 def _run_idempotent_elastic_sum(inst):
     n, k = inst
     table = table_from_sequence(idempotent_groupoid(n, k))
@@ -249,6 +272,9 @@ def _run_idempotent_elastic_sum(inst):
     return _passed()
 
 
+@_campaign("idempotent-distributive-symmetry",
+           "idempotent tables are left distributive exactly when right distributive",
+           12, _idempotent_pairs)
 def _run_idempotent_distributive_symmetry(inst):
     n, k = inst
     table = table_from_sequence(idempotent_groupoid(n, k))
@@ -264,6 +290,9 @@ def _instances_alterable_solvable(max_n: int) -> list[tuple]:
     return free + _all_pairs(max_n)
 
 
+@_campaign("alterable-solvable-quasigroup",
+           "alterable right-solvable right-distributive tables are idempotent quasigroups",
+           6, _instances_alterable_solvable)
 def _run_alterable_solvable_quasigroup(inst):
     n, k = inst
     rows = batch.row_array(n, True)
@@ -294,6 +323,8 @@ def _instances_idempotent_existence(max_n: int) -> list[tuple]:
     return [(n, k) for n in range(2, max_n + 1) for k in range(2, n)]
 
 
+@_campaign("idempotent-existence", "idempotent tables exist exactly when the diagonal positions avoid collisions",
+           12, _instances_idempotent_existence)
 def _run_idempotent_existence(inst):
     n, k = inst
     g = math.gcd(k - 1, n)
@@ -321,6 +352,7 @@ def _run_idempotent_existence(inst):
     return _failed({"row": list(seq.seq), "note": "construction succeeded where positions must collide"})
 
 
+@_campaign("idempotent-isomorphism", "same order and step idempotent tables are isomorphic", 12, _idempotent_pairs)
 def _run_idempotent_isomorphism(inst):
     n, k = inst
     seq = idempotent_groupoid(n, k)
@@ -335,6 +367,8 @@ def _run_idempotent_isomorphism(inst):
     return _passed()
 
 
+@_campaign("idempotent-quasigroup", "idempotent tables are quasigroups exactly when gcd(k, n) = 1",
+           15, _idempotent_pairs)
 def _run_idempotent_quasigroup(inst):
     n, k = inst
     table = table_from_sequence(idempotent_groupoid(n, k))
@@ -349,6 +383,7 @@ def _run_idempotent_quasigroup(inst):
     return _passed()
 
 
+@_campaign("right-cancellable-gcd", "a right cancellable element forces gcd(k, n) = 1", 7)
 def _run_right_cancellable_gcd(inst):
     n, k = inst
     if math.gcd(k, n) == 1:
@@ -364,17 +399,21 @@ def _run_right_cancellable_gcd(inst):
 
 # --- alterability and steps --------------------------------------------------
 
+@_campaign("alterable-cancellative-step", "alterable cancellative tables pin [k*k] = n-1", 7)
 def _run_alterable_cancellative_step(inst):
     n, k = inst
     if mod_rep(k * k, n) == n - 1:
         return _passed()
-    rows = batch.row_array(n, True)
+    # One sweep over the permutation rows, the left cancellative tables,
+    # covers the right cancellative ones too: column j reads the first row
+    # at positions (j - k*i) mod n, n distinct values only if those cover
+    # 0..n-1, so a right cancellative table has a permutation first row.
     alter = batch.space_verdicts("alterable", n, k, True)
-    right = alter & batch.space_verdicts("quasigroup", n, k, True)
     note = "cancellative alterable table with [k*k] != n-1"
-    return _first_bad_row(rows, alter, f"left {note}") or _first_bad_row(rows, right, f"right {note}") or _passed()
+    return _first_bad_row(batch.row_array(n, True), alter, note) or _passed()
 
 
+@_campaign("alterable-square", "alterability of cancellative tables is the square condition", 8)
 def _run_alterable_square(inst):
     n, k = inst
     alter = batch.space_verdicts("alterable", n, k, True)
@@ -383,6 +422,7 @@ def _run_alterable_square(inst):
     return _first_bad_row(batch.row_array(n, True), alter != closed, note) or _passed()
 
 
+@_campaign("left-unitary-isomorphism", "tables owning a left neutral all reorder to the canonical one", 7)
 def _run_left_unitary_isomorphism(inst):
     n, k = inst
     canonical = table_from_sequence(left_unitary_groupoid(n, k))
@@ -405,6 +445,7 @@ def _run_left_unitary_isomorphism(inst):
     return _passed()
 
 
+@_campaign("left-unitary-medial", "left unitary tables are medial and never right distributive", 12)
 def _run_left_unitary_medial(inst):
     n, k = inst
     table = table_from_sequence(left_unitary_groupoid(n, k))
@@ -417,6 +458,7 @@ def _run_left_unitary_medial(inst):
     return _passed()
 
 
+@_campaign("unitary-step", "a two-sided neutral forces the top step", 7)
 def _run_unitary_step(inst):
     n, k = inst
     rows = batch.row_array(n, True)
@@ -428,6 +470,7 @@ def _run_unitary_step(inst):
     return _passed()
 
 
+@_campaign("group-step-cyclic", "groups appear only at the top step and are cyclic", 7)
 def _run_group_step_cyclic(inst):
     n, k = inst
     rows = batch.row_array(n, True)
@@ -445,6 +488,7 @@ def _run_group_step_cyclic(inst):
     return _passed()
 
 
+@_campaign("left-unitary-step-conditions", "eleven properties of left unitary tables reduce to conditions on k", 12)
 def _run_left_unitary_step_conditions(inst):
     n, k = inst
     table = table_from_sequence(left_unitary_groupoid(n, k))
@@ -456,6 +500,8 @@ def _run_left_unitary_step_conditions(inst):
     return _passed()
 
 
+@_campaign("left-unitary-modular-links", "modularity, paramediality, and elasticity interlock on left unitary tables",
+           12)
 def _run_left_unitary_modular_links(inst):
     n, k = inst
     table = table_from_sequence(left_unitary_groupoid(n, k))
@@ -483,6 +529,7 @@ def _embedding_sources(n: int, k: int) -> list[tuple[str, KSequence]]:
     return sources
 
 
+@_campaign("embedding", "every table embeds into a larger one with the same step", 6)
 def _run_embedding(inst):
     n, k = inst
     for label, seq in _embedding_sources(n, k):
@@ -508,6 +555,7 @@ def _run_embedding(inst):
 
 # --- dual tables -------------------------------------------------------------
 
+@_campaign("dual-step", "the transpose is translatable exactly for inverse steps", 9)
 def _run_dual_step(inst):
     n, k = inst
     rows = batch.row_array(n, True)
@@ -549,6 +597,7 @@ def _perm_alterable_mask(rows: np.ndarray, n: int, k: int) -> np.ndarray:
     return batch._sieve(rows, agree, pairs.tolist(), batch.ROW_CHUNK * n * n)
 
 
+@_campaign("dual-links", "dual steps encode squares, scaled steps, and alterability", 9)
 def _run_dual_links(inst):
     n, k = inst
     rows = batch.row_array(n, True)
@@ -617,6 +666,7 @@ def _eas_masks(rows: np.ndarray, n: int, k: int, perm: np.ndarray):
     return eas, batch._sieve(rows[perm], ee1_slab, slabs)
 
 
+@_campaign("associativity-sequence-form", "associativity rewrites as a nested first-row identity", 6)
 def _run_associativity_sequence_form(inst):
     n, k = inst
     rows = batch.row_array(n, False)
@@ -630,6 +680,7 @@ def _run_associativity_sequence_form(inst):
     )
 
 
+@_campaign("semigroup-criterion", "associativity of cancellative tables is a first-row recurrence", 7)
 def _run_semigroup_criterion(inst):
     n, k = inst
     rows = batch.row_array(n, True)
@@ -640,6 +691,7 @@ def _run_semigroup_criterion(inst):
     ) or _passed()
 
 
+@_campaign("left-neutral-element", "cancellative semigroups are the ones owning a left neutral", 6)
 def _run_left_neutral_element(inst):
     n, k = inst
     assoc = batch.space_verdicts("associative", n, k, False)
@@ -651,6 +703,7 @@ def _run_left_neutral_element(inst):
     ) or _passed()
 
 
+@_campaign("left-unitary-semigroup-criterion", "left unitary tables are associative exactly when n divides k+k*k", 24)
 def _run_left_unitary_semigroup_criterion(inst):
     n, k = inst
     table = table_from_sequence(left_unitary_groupoid(n, k))
@@ -665,6 +718,8 @@ def _instances_block_product(max_n: int) -> list[tuple]:
     return [(k * k + k, k) for k in range(1, max_n) if k * k + k <= max_n]
 
 
+@_campaign("block-product-formula", "the block product formula reproduces the left unitary semigroup",
+           72, _instances_block_product)
 def _run_block_product_formula(inst):
     n, k = inst
     table = block_product_table(k)
@@ -686,6 +741,8 @@ def _run_block_product_formula(inst):
 
 # --- cancellative semigroups -------------------------------------------------
 
+@_campaign("left-unitary-reordering", "every cancellative semigroup reorders to the left unitary presentation",
+           12, _criterion_pairs)
 def _run_left_unitary_reordering(inst):
     n, k = inst
     canonical = table_from_sequence(left_unitary_groupoid(n, k))
@@ -704,6 +761,8 @@ def _run_left_unitary_reordering(inst):
     return _passed()
 
 
+@_campaign("cancellative-semigroup-isomorphism", "cancellative semigroups of equal order and step are isomorphic",
+           12, _criterion_pairs)
 def _run_cancellative_semigroup_isomorphism(inst):
     n, k = inst
     rows = cancellative_semigroups(n, k)
@@ -719,6 +778,8 @@ def _instances_top_step(max_n: int) -> list[tuple]:
     return [(n, n - 1) for n in range(2, max_n + 1)]
 
 
+@_campaign("ascending-sequence-cyclic", "ascending first rows at the top step give cyclic groups",
+           12, _instances_top_step)
 def _run_ascending_sequence_cyclic(inst):
     n, k = inst
     for c in range(n):
@@ -729,6 +790,7 @@ def _run_ascending_sequence_cyclic(inst):
     return _passed()
 
 
+@_campaign("top-step-cyclic", "cancellative semigroups at the top step are the cyclic group", 9, _instances_top_step)
 def _run_top_step_cyclic(inst):
     n, k = inst
     found = cancellative_semigroups(n, k)
@@ -741,12 +803,15 @@ def _run_top_step_cyclic(inst):
     return _passed()
 
 
+@_campaign("no-idempotent-semigroup", "no translatable semigroup is idempotent", 6)
 def _run_no_idempotent_semigroup(inst):
     n, k = inst
     both = batch.space_verdicts("idempotent", n, k, False) & batch.space_verdicts("associative", n, k, False)
     return _first_bad_row(batch.row_array(n, False), both, "idempotent semigroup found") or _passed()
 
 
+@_campaign("idempotent-set-formula", "idempotents form a right zero band of left neutrals with a closed form",
+           24, _criterion_pairs)
 def _run_idempotent_set_formula(inst):
     n, k = inst
     for seq in cancellative_semigroups(n, k):
@@ -764,6 +829,8 @@ def _run_idempotent_set_formula(inst):
     return _passed()
 
 
+@_campaign("idempotent-set-left-unitary", "idempotents of the left unitary semigroup follow the stride formula",
+           24, _criterion_pairs)
 def _run_idempotent_set_left_unitary(inst):
     n, k = inst
     table = table_from_sequence(left_unitary_groupoid(n, k))
@@ -774,6 +841,7 @@ def _run_idempotent_set_left_unitary(inst):
     return _passed()
 
 
+@_campaign("right-cancellative-semigroup", "right cancellative semigroups live at the top step and are cyclic", 7)
 def _run_right_cancellative_semigroup(inst):
     n, k = inst
     rows = batch.row_array(n, True)
@@ -788,6 +856,7 @@ def _run_right_cancellative_semigroup(inst):
     return _passed()
 
 
+@_campaign("anchor-value-cyclic", "anchor entries 1 and n-1 force the cyclic group", 24, _criterion_pairs)
 def _run_anchor_value_cyclic(inst):
     n, k = inst
     hits = 0
@@ -803,6 +872,7 @@ def _run_anchor_value_cyclic(inst):
 
 # --- decomposition -----------------------------------------------------------
 
+@_campaign("cyclic-decomposition", "cancellative semigroups split into gcd(n, k) cyclic groups", 24, _criterion_pairs)
 def _run_cyclic_decomposition(inst):
     n, k = inst
     for seq in cancellative_semigroups(n, k):
@@ -823,6 +893,7 @@ def _component_table(table: CayleyTable, comp: tuple[int, ...]) -> CayleyTable:
     return CayleyTable(len(comp), index[table.grid[np.ix_(members, members)]])
 
 
+@_campaign("ideal-partition", "decomposition components are isomorphic left ideals", 12, _criterion_pairs)
 def _run_ideal_partition(inst):
     n, k = inst
     for seq in cancellative_semigroups(n, k):
@@ -843,6 +914,8 @@ def _run_ideal_partition(inst):
     return _passed()
 
 
+@_campaign("block-order-decomposition", "order k+k*k semigroups split into k copies of the cyclic group",
+           42, _instances_block_product)
 def _run_block_order_decomposition(inst):
     n, k = inst
     for seq in cancellative_semigroups(n, k):
@@ -867,6 +940,7 @@ def _closed_subsets(grid: np.ndarray, side: str) -> set[int]:
     return set(subsets[(need & ~subsets) == 0].tolist())
 
 
+@_campaign("semiprime-ideals", "every one-sided ideal of a cancellative semigroup is semiprime", 12, _criterion_pairs)
 def _run_semiprime_ideals(inst):
     n, k = inst
     for seq in cancellative_semigroups(n, k):
@@ -899,6 +973,8 @@ _SURVEY_ALWAYS = (
 )
 
 
+@_campaign("semigroup-class-survey", "cancellative semigroups land in the classical regularity classes",
+           18, _criterion_pairs)
 def _run_semigroup_class_survey(inst):
     n, k = inst
     names = [*_SURVEY_ALWAYS, "anticommutative"] + (["clifford-left"] if math.gcd(k, n) == 1 else [])
@@ -916,6 +992,7 @@ def _run_semigroup_class_survey(inst):
     return _passed()
 
 
+@_campaign("paramedial-cyclic", "paramedial cancellative semigroups are cyclic groups", 18, _criterion_pairs)
 def _run_paramedial_cyclic(inst):
     n, k = inst
     for seq in cancellative_semigroups(n, k):
@@ -944,6 +1021,7 @@ def _constant_columns(n: int, k: int) -> np.ndarray:
     return batch._blocks(n, k, False, lambda tables: (tables == tables[:, :1, :]).all(axis=(1, 2)))
 
 
+@_campaign("constant-column-criterion", "column-constant semigroups are cut out by a two-part recurrence", 6)
 def _run_constant_column_criterion(inst):
     n, k = inst
     rows = batch.row_array(n, False)
@@ -964,6 +1042,7 @@ def _run_constant_column_criterion(inst):
     return _passed({"rows": len(swept)})
 
 
+@_campaign("constant-column-forcing", "two first-row shapes force column-constant multiplication", 6)
 def _run_constant_column_forcing(inst):
     n, k = inst
     rows = batch.row_array(n, False)
@@ -997,6 +1076,7 @@ def _anchor_rows(tables: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
+@_campaign("idempotent-anchor-semigroup", "an anchored idempotent reduces associativity to one row", 5)
 def _run_idempotent_anchor_semigroup(inst):
     n, k = inst
     anchored, holds = batch._blocks(n, k, False, lambda tables: _anchor_rows(tables, k))
@@ -1007,6 +1087,7 @@ def _run_idempotent_anchor_semigroup(inst):
     ) or _passed()
 
 
+@_campaign("idempotent-one-semigroup", "idempotent 1 with 1 = 1*n reduces associativity to four equalities", 6)
 def _run_idempotent_one_semigroup(inst):
     n, k = inst
     rows = batch.row_array(n, False)
@@ -1025,6 +1106,7 @@ def _instances_scaled_residues(max_n: int) -> list[tuple]:
     return [(n, t) for n in range(2, max_n + 1) for t in range(1, 7)]
 
 
+@_campaign("scaled-residues", "residues scale cleanly from modulus n to modulus tn", 12, _instances_scaled_residues)
 def _run_scaled_residues(inst):
     n, t = inst
     for x in range(1, 3 * n + 1):
@@ -1079,6 +1161,8 @@ def _instances_union_same_step(max_n: int) -> list[tuple]:
     return out
 
 
+@_campaign("union-same-step", "disjoint copies merge into one semigroup with the same step",
+           64, _instances_union_same_step)
 def _run_union_same_step(inst):
     n, k, t = inst
     union = union_same_step(UnionSpec(n, k, t))
@@ -1097,6 +1181,8 @@ def _instances_union_shifted_step(max_n: int) -> list[tuple]:
     return out
 
 
+@_campaign("union-shifted-step", "disjoint copies merge into one semigroup with a lifted step",
+           600, _instances_union_shifted_step)
 def _run_union_shifted_step(inst):
     n, k, t = inst
     union = union_shifted_step(UnionSpec(n, k, t))
@@ -1108,6 +1194,7 @@ def _instances_pair_union(max_n: int) -> list[tuple]:
     return [(k * k + k, k) for k in range(2, max_n) if 2 * (k * k + k) <= max_n]
 
 
+@_campaign("pair-union", "two copies interleave on odd and even labels", 160, _instances_pair_union)
 def _run_pair_union(inst):
     n, k = inst
     if k % 2:
@@ -1142,165 +1229,3 @@ def _run_pair_union(inst):
     if not iso_left_unitary(KSequence(n, k, row), left_unitary_groupoid(n, k)).verified:
         return _failed({"note": "even copy not isomorphic to the base table"})
     return _passed({"order": 2 * n})
-
-
-def _campaigns() -> dict[str, Campaign]:
-    table = [
-        ("left-cancellative-propagation",
-         "one left cancellable element spreads to the whole table",
-         6, _all_pairs, _run_left_cancellative_propagation),
-        ("unique-step",
-         "a left cancellative table keeps exactly one step per ordering",
-         7, _all_pairs, _run_unique_step),
-        ("detection-equivalence",
-         "first-row formula, row shift, and column shift describe the same tables",
-         6, _all_pairs, _run_detection_equivalence),
-        ("modular-conditions",
-         "closed forms on the first row match cell-by-cell property checks",
-         6, _all_pairs, _run_modular_conditions),
-        ("idempotent-elastic-sum",
-         "elasticity of idempotent tables reads as a two-term sum rule",
-         12, _idempotent_pairs, _run_idempotent_elastic_sum),
-        ("idempotent-distributive-symmetry",
-         "idempotent tables are left distributive exactly when right distributive",
-         12, _idempotent_pairs, _run_idempotent_distributive_symmetry),
-        ("alterable-solvable-quasigroup",
-         "alterable right-solvable right-distributive tables are idempotent quasigroups",
-         6, _instances_alterable_solvable, _run_alterable_solvable_quasigroup),
-        ("idempotent-existence",
-         "idempotent tables exist exactly when the diagonal positions avoid collisions",
-         12, _instances_idempotent_existence, _run_idempotent_existence),
-        ("idempotent-isomorphism",
-         "same order and step idempotent tables are isomorphic",
-         12, _idempotent_pairs, _run_idempotent_isomorphism),
-        ("idempotent-quasigroup",
-         "idempotent tables are quasigroups exactly when gcd(k, n) = 1",
-         15, _idempotent_pairs, _run_idempotent_quasigroup),
-        ("right-cancellable-gcd",
-         "a right cancellable element forces gcd(k, n) = 1",
-         7, _all_pairs, _run_right_cancellable_gcd),
-        ("alterable-cancellative-step",
-         "alterable cancellative tables pin [k*k] = n-1",
-         7, _all_pairs, _run_alterable_cancellative_step),
-        ("alterable-square",
-         "alterability of cancellative tables is the square condition",
-         8, _all_pairs, _run_alterable_square),
-        ("left-unitary-isomorphism",
-         "tables owning a left neutral all reorder to the canonical one",
-         7, _all_pairs, _run_left_unitary_isomorphism),
-        ("left-unitary-medial",
-         "left unitary tables are medial and never right distributive",
-         12, _all_pairs, _run_left_unitary_medial),
-        ("unitary-step",
-         "a two-sided neutral forces the top step",
-         7, _all_pairs, _run_unitary_step),
-        ("group-step-cyclic",
-         "groups appear only at the top step and are cyclic",
-         7, _all_pairs, _run_group_step_cyclic),
-        ("left-unitary-step-conditions",
-         "eleven properties of left unitary tables reduce to conditions on k",
-         12, _all_pairs, _run_left_unitary_step_conditions),
-        ("left-unitary-modular-links",
-         "modularity, paramediality, and elasticity interlock on left unitary tables",
-         12, _all_pairs, _run_left_unitary_modular_links),
-        ("embedding",
-         "every table embeds into a larger one with the same step",
-         6, _all_pairs, _run_embedding),
-        ("dual-step",
-         "the transpose is translatable exactly for inverse steps",
-         9, _all_pairs, _run_dual_step),
-        ("dual-links",
-         "dual steps encode squares, scaled steps, and alterability",
-         9, _all_pairs, _run_dual_links),
-        ("associativity-sequence-form",
-         "associativity rewrites as a nested first-row identity",
-         6, _all_pairs, _run_associativity_sequence_form),
-        ("semigroup-criterion",
-         "associativity of cancellative tables is a first-row recurrence",
-         7, _all_pairs, _run_semigroup_criterion),
-        ("left-neutral-element",
-         "cancellative semigroups are the ones owning a left neutral",
-         6, _all_pairs, _run_left_neutral_element),
-        ("left-unitary-semigroup-criterion",
-         "left unitary tables are associative exactly when n divides k+k*k",
-         24, _all_pairs, _run_left_unitary_semigroup_criterion),
-        ("block-product-formula",
-         "the block product formula reproduces the left unitary semigroup",
-         72, _instances_block_product, _run_block_product_formula),
-        ("left-unitary-reordering",
-         "every cancellative semigroup reorders to the left unitary presentation",
-         12, _criterion_pairs, _run_left_unitary_reordering),
-        ("cancellative-semigroup-isomorphism",
-         "cancellative semigroups of equal order and step are isomorphic",
-         12, _criterion_pairs, _run_cancellative_semigroup_isomorphism),
-        ("ascending-sequence-cyclic",
-         "ascending first rows at the top step give cyclic groups",
-         12, _instances_top_step, _run_ascending_sequence_cyclic),
-        ("top-step-cyclic",
-         "cancellative semigroups at the top step are the cyclic group",
-         9, _instances_top_step, _run_top_step_cyclic),
-        ("no-idempotent-semigroup",
-         "no translatable semigroup is idempotent",
-         6, _all_pairs, _run_no_idempotent_semigroup),
-        ("idempotent-set-formula",
-         "idempotents form a right zero band of left neutrals with a closed form",
-         24, _criterion_pairs, _run_idempotent_set_formula),
-        ("idempotent-set-left-unitary",
-         "idempotents of the left unitary semigroup follow the stride formula",
-         24, _criterion_pairs, _run_idempotent_set_left_unitary),
-        ("right-cancellative-semigroup",
-         "right cancellative semigroups live at the top step and are cyclic",
-         7, _all_pairs, _run_right_cancellative_semigroup),
-        ("anchor-value-cyclic",
-         "anchor entries 1 and n-1 force the cyclic group",
-         24, _criterion_pairs, _run_anchor_value_cyclic),
-        ("cyclic-decomposition",
-         "cancellative semigroups split into gcd(n, k) cyclic groups",
-         24, _criterion_pairs, _run_cyclic_decomposition),
-        ("ideal-partition",
-         "decomposition components are isomorphic left ideals",
-         12, _criterion_pairs, _run_ideal_partition),
-        ("block-order-decomposition",
-         "order k+k*k semigroups split into k copies of the cyclic group",
-         42, _instances_block_product, _run_block_order_decomposition),
-        ("semiprime-ideals",
-         "every one-sided ideal of a cancellative semigroup is semiprime",
-         12, _criterion_pairs, _run_semiprime_ideals),
-        ("semigroup-class-survey",
-         "cancellative semigroups land in the classical regularity classes",
-         18, _criterion_pairs, _run_semigroup_class_survey),
-        ("paramedial-cyclic",
-         "paramedial cancellative semigroups are cyclic groups",
-         18, _criterion_pairs, _run_paramedial_cyclic),
-        ("constant-column-criterion",
-         "column-constant semigroups are cut out by a two-part recurrence",
-         6, _all_pairs, _run_constant_column_criterion),
-        ("constant-column-forcing",
-         "two first-row shapes force column-constant multiplication",
-         6, _all_pairs, _run_constant_column_forcing),
-        ("idempotent-anchor-semigroup",
-         "an anchored idempotent reduces associativity to one row",
-         5, _all_pairs, _run_idempotent_anchor_semigroup),
-        ("idempotent-one-semigroup",
-         "idempotent 1 with 1 = 1*n reduces associativity to four equalities",
-         6, _all_pairs, _run_idempotent_one_semigroup),
-        ("scaled-residues",
-         "residues scale cleanly from modulus n to modulus tn",
-         12, _instances_scaled_residues, _run_scaled_residues),
-        ("union-same-step",
-         "disjoint copies merge into one semigroup with the same step",
-         64, _instances_union_same_step, _run_union_same_step),
-        ("union-shifted-step",
-         "disjoint copies merge into one semigroup with a lifted step",
-         600, _instances_union_shifted_step, _run_union_shifted_step),
-        ("pair-union",
-         "two copies interleave on odd and even labels",
-         160, _instances_pair_union, _run_pair_union),
-    ]
-    registry = {}
-    for theorem_id, summary, bound, instances, run in table:
-        registry[theorem_id] = Campaign(theorem_id, summary, bound, instances, run)
-    return registry
-
-
-THEOREMS = _campaigns()

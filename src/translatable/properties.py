@@ -409,6 +409,13 @@ _SLAB_AXES = {"medial": 0, "paramedial": 2}
 _WHOLE_SWEEP_CELLS = 1 << 14
 
 
+def _require_scan_fits(name, n):
+    """Refuse a four-variable identity on a table of order n past the order
+    wall of its cell sweep, n**4 > _VECTOR_CELL_LIMIT (n >= 67)."""
+    if name in IDENTITIES and IDENTITIES[name].arity == 4 and n ** 4 > _VECTOR_CELL_LIMIT:
+        raise BoundError(f"four-variable identity scan is too large for order {n}")
+
+
 def _check_identity(table, name):
     """check for IDENTITIES[name]: the least witness of the cell sweep.
 
@@ -429,8 +436,7 @@ def _check_identity(table, name):
     """
     m, n = table.grid, table.n
     identity = IDENTITIES[name]
-    if identity.arity == 4 and n ** 4 > _VECTOR_CELL_LIMIT:
-        raise BoundError(f"four-variable identity scan is too large for order {n}")
+    _require_scan_fits(name, n)
     if name in _SLAB_AXES and n ** 4 <= _WHOLE_SWEEP_CELLS:
         cell = _first_failure(identity, m, range(n))
         return (True, None) if cell is None else (False, _witness(name, m, cell))
@@ -659,8 +665,14 @@ def report(table: CayleyTable, names=None) -> dict[str, tuple[bool, Witness | No
 
     With no explicit list, all identities applicable to the table are
     covered: the semigroup-only ones are skipped when the table is not
-    associative.  Associativity is decided at most once per report.
+    associative.  Associativity is decided at most once per report.  A
+    four-variable identity past the order wall of its cell sweep is refused
+    before any verdict is computed, unless an unknown name comes first.
     """
+    for name in PROPERTY_NAMES if names is None else names:
+        if name not in _CHECKERS:
+            break   # check refuses it in its turn
+        _require_scan_fits(name, table.n)
     associative = functools.cache(lambda: check(table, "associative"))
     if names is None:
         names = [p for p in PROPERTY_NAMES if p not in NEEDS_ASSOCIATIVITY or associative()[0]]

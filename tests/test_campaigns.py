@@ -3,13 +3,14 @@ construction campaigns read cells through the grid only."""
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
 
 import numpy as np
 
-from translatable import campaigns
+from translatable import batch, campaigns
 from translatable.campaigns import THEOREMS, _closed_subsets, _first_bad_row
 from translatable.constructions import cancellative_semigroups
 from translatable.core import CayleyTable, Ordering
@@ -17,6 +18,71 @@ from translatable.search import verify
 from translatable.translation import table_from_sequence
 
 SMALL_BOUND = 6
+
+
+# Every campaign id in the order `verify --theorem list` prints them.
+REGISTRY_ORDER = [
+    "left-cancellative-propagation",
+    "unique-step",
+    "detection-equivalence",
+    "modular-conditions",
+    "idempotent-elastic-sum",
+    "idempotent-distributive-symmetry",
+    "alterable-solvable-quasigroup",
+    "idempotent-existence",
+    "idempotent-isomorphism",
+    "idempotent-quasigroup",
+    "right-cancellable-gcd",
+    "alterable-cancellative-step",
+    "alterable-square",
+    "left-unitary-isomorphism",
+    "left-unitary-medial",
+    "unitary-step",
+    "group-step-cyclic",
+    "left-unitary-step-conditions",
+    "left-unitary-modular-links",
+    "embedding",
+    "dual-step",
+    "dual-links",
+    "associativity-sequence-form",
+    "semigroup-criterion",
+    "left-neutral-element",
+    "left-unitary-semigroup-criterion",
+    "block-product-formula",
+    "left-unitary-reordering",
+    "cancellative-semigroup-isomorphism",
+    "ascending-sequence-cyclic",
+    "top-step-cyclic",
+    "no-idempotent-semigroup",
+    "idempotent-set-formula",
+    "idempotent-set-left-unitary",
+    "right-cancellative-semigroup",
+    "anchor-value-cyclic",
+    "cyclic-decomposition",
+    "ideal-partition",
+    "block-order-decomposition",
+    "semiprime-ideals",
+    "semigroup-class-survey",
+    "paramedial-cyclic",
+    "constant-column-criterion",
+    "constant-column-forcing",
+    "idempotent-anchor-semigroup",
+    "idempotent-one-semigroup",
+    "scaled-residues",
+    "union-same-step",
+    "union-shifted-step",
+    "pair-union",
+]
+
+
+def test_registry_keeps_every_campaign_in_order():
+    # A lost or reordered _campaign decorator fails here by name.
+    assert list(THEOREMS) == REGISTRY_ORDER
+    runs = [campaign.run for campaign in THEOREMS.values()]
+    assert len(set(runs)) == len(runs)
+    for theorem_id, run in zip(THEOREMS, runs):
+        assert run.__name__ == "_run_" + theorem_id.replace("-", "_")
+        assert getattr(campaigns, run.__name__) is run
 
 
 @pytest.mark.parametrize("theorem_id", sorted(THEOREMS))
@@ -131,3 +197,16 @@ def test_first_bad_row_names_the_first_set_entry():
     seen = []
     got = _first_bad_row(rows, bad, lambda b: seen.append(b) or f"row {b}")
     assert got == ("fail", {"row": [2, 3, 1], "note": "row 2"}) and seen == [2]
+
+
+def test_right_cancellative_tables_have_permutation_first_rows():
+    # Why alterable-cancellative-step sweeps the permutation rows only:
+    # column j of a step-k table reads the first row at positions
+    # (j - k*i) mod n, so n distinct values there need a permutation row.
+    for n in range(2, 6):
+        rows = batch.row_array(n, False)
+        perm = batch._distinct(rows, 1)
+        for k in range(1, n):
+            right = batch.right_cancellative_mask(batch.product_tables(rows, k))
+            assert not (right & ~perm).any(), (n, k)
+            assert right.any() == (math.gcd(k, n) == 1), (n, k)

@@ -9,7 +9,7 @@ import json
 
 import pytest
 
-from translatable import batch, cli, search
+from translatable import batch, cli, properties, search
 from translatable.cli import main
 from translatable.properties import left_unitary_characterize
 
@@ -92,7 +92,7 @@ def test_lcond_requires_permutation_row(capsys):
 
 @pytest.mark.parametrize("command", ["check", "lcond"])
 @pytest.mark.parametrize("name", ["medial", "alterable"])
-def test_four_variable_identities_refuse_order_67_before_any_work(capsys, command, name):
+def test_four_variable_identities_refuse_order_67_before_any_work(capsys, monkeypatch, command, name):
     row = " ".join(map(str, range(1, 68)))
     code, out, err = run(capsys, command, "--k", "66", "--seq", row, "--property", name)
     if command == "lcond":
@@ -102,6 +102,16 @@ def test_four_variable_identities_refuse_order_67_before_any_work(capsys, comman
         return
     assert (code, out) == (2, "")
     assert err == "translatable: four-variable identity scan is too large for order 67\n"
+    # Listed after a property that check could decide, the identity is still
+    # refused before any verdict: at order 1024 left-modular alone takes
+    # seconds.
+    calls = []
+    original = properties.check
+    monkeypatch.setattr(properties, "check", lambda *args: calls.append(args) or original(*args))
+    row = " ".join(map(str, range(1, 1025)))
+    code, out, err = run(capsys, command, "--k", "1023", "--seq", row, "--property", "left-modular", "--property", name)
+    assert (code, out, len(calls)) == (2, "", 0)
+    assert err == "translatable: four-variable identity scan is too large for order 1024\n"
 
 
 def test_construct_obstruction_exits_one(capsys):

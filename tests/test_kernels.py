@@ -1103,13 +1103,6 @@ def test_worker_count_never_exceeds_cpus_or_instances(jobs, instances, cpus, exp
 # -- row spaces and whole-space masks -----------------------------------------
 
 
-@pytest.fixture
-def fresh_memo():
-    batch.clear_memo()
-    yield
-    batch.clear_memo()
-
-
 @pytest.mark.parametrize("n", range(1, 9))
 def test_permutation_rows_match_itertools(fresh_memo, n):
     rows = batch.row_array(n, True)

@@ -12,6 +12,7 @@ from translatable import batch, properties
 from translatable.campaigns import _run_modular_conditions
 from translatable.constructions import cancellative_semigroups
 from translatable.core import (
+    BoundError,
     CayleyTable,
     InvalidInputError,
     KSequence,
@@ -108,6 +109,13 @@ def test_report_keeps_the_errors_of_check_in_name_order():
         report(table, ["medial", "orthodox", "warm"])
     with pytest.raises(InvalidInputError):
         report(table, ["medial", "warm", "orthodox"])
+    # Past the order wall a four-variable identity is refused before the
+    # others are checked, but after an unknown name listed before it.
+    big = table_from_sequence(KSequence(67, 1, tuple(range(1, 68))))
+    with pytest.raises(InvalidInputError):
+        report(big, ["idempotent", "warm", "medial"])
+    with pytest.raises(BoundError):
+        report(big, ["regular", "medial", "warm"])
 
 
 def test_closed_forms_match_cell_sweeps_exhaustively():
@@ -278,15 +286,6 @@ def test_closed_forms_match_cell_sweeps_on_seeded_rows_past_order_66(n):
             for name in ("idempotent", "elastic", "bookend", "left-distributive", "right-distributive",
                          "commutative", "associative"):
                 assert lcond_check(seq, name) == check(table, name)[0], (k, row.tolist(), name)
-
-
-@pytest.fixture
-def fresh_memo():
-    # The runner reads memoised whole-space verdicts, so each case must
-    # compute them afresh from its own patched masks, and leave none behind.
-    batch.clear_memo()
-    yield
-    batch.clear_memo()
 
 
 def flipped_mask(mask, rows):
