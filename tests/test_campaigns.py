@@ -3,6 +3,7 @@ construction campaigns read cells through the grid only."""
 
 from __future__ import annotations
 
+import json
 import math
 import random
 
@@ -10,10 +11,10 @@ import pytest
 
 import numpy as np
 
-from translatable import batch, campaigns
+from translatable import batch, campaigns, cli
 from translatable.campaigns import THEOREMS, _closed_subsets, _first_bad_row
 from translatable.constructions import cancellative_semigroups
-from translatable.core import CayleyTable, Ordering
+from translatable.core import CayleyTable, Ordering, VerificationError
 from translatable.search import verify
 from translatable.translation import table_from_sequence
 
@@ -155,6 +156,46 @@ def test_left_unitary_reordering_campaign_checks_the_library(monkeypatch):
 
     monkeypatch.setattr(campaigns, "_unitary_reordering", rotated)
     assert not verify("left-unitary-reordering", max_n=6).passed
+
+
+def verify_lines(capsys, jobs, *theorem_ids):
+    argv = ["verify", "--max-n", "12", "--jobs", jobs]
+    for theorem_id in theorem_ids:
+        argv += ["--theorem", theorem_id]
+    code = cli.main(argv)
+    return code, [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+
+
+@pytest.mark.parametrize(
+    ("theorem_id", "name", "bad_n"),
+    [("top-step-cyclic", "iso_to_cyclic", 5), ("block-order-decomposition", "decompose", 6)],
+)
+def test_a_library_cross_check_that_raises_fails_only_its_instance(capsys, monkeypatch, theorem_id, name, bad_n):
+    # The library's own check raising VerificationError on the order-bad_n
+    # instance gives that instance a fail line carrying the message; every
+    # other line, the next campaign and both summaries are still written.
+    theorems = (theorem_id, "scaled-residues")
+    code, clean = verify_lines(capsys, "1", *theorems)
+    assert code == 0
+    real = getattr(campaigns, name)
+    message = f"patched {name} rejects order {bad_n}"
+
+    def raise_at_bad_n(table, *args):
+        if table.n == bad_n:
+            raise VerificationError(message)
+        return real(table, *args)
+
+    monkeypatch.setattr(campaigns, name, raise_at_bad_n)
+    expected = []
+    for line in clean:
+        if line["theorem"] == theorem_id and line.get("n") == bad_n:
+            line = {**line, "status": "fail", "witness": {"error": message}}
+        elif line["theorem"] == theorem_id and "instances" in line:   # its summary
+            line = {**line, "failures": 1, "status": "fail"}
+        expected.append(line)
+    assert [line["status"] for line in expected].count("fail") == 2
+    for jobs in ("1", "2"):
+        assert verify_lines(capsys, jobs, *theorems) == (1, expected)
 
 
 def loop_closed_subsets(rows, side):

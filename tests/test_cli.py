@@ -274,6 +274,23 @@ def test_iso_golden_and_negative(capsys):
     assert (code, out) == (1, "none\n")
 
 
+@pytest.mark.parametrize(
+    ("args", "golden"),
+    [
+        (
+            ["--kind", "left-unitary", "--k", "2", "--seq", "1 2 3 4 5 6", "--seq", "3 4 5 6 1 2"],
+            '{"kind":"left-unitary","n":6,"mapping":[5,6,1,2,3,4],"verified":true}\n',
+        ),
+        (
+            ["--kind", "cyclic", "--k", "5", "--seq", "1 2 3 4 5 6"],
+            '{"kind":"cyclic","n":6,"mapping":[1,2,3,4,5,6],"verified":true}\n',
+        ),
+    ],
+)
+def test_iso_json_golden(capsys, args, golden):
+    assert run(capsys, "iso", *args, "--format", "json")[:2] == (0, golden)
+
+
 def test_iso_needs_two_sequences(capsys):
     code, _, err = run(capsys, "iso", "--kind", "left-unitary", "--k", "2", "--seq", "1 2 3 4 5 6")
     assert code == 2 and "twice" in err
