@@ -171,7 +171,7 @@ def product_tables(rows: np.ndarray, k: int) -> np.ndarray:
     """(B, n, n) tables generated by each row under step k, 0-based.
 
     Row i of a generated table reads the first row at position j - k*i
-    modulo n (translation._positions, as for table_from_sequence).
+    modulo n (translation._positions, the rotation rule of table_from_sequence).
     """
     return rows[:, _positions(rows.shape[1], k)]
 

@@ -73,6 +73,8 @@ from .properties import (
     semigroup_verdicts,
 )
 from .structure import (
+    _PRODUCT_BLOCK_CELLS,
+    _first_broken_product,
     _unitary_reordering,
     decompose,
     ideals,
@@ -84,6 +86,7 @@ from .structure import (
     left_unitary_idempotents,
 )
 from .translation import (
+    _blocks,
     all_rotated_presentations,
     detect,
     dual,
@@ -443,11 +446,10 @@ def _run_left_unitary_isomorphism(inst):
         table = table_from_sequence(seq)
         e = left_neutral_elements(table)[0]
         phi = (np.arange(n) + e - 1) % n    # x -> [x + e - 1], 0-based
-        bad = np.argwhere(table.grid[np.ix_(phi, phi)] != phi[canonical.grid])
-        if bad.size:
-            x, y = (bad[0] + 1).tolist()
+        bad = _first_broken_product(canonical.grid, phi, table.grid)
+        if bad:
             return _failed({
-                "row": list(seq.seq), "x": x, "y": y,
+                "row": list(seq.seq), "x": bad[0], "y": bad[1],
                 "note": "shift map to the canonical table breaks a product",
             })
     return _passed()
@@ -545,11 +547,10 @@ def _run_embedding(inst):
         for t in range(1, 4):
             big, phi = embed(seq, t)
             image = np.array([phi[i] for i in range(1, n + 1)]) - 1
-            bad = big.grid[np.ix_(image, image)] != image[small.grid]   # [i, j]: phi(i)*phi(j) != phi(i*j)
-            if bad.any():
-                i, j = np.unravel_index(bad.argmax(), bad.shape)
+            bad = _first_broken_product(small.grid, image, big.grid)   # phi(i*j) != phi(i)*phi(j)
+            if bad:
                 return _failed({
-                    "source": label, "copies": t, "i": int(i) + 1, "j": int(j) + 1,
+                    "source": label, "copies": t, "i": bad[0], "j": bad[1],
                     "note": "image product disagrees with embedded product",
                 })
             if not is_translatable(big, k):
@@ -887,10 +888,8 @@ def _run_cyclic_decomposition(inst):
 
 
 def _component_table(table: CayleyTable, comp: tuple[int, ...]) -> CayleyTable:
-    members = np.array(comp) - 1
-    index = np.zeros(table.n, dtype=np.int64)
-    index[members] = np.arange(1, len(comp) + 1)
-    return CayleyTable(len(comp), index[table.grid[np.ix_(members, members)]])
+    members = np.array(comp) - 1   # sorted: a member's place is its searchsorted index
+    return CayleyTable(len(comp), np.searchsorted(members, table.grid[np.ix_(members, members)]) + 1)
 
 
 @_campaign("ideal-partition", "decomposition components are isomorphic left ideals", 12, _criterion_pairs)
@@ -1134,14 +1133,14 @@ def _check_union(union, n: int, k: int, step: int) -> Outcome | None:
         return _failed({"copies": union.spec.t, "note": "union is not associative"})
     lu_small = left_unitary_groupoid(n, k)
     for copy, comp in enumerate(union.copies(), start=1):
-        cols = [c - 1 for c in comp]
+        cols = np.array(comp) - 1
         members = np.zeros(big_n, dtype=bool)
         members[cols] = True
-        if not members[table.grid[:, cols]].all():
+        blocks = _blocks(big_n, n, _PRODUCT_BLOCK_CELLS)   # rows a block at a time, as products are compared
+        if not all(members[table.grid[r.start:r.stop, cols]].all() for r in blocks):
             return _failed({"copy": copy, "note": "copy is not a left ideal"})
-        local = np.zeros(big_n, dtype=np.int64)
-        local[cols] = np.arange(1, n + 1)
-        seq = KSequence(n, k, tuple(local[table.grid[cols[0], cols]].tolist()))   # the copy's first row
+        first = np.searchsorted(cols, table.grid[cols[0], cols]) + 1   # the copy's first row, local indices
+        seq = KSequence(n, k, tuple(first.tolist()))
         if not semigroup_criterion(seq):
             return _failed({"copy": copy, "note": "copy misses the semigroup criterion"})
         iso_left_unitary(seq, lu_small)

@@ -25,6 +25,7 @@ from .core import (
     InvalidInputError,
     KSequence,
     VerificationError,
+    _cell_dtype,
     _check_order,
     _check_step,
     mod_rep,
@@ -202,21 +203,25 @@ class LabeledUnion:
         return [tuple(range(i, t * n + 1, t)) for i in range(1, t + 1)]   # i_1, .., i_n
 
 
-def _union_from_product(spec: UnionSpec, step: int, local_index) -> LabeledUnion:
-    """Fill the big table from a product rule on (copy, local) labels.
-
-    local_index(i, r, s) gives the local index x of i_r * j_s, evaluated
-    once on arrays: i and r are the labels of every row as a column, s
-    the local index of every column as a row.  The copy of the result is
-    always j.  The filled table is then re-checked to be step-translatable,
-    exercising the rotation description independently of the product
-    formula.
+def _union_from_product(spec: UnionSpec, step: int, row_term) -> LabeledUnion:
+    """Fill the big table from a product rule i_r * j_s = j_[R + s]: the
+    product's copy is always j, its local index the row term R = row_term(i, r)
+    plus the column's local index s.  R is taken once per row, modulo n;
+    the table is then one array of R + s, reduced and relabelled to
+    t([R + s] - 1) + j in place, in the smallest dtype holding each value on
+    the way (2n - 1, then tn).  The filled table is re-checked to be
+    step-translatable, exercising the rotation description independently
+    of the product formula.
     """
     n, t = spec.n, spec.t
     elements = np.arange(t * n)
     copy, local = elements % t + 1, elements // t + 1
-    products = local_index(copy[:, None], local[:, None], local)
-    table = CayleyTable(t * n, t * (products - 1) + copy)
+    dtype = _cell_dtype(max(2 * n - 1, t * n))
+    cells = ((row_term(copy[:, None], local[:, None]) - 1) % n).astype(dtype) + local.astype(dtype)
+    np.remainder(cells, n, out=cells)
+    cells *= t
+    cells += copy.astype(dtype)
+    table = CayleyTable(t * n, cells)
     if not is_translatable(table, step):
         raise VerificationError(
             f"union table of order {t * n} is not {step}-translatable"
@@ -237,9 +242,7 @@ def union_same_step(spec: UnionSpec) -> LabeledUnion:
             f"[k+k^2]_tn = [{k + k * k}]_{t * n} = {(k + k * k) % (t * n)} != 0",
             obstruction=f"k+k^2 = {k + k * k} is not divisible by tn = {t * n}",
         )
-    return _union_from_product(
-        spec, k, lambda i, r, s: mod_rep(k - k * r + q - q * i + s, n)
-    )
+    return _union_from_product(spec, k, lambda i, r: k - k * r + q - q * i)
 
 
 def union_shifted_step(spec: UnionSpec) -> LabeledUnion:
@@ -255,9 +258,7 @@ def union_shifted_step(spec: UnionSpec) -> LabeledUnion:
             f"order {n} is not k+k^2 = {k + k * k}",
             obstruction=f"n must equal k+k^2 = {k + k * k}, got {n}",
         )
-    return _union_from_product(
-        spec, k + (t - 1) * n, lambda i, r, s: mod_rep(k - k * r + k * q * (i - 1) + s, n)
-    )
+    return _union_from_product(spec, k + (t - 1) * n, lambda i, r: k - k * r + k * q * (i - 1))
 
 
 def pair_union(k: int) -> LabeledUnion:
@@ -278,10 +279,7 @@ def pair_union(k: int) -> LabeledUnion:
     n = k + k * k
     spec = UnionSpec(n, k, 2)
 
-    def local_index(i, r, s):
-        return np.where(i == 1, mod_rep(k - k * r + s, n), mod_rep(k * (1 + q) - k * r + s, n))
-
-    union = _union_from_product(spec, k + n, local_index)
+    union = _union_from_product(spec, k + n, lambda i, r: np.where(i == 1, k - k * r, k * (1 + q) - k * r))
     against = union_shifted_step(spec)
     if union.table != against.table:
         raise VerificationError(

@@ -106,6 +106,11 @@ def _check_order(n: int) -> None:
         raise BoundError(f"order {n} exceeds the bound {bound}")
 
 
+def _cell_dtype(top: int) -> type:
+    """int16 if it holds every value up to top, else int32."""
+    return np.int16 if top < 1 << 15 else np.int32
+
+
 def _check_step(n: int, k: int) -> None:
     if not 1 <= k <= n - 1:
         raise InvalidInputError(f"step must satisfy 1 <= k <= n-1, got k={k} for n={n}")
@@ -154,7 +159,7 @@ class CayleyTable:
                     if not 1 <= value <= n:
                         raise InvalidInputError(f"entry at ({i}, {j}) is {value}, outside 1..{n}")
             grid = np.array(cells, dtype=np.int64)  # integral objects numpy left untyped
-        grid = np.subtract(grid, 1, dtype=np.int16 if n < 32768 else np.int32)
+        grid = np.subtract(grid, 1, dtype=_cell_dtype(n))
         grid.flags.writeable = False
         object.__setattr__(self, "grid", grid)
 
@@ -334,8 +339,8 @@ def _int_list(values, what: str) -> list[int]:
 _TEXT_BYTES = b"0123456789 \t\n"
 _JSON_HEAD = re.compile(rb'\{"n":([1-9][0-9]{0,17}),"table":\[\[')
 _JSON_ROW_BYTES = b"0123456789,[]"
-# JSON rows as text lines: 1,2],[2,1 becomes "1 2\n  2 1".
-_JSON_AS_TEXT = bytes.maketrans(b",[]", b"  \n")
+# JSON rows as text lines: 1,2],[2,1 becomes "1 2\n \t2 1".
+_JSON_AS_TEXT = bytes.maketrans(b",[]", b" \t\n")
 
 
 def parse_table(text: str, fmt: str | None = None) -> CayleyTable:
@@ -375,10 +380,8 @@ def _plain_grid(text: str, fmt: str) -> np.ndarray | None:
         if head is None or not rows.endswith(b"]]}"):
             return None
         rows = rows[head.end():-3]
-        # Every bracket left lies in a "],[" row break: the rows are flat.
-        if rows.translate(None, _JSON_ROW_BYTES) or not rows.count(b"],[") == rows.count(b"[") == rows.count(b"]"):
+        if rows.translate(None, _JSON_ROW_BYTES):
             return None
-        separators = rows.count(b",")
         data = rows.translate(_JSON_AS_TEXT)
     else:
         if b"\r" in data:
@@ -390,11 +393,23 @@ def _plain_grid(text: str, fmt: str) -> np.ndarray | None:
     starts = np.flatnonzero(digit[1:] > digit[:-1]) + 1
     if digit[:1].any():
         starts = np.concatenate(([0], starts))
-    # In JSON one comma or row break between each two fields, and no field
-    # that starts with 0 (a leading zero, or the value 0).
-    if fmt == "json" and (len(starts) != separators + 1 or (chars[starts] == ord("0")).any()):
-        return None
-    per_line = np.diff(np.searchsorted(starts, np.flatnonzero(chars == ord("\n"))), prepend=0, append=len(starts))
+    breaks = np.flatnonzero(chars == ord("\n"))
+    # In JSON one comma (now " ") or row break "],[" (now "\n \t") between each
+    # two fields, none starting with 0.  Once the rows start and end with a
+    # digit and each break has one on both sides, the other gaps hold the
+    # other non-digit bytes: one each if the counts agree, a space if no tab
+    # is left.  The clip only moves bytes of a break ending the rows: it fails.
+    if fmt == "json":
+        around = np.take(chars, breaks[:, None] + np.arange(-1, 4), mode="clip")   # [break, byte -1..3]
+        if not (
+            len(chars) and digit[0] and digit[-1]
+            and (around[:, 1:4] == np.frombuffer(b"\n \t", np.uint8)).all() and (around[:, [0, 4]] >= ord("0")).all()
+            and len(chars) - np.count_nonzero(digit) == len(starts) - 1 + 2 * len(breaks)
+            and np.count_nonzero(chars == ord("\t")) == len(breaks)
+            and not (chars[starts] == ord("0")).any()
+        ):
+            return None
+    per_line = np.diff(np.searchsorted(starts, breaks), prepend=0, append=len(starts))
     widths = per_line[per_line > 0]
     n = int(head[1]) if fmt == "json" else len(widths)
     if n == 0:

@@ -22,6 +22,8 @@ from .core import (
     Ordering,
     PreconditionError,
     VerificationError,
+    _cell_dtype,
+    _check_order,
     _check_step,
     mod_rep,
 )
@@ -33,7 +35,7 @@ from .properties import (
     left_neutral_elements,
     semigroup_criterion,
 )
-from .translation import table_from_sequence
+from .translation import _blocks, _rotations, table_from_sequence
 
 
 def idempotent_set(table: CayleyTable) -> frozenset[int]:
@@ -174,6 +176,25 @@ def decompose(table: CayleyTable, seq: KSequence) -> Decomposition:
     return Decomposition(frozenset(idems), m, t, tuple(components), tuple(generators))
 
 
+_PRODUCT_BLOCK_CELLS = 1 << 16
+
+
+def _first_broken_product(grid: np.ndarray, image: np.ndarray, target: np.ndarray, at: np.ndarray | None = None):
+    """The row-major first (x, y), 1-based, where image[x*y] != target[at[x], at[y]],
+    x*y read from grid, or None.  With at = image, the default, that is the
+    first product the map x -> image[x] breaks: phi(x*y) != phi(x)*phi(y).
+    Read a block of rows at a time in target's dtype, no whole grid at once."""
+    at = image if at is None else at
+    image = image.astype(target.dtype)
+    n = len(grid)
+    for r in _blocks(n, n, _PRODUCT_BLOCK_CELLS):
+        bad = image[grid[r.start:r.stop]] != target[at[r.start:r.stop, None], at]
+        if bad.any():
+            x, y = divmod(int(bad.argmax()), n)
+            return r.start + x + 1, y + 1
+    return None
+
+
 @dataclass(frozen=True)
 class Isomorphism:
     """A bijection on 1..n, with mapping[x-1] the image of x.
@@ -217,10 +238,9 @@ def iso_idempotent(seq_q: KSequence, seq_s: KSequence) -> Isomorphism:
     cq = _diagonal_ordering(a, "first sequence")
     cs = _diagonal_ordering(b, "second sequence")
     phi = cs.compose(cq.inverse())
-    bad = np.argwhere(np.array(phi.perm)[a.grid] != b.grid + 1)
-    if bad.size:
-        r, s = (bad[0] + 1).tolist()
-        raise VerificationError(f"diagonal map fails at position ({r},{s})")
+    bad = _first_broken_product(a.grid, np.array(phi.perm) - 1, b.grid, np.arange(a.n))   # phi(r*s) != r*s in b
+    if bad:
+        raise VerificationError(f"diagonal map fails at position ({bad[0]},{bad[1]})")
     return Isomorphism(phi.perm)
 
 
@@ -260,20 +280,17 @@ def iso_left_unitary(seq_q: KSequence, seq_g: KSequence) -> Isomorphism:
         if (grid[order[0], order] != order).any():
             raise VerificationError("reordered table has no left neutral in front")
     mapping = bg.compose(bq.inverse()).perm
-    image = np.array(mapping) - 1
-    bad = image[grid_q] != grid_g[np.ix_(image, image)]   # [x, y]: phi(x*y) != phi(x)*phi(y)
-    if bad.any():
-        x, y = np.unravel_index(bad.argmax(), bad.shape)
-        raise VerificationError(f"unitary map fails on the product {x + 1}*{y + 1}")
+    bad = _first_broken_product(grid_q, np.array(mapping) - 1, grid_g)
+    if bad:
+        raise VerificationError(f"unitary map fails on the product {bad[0]}*{bad[1]}")
     return Isomorphism(mapping)
 
 
 def cyclic_table(n: int) -> CayleyTable:
-    """The table of addition on 1..n with neutral 1: i*j = [i + j - 1]."""
-    if n < 1:
-        raise InvalidInputError(f"order must be at least 1, got {n}")
-    elements = np.arange(n)
-    return CayleyTable(n, np.add.outer(elements, elements) % n + 1)
+    """The table of addition on 1..n with neutral 1: i*j = [i + j - 1], the
+    rotations of 1..n at step n - 1."""
+    _check_order(n)
+    return CayleyTable(n, _rotations(np.arange(1, n + 1, dtype=_cell_dtype(n)), n - 1))
 
 
 def _element_order(grid: np.ndarray, g: int, e: int) -> int:
@@ -315,11 +332,9 @@ def iso_to_cyclic(table: CayleyTable) -> Isomorphism | None:
     for power in range(1, n + 1):   # e goes to 1, the generator to 2, ..
         mapping[p] = power
         p = column[p]
-    image = np.array(mapping) - 1
-    bad = image[grid] != cyclic_table(n).grid[np.ix_(image, image)]   # [x, y]: phi(x*y) != phi(x)*phi(y)
-    if bad.any():
-        x, y = np.unravel_index(bad.argmax(), bad.shape)
-        raise VerificationError(f"cyclic map fails on the product {x + 1}*{y + 1}")
+    bad = _first_broken_product(grid, np.array(mapping) - 1, cyclic_table(n).grid)
+    if bad:
+        raise VerificationError(f"cyclic map fails on the product {bad[0]}*{bad[1]}")
     return Isomorphism(tuple(mapping))
 
 

@@ -8,9 +8,10 @@ determined by its first row a_1..a_n through
 
 and cell-by-cell the grid satisfies T[i][j] = T[i+1][j+k].
 
-Each rule is written once, on 0-based arrays: _positions, the index
-(j - k*i) mod n that builds tables here and in batch.product_tables, and
-_rotation_holds, the test that finds steps here and in batch.translatable_mask.
+Each rule is written once, on 0-based arrays: _rotations, the one rotation
+rule, which builds tables here and in structure.cyclic_table and gives
+batch.product_tables its index grid (_positions), and _rotation_holds, the
+test that finds steps here and in batch.translatable_mask.
 detect and translatable_mask share one schedule: the single cell
 T[0][0] = T[1][k] first (_first_cell_holds), then whole pairs of adjacent
 rows, each only on what passed so far.  _blocks is the schedule of growing
@@ -29,23 +30,26 @@ from .core import (
     CayleyTable,
     KSequence,
     Ordering,
+    _cell_dtype,
     _check_step,
     mod_rep,
 )
 
 
-def _positions(n: int, k: int) -> np.ndarray:
-    """(n, n) array of the first-row position (j - k*i) mod n that cell
-    (i, j) of a step-k table reads, all 0-based: i*j = a_[k - ki + j].
-
-    Row i is row 0, that is 0..n-1, rotated right by k*i, so it is the
-    window of n values at (-k*i) mod n in 0..n-1 written twice; the rows
-    are gathered from a strided view of those windows, with no remainder
-    taken per cell.
-    """
-    doubled = np.arange(2 * n) % n
+def _rotations(row: np.ndarray, k: int) -> np.ndarray:
+    """The step-k table on a 1-D first row, in the row's dtype: row i is the
+    row rotated right by k*i, so cell (i, j) holds row[(j - k*i) mod n].
+    Each is the window of n values at (-k*i) mod n in the row written
+    twice, gathered from a strided view, with no index taken per cell."""
+    n = len(row)
+    doubled = np.concatenate((row, row))
     windows = np.ndarray((n + 1, n), doubled.dtype, doubled, strides=(doubled.itemsize,) * 2)
     return windows[-(k % n) * np.arange(n) % n]
+
+
+def _positions(n: int, k: int) -> np.ndarray:
+    """The first-row position (j - k*i) mod n that cell (i, j) reads, 0-based."""
+    return _rotations(np.arange(n), k)
 
 
 def _rotation_holds(row: np.ndarray, below: np.ndarray, k) -> np.ndarray:
@@ -63,7 +67,7 @@ def _first_cell_holds(row: np.ndarray, below: np.ndarray, k) -> np.ndarray:
 
 def table_from_sequence(seq: KSequence) -> CayleyTable:
     """Grid whose first row is the sequence and whose rows step right by k."""
-    return CayleyTable(seq.n, np.asarray(seq.seq, dtype=np.int32)[_positions(seq.n, seq.k)])
+    return CayleyTable(seq.n, _rotations(np.array(seq.seq, dtype=_cell_dtype(seq.n)), seq.k))
 
 
 def _blocks(stop: int, slab: int, limit: int):

@@ -5,8 +5,11 @@ from __future__ import annotations
 import itertools
 from math import gcd
 
+import numpy as np
 import pytest
 
+from translatable import constructions
+from translatable.campaigns import THEOREMS
 from translatable.constructions import (
     UnionSpec,
     block_product_table,
@@ -287,3 +290,75 @@ def test_union_component_rows_pass_criterion():
         k = min(steps)
         seq = KSequence(small.n, k, small.row(1))
         assert semigroup_criterion(seq)
+
+
+def reference_union_cells(n: int, t: int, local_index) -> np.ndarray:
+    """The int64 fill of a union's 1-based cells from local_index(i, r, s),
+    the local index of i_r * j_s, as the unions were built before they were
+    filled in their own dtype; kept as the oracle."""
+    elements = np.arange(t * n)
+    copy, local = elements % t + 1, elements // t + 1
+    products = local_index(copy[:, None], local[:, None], local)
+    return t * (products - 1) + copy
+
+
+def union_cases():
+    """(build, reference) for every union the three union campaigns reach at
+    their default bounds, and a few shifted-step unions by name."""
+    def same(n, k, t):
+        q = k // t
+        return (lambda: union_same_step(UnionSpec(n, k, t)),
+                lambda: reference_union_cells(n, t, lambda i, r, s: mod_rep(k - k * r + q - q * i + s, n)))
+
+    def shifted(n, k, t):
+        q = k // t
+        return (lambda: union_shifted_step(UnionSpec(n, k, t)),
+                lambda: reference_union_cells(n, t, lambda i, r, s: mod_rep(k - k * r + k * q * (i - 1) + s, n)))
+
+    def pair(n, k):
+        q = k // 2
+        return (lambda: pair_union(k), lambda: reference_union_cells(n, 2, lambda i, r, s: np.where(
+            i == 1, mod_rep(k - k * r + s, n), mod_rep(k * (1 + q) - k * r + s, n))))
+
+    def reached(theorem):
+        campaign = THEOREMS[theorem]
+        return campaign.instances(campaign.default_max_n)
+
+    cases = {("same", *inst): same(*inst) for inst in reached("union-same-step")}
+    named = [(600, 24, 1), (552, 23, 1), (72, 8, 8), (110, 10, 5)]
+    cases.update({("shifted", *inst): shifted(*inst) for inst in [*reached("union-shifted-step"), *named]})
+    cases.update({("pair", n, k): pair(n, k) for n, k in reached("pair-union") if k % 2 == 0})
+    return cases
+
+
+def test_unions_match_the_int64_reference_fill():
+    cases = union_cases()
+    assert len(cases) > 200 and ("shifted", 600, 24, 1) in cases and ("pair", 72, 8) in cases
+    for case, (build, reference) in cases.items():
+        table = build().table
+        assert table.grid.dtype == np.int16
+        assert np.array_equal(table.grid + 1, reference()), case
+
+
+def test_union_fill_reaches_no_value_past_its_dtype_choice(monkeypatch):
+    # The fill asks for a dtype holding max(2n - 1, tn), the largest value
+    # its arithmetic reaches; int8, which holds exactly up to 127, is then
+    # enough for every union whose maximum is at most 127.
+    asked = []
+
+    def int8(top):
+        asked.append(top)
+        assert top <= 127
+        return np.int8
+
+    monkeypatch.setattr(constructions, "_cell_dtype", int8)
+    checked = 0
+    for case, (build, reference) in union_cases().items():
+        n, t = case[1], (2 if case[0] == "pair" else case[3])
+        if max(2 * n - 1, t * n) > 127:
+            continue
+        asked.clear()
+        assert np.array_equal(build().table.grid + 1, reference()), case
+        assert max(2 * n - 1, t * n) in asked, case
+        checked += 1
+    assert checked > 100

@@ -399,6 +399,22 @@ def test_parse_table_matches_the_field_by_field_reader_at_large_orders():
         assert outcome(parse_table, text) == outcome(loop_parse_table, text), text[:80]
 
 
+def test_json_one_separator_byte_off_matches_the_field_by_field_reader():
+    # Compact JSON with one comma or bracket inserted into its rows, one
+    # byte of the rows replaced by one, or one byte deleted: the array path
+    # reads the separators from the field starts and the row breaks, so it
+    # must give the field reader's table or error on each.
+    inputs = set()
+    for n in (3, 10):
+        compact = serialize(square(n, n), "json")
+        for at in range(compact.index("[[") + 2, compact.rindex("]]") + 1):
+            inputs.add(compact[:at] + compact[at + 1:])
+            for byte in ",[]":
+                inputs.update((compact[:at] + byte + compact[at:], compact[:at] + byte + compact[at + 1:]))
+    for text in sorted(inputs):
+        assert outcome(parse_table, text) == outcome(loop_parse_table, text), text
+
+
 @pytest.mark.parametrize("n", [1, 2, 66, 1024])
 def test_plain_input_takes_the_array_path(monkeypatch, n):
     def refuse(text, fmt):

@@ -3,16 +3,21 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 from math import gcd
 
+import numpy as np
 import pytest
 
 from translatable import properties, structure
-from translatable.constructions import cancellative_semigroups
+from translatable.campaigns import THEOREMS
+from translatable.constructions import cancellative_semigroups, left_unitary_groupoid
 from translatable.core import BoundError, CayleyTable, KSequence, PreconditionError, VerificationError, mod_rep
 from translatable.properties import check, idempotent_elements, left_neutral_elements, semigroup_criterion
 from translatable.structure import (
+    _PRODUCT_BLOCK_CELLS,
     Decomposition,
+    _first_broken_product,
     cyclic_table,
     decompose,
     ideals,
@@ -260,3 +265,61 @@ def test_order_1024_cyclic_group_decomposes_into_one_component():
     (e,) = idempotent_set_formula(seq)
     expected = Decomposition(frozenset({e}), n, 1, (tuple(range(1, n + 1)),), (mod_rep(e - k, n),))
     assert decompose(table_from_sequence(seq), seq) == expected
+
+
+def whole_grid_first(grid, image, target, at):
+    """The row-major first (x, y), 1-based, with image[x*y] !=
+    target[at[x], at[y]], read off the whole grid at once."""
+    bad = image[grid] != target[np.ix_(at, at)]
+    return tuple(int(v) + 1 for v in np.unravel_index(bad.argmax(), bad.shape)) if bad.any() else None
+
+
+def test_broken_product_is_the_whole_grid_first_in_every_row_block():
+    # A map that respects every product, then targets with one cell changed
+    # in the first, a middle and the last block of rows: the helper names
+    # the (x, y) a whole-grid argmax names.
+    n = 600
+    rows_per_block = _PRODUCT_BLOCK_CELLS // n
+    assert n > 3 * rows_per_block
+    rng = np.random.default_rng(7)
+    grid = table_from_sequence(cancellative_semigroups(n, 24)[1]).grid
+    image = rng.permutation(n)
+    target = np.empty_like(grid)
+    target[np.ix_(image, image)] = image[grid]
+    identity = np.arange(n)
+    assert _first_broken_product(grid, image, target) is None
+    assert _first_broken_product(grid, identity, grid, identity) is None
+    for x in (0, rows_per_block - 1, rows_per_block, n // 2, n - 1):
+        y = int(rng.integers(n))
+        changed = target.copy()
+        changed[image[x], image[y]] = (changed[image[x], image[y]] + 1) % n
+        found = _first_broken_product(grid, image, changed)
+        assert found == whole_grid_first(grid, image, changed, image) == (x + 1, y + 1)
+        relabelled = grid.copy()
+        relabelled[x, y] = (relabelled[x, y] + 1) % n
+        found = _first_broken_product(grid, identity, relabelled, identity)
+        assert found == whole_grid_first(grid, identity, relabelled, identity) == (x + 1, y + 1)
+
+
+def traced_peak(call) -> float:
+    """Peak MiB that numpy and Python allocate during call()."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_large_tables_are_built_and_compared_in_their_own_dtype():
+    # Order-1024 tables and the order-600 union and isomorphism each take a
+    # few int16 grids at most, not whole-grid int64 temporaries.
+    seq = KSequence(1024, 5, tuple(np.random.default_rng(1).integers(1, 1025, 1024).tolist()))
+    semigroup, unitary = cancellative_semigroups(600, 24)[0], left_unitary_groupoid(600, 24)
+    union = THEOREMS["union-shifted-step"]
+    assert traced_peak(lambda: table_from_sequence(seq)) <= 5
+    assert traced_peak(lambda: cyclic_table(1024)) <= 5
+    assert traced_peak(lambda: iso_left_unitary(semigroup, unitary)) <= 3
+    results = []
+    assert traced_peak(lambda: results.append(union.result((600, 24, 1)))) <= 4.5
+    assert results[0].status == "pass"

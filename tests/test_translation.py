@@ -15,6 +15,7 @@ from translatable.core import (
 )
 from translatable.translation import (
     _positions,
+    _rotations,
     all_rotated_presentations,
     detect,
     dual,
@@ -155,3 +156,17 @@ def test_positions_are_the_index_rule(n):
         got = _positions(n, k)
         assert got.shape == (n, n) and got.dtype.kind == "i"
         assert (got == (j - k * i) % n).all(), k
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32])
+def test_rotations_are_the_index_rule_in_the_row_dtype(dtype):
+    # Any 1-D row, rotated right by k*i places in row i, keeps its dtype;
+    # steps k = 0 and k = n rotate by nothing, steps past n wrap around.
+    rng = np.random.default_rng(11)
+    for n in (1, 2, 7, 40, 127):
+        row = rng.integers(-128, 128, n).astype(dtype)
+        i, j = np.indices((n, n))
+        for k in (0, 1, 3, n - 1, n, n + 3, 5 * n + 2):
+            got = _rotations(row, k)
+            assert got.dtype == dtype and got.shape == (n, n)
+            assert (got == row[(j - k * i) % n]).all(), (n, k)
