@@ -28,6 +28,10 @@ from step_verdicts, both memoised for the whole command, and a test of its
 own from _blocks, one block of rows at a time.  Only detection-equivalence
 builds a whole space of tables: it compares three descriptions of the same
 grids.
+
+A structural test shared with structure (right-zero band, left ideal, left
+neutral in front, products of a map, cyclic group) is one function there,
+called by name, so one wrong version patched in reaches every campaign on it.
 """
 
 from __future__ import annotations
@@ -73,8 +77,10 @@ from .properties import (
     semigroup_verdicts,
 )
 from .structure import (
-    _PRODUCT_BLOCK_CELLS,
+    _first_band_failure,
     _first_broken_product,
+    _is_left_ideal,
+    _leads_with_left_neutral,
     _unitary_reordering,
     decompose,
     ideals,
@@ -86,7 +92,6 @@ from .structure import (
     left_unitary_idempotents,
 )
 from .translation import (
-    _blocks,
     all_rotated_presentations,
     detect,
     dual,
@@ -191,6 +196,14 @@ def _first_bad_row(rows: np.ndarray, bad: np.ndarray, note) -> Outcome | None:
         return None
     b = int(hit[0])
     return _failed({"row": [int(v) + 1 for v in rows[b]], "note": note(b) if callable(note) else note})
+
+
+def _first_not_cyclic(seqs, note) -> Outcome | None:
+    """The failure naming the first of seqs whose table is not the cyclic group."""
+    for seq in seqs:
+        if iso_to_cyclic(table_from_sequence(seq)) is None:
+            return _failed({"row": list(seq.seq), "note": note})
+    return None
 
 
 def _identity(n: int) -> tuple[int, ...]:
@@ -490,12 +503,7 @@ def _run_group_step_cyclic(inst):
     hits = np.flatnonzero(group_like)
     if not hits.size:
         return _failed({"note": "no group found at the top step"})
-    for b in hits:
-        seq = _np_seq(n, k, rows[b])
-        iso = iso_to_cyclic(table_from_sequence(seq))
-        if iso is None:
-            return _failed({"row": list(seq.seq), "note": "group is not cyclic"})
-    return _passed()
+    return _first_not_cyclic((_np_seq(n, k, rows[b]) for b in hits), "group is not cyclic") or _passed()
 
 
 @_campaign("left-unitary-step-conditions", "eleven properties of left unitary tables reduce to conditions on k", 12)
@@ -759,8 +767,7 @@ def _run_left_unitary_reordering(inst):
         table = table_from_sequence(seq)
         ordering = _unitary_reordering(seq)
         shuffled = reorder(table, ordering)
-        order = np.array(ordering.perm) - 1
-        if (table.grid[order[0], order] != order).any():
+        if not _leads_with_left_neutral(table.grid, ordering):
             return _failed({"row": list(seq.seq), "note": "promised front element is not left neutral"})
         if not is_translatable(shuffled, k):
             return _failed({"row": list(seq.seq), "note": "reordering lost the step"})
@@ -789,12 +796,8 @@ def _instances_top_step(max_n: int) -> list[tuple]:
            12, _instances_top_step)
 def _run_ascending_sequence_cyclic(inst):
     n, k = inst
-    for c in range(n):
-        seq = KSequence(n, k, tuple(mod_rep(i + c, n) for i in range(1, n + 1)))
-        iso = iso_to_cyclic(table_from_sequence(seq))
-        if iso is None:
-            return _failed({"row": list(seq.seq), "note": "ascending row is not a cyclic group"})
-    return _passed()
+    seqs = (KSequence(n, k, tuple(mod_rep(i + c, n) for i in range(1, n + 1))) for c in range(n))
+    return _first_not_cyclic(seqs, "ascending row is not a cyclic group") or _passed()
 
 
 @_campaign("top-step-cyclic", "cancellative semigroups at the top step are the cyclic group", 9, _instances_top_step)
@@ -803,11 +806,7 @@ def _run_top_step_cyclic(inst):
     found = cancellative_semigroups(n, k)
     if len(found) != n:
         return _failed({"count": len(found)})
-    for seq in found:
-        iso = iso_to_cyclic(table_from_sequence(seq))
-        if iso is None:
-            return _failed({"row": list(seq.seq), "note": "top step semigroup is not the cyclic group"})
-    return _passed()
+    return _first_not_cyclic(found, "top step semigroup is not the cyclic group") or _passed()
 
 
 @_campaign("no-idempotent-semigroup", "no translatable semigroup is idempotent", 6)
@@ -828,11 +827,9 @@ def _run_idempotent_set_formula(inst):
             return _failed({"row": list(seq.seq), "observed": sorted(observed)})
         if observed != frozenset(left_neutral_elements(table)):
             return _failed({"row": list(seq.seq), "note": "idempotents differ from left neutrals"})
-        ix = np.array(sorted(observed)) - 1
-        band = table.grid[np.ix_(ix, ix)] != ix   # [e, f]: e*f != f
-        if band.any():
-            e, f = (ix[np.unravel_index(band.argmax(), band.shape)] + 1).tolist()
-            return _failed({"row": list(seq.seq), "e": e, "f": f, "note": "not a right zero band"})
+        broken = _first_band_failure(table.grid, sorted(observed))
+        if broken:
+            return _failed({"row": list(seq.seq), "e": broken[0], "f": broken[1], "note": "not a right zero band"})
     return _passed()
 
 
@@ -855,12 +852,8 @@ def _run_right_cancellative_semigroup(inst):
     strong = batch.space_verdicts("associative", n, k, True) & batch.space_verdicts("right-cancellative", n, k, True)
     if k != n - 1:
         return _first_bad_row(rows, strong, "right cancellative semigroup away from step n-1") or _passed()
-    for b in np.flatnonzero(strong):
-        seq = _np_seq(n, k, rows[b])
-        iso = iso_to_cyclic(table_from_sequence(seq))
-        if iso is None:
-            return _failed({"row": list(seq.seq), "note": "not the cyclic group"})
-    return _passed()
+    seqs = (_np_seq(n, k, rows[b]) for b in np.flatnonzero(strong))
+    return _first_not_cyclic(seqs, "not the cyclic group") or _passed()
 
 
 @_campaign("anchor-value-cyclic", "anchor entries 1 and n-1 force the cyclic group", 24, _criterion_pairs)
@@ -871,8 +864,7 @@ def _run_anchor_value_cyclic(inst):
         if seq.seq[k - 1] not in (1, n - 1):
             continue
         hits += 1
-        iso = iso_to_cyclic(table_from_sequence(seq))
-        if iso is None:
+        if iso_to_cyclic(table_from_sequence(seq)) is None:
             return _failed({"row": list(seq.seq), "anchor": seq.seq[k - 1]})
     return _passed({"rows": hits})
 
@@ -887,11 +879,6 @@ def _run_cyclic_decomposition(inst):
     return _passed()
 
 
-def _component_table(table: CayleyTable, comp: tuple[int, ...]) -> CayleyTable:
-    members = np.array(comp) - 1   # sorted: a member's place is its searchsorted index
-    return CayleyTable(len(comp), np.searchsorted(members, table.grid[np.ix_(members, members)]) + 1)
-
-
 @_campaign("ideal-partition", "decomposition components are isomorphic left ideals", 12, _criterion_pairs)
 def _run_ideal_partition(inst):
     n, k = inst
@@ -900,15 +887,13 @@ def _run_ideal_partition(inst):
         dec = decompose(table, seq)
         listed = {ideal.elements for ideal in ideals(table, "left", bound=max(n, 14))}
         for comp in dec.components:
-            cols = np.array(comp) - 1
-            members = np.zeros(n, dtype=bool)
-            members[cols] = True
-            if not members[table.grid[:, cols]].all():   # some q*c outside the component
+            if not _is_left_ideal(table.grid, comp):
                 return _failed({"row": list(seq.seq), "component": list(comp), "note": "not a left ideal"})
             if comp not in listed:
                 return _failed({"row": list(seq.seq), "component": list(comp), "note": "component missing from the ideal list"})
-            iso = iso_to_cyclic(_component_table(table, comp))
-            if iso is None:
+            members = np.array(comp) - 1   # sorted: a member's place is its searchsorted index
+            own = CayleyTable(len(comp), np.searchsorted(members, table.grid[np.ix_(members, members)]) + 1)
+            if iso_to_cyclic(own) is None:
                 return _failed({"row": list(seq.seq), "component": list(comp), "note": "component not cyclic"})
     return _passed()
 
@@ -998,8 +983,7 @@ def _run_paramedial_cyclic(inst):
         table = table_from_sequence(seq)
         if not check(table, "paramedial")[0]:
             continue
-        iso = iso_to_cyclic(table)
-        if iso is None:
+        if iso_to_cyclic(table) is None:
             return _failed({"row": list(seq.seq), "note": "paramedial semigroup is not a cyclic group"})
     return _passed()
 
@@ -1007,6 +991,7 @@ def _run_paramedial_cyclic(inst):
 # --- constant column semigroups ---------------------------------------------
 
 def _constant_column_masks(rows: np.ndarray, k: int):
+    """Per 0-based first row a: a[j] = a[j + k] and a[a[j]] = a[j] for every j, mod n."""
     n = rows.shape[1]
     idx = np.arange(n)
     crit = (rows == rows[:, (idx + k) % n]).all(axis=1)
@@ -1091,10 +1076,7 @@ def _run_idempotent_one_semigroup(inst):
     n, k = inst
     rows = batch.row_array(n, False)
     assoc = batch.space_verdicts("associative", n, k, False)
-    idx = np.arange(n)
-    cond = (rows == rows[:, (idx - k) % n]).all(axis=1)
-    cond &= (rows == rows[:, (idx + k) % n]).all(axis=1)
-    cond &= (np.take_along_axis(rows, rows.astype(np.int64), axis=1) == rows).all(axis=1)
+    cond = _constant_column_masks(rows, k) & (rows == rows[:, (np.arange(n) - k) % n]).all(axis=1)
     anchored = (rows[:, 0] == 0) & (rows[:, n - 1] == 0)
     return _first_bad_row(rows, anchored & (cond != assoc), "four-way condition against associativity") or _passed()
 
@@ -1124,21 +1106,17 @@ def _run_scaled_residues(inst):
 def _check_union(union, n: int, k: int, step: int) -> Outcome | None:
     """The failure of a union's checks, or None when they all pass."""
     table = union.table
-    big_n = table.n
     if detect(table) != frozenset({step}):
         return _failed({"copies": union.spec.t, "note": "wrong set of steps"})
-    if table != table_from_sequence(left_unitary_groupoid(big_n, step)):
+    if table != table_from_sequence(left_unitary_groupoid(table.n, step)):
         return _failed({"copies": union.spec.t, "note": "union differs from the left unitary table"})
     if not check(table, "associative")[0]:
         return _failed({"copies": union.spec.t, "note": "union is not associative"})
     lu_small = left_unitary_groupoid(n, k)
     for copy, comp in enumerate(union.copies(), start=1):
-        cols = np.array(comp) - 1
-        members = np.zeros(big_n, dtype=bool)
-        members[cols] = True
-        blocks = _blocks(big_n, n, _PRODUCT_BLOCK_CELLS)   # rows a block at a time, as products are compared
-        if not all(members[table.grid[r.start:r.stop, cols]].all() for r in blocks):
+        if not _is_left_ideal(table.grid, comp):
             return _failed({"copy": copy, "note": "copy is not a left ideal"})
+        cols = np.array(comp) - 1
         first = np.searchsorted(cols, table.grid[cols[0], cols]) + 1   # the copy's first row, local indices
         seq = KSequence(n, k, tuple(first.tolist()))
         if not semigroup_criterion(seq):

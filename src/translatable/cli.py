@@ -521,15 +521,17 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, table=False):
-        p.add_argument("--n", type=int, help="order of the groupoid")
-        p.add_argument("--k", type=int, help="translation step")
-        p.add_argument(
-            "--seq",
-            action="append",
-            metavar="VALUES",
-            help="first row, comma or space separated (repeatable where two rows are needed)",
-        )
+    presentation = {
+        "--n": {"type": int, "help": "order of the groupoid"},
+        "--k": {"type": int, "help": "translation step"},
+        "--seq": {"action": "append", "metavar": "VALUES",
+                  "help": "first row, comma or space separated (repeatable where two rows are needed)"},
+    }
+
+    # A subcommand declares only the options it reads, so argparse refuses the rest.
+    def common(p, table=False, reads=tuple(presentation)):
+        for flag in reads:
+            p.add_argument(flag, **presentation[flag])
         if table:
             p.add_argument("--table", metavar="FILE", help="table file, '-' for stdin")
         p.add_argument("--format", choices=("text", "json"), default="text")
@@ -553,11 +555,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=("idempotent", "left-unitary", "cyclic"), required=True)
     p = common(sub.add_parser("ideals", help="principal one-sided ideals"), table=True)
     p.add_argument("--side", choices=("left", "right"), default="left")
-    p = common(sub.add_parser("enumerate", help="first rows passing a property filter"))
+    p = common(sub.add_parser("enumerate", help="first rows passing a property filter"), reads=("--n", "--k"))
     p.add_argument("--permutation-only", action="store_true")
     p.add_argument("--require", action="append", choices=PROPERTY_NAMES, metavar="NAME")
     p.add_argument("--forbid", action="append", choices=PROPERTY_NAMES, metavar="NAME")
-    p = common(sub.add_parser("catalog", help="census of property fingerprints at one order"))
+    p = common(sub.add_parser("catalog", help="census of property fingerprints at one order"), reads=("--n",))
     p.add_argument("--permutation-only", action="store_true")
     p = sub.add_parser("verify", help="run an exhaustive verification campaign")
     p.add_argument("--theorem", action="append", required=True, metavar="ID")

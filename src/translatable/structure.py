@@ -118,6 +118,16 @@ def _verify_component_group(m: np.ndarray, comp: tuple[int, ...], e: int, gen: i
         raise VerificationError(f"{gen} does not generate component {comp}")
 
 
+def _first_band_failure(grid: np.ndarray, elements) -> tuple[int, int] | None:
+    """The row-major first (e, f) of the 1-based elements with e*f != f; None for a right-zero band."""
+    ix = np.array(elements, dtype=np.intp) - 1
+    band = grid[np.ix_(ix, ix)] != ix      # [e, f]: e*f != f
+    if not band.any():
+        return None
+    e, f = np.unravel_index(band.argmax(), band.shape)
+    return int(ix[e]) + 1, int(ix[f]) + 1
+
+
 def decompose(table: CayleyTable, seq: KSequence) -> Decomposition:
     """Split a left-cancellative translatable semigroup into cyclic groups.
 
@@ -145,11 +155,9 @@ def decompose(table: CayleyTable, seq: KSequence) -> Decomposition:
         raise VerificationError("diagonal idempotents disagree with the closed form")
     if idems != left_neutral_elements(table):
         raise VerificationError("idempotents are not exactly the left neutral elements")
-    ix = np.array(idems, dtype=np.intp) - 1
-    band = grid[np.ix_(ix, ix)] != ix      # [e, f]: e*f != f
-    if band.any():
-        e, f = np.unravel_index(band.argmax(), band.shape)
-        raise VerificationError(f"idempotents are not a right-zero band: {idems[e]}*{idems[f]}")
+    broken = _first_band_failure(grid, idems)
+    if broken:
+        raise VerificationError(f"idempotents are not a right-zero band: {broken[0]}*{broken[1]}")
     m = _least_multiplier(k, n)
     t = _least_multiplier(m, n)
     g = math.gcd(n, k)
@@ -195,6 +203,21 @@ def _first_broken_product(grid: np.ndarray, image: np.ndarray, target: np.ndarra
     return None
 
 
+def _is_left_ideal(grid: np.ndarray, elements) -> bool:
+    """Is Q*S inside S, S the 1-based elements?  Its columns are read a block of rows at a time."""
+    cols = np.array(elements, dtype=np.intp) - 1
+    members = np.zeros(len(grid), dtype=bool)
+    members[cols] = True
+    blocks = _blocks(len(grid), len(cols), _PRODUCT_BLOCK_CELLS)
+    return all(members[grid[r.start:r.stop, cols]].all() for r in blocks)
+
+
+def _leads_with_left_neutral(grid: np.ndarray, ordering: Ordering) -> bool:
+    """Is the ordering's first element e left neutral: e*x = x for every x?"""
+    order = np.array(ordering.perm) - 1
+    return bool((grid[order[0], order] == order).all())
+
+
 @dataclass(frozen=True)
 class Isomorphism:
     """A bijection on 1..n, with mapping[x-1] the image of x.
@@ -204,11 +227,6 @@ class Isomorphism:
     """
 
     mapping: tuple[int, ...]
-
-    def apply(self, x: int) -> int:
-        if not 1 <= x <= len(self.mapping):
-            raise IndexError(f"{x} outside 1..{len(self.mapping)}")
-        return self.mapping[x - 1]
 
 
 def _diagonal_ordering(table: CayleyTable, who: str) -> Ordering:
@@ -276,8 +294,7 @@ def iso_left_unitary(seq_q: KSequence, seq_g: KSequence) -> Isomorphism:
     bq = _unitary_reordering(seq_q)
     bg = _unitary_reordering(seq_g)
     for grid, b in ((grid_q, bq), (grid_g, bg)):
-        order = np.array(b.perm) - 1
-        if (grid[order[0], order] != order).any():
+        if not _leads_with_left_neutral(grid, b):
             raise VerificationError("reordered table has no left neutral in front")
     mapping = bg.compose(bq.inverse()).perm
     bad = _first_broken_product(grid_q, np.array(mapping) - 1, grid_g)

@@ -91,15 +91,17 @@ def _blocks(stop: int, slab: int, limit: int):
 def _translatable_steps(grid: np.ndarray, steps: np.ndarray) -> list[int]:
     """The steps among `steps` passing the rotation test on every row (the
     last against the first): filtered on the one cell T[1][1] = T[2][1+k],
-    then on rows 1-2, then each survivor on the _blocks of rows, up to its
-    first failing block."""
+    then on rows 1-2, then each survivor on the _blocks of rows, the rows
+    below read as a slice, up to its first failing block, and the last row."""
     n = grid.shape[0]
-    below = np.roll(grid, -1, axis=0)
-    steps = steps[_first_cell_holds(grid[0], below[0], steps)]
-    steps = steps[_rotation_holds(grid[0], below[0], steps[:, None])]
+    second = grid[1 % n]
+    steps = steps[_first_cell_holds(grid[0], second, steps)]
+    steps = steps[_rotation_holds(grid[0], second, steps[:, None])]
     return [
         k for k in steps.tolist()
-        if all(_rotation_holds(grid[r.start:r.stop], below[r.start:r.stop], k).all() for r in _blocks(n, n, n * n))
+        if all(_rotation_holds(grid[r.start:r.stop], grid[r.start + 1:r.stop + 1], k).all()
+               for r in _blocks(n - 1, n, n * n))
+        and _rotation_holds(grid[-1], grid[0], k)
     ]
 
 

@@ -11,7 +11,7 @@ import pytest
 
 import numpy as np
 
-from translatable import batch, campaigns, cli
+from translatable import batch, campaigns, cli, structure
 from translatable.campaigns import THEOREMS, _closed_subsets, _first_bad_row
 from translatable.constructions import cancellative_semigroups
 from translatable.core import CayleyTable, Ordering, VerificationError
@@ -156,6 +156,48 @@ def test_left_unitary_reordering_campaign_checks_the_library(monkeypatch):
 
     monkeypatch.setattr(campaigns, "_unitary_reordering", rotated)
     assert not verify("left-unitary-reordering", max_n=6).passed
+
+
+def mirrored(real):
+    # The same check on the transposed grid: rows read for columns, f*e for e*f.
+    return lambda grid, *args: real(grid.T, *args)
+
+
+def none_at_even_order(real):
+    return lambda table: None if table.n % 2 == 0 else real(table)
+
+
+# Each structural check shared by several campaigns, a plausible wrong
+# version of it, and every campaign resting on it.
+SHARED_CHECK_MUTANTS = {
+    "iso_to_cyclic": (none_at_even_order, (
+        "group-step-cyclic", "ascending-sequence-cyclic", "top-step-cyclic", "right-cancellative-semigroup",
+        "anchor-value-cyclic", "ideal-partition", "paramedial-cyclic",
+    )),
+    "_first_band_failure": (mirrored, (
+        "idempotent-set-formula", "cyclic-decomposition", "ideal-partition", "block-order-decomposition",
+    )),
+    "_is_left_ideal": (mirrored, ("ideal-partition", "union-same-step", "union-shifted-step")),
+    "_leads_with_left_neutral": (mirrored, (
+        "left-unitary-reordering", "cancellative-semigroup-isomorphism", "union-same-step",
+        "union-shifted-step", "pair-union",
+    )),
+}
+
+
+@pytest.mark.parametrize(
+    ("name", "theorem_id"),
+    [(name, theorem_id) for name, (_, theorem_ids) in SHARED_CHECK_MUTANTS.items() for theorem_id in theorem_ids],
+)
+def test_a_wrong_shared_check_turns_each_campaign_on_it_red(monkeypatch, name, theorem_id):
+    # The wrong check is patched wherever it is bound, so in campaigns and
+    # inside decompose and iso_left_unitary alike.
+    real = getattr(structure, name)
+    for module in (campaigns, structure):
+        if getattr(module, name) is real:
+            monkeypatch.setattr(module, name, SHARED_CHECK_MUTANTS[name][0](real))
+    report = verify(theorem_id, max_n=min(12, THEOREMS[theorem_id].default_max_n))
+    assert any(result.status == "fail" for result in report.results)
 
 
 def verify_lines(capsys, jobs, *theorem_ids):

@@ -319,9 +319,22 @@ def test_enumerate_and_exit_codes(capsys):
 @pytest.mark.parametrize("n", ["0", "-1"])
 @pytest.mark.parametrize("perm", [(), ("--permutation-only",)])
 def test_row_sweeps_refuse_orders_below_one(capsys, command, n, perm):
-    code, out, err = run(capsys, command, "--n", n, "--k", "1", *perm)
+    step = ("--k", "1") if command == "enumerate" else ()
+    code, out, err = run(capsys, command, "--n", n, *step, *perm)
     assert code == 2 and out == ""
     assert f"order must be at least 1, got {n}" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("catalog", "--n", "4", "--k", "9"),
+    ("catalog", "--n", "4", "--seq", "x"),
+    ("enumerate", "--n", "4", "--k", "1", "--seq", "x"),
+])
+def test_row_sweeps_refuse_options_they_do_not_read(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        main(list(argv))
+    assert info.value.code == 2
+    assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
 
 
 # SHA-256 of stdout, exit code and line count of three row enumerations, as

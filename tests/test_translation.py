@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -170,3 +172,18 @@ def test_rotations_are_the_index_rule_in_the_row_dtype(dtype):
             got = _rotations(row, k)
             assert got.dtype == dtype and got.shape == (n, n)
             assert (got == row[(j - k * i) % n]).all(), (n, k)
+
+
+@pytest.mark.parametrize(("n", "bound_mib"), [(1024, 2.0), (600, 0.75)])
+def test_detect_reads_the_row_below_as_a_slice_of_the_grid(n, bound_mib):
+    # No rolled copy of the whole grid: at most a block of rows is gathered
+    # at a time (one whole int16 grid is 2 MiB at order 1024).
+    table = table_from_sequence(KSequence(n, n - 1, tuple(range(1, n + 1))))
+    tracemalloc.start()
+    try:
+        steps = detect(table)
+        peak = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    assert steps == frozenset({n - 1})
+    assert peak <= bound_mib
