@@ -28,24 +28,27 @@ read about ROW_CHUNK*n*n cells: ROW_CHUNK tables for the n*n-cell slabs
 of the identities, ROW_CHUNK*n for the n-cell row pairs of the rotation
 test.
 
-A sweep over a whole row space (space_verdicts, step_verdicts, or a
-per-table test a caller hands to _blocks) never holds the tables of the
-whole space: _blocks generates them one block of first rows at a time
-(_row_blocks, at most _BLOCK_CELLS cells, 4 Mi int8 cells, a block), sweeps
-that block, and joins the blocks' verdicts in row order.  The 9!
+A sweep over a whole row space (space_verdicts, step_verdicts,
+sweep_verdicts, or a per-table test a caller hands to _blocks) never holds
+the tables of the whole space: _block_verdicts generates them one block of
+first rows at a time (_row_blocks, at most _BLOCK_CELLS cells, 1 Mi int8
+cells, a block) and sweeps that block, and _blocks writes each block's
+verdicts in row order into one array made for the whole space.  The 9!
 permutation tables alone would take 29.4 MB.  step_verdicts is the one
 "translatable at every step" sweep: translatable_mask at each step 1..n-1
 over the step-k tables of the permutation rows, or over their duals
-(transposes).
+(transposes); it packs each block's verdicts into the memo as it goes, so
+no unpacked (n-1)-by-n! array is ever made.
 
-Row spaces and the whole-space verdicts of space_verdicts and step_verdicts
-are memoised until clear_memo(); the verify command clears them when it
-starts and when it ends, so one command computes each row space and each
-whole-space verdict once, still cell by cell, and every campaign that asks
-for the same property over the same space reads the same verdicts.  Row
-spaces and space_verdicts are kept as read-only arrays and handed out
-shared; the step verdicts are kept bit-packed (np.packbits, one bit per
-table and step) and each call unpacks them into fresh read-only arrays.
+Row spaces and the whole-space verdicts of space_verdicts, step_verdicts
+and sweep_verdicts are memoised until clear_memo(); the verify command
+clears them when it starts and when it ends, so one command computes each
+row space and each whole-space verdict once, still cell by cell, and every
+campaign that asks for the same property over the same space reads the
+same verdicts.  Row spaces and the verdicts of space_verdicts and
+sweep_verdicts are kept as read-only arrays and handed out shared; the
+step verdicts are kept bit-packed (np.packbits, one bit per table and
+step), and each step read is unpacked into a fresh read-only array.
 """
 
 from __future__ import annotations
@@ -53,6 +56,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from collections.abc import Mapping
 
 import numpy as np
 
@@ -65,10 +69,10 @@ ROW_CHUNK = 4096
 # campaign window fits (permutations to n = 9, all rows to n = 7).
 ROW_CELL_BUDGET = 1 << 26
 # Most table cells a whole-space sweep generates at once.
-_BLOCK_CELLS = ROW_CELL_BUDGET // 16
+_BLOCK_CELLS = ROW_CELL_BUDGET // 64
 
 _ROWS: dict[tuple[int, bool], np.ndarray] = {}
-_VERDICTS: dict[tuple, np.ndarray | tuple[np.ndarray, int]] = {}
+_VERDICTS: dict[tuple, np.ndarray] = {}
 
 
 def clear_memo() -> None:
@@ -130,27 +134,71 @@ def _row_blocks(rows: np.ndarray):
         yield rows[start:start + size]
 
 
+def _block_verdicts(n: int, k: int, permutation_only: bool, verdicts_of):
+    """(start, verdicts_of(tables)) for the step-k tables of each row block of
+    row_array(n, permutation_only), in row order; start is the block's first row."""
+    start = 0
+    for rows in _row_blocks(row_array(n, permutation_only)):
+        yield start, verdicts_of(product_tables(rows, k))
+        start += len(rows)
+
+
 def _blocks(n: int, k: int, permutation_only: bool, verdicts_of) -> np.ndarray:
     """verdicts_of over the step-k tables of row_array(n, permutation_only),
-    one row block at a time, joined along the last axis in row order."""
-    blocks = _row_blocks(row_array(n, permutation_only))
-    return np.concatenate([verdicts_of(product_tables(rows, k)) for rows in blocks], axis=-1)
+    one row block at a time, each block written in row order into one array
+    whose last axis is the table axis."""
+    count = len(row_array(n, permutation_only))
+    out = None
+    for start, verdicts in _block_verdicts(n, k, permutation_only, verdicts_of):
+        if out is None:
+            out = np.empty(verdicts.shape[:-1] + (count,), dtype=verdicts.dtype)
+        out[..., start:start + verdicts.shape[-1]] = verdicts
+    return out
+
+
+def sweep_verdicts(tag: str, n: int, k: int, permutation_only: bool, verdicts_of) -> np.ndarray:
+    """_blocks(n, k, permutation_only, verdicts_of), memoised under tag and
+    the space until clear_memo().  tag names the test: a MASKS name for that
+    mask, any other name but "steps" for a caller's own per-table test."""
+    key = (tag, n, k, bool(permutation_only))
+    verdicts = _VERDICTS.get(key)
+    if verdicts is None:
+        verdicts = _VERDICTS[key] = _frozen(_blocks(n, k, permutation_only, verdicts_of))
+    return verdicts
 
 
 def space_verdicts(name: str, n: int, k: int, permutation_only: bool) -> np.ndarray:
     """MASKS[name] over every table of row_array(n, permutation_only) at step k."""
-    key = (name, n, k, bool(permutation_only))
-    verdicts = _VERDICTS.get(key)
-    if verdicts is None:
-        verdicts = _VERDICTS[key] = _frozen(_blocks(n, k, permutation_only, MASKS[name]))
-    return verdicts
+    return sweep_verdicts(name, n, k, permutation_only, MASKS[name])
 
 
-def step_verdicts(n: int, k: int, transposed: bool) -> dict[int, np.ndarray]:
+class _Steps(Mapping):
+    """Steps 1..n-1 to their verdicts, each step unpacked from the packed
+    memo into a fresh read-only array when it is read."""
+
+    def __init__(self, packed: np.ndarray, count: int):
+        self._packed, self._count = packed, count
+        self._steps = range(1, len(packed) + 1)
+
+    def __getitem__(self, kstar: int) -> np.ndarray:
+        if kstar not in self._steps:
+            raise KeyError(kstar)
+        return _frozen(np.unpackbits(self._packed[kstar - 1], count=self._count).view(bool))
+
+    def __iter__(self):
+        return iter(self._steps)
+
+    def __len__(self) -> int:
+        return len(self._steps)
+
+
+def step_verdicts(n: int, k: int, transposed: bool) -> Mapping[int, np.ndarray]:
     """translatable_mask at every step 1..n-1 over every step-k table with a
     permutation first row, or over their duals (transposes) if transposed."""
     key = ("steps", n, k, bool(transposed))
-    if key not in _VERDICTS:
+    count = math.factorial(n)
+    packed = _VERDICTS.get(key)
+    if packed is None:
 
         def steps(tables):
             if transposed:
@@ -160,11 +208,15 @@ def step_verdicts(n: int, k: int, transposed: bool) -> dict[int, np.ndarray]:
                 out[kstar - 1] = translatable_mask(tables, kstar)
             return out
 
-        verdicts = _blocks(n, k, True, steps)
-        _VERDICTS[key] = (np.packbits(verdicts, axis=1), verdicts.shape[1])
-    packed, count = _VERDICTS[key]
-    verdicts = _frozen(np.unpackbits(packed, axis=1, count=count).view(bool))
-    return {kstar: verdicts[kstar - 1] for kstar in range(1, n)}
+        packed = np.zeros((n - 1, -(-count // 8)), dtype=np.uint8)
+        for start, bits in _block_verdicts(n, k, True, steps):
+            # Leading zero bits put the block at its offset in its first
+            # byte, which it may share with the block before; the padding
+            # bits on both sides are 0, so OR-ing keeps the other's bits.
+            block = np.packbits(np.pad(bits, ((0, 0), (start % 8, 0))), axis=1)
+            packed[:, start // 8:start // 8 + block.shape[1]] |= block
+        packed = _VERDICTS[key] = _frozen(packed)
+    return _Steps(packed, count)
 
 
 def product_tables(rows: np.ndarray, k: int) -> np.ndarray:
@@ -203,13 +255,18 @@ def _sieve(tables: np.ndarray, slab_ok, slabs, size: int | None = None) -> np.nd
     """
     b = tables.shape[0]
     size = size or ROW_CHUNK
-    alive = np.arange(b)
+    alive = None  # indices of the survivors, made at the first cut
     for slab in slabs:
-        if not alive.size:
+        if not len(tables):
             break
-        keep = np.concatenate([slab_ok(tables[start:start + size], slab) for start in range(0, alive.size, size)])
+        keep = np.empty(len(tables), dtype=bool)
+        for start in range(0, len(tables), size):
+            keep[start:start + size] = slab_ok(tables[start:start + size], slab)
         if not keep.all():
-            alive, tables = alive[keep], tables[keep]
+            alive = np.flatnonzero(keep) if alive is None else alive[keep]
+            tables = tables[keep]
+    if alive is None:
+        return np.ones(b, dtype=bool)
     ok = np.zeros(b, dtype=bool)
     ok[alive] = True
     return ok

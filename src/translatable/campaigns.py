@@ -25,9 +25,11 @@ whole command.
 A runner that sweeps a row space takes its whole-space verdicts from
 batch: a mask from space_verdicts and the steps of every table or its dual
 from step_verdicts, both memoised for the whole command, and a test of its
-own from _blocks, one block of rows at a time.  Only detection-equivalence
-builds a whole space of tables: it compares three descriptions of the same
-grids.
+own from _blocks, one block of rows at a time, or from sweep_verdicts,
+memoised, when two campaigns share it.  No runner builds the tables of a
+whole row space: detection-equivalence takes its three descriptions of
+each table from _blocks, and alterable-solvable-quasigroup goes through
+the tables with permutation rows a block of row tuples at a time.
 
 A structural test shared with structure (right-zero band, left ideal, left
 neutral in front, products of a map, cyclic group) is one function there,
@@ -235,21 +237,26 @@ def _run_unique_step(inst):
     return _passed()
 
 
+def _descriptions(tables: np.ndarray, k: int) -> np.ndarray:
+    """[0] first-row formula, [1] row shift, [2] column shift: does each
+    table of the stack read as step-k translatable that way?"""
+    return np.stack([
+        (tables == batch.product_tables(tables[:, 0, :], k)).all(axis=(1, 2)),
+        batch.translatable_mask(tables, k),
+        (np.roll(tables, k, axis=2) == np.roll(tables, -1, axis=1)).all(axis=(1, 2)),
+    ])
+
+
 @_campaign("detection-equivalence", "first-row formula, row shift, and column shift describe the same tables", 6)
 def _run_detection_equivalence(inst):
     n, k = inst
-    if n <= 3:
-        grids = np.array(
-            list(itertools.product(range(n), repeat=n * n)), dtype=np.int8
-        ).reshape(-1, n, n)
-    else:
-        rows = batch.row_array(n, False)
-        grids = batch.product_tables(rows, k)
-    by_formula = (grids == batch.product_tables(grids[:, 0, :], k)).all(axis=(1, 2))
-    by_shift = batch.translatable_mask(grids, k)
-    by_columns = (np.roll(grids, k, axis=2) == np.roll(grids, -1, axis=1)).all(axis=(1, 2))
-    if n > 3 and not (by_formula.all() and by_shift.all() and by_columns.all()):
-        return _failed({"note": "a generated table failed one of the three descriptions"})
+    if n > 3:
+        by_formula, by_shift, by_columns = batch._blocks(n, k, False, lambda tables: _descriptions(tables, k))
+        if not (by_formula.all() and by_shift.all() and by_columns.all()):
+            return _failed({"note": "a generated table failed one of the three descriptions"})
+        return _passed()
+    grids = np.array(list(itertools.product(range(n), repeat=n * n)), dtype=np.int8).reshape(-1, n, n)
+    by_formula, by_shift, by_columns = _descriptions(grids, k)
     disagree = np.flatnonzero((by_formula != by_shift) | (by_shift != by_columns))
     if disagree.size:
         b = int(disagree[0])
@@ -323,25 +330,27 @@ def _run_alterable_solvable_quasigroup(inst):
     n, k = inst
     rows = batch.row_array(n, True)
     if k is None:
-        # every table with permutation rows, not only translatable ones,
-        # in the lexicographic order of their row tuples (n <= 4, so every
-        # index is below 24 and fits int8)
-        tables = rows[np.indices((len(rows),) * n, dtype=np.int8).reshape(n, -1).T]
-        tables = tables[batch.alterable_mask(tables)]
+        # every table with permutation rows, not only translatable ones, in
+        # the lexicographic order of their row tuples, a block of tuples at
+        # a time (n <= 4, so every index is below 24 and fits int8)
+        picks = np.indices((len(rows),) * n, dtype=np.int8).reshape(n, -1).T
+        blocks = (rows[picked] for picked in batch._row_blocks(picks))
+        stacks = (tables[batch.alterable_mask(tables)] for tables in blocks)
     else:
         # right solvability forces a permutation first row here
-        tables = batch.product_tables(rows[batch.space_verdicts("alterable", n, k, True)], k)
+        stacks = [batch.product_tables(rows[batch.space_verdicts("alterable", n, k, True)], k)]
     # Each mask runs only on the tables kept so far, if any; they stay in
     # order, so the first table left is the first bad one of the space.
-    if len(tables):
-        tables = tables[batch.right_distributive_mask(tables)]
-    if len(tables):
-        tables = tables[~(batch.idempotent_mask(tables) & batch.quasigroup_mask(tables))]
-    if len(tables):
-        return _failed({
-            "table": [[int(v) + 1 for v in r] for r in tables[0]],
-            "note": "alterable right-solvable right-distributive but not an idempotent quasigroup",
-        })
+    for tables in stacks:
+        if len(tables):
+            tables = tables[batch.right_distributive_mask(tables)]
+        if len(tables):
+            tables = tables[~(batch.idempotent_mask(tables) & batch.quasigroup_mask(tables))]
+        if len(tables):
+            return _failed({
+                "table": [[int(v) + 1 for v in r] for r in tables[0]],
+                "note": "alterable right-solvable right-distributive but not an idempotent quasigroup",
+            })
     return _passed()
 
 
@@ -993,16 +1002,20 @@ def _run_paramedial_cyclic(inst):
 def _constant_column_masks(rows: np.ndarray, k: int):
     """Per 0-based first row a: a[j] = a[j + k] and a[a[j]] = a[j] for every j, mod n."""
     n = rows.shape[1]
-    idx = np.arange(n)
-    crit = (rows == rows[:, (idx + k) % n]).all(axis=1)
-    crit &= (np.take_along_axis(rows, rows.astype(np.int64), axis=1) == rows).all(axis=1)
+    crit = (rows == rows[:, (np.arange(n) + k) % n]).all(axis=1)
+    for j in range(n):
+        # one column of indices at a time: numpy casts an index array to intp whole
+        crit &= np.take_along_axis(rows, rows[:, j:j + 1], axis=1)[:, 0] == rows[:, j]
     return crit
 
 
 def _constant_columns(n: int, k: int) -> np.ndarray:
     """Over every step-k table of the full row space: does every row equal
-    the first, so that each column is constant?"""
-    return batch._blocks(n, k, False, lambda tables: (tables == tables[:, :1, :]).all(axis=(1, 2)))
+    the first, so that each column is constant?  Swept once per command
+    for both constant-column campaigns."""
+    return batch.sweep_verdicts(
+        "constant-columns", n, k, False, lambda tables: (tables == tables[:, :1, :]).all(axis=(1, 2))
+    )
 
 
 @_campaign("constant-column-criterion", "column-constant semigroups are cut out by a two-part recurrence", 6)

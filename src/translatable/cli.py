@@ -103,7 +103,11 @@ def _require(args, *names: str) -> None:
 
 
 def _sequence_from_args(args, raw: str | None = None) -> KSequence:
-    raw = raw if raw is not None else (args.seq[0] if args.seq else None)
+    """The KSequence of raw, by default the command's one --seq."""
+    if raw is None and args.seq:
+        if len(args.seq) > 1:
+            raise InvalidInputError(f"{args.command} takes --seq once, not {len(args.seq)} times")
+        raw = args.seq[0]
     if raw is None:
         raise InvalidInputError(f"{args.command} needs --seq")
     _require(args, "k")
@@ -116,6 +120,9 @@ def _sequence_from_args(args, raw: str | None = None) -> KSequence:
 
 def _table_from_args(args) -> CayleyTable:
     if getattr(args, "table", None):
+        ignored = [f"--{name}" for name in ("n", "k", "seq") if getattr(args, name, None) is not None]
+        if ignored:
+            raise InvalidInputError(f"{args.command} --table takes no {' or '.join(ignored)}")
         if args.table == "-":
             text = sys.stdin.read()
         else:
@@ -399,6 +406,8 @@ def _cmd_iso(args) -> int:
     if args.kind == "cyclic":
         table = _table_from_args(args)
         return _mapping_payload(args, table.n, iso_to_cyclic(table))
+    if args.table:
+        raise InvalidInputError(f"iso --kind {args.kind} reads two --seq rows, not --table")
     if not args.seq or len(args.seq) != 2:
         raise InvalidInputError(f"iso --kind {args.kind} needs --seq twice, source then target")
     first = _sequence_from_args(args, args.seq[0])

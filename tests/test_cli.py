@@ -291,6 +291,24 @@ def test_iso_json_golden(capsys, args, golden):
     assert run(capsys, "iso", *args, "--format", "json")[:2] == (0, golden)
 
 
+@pytest.mark.parametrize(("argv", "flag"), [
+    (("build", "--k", "3", "--seq", "1 2 3 4", "--seq", "9 9"), "--seq"),
+    (("detect", "--k", "3", "--seq", "1 2 3 4", "--seq", "1 2 3 4"), "--seq"),
+    (("construct", "embed", "--t", "2", "--k", "1", "--seq", "1 2", "--seq", "2 1"), "--seq"),
+    (("iso", "--kind", "cyclic", "--k", "3", "--seq", "1 2 3 4", "--seq", "1 2 3 4"), "--seq"),
+    (("detect", "--table", "Z4", "--k", "3"), "--k"),
+    (("check", "--table", "Z4", "--seq", "1 2 3 4"), "--seq"),
+    (("dual", "--table", "Z4", "--n", "4"), "--n"),
+    (("iso", "--kind", "left-unitary", "--table", "Z4", "--k", "2", "--seq", "1 2", "--seq", "2 1"), "--table"),
+])
+def test_commands_refuse_a_flag_they_would_ignore(capsys, tmp_path, argv, flag):
+    z4 = tmp_path / "z4.txt"
+    z4.write_text(Z4_TEXT)
+    code, out, err = run(capsys, *(str(z4) if arg == "Z4" else arg for arg in argv))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"translatable: {argv[0]}") and flag in err
+
+
 def test_iso_needs_two_sequences(capsys):
     code, _, err = run(capsys, "iso", "--kind", "left-unitary", "--k", "2", "--seq", "1 2 3 4 5 6")
     assert code == 2 and "twice" in err
