@@ -30,25 +30,24 @@ test.
 
 A sweep over a whole row space (space_verdicts, step_verdicts,
 sweep_verdicts, or a per-table test a caller hands to _blocks) never holds
-the tables of the whole space: _block_verdicts generates them one block of
-first rows at a time (_row_blocks, at most _BLOCK_CELLS cells, 1 Mi int8
-cells, a block) and sweeps that block, and _blocks writes each block's
-verdicts in row order into one array made for the whole space.  The 9!
-permutation tables alone would take 29.4 MB.  step_verdicts is the one
-"translatable at every step" sweep: translatable_mask at each step 1..n-1
-over the step-k tables of the permutation rows, or over their duals
-(transposes); it packs each block's verdicts into the memo as it goes, so
-no unpacked (n-1)-by-n! array is ever made.
+the tables of the whole space (29.4 MB for the 9! permutations), nor the
+rows of a permutation space (3.1 MB) unless memoised: _space_rows makes
+them one or more first values at a time (_first_value_blocks), in blocks
+of at most _BLOCK_CELLS = 512 Ki int8 table cells, _block_verdicts sweeps
+each block, and _blocks writes its verdicts in row order into one array
+made for the whole space; row_at unranks the one row a witness names.
+step_verdicts is the one "translatable at every step" sweep:
+translatable_mask at each step 1..n-1 over the step-k tables of the
+permutation rows, or over their duals (transposes).
 
 Row spaces and the whole-space verdicts of space_verdicts, step_verdicts
 and sweep_verdicts are memoised until clear_memo(); the verify command
 clears them when it starts and when it ends, so one command computes each
-row space and each whole-space verdict once, still cell by cell, and every
-campaign that asks for the same property over the same space reads the
-same verdicts.  Row spaces and the verdicts of space_verdicts and
-sweep_verdicts are kept as read-only arrays and handed out shared; the
-step verdicts are kept bit-packed (np.packbits, one bit per table and
-step), and each step read is unpacked into a fresh read-only array.
+whole-space verdict once, still cell by cell, and every campaign that
+asks for the same property over the same space reads the same verdicts,
+as read-only arrays handed out shared.  A step on which every table
+agrees (each step, on permutation rows) is kept as one bool, any other
+bit-packed block by block, so no (n-1)-by-n! bool array is ever made.
 """
 
 from __future__ import annotations
@@ -56,7 +55,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from collections.abc import Mapping
 
 import numpy as np
 
@@ -69,10 +67,10 @@ ROW_CHUNK = 4096
 # campaign window fits (permutations to n = 9, all rows to n = 7).
 ROW_CELL_BUDGET = 1 << 26
 # Most table cells a whole-space sweep generates at once.
-_BLOCK_CELLS = ROW_CELL_BUDGET // 64
+_BLOCK_CELLS = ROW_CELL_BUDGET // 128
 
 _ROWS: dict[tuple[int, bool], np.ndarray] = {}
-_VERDICTS: dict[tuple, np.ndarray] = {}
+_VERDICTS: dict[tuple, np.ndarray | tuple] = {}
 
 
 def clear_memo() -> None:
@@ -92,18 +90,38 @@ def _all_rows(n: int) -> np.ndarray:
 
 
 def _permutations(n: int) -> np.ndarray:
-    """Lexicographic permutations of range(n): each first value in turn,
-    followed by the permutations of the rest, relabelled in order."""
-    rows = np.zeros((1, 0), dtype=np.int8)
-    for m in range(1, n + 1):
-        block = rows.shape[0]
-        out = np.empty((m * block, m), dtype=np.int8)
-        for first in range(m):
-            part = out[first * block:(first + 1) * block]
-            part[:, 0] = first
-            part[:, 1:] = rows + (rows >= first)
-        rows = out
-    return rows
+    """Lexicographic permutations of range(n), filled one _first_value_blocks block at a time."""
+    out = np.empty((math.factorial(n), n), dtype=np.int8)
+    for a, block in enumerate(_first_value_blocks(n, 1) if n else ()):
+        out[a * len(block):(a + 1) * len(block)] = block
+    return out
+
+
+def _first_value_blocks(n: int, width: int):
+    """The permutation rows of range(n), n >= 1, in lexicographic order, `width`
+    first values a at a time: behind each a, the memoised permutations of the other
+    n - 1 values relabelled as tail + (tail >= a), from one copy behind a column of
+    0s, so that no block is made by a slow copy into n-wide rows."""
+    tail = row_array(n - 1, True)
+    behind = np.zeros((len(tail), n), dtype=np.int8)
+    behind[:, 1:] = tail
+    for a in range(0, n, width):
+        firsts = np.arange(a, min(a + width, n), dtype=np.int8).reshape(-1, 1, 1)
+        block = behind + (behind >= firsts)
+        block[:, :, 0] = firsts[:, :, 0]
+        yield block.reshape(-1, n)
+
+
+def _space_size(n: int, permutation_only: bool) -> int:
+    """The space's row count; BoundError if its tables pass ROW_CELL_BUDGET cells."""
+    count = math.factorial(n) if permutation_only else n**n
+    if count * n * n > ROW_CELL_BUDGET:
+        kind = "permutation" if permutation_only else "full"
+        raise BoundError(
+            f"{kind} row space at n = {n} needs {count * n * n} table cells, "
+            f"over the row-space budget of {ROW_CELL_BUDGET}"
+        )
+    return count
 
 
 def row_array(n: int, permutation_only: bool) -> np.ndarray:
@@ -115,15 +133,17 @@ def row_array(n: int, permutation_only: bool) -> np.ndarray:
     key = (n, bool(permutation_only))
     rows = _ROWS.get(key)
     if rows is None:
-        count = math.factorial(n) if permutation_only else n**n
-        if count * n * n > ROW_CELL_BUDGET:
-            kind = "permutation" if permutation_only else "full"
-            raise BoundError(
-                f"{kind} row space at n = {n} needs {count * n * n} table cells, "
-                f"over the row-space budget of {ROW_CELL_BUDGET}"
-            )
+        _space_size(n, permutation_only)
         rows = _ROWS[key] = _frozen(_permutations(n) if permutation_only else _all_rows(n))
     return rows
+
+
+def row_at(n: int, permutation_only: bool, b: int) -> np.ndarray:
+    """Row b of row_array(n, permutation_only), unranked without building it."""
+    if not permutation_only:
+        return np.array(np.unravel_index(b, (n,) * n), dtype=np.int8)
+    rest = list(range(n))
+    return np.array([rest.pop(b // math.factorial(i) % (i + 1)) for i in reversed(range(n))], dtype=np.int8)
 
 
 def _row_blocks(rows: np.ndarray):
@@ -134,20 +154,33 @@ def _row_blocks(rows: np.ndarray):
         yield rows[start:start + size]
 
 
-def _block_verdicts(n: int, k: int, permutation_only: bool, verdicts_of):
-    """(start, verdicts_of(tables)) for the step-k tables of each row block of
-    row_array(n, permutation_only), in row order; start is the block's first row."""
+def _space_rows(n: int, permutation_only: bool):
+    """(start, rows) for consecutive _row_blocks of row_array(n, permutation_only), in
+    order; start is the block's first row.  A permutation space not memoised already is
+    generated by _first_value_blocks, never whole.  Refuses an over-budget space first."""
+    _space_size(n, permutation_only)
+    whole = not permutation_only or not n or (n, True) in _ROWS
+    spaces = ([row_array(n, permutation_only)] if whole
+              else _first_value_blocks(n, max(1, _BLOCK_CELLS // (n * n * math.factorial(n - 1)))))
     start = 0
-    for rows in _row_blocks(row_array(n, permutation_only)):
+    for space in spaces:
+        for rows in _row_blocks(space):
+            yield start, rows
+            start += len(rows)
+
+
+def _block_verdicts(n: int, k: int, permutation_only: bool, verdicts_of):
+    """(start, verdicts_of(tables)) for the step-k tables of each block of
+    _space_rows(n, permutation_only), in row order."""
+    for start, rows in _space_rows(n, permutation_only):
         yield start, verdicts_of(product_tables(rows, k))
-        start += len(rows)
 
 
 def _blocks(n: int, k: int, permutation_only: bool, verdicts_of) -> np.ndarray:
     """verdicts_of over the step-k tables of row_array(n, permutation_only),
     one row block at a time, each block written in row order into one array
     whose last axis is the table axis."""
-    count = len(row_array(n, permutation_only))
+    count = _space_size(n, permutation_only)
     out = None
     for start, verdicts in _block_verdicts(n, k, permutation_only, verdicts_of):
         if out is None:
@@ -172,35 +205,24 @@ def space_verdicts(name: str, n: int, k: int, permutation_only: bool) -> np.ndar
     return sweep_verdicts(name, n, k, permutation_only, MASKS[name])
 
 
-class _Steps(Mapping):
-    """Steps 1..n-1 to their verdicts, each step unpacked from the packed
-    memo into a fresh read-only array when it is read."""
-
-    def __init__(self, packed: np.ndarray, count: int):
-        self._packed, self._count = packed, count
-        self._steps = range(1, len(packed) + 1)
-
-    def __getitem__(self, kstar: int) -> np.ndarray:
-        if kstar not in self._steps:
-            raise KeyError(kstar)
-        return _frozen(np.unpackbits(self._packed[kstar - 1], count=self._count).view(bool))
-
-    def __iter__(self):
-        return iter(self._steps)
-
-    def __len__(self) -> int:
-        return len(self._steps)
+def _pack_into(packed: np.ndarray, start: int, bits: np.ndarray) -> None:
+    """OR the bits of tables start, start + 1, ... in; pad bits are 0, so a shared byte keeps both."""
+    block = np.packbits(np.pad(bits, (start % 8, 0)))
+    packed[start // 8:start // 8 + len(block)] |= block
 
 
-def step_verdicts(n: int, k: int, transposed: bool) -> Mapping[int, np.ndarray]:
+def step_verdicts(n: int, k: int, transposed: bool) -> dict[int, np.ndarray]:
     """translatable_mask at every step 1..n-1 over every step-k table with a
-    permutation first row, or over their duals (transposes) if transposed."""
+    permutation first row, or over their duals (transposes) if transposed.
+    A step on which every table agrees is memoised as that one bool, read as
+    a read-only array filled with it (one per value, shared by the steps);
+    any other as one packed bit a table, read unpacked, fresh and read-only."""
     key = ("steps", n, k, bool(transposed))
-    count = math.factorial(n)
-    packed = _VERDICTS.get(key)
-    if packed is None:
+    count = _space_size(n, True)
+    steps = _VERDICTS.get(key)
+    if steps is None:
 
-        def steps(tables):
+        def verdicts_of(tables):
             if transposed:
                 tables = tables.transpose(0, 2, 1)
             out = np.empty((n - 1, tables.shape[0]), dtype=bool)
@@ -208,15 +230,25 @@ def step_verdicts(n: int, k: int, transposed: bool) -> Mapping[int, np.ndarray]:
                 out[kstar - 1] = translatable_mask(tables, kstar)
             return out
 
-        packed = np.zeros((n - 1, -(-count // 8)), dtype=np.uint8)
-        for start, bits in _block_verdicts(n, k, True, steps):
-            # Leading zero bits put the block at its offset in its first
-            # byte, which it may share with the block before; the padding
-            # bits on both sides are 0, so OR-ing keeps the other's bits.
-            block = np.packbits(np.pad(bits, ((0, 0), (start % 8, 0))), axis=1)
-            packed[:, start // 8:start // 8 + block.shape[1]] |= block
-        packed = _VERDICTS[key] = _frozen(packed)
-    return _Steps(packed, count)
+        held = [None] * (n - 1)
+        for start, bits in _block_verdicts(n, k, True, verdicts_of):
+            for step, (line, every, some) in enumerate(zip(bits, bits.all(axis=1), bits.any(axis=1))):
+                if not isinstance(held[step], np.ndarray):
+                    if every == some and held[step] in (None, every):
+                        held[step] = bool(every)
+                        continue
+                    # The first block that disagrees: pack the tables before it.
+                    packed = np.zeros(-(-count // 8), dtype=np.uint8)
+                    _pack_into(packed, 0, np.full(start, bool(held[step])))
+                    held[step] = packed
+                _pack_into(held[step], start, line)
+        steps = _VERDICTS[key] = tuple(held)
+    # Filled, not broadcast: numpy 2.4 compares a stride-0 view 25 times slower.
+    filled = {value: _frozen(np.full(count, value)) for value in (False, True) if any(held is value for held in steps)}
+    return {
+        kstar: filled[held] if isinstance(held, bool) else _frozen(np.unpackbits(held, count=count).view(bool))
+        for kstar, held in enumerate(steps, start=1)
+    }
 
 
 def product_tables(rows: np.ndarray, k: int) -> np.ndarray:

@@ -29,7 +29,8 @@ own from _blocks, one block of rows at a time, or from sweep_verdicts,
 memoised, when two campaigns share it.  No runner builds the tables of a
 whole row space: detection-equivalence takes its three descriptions of
 each table from _blocks, and alterable-solvable-quasigroup goes through
-the tables with permutation rows a block of row tuples at a time.
+the tables with permutation rows a block of row tuples at a time.  The
+dual runners and unique-step name a witness row through batch.row_at.
 
 A structural test shared with structure (right-zero band, left ideal, left
 neutral in front, products of a map, cyclic group) is one function there,
@@ -190,14 +191,15 @@ def _np_seq(n: int, k: int, row) -> KSequence:
     return KSequence(n, k, tuple(int(v) + 1 for v in row))
 
 
-def _first_bad_row(rows: np.ndarray, bad: np.ndarray, note) -> Outcome | None:
-    """The failure naming rows[b] for the first b where bad is set, or None.
-    note is the witness's note, or a function giving it from b."""
+def _first_bad_row(rows, bad: np.ndarray, note) -> Outcome | None:
+    """The failure naming row b of rows (a (B, n) stack, or an (n, permutation_only) space
+    read by batch.row_at) for the first b where bad is set, or None; note is the note or a function of b."""
     hit = np.flatnonzero(bad)
     if not hit.size:
         return None
     b = int(hit[0])
-    return _failed({"row": [int(v) + 1 for v in rows[b]], "note": note(b) if callable(note) else note})
+    row = batch.row_at(*rows, b) if isinstance(rows, tuple) else rows[b]
+    return _failed({"row": [int(v) + 1 for v in row], "note": note(b) if callable(note) else note})
 
 
 def _first_not_cyclic(seqs, note) -> Outcome | None:
@@ -229,7 +231,7 @@ def _run_unique_step(inst):
     steps = batch.step_verdicts(n, k, False)
     if not steps[k].all():
         return _failed({"note": "generated table lost its own step"})
-    rows = batch.row_array(n, True)
+    rows = (n, True)
     for other in range(1, n):
         failure = _first_bad_row(rows, steps[other], f"also translatable with step {other}") if other != k else None
         if failure:
@@ -584,7 +586,7 @@ def _run_embedding(inst):
 @_campaign("dual-step", "the transpose is translatable exactly for inverse steps", 9)
 def _run_dual_step(inst):
     n, k = inst
-    rows = batch.row_array(n, True)
+    rows = (n, True)
     dual_masks = batch.step_verdicts(n, k, True)
     found = None
     for kstar in range(1, n):
@@ -600,33 +602,36 @@ def _run_dual_step(inst):
     return _passed()
 
 
-def _perm_alterable_mask(rows: np.ndarray, n: int, k: int) -> np.ndarray:
-    """Alterability over permutation rows via matching product positions.
+def _perm_alterable_mask(blocks, n: int, k: int) -> np.ndarray:
+    """Alterability over permutation row blocks via matching product positions.
 
     For a permutation first row two entries agree exactly when they sit at
     the same position, so only quadruples whose left sides share a position
     need their right sides compared.  Those comparisons read only distinct
     unordered position pairs, one pair a slab of batch._sieve; a pair of one
     position always agrees, and on a permutation row the first pair of two
-    positions already fails.
+    positions already fails.  The pairs are found once for all blocks.
     """
     i, j, w = np.indices((n, n, n))
     z = (j - k * i + k * w) % n
     y1 = (w - k * j) % n
     y2 = (i - k * z) % n
     lo, hi = np.minimum(y1, y2), np.maximum(y1, y2)
-    pairs = np.unique((lo * n + hi)[lo != hi])
+    pairs = np.unique((lo * n + hi)[lo != hi]).tolist()
 
     def agree(chunk, pair):
         return chunk[:, pair // n] == chunk[:, pair % n]
 
-    return batch._sieve(rows, agree, pairs.tolist(), batch.ROW_CHUNK * n * n)
+    return np.concatenate([batch._sieve(rows, agree, pairs, batch.ROW_CHUNK * n * n) for rows in blocks])
 
 
 @_campaign("dual-links", "dual steps encode squares, scaled steps, and alterability", 9)
 def _run_dual_links(inst):
     n, k = inst
-    rows = batch.row_array(n, True)
+    rows = (n, True)
+    # Refuse an over-budget space, then sweep before holding the step arrays.
+    batch._space_size(n, True)
+    alter = _perm_alterable_mask(batch._first_value_blocks(n, 1), n, k)
     dual_masks = batch.step_verdicts(n, k, True)
 
     closed_same = mod_rep(k * k, n) == 1
@@ -647,7 +652,6 @@ def _run_dual_links(inst):
         if failure:
             return failure
 
-    alter = _perm_alterable_mask(rows, n, k)
     if n <= 6 and not (alter == batch.space_verdicts("alterable", n, k, True)).all():
         return _failed({"note": "position-based alterability mask disagrees with the cell sweep"})
     return _first_bad_row(rows, alter != dual_masks[n - k], "alterable against dual step n-k") or _passed()

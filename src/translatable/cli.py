@@ -61,17 +61,19 @@ from .translation import (
     table_from_sequence,
 )
 
-CONSTRUCT_VARIANTS = (
-    "left-unitary",
-    "idempotent",
-    "cancellative-semigroups",
-    "block-product",
-    "constant-column",
-    "embed",
-    "union-same-step",
-    "union-shifted-step",
-    "pair-union",
-)
+# Each construct variant and the flags it needs.  embed also reads --seq,
+# --k and an optional --n, through _sequence_from_args; any other is refused.
+CONSTRUCT_VARIANTS = {
+    "left-unitary": ("n", "k"),
+    "idempotent": ("n", "k"),
+    "cancellative-semigroups": ("n", "k"),
+    "block-product": ("k",),
+    "constant-column": ("n", "k"),
+    "embed": ("t",),
+    "union-same-step": ("n", "k", "t"),
+    "union-shifted-step": ("n", "k", "t"),
+    "pair-union": ("k",),
+}
 
 OK = 0
 NEGATIVE = 1
@@ -240,30 +242,30 @@ def _union_payload(union, fmt: str) -> str:
 
 def _cmd_construct(args) -> int:
     variant = args.variant
+    needs = CONSTRUCT_VARIANTS[variant]
+    reads = needs + ("n", "k", "seq") if variant == "embed" else needs
+    unread = [f"--{name}" for name in ("n", "k", "seq", "t") if getattr(args, name) is not None and name not in reads]
+    if unread:
+        raise InvalidInputError(f"construct {variant} takes no {' or '.join(unread)}")
+    _require(args, *needs)
     if variant == "left-unitary":
-        _require(args, "n", "k")
         _emit(args, serialize(left_unitary_groupoid(args.n, args.k), args.format))
         return OK
     if variant == "idempotent":
-        _require(args, "n", "k")
         _emit(args, serialize(idempotent_groupoid(args.n, args.k), args.format))
         return OK
     if variant == "cancellative-semigroups":
-        _require(args, "n", "k")
         found = cancellative_semigroups(args.n, args.k)
         _emit(args, _seq_lines(found, args.format))
         return OK if found else NEGATIVE
     if variant == "block-product":
-        _require(args, "k")
         _emit(args, serialize(block_product_table(args.k), args.format))
         return OK
     if variant == "constant-column":
-        _require(args, "n", "k")
         found = constant_column_semigroups(args.n, args.k)
         _emit(args, _seq_lines(found, args.format))
         return OK if found else NEGATIVE
     if variant == "embed":
-        _require(args, "t")
         seq = _sequence_from_args(args)
         table, mapping = embed(seq, args.t)
         if args.format == "json":
@@ -283,16 +285,12 @@ def _cmd_construct(args) -> int:
             _emit(args, f"map: {pairs}\n" + serialize(table, "text"))
         return OK
     if variant in ("union-same-step", "union-shifted-step"):
-        _require(args, "n", "k", "t")
         build = union_same_step if variant == "union-same-step" else union_shifted_step
         union = build(UnionSpec(args.n, args.k, args.t))
         _emit(args, _union_payload(union, args.format))
         return OK
-    if variant == "pair-union":
-        _require(args, "k")
-        _emit(args, _union_payload(pair_union(args.k), args.format))
-        return OK
-    raise InvalidInputError(f"unknown construction {variant!r}")
+    _emit(args, _union_payload(pair_union(args.k), args.format))  # pair-union
+    return OK
 
 
 def _cmd_dual(args) -> int:

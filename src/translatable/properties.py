@@ -758,6 +758,8 @@ def lcond_verdicts(rows: np.ndarray, k: int, name: str) -> np.ndarray:
     chunk = max(1, min(len(rows), batch.ROW_CHUNK, _VECTOR_CELL_LIMIT // (n * n)))
 
     def holds(stack, plane):
+        stack = np.asarray(stack, dtype=np.intp)  # one chunk at a time
+
         def P(x, y):
             at = (y - k * x) % n
             if at.shape[0] == 1:
@@ -772,8 +774,7 @@ def lcond_verdicts(rows: np.ndarray, k: int, name: str) -> np.ndarray:
             ok &= (np.broadcast_to(value, shape) % n == 0).reshape(len(stack), -1).all(axis=1)
         return ok
 
-    stack = np.asarray(rows, dtype=np.intp)
-    return batch._sieve(stack, holds, range(3) if arity == 3 else [None], chunk)
+    return batch._sieve(np.asarray(rows), holds, range(3) if arity == 3 else [None], chunk)
 
 
 def lcond_check(seq: KSequence, name: str) -> bool:
@@ -832,12 +833,17 @@ def semigroup_verdicts(rows: np.ndarray, k: int) -> np.ndarray:
     Holds exactly when k*k + k is divisible by n and every entry satisfies
     a_i = [i - k - k*a_k].
     """
+    from . import batch  # batch reads IDENTITIES from this module
+
     n = rows.shape[1]
+    out = np.zeros(len(rows), dtype=bool)
     if mod_rep(k * k + k, n) != n:
-        return np.zeros(len(rows), dtype=bool)
-    a = np.asarray(rows, dtype=np.int64) + 1
+        return out
     i = np.arange(1, n + 1)
-    return (a == (i - k - k * a[:, k - 1:k] - 1) % n + 1).all(axis=1)
+    for start in range(0, len(rows), batch.ROW_CHUNK):
+        a = np.asarray(rows[start:start + batch.ROW_CHUNK], dtype=np.int64) + 1
+        out[start:start + batch.ROW_CHUNK] = (a == (i - k - k * a[:, k - 1:k] - 1) % n + 1).all(axis=1)
+    return out
 
 
 def semigroup_criterion(seq: KSequence) -> bool:

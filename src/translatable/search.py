@@ -1,7 +1,7 @@
 """Row enumeration, property census, and the campaign runner.
 
 enumerate_sequences and catalog sweep a row space as (B, n, n) stacks of
-step-k tables (batch.row_array, batch.product_tables) through the batch
+step-k tables (batch._space_rows, batch.product_tables) through the batch
 masks; enumerate_sequences sieves each row block through its filter, masked
 properties first, and a property with no mask (the semigroup-only ones)
 costs one `check` per table still alive.  catalog counts tables per exact
@@ -88,7 +88,7 @@ def enumerate_sequences(n: int, k: int, filt: SequenceFilter | None = None) -> I
     _check_step(n, k)
     tests = [(name, True) for name in filt.required] + [(name, False) for name in filt.forbidden]
     tests.sort(key=lambda test: test[0] not in batch.MASKS)
-    for rows in batch._row_blocks(batch.row_array(n, filt.permutation_only)):
+    for _, rows in batch._space_rows(n, filt.permutation_only):
         keep = batch._sieve(batch.product_tables(rows, k), _passes, tests)
         for row in (rows[keep] + 1).tolist():
             yield KSequence(n, k, tuple(row))

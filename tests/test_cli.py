@@ -309,6 +309,31 @@ def test_commands_refuse_a_flag_they_would_ignore(capsys, tmp_path, argv, flag):
     assert err.startswith(f"translatable: {argv[0]}") and flag in err
 
 
+# Each construct variant with the flags it needs, and a value for every flag.
+CONSTRUCT_ARGV = {
+    "left-unitary": ("--n", "4", "--k", "1"),
+    "idempotent": ("--n", "5", "--k", "3"),
+    "cancellative-semigroups": ("--n", "6", "--k", "2"),
+    "block-product": ("--k", "2"),
+    "constant-column": ("--n", "4", "--k", "2"),
+    "embed": ("--t", "2", "--n", "2", "--k", "1", "--seq", "1 2"),
+    "union-same-step": ("--n", "12", "--k", "8", "--t", "2"),
+    "union-shifted-step": ("--n", "12", "--k", "8", "--t", "2"),
+    "pair-union": ("--k", "2"),
+}
+FLAG_VALUES = {"--n": "7", "--k": "2", "--seq": "9 9", "--t": "5"}
+
+
+@pytest.mark.parametrize(("variant", "flag"), [
+    (variant, flag) for variant, argv in CONSTRUCT_ARGV.items() for flag in FLAG_VALUES if flag not in argv
+])
+def test_construct_refuses_a_flag_its_variant_never_reads(capsys, variant, flag):
+    assert run(capsys, "construct", variant, *CONSTRUCT_ARGV[variant])[0] in (0, 1)
+    code, out, err = run(capsys, "construct", variant, *CONSTRUCT_ARGV[variant], flag, FLAG_VALUES[flag])
+    assert (code, out) == (2, "")
+    assert err == f"translatable: construct {variant} takes no {flag}\n"
+
+
 def test_iso_needs_two_sequences(capsys):
     code, _, err = run(capsys, "iso", "--kind", "left-unitary", "--k", "2", "--seq", "1 2 3 4 5 6")
     assert code == 2 and "twice" in err

@@ -18,7 +18,8 @@ import numpy as np
 import pytest
 
 from translatable import batch, properties, search
-from translatable.campaigns import _eas_masks, _perm_alterable_mask
+from translatable.campaigns import THEOREMS, _eas_masks, _perm_alterable_mask
+from translatable.cli import main
 from translatable.constructions import (
     UnionSpec,
     cancellative_semigroups,
@@ -1191,10 +1192,11 @@ def test_enumerate_decides_anticommutative_on_the_stack(fresh_memo, monkeypatch)
 
 
 def test_dual_verdicts_at_order_nine_stay_small(fresh_memo):
-    # A whole-space dual sweep holds one row block of tables at a time and
-    # packs each block's verdicts as it goes, and the memo keeps one bit per
-    # table and step (2.8 MiB for 9! tables and 8 steps).
-    batch.row_array(9, True)
+    # A whole-space dual sweep generates the 9! permutation rows one block at
+    # a time and holds one block of tables at a time.  On permutation rows
+    # every step is uniform, so the memo keeps one bool per step; what stays
+    # held is the memoised permutations of 8 values (315 KiB), the tail of
+    # every block.  Measured: 1.76 MiB peak and 0.35 MiB held.
     tracemalloc.start()
     try:
         batch.step_verdicts(9, 2, True)
@@ -1204,21 +1206,103 @@ def test_dual_verdicts_at_order_nine_stay_small(fresh_memo):
         held, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 3 << 20
-    assert held < 3.5 * 2**20
+    assert peak < 2.25 * 2**20
+    assert held < 0.5 * 2**20
+    assert all(type(step) is bool for k in range(1, 9) for step in batch._VERDICTS[("steps", 9, k, True)])
+    assert (9, True) not in batch._ROWS
 
 
-def test_row_space_budget_refuses_before_allocating(fresh_memo, monkeypatch):
-    def refuse(n):
-        raise AssertionError(f"a refused row space at n = {n} was generated")
+def test_dual_campaigns_never_build_the_order_nine_permutation_space(fresh_memo):
+    for name in ("dual-step", "dual-links"):
+        campaign = THEOREMS[name]
+        assert campaign.default_max_n == 9
+        for inst in campaign.instances(campaign.default_max_n):
+            assert campaign.result(inst).status == "pass", (name, inst)
+    assert (9, True) not in batch._ROWS and (8, True) in batch._ROWS
 
-    monkeypatch.setattr(batch, "_permutations", refuse)
-    monkeypatch.setattr(batch, "_all_rows", refuse)
+
+@pytest.mark.parametrize("flipped", [0, 400, 719])
+def test_a_step_the_tables_disagree_on_is_packed_table_by_table(fresh_memo, monkeypatch, flipped):
+    # Left cancellative tables have one step each, so without the flip every
+    # step is uniform; flipping one table's verdict at every step makes each
+    # step go through the packed branch, from the first block, a middle one
+    # or the last.
+    n, k = 6, 5
+    rows = batch.row_array(n, True)
+    real = batch.translatable_mask
+
+    def flip_one(tables, kstar):
+        return real(tables, kstar) ^ (tables[:, 0] == rows[flipped]).all(axis=1)
+
+    monkeypatch.setattr(batch, "_BLOCK_CELLS", 97 * n * n)
+    monkeypatch.setattr(batch, "translatable_mask", flip_one)
+    steps = batch.step_verdicts(n, k, False)
+    tables = batch.product_tables(rows, k)
+    for kstar in range(1, n):
+        assert isinstance(batch._VERDICTS[("steps", n, k, False)][kstar - 1], np.ndarray)
+        expected = real(tables, kstar)
+        assert expected.all() if kstar == k else not expected.any()
+        expected[flipped] ^= True
+        assert steps[kstar].tolist() == expected.tolist()
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_permutation_blocks_concatenate_to_the_row_space(fresh_memo, monkeypatch, n):
+    # Both block sizes of test_space_verdicts_match_the_mask_on_fresh_tables:
+    # the default one and a prime number of rows above n.
+    expected = [list(p) for p in itertools.permutations(range(n))]
+    for width in range(1, n + 1):
+        assert np.concatenate(list(batch._first_value_blocks(n, width))).tolist() == expected
+    for size in (None, _prime_above(max(n, len(expected) // 7))):
+        if size:
+            monkeypatch.setattr(batch, "_BLOCK_CELLS", size * n * n)
+        blocks = list(batch._space_rows(n, True))
+        assert np.concatenate([rows for _, rows in blocks]).tolist() == expected
+        assert [start for start, _ in blocks] == [0, *itertools.accumulate(len(rows) for _, rows in blocks[:-1])]
+        assert all(len(rows) * n * n <= max(batch._BLOCK_CELLS, n * n) for _, rows in blocks)
+    assert (n, True) not in batch._ROWS
+
+
+@pytest.mark.parametrize("perm", [True, False])
+def test_row_at_unranks_every_row(fresh_memo, perm):
+    for n in range(1, 7):
+        rows = batch.row_array(n, perm)
+        assert [batch.row_at(n, perm, b).tolist() for b in range(len(rows))] == rows.tolist()
+    batch.clear_memo()
+    assert batch.row_at(9, True, 362879).tolist() == list(range(8, -1, -1))
+    assert batch.row_at(9, True, 1).tolist() == [0, 1, 2, 3, 4, 5, 6, 8, 7]
+    assert batch.row_at(7, False, 7**7 - 2).tolist() == [6] * 6 + [5]
+    assert not batch._ROWS
+
+
+def test_row_space_budget_refuses_before_allocating(fresh_memo, monkeypatch, capsys):
+    # No refused space is generated, nor the order-9 permutation space: the
+    # dual-step sweeps up to n = 9 go one first value at a time.
+    def refusing(generate, limit):
+        def guarded(n, *args):
+            if n >= limit:
+                raise AssertionError(f"a row space at n = {n} was generated")
+            return generate(n, *args)
+        return guarded
+
+    monkeypatch.setattr(batch, "_permutations", refusing(batch._permutations, 9))
+    monkeypatch.setattr(batch, "_first_value_blocks", refusing(batch._first_value_blocks, 10))
+    monkeypatch.setattr(batch, "_all_rows", refusing(batch._all_rows, 8))
     with pytest.raises(BoundError, match=r"permutation row space at n = 10 .* budget of 67108864"):
         batch.row_array(10, True)
     with pytest.raises(BoundError, match=r"full row space at n = 8 .* budget of 67108864"):
         batch.row_array(8, False)
+    for sweep in (lambda: batch.step_verdicts(10, 3, True), lambda: next(batch._space_rows(10, True))):
+        with pytest.raises(BoundError, match=r"permutation row space at n = 10 needs 362880000 table cells"):
+            sweep()
     assert not batch._ROWS
+    assert main(["verify", "--theorem", "dual-step", "--max-n", "10"]) == 2
+    out, err = capsys.readouterr()
+    assert len(out.splitlines()) == 36 and '"n":10' not in out
+    assert err == (
+        "translatable: permutation row space at n = 10 needs 362880000 table cells, "
+        "over the row-space budget of 67108864\n"
+    )
 
 
 def test_row_space_budget_admits_every_default_window(fresh_memo):
@@ -1259,7 +1343,7 @@ def positional_alterable(rows: np.ndarray, n: int, k: int) -> np.ndarray:
 def test_perm_alterable_mask_matches_the_cell_sweep(fresh_memo, n):
     rows = batch.row_array(n, True)
     for k in range(1, n):
-        got = _perm_alterable_mask(rows, n, k)
+        got = _perm_alterable_mask([rows], n, k)
         assert (got == batch.alterable_mask(batch.product_tables(rows, k))).all(), (n, k)
 
 
@@ -1273,7 +1357,7 @@ def test_perm_alterable_mask_matches_every_position_pair_on_any_row():
             np.zeros((1, n), dtype=np.int8),
         ])
         for k in range(0, n + 1):
-            got = _perm_alterable_mask(rows, n, k)
+            got = _perm_alterable_mask([rows], n, k)
             assert (got == positional_alterable(rows, n, k)).all(), (n, k)
             outcomes.update(got.tolist())
     assert outcomes == {True, False}
@@ -1396,7 +1480,7 @@ def test_perm_alterable_sieve_matches_every_position_pair(monkeypatch, chunk):
         ])
         rows = rows[rng.permutation(len(rows))]
         for k in range(0, n + 1):
-            got = _perm_alterable_mask(rows, n, k)
+            got = _perm_alterable_mask([rows], n, k)
             assert (got == positional_alterable(rows, n, k)).all(), (n, k)
             assert got.all() == ((n, k) in no_pairs), (n, k)
 
