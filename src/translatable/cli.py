@@ -2,10 +2,13 @@
 
 Each subcommand reads exact integer data, runs one library operation and
 prints a deterministic rendering, text by default or JSON with --format
-json.  Exit status 0 means the operation succeeded with a positive answer,
-1 that the mathematics said no (a checked identity fails, no translation
-step exists, a construction is obstructed, a search finds nothing), 2
-that the invocation itself was unusable and 3 that the program failed
+json.  Each subcommand and construct variant declares the flags it reads,
+the ones it needs as required, and takes a single-valued flag once.  Exit
+status 0 means the operation succeeded with a positive answer, 1 that the
+mathematics said no (a checked identity fails, no translation step exists,
+a construction is obstructed, a search finds nothing), 2 that the
+invocation itself was unusable (argparse's refusals included, each one
+"translatable: <command>: ..." line) and 3 that the program failed
 internally, a fault in the code rather than an answer.
 """
 
@@ -13,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import sys
 import time
@@ -61,18 +65,18 @@ from .translation import (
     table_from_sequence,
 )
 
-# Each construct variant and the flags it needs.  embed also reads --seq,
-# --k and an optional --n, through _sequence_from_args; any other is refused.
+# Each construct variant and the flags it needs; embed also takes an
+# optional --n, checked against its --seq.
 CONSTRUCT_VARIANTS = {
-    "left-unitary": ("n", "k"),
-    "idempotent": ("n", "k"),
-    "cancellative-semigroups": ("n", "k"),
-    "block-product": ("k",),
-    "constant-column": ("n", "k"),
-    "embed": ("t",),
-    "union-same-step": ("n", "k", "t"),
-    "union-shifted-step": ("n", "k", "t"),
-    "pair-union": ("k",),
+    "left-unitary": ("--n", "--k"),
+    "idempotent": ("--n", "--k"),
+    "cancellative-semigroups": ("--n", "--k"),
+    "block-product": ("--k",),
+    "constant-column": ("--n", "--k"),
+    "embed": ("--t", "--k", "--seq"),
+    "union-same-step": ("--n", "--k", "--t"),
+    "union-shifted-step": ("--n", "--k", "--t"),
+    "pair-union": ("--k",),
 }
 
 OK = 0
@@ -98,22 +102,9 @@ def _ints(raw: str, what: str) -> tuple[int, ...]:
     return tuple(values)
 
 
-def _require(args, *names: str) -> None:
-    missing = [f"--{n}" for n in names if getattr(args, n) is None]
-    if missing:
-        raise InvalidInputError(f"{args.command} needs {' and '.join(missing)}")
-
-
 def _sequence_from_args(args, raw: str | None = None) -> KSequence:
-    """The KSequence of raw, by default the command's one --seq."""
-    if raw is None and args.seq:
-        if len(args.seq) > 1:
-            raise InvalidInputError(f"{args.command} takes --seq once, not {len(args.seq)} times")
-        raw = args.seq[0]
-    if raw is None:
-        raise InvalidInputError(f"{args.command} needs --seq")
-    _require(args, "k")
-    values = _ints(raw, "--seq")
+    """The KSequence of raw, by default the command's --seq, at its --k."""
+    values = _ints(args.seq if raw is None else raw, "--seq")
     n = args.n if args.n is not None else len(values)
     if n != len(values):
         raise InvalidInputError(f"--n {n} does not match the {len(values)} values in --seq")
@@ -121,8 +112,8 @@ def _sequence_from_args(args, raw: str | None = None) -> KSequence:
 
 
 def _table_from_args(args) -> CayleyTable:
-    if getattr(args, "table", None):
-        ignored = [f"--{name}" for name in ("n", "k", "seq") if getattr(args, name, None) is not None]
+    if args.table:
+        ignored = [f"--{name}" for name in ("n", "k", "seq") if getattr(args, name) is not None]
         if ignored:
             raise InvalidInputError(f"{args.command} --table takes no {' or '.join(ignored)}")
         if args.table == "-":
@@ -134,24 +125,25 @@ def _table_from_args(args) -> CayleyTable:
             except OSError as exc:
                 raise InvalidInputError(f"cannot read {args.table}: {exc.strerror}") from None
         return parse_table(text)
-    if getattr(args, "seq", None):
-        return table_from_sequence(_sequence_from_args(args))
-    raise InvalidInputError(f"{args.command} needs --table or --k/--seq")
+    if args.seq is None or args.k is None:
+        raise InvalidInputError(f"{args.command} needs --table or --k/--seq")
+    return table_from_sequence(_sequence_from_args(args))
 
 
 @contextlib.contextmanager
 def _output(args):
     """The --out file, opened for this command, or stdout."""
-    if getattr(args, "out", None):
+    if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
             yield handle
     else:
         yield sys.stdout
 
 
-def _emit(args, text: str) -> None:
+def _emit(args, text: str, payload: dict | None = None) -> None:
+    """Write text, or under --format json the payload as one JSON line."""
     with _output(args) as handle:
-        handle.write(text)
+        handle.write(_json_line(payload) if payload is not None and args.format == "json" else text)
 
 
 def _seq_lines(seqs, fmt: str) -> str:
@@ -177,10 +169,8 @@ def _cmd_build(args) -> int:
 def _cmd_detect(args) -> int:
     table = _table_from_args(args)
     steps = sorted(detect(table))
-    if args.format == "json":
-        _emit(args, _json_line({"n": table.n, "steps": steps}))
-    else:
-        _emit(args, " ".join(str(s) for s in steps) + "\n" if steps else "none\n")
+    text = " ".join(str(s) for s in steps) + "\n" if steps else "none\n"
+    _emit(args, text, {"n": table.n, "steps": steps})
     return OK if steps else NEGATIVE
 
 
@@ -188,23 +178,18 @@ def _cmd_check(args) -> int:
     table = _table_from_args(args)
     names = list(args.property) if args.property else None
     verdicts = report(table, names)
-    if args.format == "json":
-        results = {
-            name: {"holds": ok, "witness": w.as_dict() if w else None}
-            for name, (ok, w) in verdicts.items()
-        }
-        _emit(args, _json_line({"n": table.n, "results": results}))
-    else:
-        lines = []
-        for name, (ok, witness) in verdicts.items():
-            if ok:
-                lines.append(f"{name}: yes\n")
-            else:
-                at = " ".join(str(e) for e in witness.elements)
-                lines.append(
-                    f"{name}: no ({witness.tag} at {at}: {witness.lhs} != {witness.rhs})\n"
-                )
-        _emit(args, "".join(lines))
+    results = {
+        name: {"holds": ok, "witness": w.as_dict() if w else None}
+        for name, (ok, w) in verdicts.items()
+    }
+    lines = []
+    for name, (ok, witness) in verdicts.items():
+        if ok:
+            lines.append(f"{name}: yes\n")
+        else:
+            at = " ".join(str(e) for e in witness.elements)
+            lines.append(f"{name}: no ({witness.tag} at {at}: {witness.lhs} != {witness.rhs})\n")
+    _emit(args, "".join(lines), {"n": table.n, "results": results})
     return OK if all(ok for ok, _ in verdicts.values()) else NEGATIVE
 
 
@@ -212,10 +197,8 @@ def _cmd_lcond(args) -> int:
     seq = _sequence_from_args(args)
     names = list(args.property) if args.property else list(LCOND_NAMES)
     verdicts = {name: lcond_check(seq, name) for name in names}
-    if args.format == "json":
-        _emit(args, _json_line({"n": seq.n, "k": seq.k, "results": verdicts}))
-    else:
-        _emit(args, "".join(f"{name}: {'yes' if ok else 'no'}\n" for name, ok in verdicts.items()))
+    text = "".join(f"{name}: {'yes' if ok else 'no'}\n" for name, ok in verdicts.items())
+    _emit(args, text, {"n": seq.n, "k": seq.k, "results": verdicts})
     return OK if all(verdicts.values()) else NEGATIVE
 
 
@@ -242,12 +225,6 @@ def _union_payload(union, fmt: str) -> str:
 
 def _cmd_construct(args) -> int:
     variant = args.variant
-    needs = CONSTRUCT_VARIANTS[variant]
-    reads = needs + ("n", "k", "seq") if variant == "embed" else needs
-    unread = [f"--{name}" for name in ("n", "k", "seq", "t") if getattr(args, name) is not None and name not in reads]
-    if unread:
-        raise InvalidInputError(f"construct {variant} takes no {' or '.join(unread)}")
-    _require(args, *needs)
     if variant == "left-unitary":
         _emit(args, serialize(left_unitary_groupoid(args.n, args.k), args.format))
         return OK
@@ -298,20 +275,12 @@ def _cmd_dual(args) -> int:
         table = _table_from_args(args)
         _emit(args, serialize(dual(table), args.format))
         return OK
-    _require(args, "n", "k")
+    if args.n is None or args.k is None:
+        raise InvalidInputError("dual needs --table, --k/--seq or --n/--k")
     step = dual_step(args.n, args.k)
-    if args.format == "json":
-        _emit(
-            args,
-            _json_line(
-                {"n": step.n, "k": step.k, "kstar": step.kstar, "alterable": step.alterable}
-            ),
-        )
-    elif step.kstar is None:
-        _emit(args, "kstar: none\n")
-    else:
-        tail = " (alterable)" if step.alterable else ""
-        _emit(args, f"kstar: {step.kstar}{tail}\n")
+    tail = " (alterable)" if step.alterable else ""
+    text = "kstar: none\n" if step.kstar is None else f"kstar: {step.kstar}{tail}\n"
+    _emit(args, text, {"n": step.n, "k": step.k, "kstar": step.kstar, "alterable": step.alterable})
     return OK if step.kstar is not None else NEGATIVE
 
 
@@ -345,71 +314,59 @@ def _cmd_decompose(args) -> int:
     seq = _sequence_from_args(args)
     table = table_from_sequence(seq)
     dec = decompose(table, seq)
-    if args.format == "json":
-        _emit(
-            args,
-            _json_line(
-                {
-                    "n": seq.n,
-                    "k": seq.k,
-                    "m": dec.m,
-                    "t": dec.t,
-                    "idempotents": sorted(dec.idempotents),
-                    "components": [list(c) for c in dec.components],
-                    "generators": list(dec.generators),
-                }
-            ),
-        )
-    else:
-        lines = [
-            f"m: {dec.m}\n",
-            f"t: {dec.t}\n",
-            "idempotents: " + " ".join(str(e) for e in sorted(dec.idempotents)) + "\n",
-        ]
-        for comp, gen in zip(dec.components, dec.generators):
-            members = " ".join(str(c) for c in comp)
-            lines.append(f"component: {members} (generator {gen})\n")
-        _emit(args, "".join(lines))
+    lines = [
+        f"m: {dec.m}\n",
+        f"t: {dec.t}\n",
+        "idempotents: " + " ".join(str(e) for e in sorted(dec.idempotents)) + "\n",
+    ]
+    for comp, gen in zip(dec.components, dec.generators):
+        members = " ".join(str(c) for c in comp)
+        lines.append(f"component: {members} (generator {gen})\n")
+    payload = {
+        "n": seq.n,
+        "k": seq.k,
+        "m": dec.m,
+        "t": dec.t,
+        "idempotents": sorted(dec.idempotents),
+        "components": [list(c) for c in dec.components],
+        "generators": list(dec.generators),
+    }
+    _emit(args, "".join(lines), payload)
     return OK
 
 
 def _cmd_idempotents(args) -> int:
     table = _table_from_args(args)
     found = list(idempotent_elements(table))
-    if args.format == "json":
-        _emit(args, _json_line({"n": table.n, "idempotents": found}))
-    else:
-        _emit(args, " ".join(str(e) for e in found) + "\n" if found else "none\n")
+    text = " ".join(str(e) for e in found) + "\n" if found else "none\n"
+    _emit(args, text, {"n": table.n, "idempotents": found})
     return OK if found else NEGATIVE
 
 
 def _mapping_payload(args, n: int, iso) -> int:
     if iso is None:
-        if args.format == "json":
-            _emit(args, _json_line({"kind": args.kind, "n": n, "mapping": None}))
-        else:
-            _emit(args, "none\n")
+        _emit(args, "none\n", {"kind": args.kind, "n": n, "mapping": None})
         return NEGATIVE
-    if args.format == "json":
-        # An iso_* builder returns a map only once it holds on every product.
-        payload = {"kind": args.kind, "n": n, "mapping": list(iso.mapping), "verified": True}
-        _emit(args, _json_line(payload))
-    else:
-        pairs = " ".join(f"{x}->{iso.mapping[x - 1]}" for x in range(1, n + 1))
-        _emit(args, f"map: {pairs}\n")
+    pairs = " ".join(f"{x}->{iso.mapping[x - 1]}" for x in range(1, n + 1))
+    # An iso_* function returns a map only once it holds on every product.
+    payload = {"kind": args.kind, "n": n, "mapping": list(iso.mapping), "verified": True}
+    _emit(args, f"map: {pairs}\n", payload)
     return OK
 
 
 def _cmd_iso(args) -> int:
+    rows = args.seq or []
     if args.kind == "cyclic":
+        if len(rows) > 1:
+            raise InvalidInputError(f"iso --kind cyclic takes --seq once, not {len(rows)} times")
+        args.seq = rows[0] if rows else None
         table = _table_from_args(args)
         return _mapping_payload(args, table.n, iso_to_cyclic(table))
     if args.table:
         raise InvalidInputError(f"iso --kind {args.kind} reads two --seq rows, not --table")
-    if not args.seq or len(args.seq) != 2:
-        raise InvalidInputError(f"iso --kind {args.kind} needs --seq twice, source then target")
-    first = _sequence_from_args(args, args.seq[0])
-    second = _sequence_from_args(args, args.seq[1])
+    if len(rows) != 2 or args.k is None:
+        raise InvalidInputError(f"iso --kind {args.kind} needs --k and --seq twice, source then target")
+    first, second = (_sequence_from_args(args, raw) for raw in rows)
     builder = iso_idempotent if args.kind == "idempotent" else iso_left_unitary
     return _mapping_payload(args, first.n, builder(first, second))
 
@@ -417,31 +374,17 @@ def _cmd_iso(args) -> int:
 def _cmd_ideals(args) -> int:
     table = _table_from_args(args)
     found = ideals(table, args.side)
-    if args.format == "json":
-        _emit(
-            args,
-            _json_line(
-                {
-                    "n": table.n,
-                    "side": args.side,
-                    "ideals": [
-                        {"elements": list(i.elements), "semiprime": i.semiprime} for i in found
-                    ],
-                }
-            ),
-        )
-    else:
-        lines = []
-        for ideal in found:
-            members = " ".join(str(e) for e in ideal.elements)
-            tail = " (semiprime)" if ideal.semiprime else ""
-            lines.append(f"{members}{tail}\n")
-        _emit(args, "".join(lines))
+    lines = []
+    for ideal in found:
+        members = " ".join(str(e) for e in ideal.elements)
+        tail = " (semiprime)" if ideal.semiprime else ""
+        lines.append(f"{members}{tail}\n")
+    listed = [{"elements": list(i.elements), "semiprime": i.semiprime} for i in found]
+    _emit(args, "".join(lines), {"n": table.n, "side": args.side, "ideals": listed})
     return OK
 
 
 def _cmd_enumerate(args) -> int:
-    _require(args, "n", "k")
     filt = SequenceFilter(
         permutation_only=args.permutation_only,
         required=tuple(args.require or ()),
@@ -453,28 +396,14 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_catalog(args) -> int:
-    _require(args, "n")
     census = catalog(args.n, args.permutation_only)
     entries = sorted((k, tuple(sorted(flags)), count) for (k, flags), count in census.items())
-    if args.format == "json":
-        _emit(
-            args,
-            _json_line(
-                {
-                    "n": args.n,
-                    "entries": [
-                        {"k": k, "flags": list(flags), "count": count}
-                        for k, flags, count in entries
-                    ],
-                }
-            ),
-        )
-    else:
-        lines = []
-        for k, flags, count in entries:
-            label = ",".join(flags) if flags else "-"
-            lines.append(f"k={k} [{label}] {count}\n")
-        _emit(args, "".join(lines))
+    lines = []
+    for k, flags, count in entries:
+        label = ",".join(flags) if flags else "-"
+        lines.append(f"k={k} [{label}] {count}\n")
+    listed = [{"k": k, "flags": list(flags), "count": count} for k, flags, count in entries]
+    _emit(args, "".join(lines), {"n": args.n, "entries": listed})
     return OK
 
 
@@ -483,6 +412,11 @@ def _cmd_verify(args) -> int:
     if names == ["list"]:
         _emit(args, "".join(f"{cid}: {THEOREMS[cid].summary}\n" for cid in campaign_ids()))
         return OK
+    # Every id is checked before the first campaign writes a line.
+    for name in names:
+        if name not in THEOREMS:
+            alone = " (list is taken only alone)" if name == "list" else ""
+            raise InvalidInputError(f"unknown campaign {name!r}{alone}")
     started = time.perf_counter()
     failed = 0
     with _output(args) as handle:
@@ -521,52 +455,100 @@ def _cmd_verify(args) -> int:
 # -- parser ------------------------------------------------------------------
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+class _Once(argparse.Action):
+    """Store a single-valued flag, refusing it a second time."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        given = vars(namespace).setdefault("_given", set())
+        if self.dest in given:
+            raise argparse.ArgumentError(self, "given twice")
+        given.add(self.dest)
+        setattr(namespace, self.dest, values)
+
+
+class _Parser(argparse.ArgumentParser):
+    """A parser whose refusals reach main() as InvalidInputError, naming the command.
+
+    A flag is taken only as spelled (--t must not read as --table), and the
+    innermost parser refuses what is left over.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+        self.register("action", None, _Once)
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extra = super().parse_known_args(args, namespace)
+        if extra:
+            self.error(f"unrecognized arguments: {' '.join(extra)}")
+        return namespace, extra
+
+    def error(self, message):
+        command = self.prog.partition(" ")[2]
+        raise InvalidInputError(f"{command}: {message}" if command else message)
+
+
+# One parser serves every main() call, since parse_args keeps no state in
+# it.  It is built on the first call, not at import, so that it holds none
+# of the heap while a process prepares large inputs before its first
+# command: built at import, its 24 parsers (about 120 KiB) left the
+# single-table benchmark about 1 MiB more peak RSS in every run.
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    parser = _Parser(
         prog="translatable",
         description="Exact tools for groupoids whose rows advance by a fixed step.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    presentation = {
+    flags = {
         "--n": {"type": int, "help": "order of the groupoid"},
         "--k": {"type": int, "help": "translation step"},
-        "--seq": {"action": "append", "metavar": "VALUES",
-                  "help": "first row, comma or space separated (repeatable where two rows are needed)"},
+        "--seq": {"metavar": "VALUES", "help": "first row, comma or space separated"},
+        "--t": {"type": int, "help": "copies to glue, or scale factor for embed"},
+        "--table": {"metavar": "FILE", "help": "table file, '-' for stdin"},
     }
 
-    # A subcommand declares only the options it reads, so argparse refuses the rest.
-    def common(p, table=False, reads=tuple(presentation)):
-        for flag in reads:
-            p.add_argument(flag, **presentation[flag])
-        if table:
-            p.add_argument("--table", metavar="FILE", help="table file, '-' for stdin")
+    # A command declares only the flags it reads, the ones it needs as
+    # required, so argparse refuses the rest.
+    def common(p, *needs, reads=()):
+        for flag in needs + reads:
+            p.add_argument(flag, required=flag in needs, **flags[flag])
         p.add_argument("--format", choices=("text", "json"), default="text")
         p.add_argument("--out", metavar="FILE", help="write output here instead of stdout")
         return p
 
-    common(sub.add_parser("build", help="table from a first row and step"))
-    common(sub.add_parser("detect", help="every step the table is translatable by"), table=True)
-    p = common(sub.add_parser("check", help="test identities on a table"), table=True)
+    table = ("--n", "--k", "--seq", "--table")  # a table file, or a first row and step
+    row = ("--k", "--seq")
+
+    common(sub.add_parser("build", help="table from a first row and step"), *row, reads=("--n",))
+    common(sub.add_parser("detect", help="every step the table is translatable by"), reads=table)
+    p = common(sub.add_parser("check", help="test identities on a table"), reads=table)
     p.add_argument("--property", action="append", choices=PROPERTY_NAMES, metavar="NAME")
-    p = common(sub.add_parser("lcond", help="closed-form identity tests on a first row"))
+    p = common(sub.add_parser("lcond", help="closed-form identity tests on a first row"), *row, reads=("--n",))
     p.add_argument("--property", action="append", choices=LCOND_NAMES, metavar="NAME")
-    p = common(sub.add_parser("construct", help="build one of the stock families"))
-    p.add_argument("variant", choices=CONSTRUCT_VARIANTS)
-    p.add_argument("--t", type=int, help="copies to glue, or scale factor for embed")
-    common(sub.add_parser("dual", help="transposed table, or the dual step for n and k"), table=True)
-    common(sub.add_parser("rotate", help="all rotated presentations of a first row"))
-    common(sub.add_parser("decompose", help="split a cancellative semigroup into cyclic groups"))
-    common(sub.add_parser("idempotents", help="elements with x*x = x"), table=True)
-    p = common(sub.add_parser("iso", help="explicit isomorphism between two presentations"), table=True)
+    variants = sub.add_parser("construct", help="build one of the stock families").add_subparsers(
+        dest="variant", required=True
+    )
+    for variant, needs in CONSTRUCT_VARIANTS.items():
+        common(variants.add_parser(variant), *needs, reads=("--n",) if variant == "embed" else ())
+    common(sub.add_parser("dual", help="transposed table, or the dual step for n and k"), reads=table)
+    common(sub.add_parser("rotate", help="all rotated presentations of a first row"), *row, reads=("--n",))
+    p = sub.add_parser("decompose", help="split a cancellative semigroup into cyclic groups")
+    common(p, *row, reads=("--n",))
+    common(sub.add_parser("idempotents", help="elements with x*x = x"), reads=table)
+    p = sub.add_parser("iso", help="explicit isomorphism between two presentations")
+    common(p, reads=("--n", "--k", "--table"))
     p.add_argument("--kind", choices=("idempotent", "left-unitary", "cyclic"), required=True)
-    p = common(sub.add_parser("ideals", help="principal one-sided ideals"), table=True)
+    p.add_argument("--seq", action="append", metavar="VALUES",
+                   help="first row; twice, source then target, for idempotent and left-unitary")
+    p = common(sub.add_parser("ideals", help="principal one-sided ideals"), reads=table)
     p.add_argument("--side", choices=("left", "right"), default="left")
-    p = common(sub.add_parser("enumerate", help="first rows passing a property filter"), reads=("--n", "--k"))
+    p = common(sub.add_parser("enumerate", help="first rows passing a property filter"), "--n", "--k")
     p.add_argument("--permutation-only", action="store_true")
     p.add_argument("--require", action="append", choices=PROPERTY_NAMES, metavar="NAME")
     p.add_argument("--forbid", action="append", choices=PROPERTY_NAMES, metavar="NAME")
-    p = common(sub.add_parser("catalog", help="census of property fingerprints at one order"), reads=("--n",))
+    p = common(sub.add_parser("catalog", help="census of property fingerprints at one order"), "--n")
     p.add_argument("--permutation-only", action="store_true")
     p = sub.add_parser("verify", help="run an exhaustive verification campaign")
     p.add_argument("--theorem", action="append", required=True, metavar="ID")
@@ -576,12 +558,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     return parser
 
-
-# One parser serves every main() call, since parse_args keeps no state in
-# it.  It is built at import, among the other objects that live as long as
-# the process: built on the first call instead, it left a process running
-# many commands with about 0.5 MiB more peak RSS than a parser per call.
-_PARSER = _build_parser()
 
 HANDLERS = {
     "build": _cmd_build,
@@ -602,8 +578,8 @@ HANDLERS = {
 
 
 def main(argv=None) -> int:
-    args = _PARSER.parse_args(argv)
     try:
+        args = _parser().parse_args(argv)
         return HANDLERS[args.command](args)
     except ConstructionError as exc:
         print(f"translatable: {exc}", file=sys.stderr)

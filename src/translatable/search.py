@@ -14,7 +14,6 @@ serial result order.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import time
 from dataclasses import dataclass
@@ -175,6 +174,10 @@ def _results(campaign: Campaign, instances: list[tuple], jobs: int) -> Iterator[
     if workers == 1:
         yield from map(campaign.result, instances)
         return
+    # Imported where the pool starts: at import it cost every command about
+    # 470 KiB (sockets, pickling, process machinery) that only --jobs > 1 uses.
+    import multiprocessing
+
     with multiprocessing.Pool(workers) as pool:
         tasks = [(campaign.theorem_id, inst) for inst in instances]
         yield from pool.imap(_run_instance, tasks)

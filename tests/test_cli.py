@@ -6,6 +6,7 @@ import dataclasses
 import hashlib
 import io
 import json
+import re
 
 import pytest
 
@@ -79,9 +80,9 @@ def test_check_verdicts_and_exit(capsys):
 
 
 def test_check_rejects_unknown_property(capsys):
-    with pytest.raises(SystemExit) as info:
-        run(capsys, "check", "--k", "3", "--seq", "1 2 3 4", "--property", "warm")
-    assert info.value.code == 2
+    code, out, err = run(capsys, "check", "--k", "3", "--seq", "1 2 3 4", "--property", "warm")
+    assert (code, out) == (2, "")
+    assert err.startswith("translatable: check: ") and "--property" in err
 
 
 def test_lcond_requires_permutation_row(capsys):
@@ -207,8 +208,7 @@ def test_internal_error_exits_three_and_names_the_exception(capsys, monkeypatch,
     assert err.endswith(f"\ntranslatable: internal error: RuntimeError{': ' + message if message else ''}\n")
 
 
-def test_one_parser_serves_independent_calls(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "_build_parser", None)  # main must not build another
+def test_one_parser_serves_independent_calls(capsys):
     calls = [
         (("build", "--k", "3", "--seq", "1 2 3 4", "--format", "json"), 0, '{"n":4,'),
         (("build", "--k", "3", "--seq", "1 2 3 4"), 0, Z4_TEXT),
@@ -223,6 +223,7 @@ def test_one_parser_serves_independent_calls(capsys, monkeypatch):
     # A flag given to one call (append or --format) does not leak into the next.
     code, out, _ = run(capsys, "check", "--k", "3", "--seq", "1 2 3 4")
     assert code == 1 and out.startswith("idempotent: no") and "commutative: yes" in out
+    assert cli._parser.cache_info().currsize == 1 and cli._parser.cache_info().misses == 1
 
 
 def test_dual_subcommand(capsys):
@@ -331,12 +332,144 @@ def test_construct_refuses_a_flag_its_variant_never_reads(capsys, variant, flag)
     assert run(capsys, "construct", variant, *CONSTRUCT_ARGV[variant])[0] in (0, 1)
     code, out, err = run(capsys, "construct", variant, *CONSTRUCT_ARGV[variant], flag, FLAG_VALUES[flag])
     assert (code, out) == (2, "")
-    assert err == f"translatable: construct {variant} takes no {flag}\n"
+    assert err.startswith(f"translatable: construct {variant}: ") and flag in err
 
 
 def test_iso_needs_two_sequences(capsys):
     code, _, err = run(capsys, "iso", "--kind", "left-unitary", "--k", "2", "--seq", "1 2 3 4 5 6")
     assert code == 2 and "twice" in err
+
+
+# Every flag of the command line with a value it accepts (None for a switch).
+ALL_FLAGS = {
+    "--n": "4", "--k": "1", "--seq": "1 2 3 4", "--t": "2", "--table": "Z4", "--format": "json",
+    "--out": "OUT", "--property": "associative", "--kind": "cyclic", "--side": "left",
+    "--permutation-only": None, "--require": "associative", "--forbid": "associative",
+    "--theorem": "unique-step", "--max-n": "3", "--jobs": "1",
+}
+OUTPUT = {"--format", "--out"}
+TABLE = {"--n", "--k", "--seq", "--table"} | OUTPUT
+ROW = {"--n", "--k", "--seq"} | OUTPUT
+
+
+def _construct(variant, needs, optional=frozenset()):
+    return CONSTRUCT_ARGV[variant], needs, needs | optional | OUTPUT, set()
+
+
+# Each command or construct variant: an invocation of it that runs, the flags
+# it needs, the single-valued flags it declares, and the flags it declares
+# that may repeat.  Written out here, not read from the parser, so that a
+# declaration that changes shows up as a failing case.
+COMMAND_FLAGS = {
+    "build": (("--k", "3", "--seq", "1 2 3 4"), {"--k", "--seq"}, ROW, set()),
+    "detect": (("--table", "Z4"), set(), TABLE, set()),
+    "check": (("--table", "Z4"), set(), TABLE, {"--property"}),
+    "lcond": (("--k", "3", "--seq", "1 2 3 4"), {"--k", "--seq"}, ROW, {"--property"}),
+    "dual": (("--n", "7", "--k", "3"), set(), TABLE, set()),
+    "rotate": (("--k", "3", "--seq", "1 4 3 2"), {"--k", "--seq"}, ROW, set()),
+    "decompose": (("--k", "2", "--seq", "1 2 3 4 5 6"), {"--k", "--seq"}, ROW, set()),
+    "idempotents": (("--table", "Z4"), set(), TABLE, set()),
+    "iso": (("--kind", "cyclic", "--table", "Z4"), {"--kind"}, {"--n", "--k", "--table", "--kind"} | OUTPUT,
+            {"--seq"}),
+    "ideals": (("--table", "Z4"), set(), TABLE | {"--side"}, set()),
+    "enumerate": (("--n", "4", "--k", "1"), {"--n", "--k"}, {"--n", "--k"} | OUTPUT,
+                  {"--permutation-only", "--require", "--forbid"}),
+    "catalog": (("--n", "3"), {"--n"}, {"--n"} | OUTPUT, {"--permutation-only"}),
+    "verify": (("--theorem", "unique-step", "--max-n", "3"), {"--theorem"}, {"--max-n", "--jobs", "--out"},
+               {"--theorem"}),
+    "construct left-unitary": _construct("left-unitary", {"--n", "--k"}),
+    "construct idempotent": _construct("idempotent", {"--n", "--k"}),
+    "construct cancellative-semigroups": _construct("cancellative-semigroups", {"--n", "--k"}),
+    "construct block-product": _construct("block-product", {"--k"}),
+    "construct constant-column": _construct("constant-column", {"--n", "--k"}),
+    "construct embed": _construct("embed", {"--t", "--k", "--seq"}, optional={"--n"}),
+    "construct union-same-step": _construct("union-same-step", {"--n", "--k", "--t"}),
+    "construct union-shifted-step": _construct("union-shifted-step", {"--n", "--k", "--t"}),
+    "construct pair-union": _construct("pair-union", {"--k"}),
+}
+
+
+def _refusals():
+    for command, (argv, needs, single, many) in COMMAND_FLAGS.items():
+        for flag in sorted(ALL_FLAGS.keys() - single - many):
+            yield command, "undeclared", flag
+        for flag in sorted(single):
+            yield command, "repeated", flag
+        for flag in sorted(needs):
+            yield command, "missing", flag
+
+
+def _with_flag(argv, flag):
+    value = ALL_FLAGS[flag]
+    return (*argv, flag) if value is None else (*argv, flag, value)
+
+
+@pytest.mark.parametrize("command", COMMAND_FLAGS)
+def test_flag_matrix_invocations_run_as_written(capsys, tmp_path, command):
+    z4 = tmp_path / "z4.txt"
+    z4.write_text(Z4_TEXT)
+    argv = [str(z4) if arg == "Z4" else arg for arg in COMMAND_FLAGS[command][0]]
+    assert run(capsys, *command.split(), *argv)[0] in (0, 1)
+
+
+@pytest.mark.parametrize(("command", "case", "flag"), list(_refusals()))
+def test_every_refused_flag_exits_two_with_one_line(capsys, tmp_path, command, case, flag):
+    argv, _, _, _ = COMMAND_FLAGS[command]
+    if case == "undeclared":
+        argv = _with_flag(argv, flag)
+    elif case == "repeated":
+        argv = _with_flag(argv if flag in argv else _with_flag(argv, flag), flag)
+    else:
+        at = argv.index(flag)
+        argv = argv[:at] + argv[at + 2:]
+    z4, target = tmp_path / "z4.txt", tmp_path / "out.txt"
+    z4.write_text(Z4_TEXT)
+    argv = [str(z4) if arg == "Z4" else str(target) if arg == "OUT" else arg for arg in argv]
+    code, out, err = run(capsys, *command.split(), *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"translatable: {command}: ") and err.count("\n") == 1, err
+    assert re.search(rf"(?<![\w-]){flag}(?![\w-])", err), err
+    assert not target.exists()
+
+
+@pytest.mark.parametrize("argv", [(), ("build",), ("construct",), ("construct", "embed")])
+def test_help_exits_zero(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        main([*argv, "--help"])
+    assert info.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: {' '.join(('translatable', *argv))} ")
+
+
+IDEALS_GOLDENS = {
+    "left": (
+        "1 3 5 (semiprime)\n2 4 6 (semiprime)\n1 2 3 4 5 6 (semiprime)\n",
+        '{"n":6,"side":"left","ideals":[{"elements":[1,3,5],"semiprime":true},'
+        '{"elements":[2,4,6],"semiprime":true},{"elements":[1,2,3,4,5,6],"semiprime":true}]}\n',
+    ),
+    "right": (
+        "1 2 3 4 5 6 (semiprime)\n",
+        '{"n":6,"side":"right","ideals":[{"elements":[1,2,3,4,5,6],"semiprime":true}]}\n',
+    ),
+}
+
+
+@pytest.mark.parametrize("side", IDEALS_GOLDENS)
+def test_ideals_golden_bytes(capsys, side):
+    text, payload = IDEALS_GOLDENS[side]
+    argv = ("ideals", "--k", "2", "--seq", "1 2 3 4 5 6", "--side", side)
+    assert run(capsys, *argv) == (0, text, "")
+    assert run(capsys, *argv, "--format", "json") == (0, payload, "")
+    if side == "left":  # the default side
+        assert run(capsys, *argv[:-2]) == (0, text, "")
+
+
+@pytest.mark.parametrize(("seq", "message"), [
+    ("2 1 1", "ideal enumeration needs an associative table; fails at (1, 1, 2)"),
+    (" ".join(map(str, range(1, 16))), "ideal enumeration over order 15 exceeds the bound 14"),
+])
+def test_ideals_refuse_a_table_they_cannot_enumerate(capsys, seq, message):
+    k = "2" if seq == "2 1 1" else "1"
+    assert run(capsys, "ideals", "--k", k, "--seq", seq) == (2, "", f"translatable: {message}\n")
 
 
 def test_enumerate_and_exit_codes(capsys):
@@ -374,10 +507,9 @@ def test_row_sweeps_refuse_orders_below_one(capsys, command, n, perm):
     ("enumerate", "--n", "4", "--k", "1", "--seq", "x"),
 ])
 def test_row_sweeps_refuse_options_they_do_not_read(capsys, argv):
-    with pytest.raises(SystemExit) as info:
-        main(list(argv))
-    assert info.value.code == 2
-    assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"translatable: {argv[0]}: ") and argv[-2] in err
 
 
 # SHA-256 of stdout, exit code and line count of three row enumerations, as
@@ -523,9 +655,17 @@ def test_verify_writes_each_line_as_its_instance_finishes(capsys, monkeypatch):
 
 
 def test_verify_refuses_a_format_flag(capsys):
-    with pytest.raises(SystemExit) as info:
-        run(capsys, "verify", "--theorem", "unique-step", "--format", "json")
-    assert info.value.code == 2
+    code, out, err = run(capsys, "verify", "--theorem", "unique-step", "--format", "json")
+    assert (code, out) == (2, "")
+    assert err.startswith("translatable: verify: ") and "--format" in err
+
+
+@pytest.mark.parametrize("theorems", [("unique-step", "nope"), ("unique-step", "list"), ("list", "list")])
+def test_verify_checks_every_campaign_id_before_the_first_runs(capsys, theorems):
+    argv = [arg for cid in theorems for arg in ("--theorem", cid)]
+    code, out, err = run(capsys, "verify", *argv, "--max-n", "3")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"translatable: unknown campaign {theorems[1]!r}")
 
 
 def test_verify_unknown_campaign(capsys):
