@@ -5,10 +5,14 @@ same ones `check` evaluates on a single table, with numpy across a whole
 batch of tables so that exhaustive campaigns over n! or n^n first rows
 finish in seconds.  Tables are stored as a (B, n, n) array of 0-based
 entries; every mask returns one boolean per table and is computed cell by
-cell, never through a closed form.  The neutral-element masks and the
-anticommutative one read the stack forms properties._left_neutrals,
-_neutrals and _commuting_pairs, the same tests `check` and the structure
-functions apply to one grid.
+cell, never through a closed form.  product_tables lays the batch axis
+innermost in memory: it transposes a row block once to (n, B) and copies,
+for each cell (i, j), the whole batch vector at first-row position
+(j - k*i) mod n, so each cell costs one contiguous copy, not B scattered
+reads, and the tables are a (B, n, n) view of that (n, n, B) array.  The
+neutral-element masks and the anticommutative one read the stack forms
+properties._left_neutrals, _neutrals and _commuting_pairs, the same tests
+`check` and the structure functions apply to one grid.
 
 The identity masks and the rotation test are sieved (_sieve): the cells
 are cut into slabs, one value of the outer variable of a three-variable
@@ -38,7 +42,13 @@ each block, and _blocks writes its verdicts in row order into one array
 made for the whole space; row_at unranks the one row a witness names.
 step_verdicts is the one "translatable at every step" sweep:
 translatable_mask at each step 1..n-1 over the step-k tables of the
-permutation rows, or over their duals (transposes).
+permutation rows, or over their duals (transposes).  It tests the first
+cell T[0][0] = T[1][k*] of every step k* in one pass over a block
+(_first_cell_holds), then runs translatable_mask, which tests that cell
+again and sieves only the tables that pass it, at the steps where some
+table passed.  On permutation rows the cell holds on every table or on
+none (a first row repeats no value), so at most one step of a block
+reaches the mask.
 
 Row spaces and the whole-space verdicts of space_verdicts, step_verdicts
 and sweep_verdicts are memoised until clear_memo(); the verify command
@@ -225,8 +235,12 @@ def step_verdicts(n: int, k: int, transposed: bool) -> dict[int, np.ndarray]:
         def verdicts_of(tables):
             if transposed:
                 tables = tables.transpose(0, 2, 1)
-            out = np.empty((n - 1, tables.shape[0]), dtype=bool)
-            for kstar in range(1, n):
+            kstars = np.arange(1, n)
+            # The first cell T[0][0] = T[1][k*] of every step in one pass; the
+            # mask runs only at steps where some table holds it.
+            firsts = _first_cell_holds(tables[:, :1, :], tables[:, 1 % n, :], kstars)
+            out = np.zeros((n - 1, len(tables)), dtype=bool)
+            for kstar in kstars[firsts.any(axis=0)].tolist():
                 out[kstar - 1] = translatable_mask(tables, kstar)
             return out
 
@@ -256,8 +270,10 @@ def product_tables(rows: np.ndarray, k: int) -> np.ndarray:
 
     Row i of a generated table reads the first row at position j - k*i
     modulo n (translation._positions, the rotation rule of table_from_sequence).
+    A view of an (n, n, B) array, gathered one batch vector a cell.
     """
-    return rows[:, _positions(rows.shape[1], k)]
+    columns = np.ascontiguousarray(rows.T)
+    return columns[_positions(rows.shape[1], k)].transpose(2, 0, 1)
 
 
 def compose(tables: np.ndarray, x, y) -> np.ndarray:

@@ -39,7 +39,6 @@ called by name, so one wrong version patched in reaches every campaign on it.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -241,12 +240,25 @@ def _run_unique_step(inst):
 
 def _descriptions(tables: np.ndarray, k: int) -> np.ndarray:
     """[0] first-row formula, [1] row shift, [2] column shift: does each
-    table of the stack read as step-k translatable that way?"""
+    table of the stack read as step-k translatable that way?  The column
+    shift, row i + 1 equal to row i moved right by k, is read one row at a
+    time, so no rolled copy of the whole stack is made."""
+    n = tables.shape[1]
+    by_columns = np.ones(len(tables), dtype=bool)
+    for i in range(n):
+        by_columns &= (np.roll(tables[:, i], k, axis=1) == tables[:, (i + 1) % n]).all(axis=1)
     return np.stack([
         (tables == batch.product_tables(tables[:, 0, :], k)).all(axis=(1, 2)),
         batch.translatable_mask(tables, k),
-        (np.roll(tables, k, axis=2) == np.roll(tables, -1, axis=1)).all(axis=(1, 2)),
+        by_columns,
     ])
+
+
+def _all_grids(n: int) -> np.ndarray:
+    """Every (n, n) grid of 0-based values below n, in lexicographic order of
+    its cells read row by row (np.indices varies its last axis fastest); a
+    view with the grid axis innermost, as batch.product_tables lays out tables."""
+    return np.indices((n,) * (n * n), dtype=np.int8).reshape(n * n, -1).T.reshape(-1, n, n)
 
 
 @_campaign("detection-equivalence", "first-row formula, row shift, and column shift describe the same tables", 6)
@@ -257,7 +269,7 @@ def _run_detection_equivalence(inst):
         if not (by_formula.all() and by_shift.all() and by_columns.all()):
             return _failed({"note": "a generated table failed one of the three descriptions"})
         return _passed()
-    grids = np.array(list(itertools.product(range(n), repeat=n * n)), dtype=np.int8).reshape(-1, n, n)
+    grids = _all_grids(n)
     by_formula, by_shift, by_columns = _descriptions(grids, k)
     disagree = np.flatnonzero((by_formula != by_shift) | (by_shift != by_columns))
     if disagree.size:

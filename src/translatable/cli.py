@@ -469,15 +469,28 @@ class _Once(argparse.Action):
 class _Parser(argparse.ArgumentParser):
     """A parser whose refusals reach main() as InvalidInputError, naming the command.
 
-    A flag is taken only as spelled (--t must not read as --table), and the
-    innermost parser refuses what is left over.
+    A flag is taken only as spelled (--t must not read as --table), a flag
+    given before the command or variant it belongs to is refused by name,
+    and the innermost parser refuses what is left over.
     """
+
+    _leading = None  # the dest of this parser's command or variant positional
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, allow_abbrev=False, **kwargs)
         self.register("action", None, _Once)
 
+    def add_subparsers(self, **kwargs):
+        self._leading = kwargs["dest"]
+        return super().add_subparsers(**kwargs)
+
     def parse_known_args(self, args=None, namespace=None):
+        args = sys.argv[1:] if args is None else list(args)
+        flag = args[0].partition("=")[0] if args else ""
+        is_flag = flag[:1] == "-" and not flag[1:2].isdigit()
+        if self._leading and is_flag and flag not in self._option_string_actions:
+            # Else argparse reads the flag's value as the command or variant.
+            self.error(f"{flag} must come after the {self._leading}")
         namespace, extra = super().parse_known_args(args, namespace)
         if extra:
             self.error(f"unrecognized arguments: {' '.join(extra)}")

@@ -207,11 +207,11 @@ def _union_from_product(spec: UnionSpec, step: int, row_term) -> LabeledUnion:
     """Fill the big table from a product rule i_r * j_s = j_[R + s]: the
     product's copy is always j, its local index the row term R = row_term(i, r)
     plus the column's local index s.  R is taken once per row, modulo n;
-    the table is then one array of R + s, reduced and relabelled to
-    t([R + s] - 1) + j in place, in the smallest dtype holding each value on
-    the way (2n - 1, then tn).  The filled table is re-checked to be
-    step-translatable, exercising the rotation description independently
-    of the product formula.
+    the table is then one array of R + s, reduced and relabelled to the
+    0-based t([R + s] - 1) + j - 1 in place, in the smallest dtype holding
+    each value on the way (2n - 1, then tn), and taken as the table's grid.
+    The filled table is re-checked to be step-translatable, exercising the
+    rotation description independently of the product formula.
     """
     n, t = spec.n, spec.t
     elements = np.arange(t * n)
@@ -220,8 +220,8 @@ def _union_from_product(spec: UnionSpec, step: int, row_term) -> LabeledUnion:
     cells = ((row_term(copy[:, None], local[:, None]) - 1) % n).astype(dtype) + local.astype(dtype)
     np.remainder(cells, n, out=cells)
     cells *= t
-    cells += copy.astype(dtype)
-    table = CayleyTable(t * n, cells)
+    cells += (copy - 1).astype(dtype)
+    table = CayleyTable._of_grid(cells)
     if not is_translatable(table, step):
         raise VerificationError(
             f"union table of order {t * n} is not {step}-translatable"

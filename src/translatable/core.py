@@ -119,9 +119,9 @@ def _check_step(n: int, k: int) -> None:
 @dataclass(frozen=True, eq=False)
 class CayleyTable:
     """An n-by-n multiplication table over 1..n, built from n rows of 1-based
-    cells (tuples, lists or an array) and stored once, as `grid`: a
-    read-only 0-based array, int16 below order 32768, which is how the
-    package reads cells.
+    cells (tuples, lists or an array), or by _of_grid from a 0-based grid a
+    builder has just made, and stored once, as `grid`: a read-only 0-based
+    array, int16 below order 32768, which is how the package reads cells.
 
     `grid` is the table's only representation: `entry`, `row` and `column`
     read 1-based cells, rows and columns from it.  Tables are equal, and
@@ -162,6 +162,23 @@ class CayleyTable:
         grid = np.subtract(grid, 1, dtype=_cell_dtype(n))
         grid.flags.writeable = False
         object.__setattr__(self, "grid", grid)
+
+    @classmethod
+    def _of_grid(cls, grid: np.ndarray) -> CayleyTable:
+        """The table of a 0-based integer grid that a builder has just made:
+        taken as it is if it is in the cell dtype (else cast once), not
+        copied from 1-based cells, and made read-only.  Its shape and values
+        are checked."""
+        n = len(grid)
+        _check_order(n)
+        if grid.shape != (n, n) or grid.dtype.kind not in "iu" or grid.min() < 0 or grid.max() >= n:
+            raise VerificationError(f"not a 0-based grid of order {n}")
+        grid = grid.astype(_cell_dtype(n), copy=False)
+        grid.flags.writeable = False
+        table = cls.__new__(cls)
+        object.__setattr__(table, "n", n)
+        object.__setattr__(table, "grid", grid)
+        return table
 
     def __eq__(self, other) -> bool:
         return isinstance(other, CayleyTable) and np.array_equal(self.grid, other.grid)

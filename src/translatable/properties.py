@@ -127,27 +127,39 @@ def _light_test(m: np.ndarray):
     x0 in the slab.
     """
     n = m.shape[0]
-    mt = np.ascontiguousarray(m.T)
-    left = np.empty_like(m)
-    right = np.empty_like(m)
-    bad = np.empty(m.shape, dtype=bool)
     have, members, columns = [False] * n, [], []
     for y in range(n):
         if have[y]:
             continue
-        if _associative_slab(m, mt, y, left, right, bad).any():
-            x0, z0 = _first_cell(bad)
+        cell = _associative_slab(m, y)
+        if cell is not None:
+            x0, z0 = cell
             witness = _least_witness("associative", m, x0)
             return False, witness or _witness("associative", m, (x0, y, z0))
         _add_generator(m, have, members, columns, y)
     return True, None
 
 
-def _associative_slab(m, mt, y, left, right, bad):
-    """bad[x, z] = (x*y)*z != x*(y*z), written into the given buffers."""
-    np.take(m, m[:, y], axis=0, out=left, mode="clip")    # [x, z] -> (x*y)*z
-    np.take(mt, m[y], axis=0, out=right, mode="clip")     # [z, x] -> x*(y*z)
-    return np.not_equal(left, right.T, out=bad)
+# The cells of slab y compared at a time: _SLAB_ROW_CELLS // n rows of x.
+_SLAB_ROW_CELLS = 1 << 16
+
+
+def _associative_slab(m, y):
+    """The first (x, z) in row-major order with (x*y)*z != x*(y*z), or None.
+
+    The slab is swept a block of whole rows x at a time, so it never holds
+    more than a few _SLAB_ROW_CELLS-cell arrays, whatever the order.
+    """
+    n = m.shape[0]
+    step = max(1, _SLAB_ROW_CELLS // n)
+    column, row = m[:, y], m[y]
+    for x in range(0, n, step):
+        # [x, z] -> (x*y)*z against x*(y*z)
+        bad = m[column[x:x + step]] != np.take(m[x:x + step], row, axis=1)
+        if bad.any():
+            x0, z0 = _first_cell(bad)
+            return x + x0, z0
+    return None
 
 
 def _add_generator(m, have, members, columns, y):

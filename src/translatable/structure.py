@@ -307,7 +307,7 @@ def cyclic_table(n: int) -> CayleyTable:
     """The table of addition on 1..n with neutral 1: i*j = [i + j - 1], the
     rotations of 1..n at step n - 1."""
     _check_order(n)
-    return CayleyTable(n, _rotations(np.arange(1, n + 1, dtype=_cell_dtype(n)), n - 1))
+    return CayleyTable._of_grid(_rotations(np.arange(n, dtype=_cell_dtype(n)), n - 1))
 
 
 def _element_order(grid: np.ndarray, g: int, e: int) -> int:

@@ -14,9 +14,10 @@ batch.product_tables its index grid (_positions), and _rotation_holds, the
 test that finds steps here and in batch.translatable_mask.
 detect and translatable_mask share one schedule: the single cell
 T[0][0] = T[1][k] first (_first_cell_holds), then whole pairs of adjacent
-rows, each only on what passed so far.  _blocks is the schedule of growing
-blocks in which the rotation test here and the identity sweeps of
-properties stop at their first failure.
+rows, each only on what passed so far; batch.step_verdicts tests that
+cell for every step at once before it calls translatable_mask.  _blocks
+is the schedule of growing blocks in which the rotation test here and the
+identity sweeps of properties stop at their first failure.
 """
 
 from __future__ import annotations
@@ -67,7 +68,7 @@ def _first_cell_holds(row: np.ndarray, below: np.ndarray, k) -> np.ndarray:
 
 def table_from_sequence(seq: KSequence) -> CayleyTable:
     """Grid whose first row is the sequence and whose rows step right by k."""
-    return CayleyTable(seq.n, _rotations(np.array(seq.seq, dtype=_cell_dtype(seq.n)), seq.k))
+    return CayleyTable._of_grid(_rotations(np.array(seq.seq, dtype=_cell_dtype(seq.n)) - 1, seq.k))
 
 
 def _blocks(stop: int, slab: int, limit: int):

@@ -335,6 +335,17 @@ def test_construct_refuses_a_flag_its_variant_never_reads(capsys, variant, flag)
     assert err.startswith(f"translatable: construct {variant}: ") and flag in err
 
 
+@pytest.mark.parametrize(("argv", "message"), [
+    (("construct", "--format", "json", "left-unitary", "--n", "3", "--k", "1"),
+     "translatable: construct: --format must come after the variant\n"),
+    (("construct", "--n=3", "left-unitary", "--k", "1"), "translatable: construct: --n must come after the variant\n"),
+    (("--format", "json", "build", "--k", "1", "--seq", "1"), "translatable: --format must come after the command\n"),
+])
+def test_a_flag_before_its_variant_or_command_is_named(capsys, argv, message):
+    # Not "invalid choice: 'json'": argparse would read the flag's value as the variant.
+    assert run(capsys, *argv) == (2, "", message)
+
+
 def test_iso_needs_two_sequences(capsys):
     code, _, err = run(capsys, "iso", "--kind", "left-unitary", "--k", "2", "--seq", "1 2 3 4 5 6")
     assert code == 2 and "twice" in err

@@ -214,6 +214,38 @@ def test_associative_single_cell_perturbations():
             assert_associative_agrees(random_cell_change(rng, base))
 
 
+@pytest.mark.parametrize("rows", [1, 2, 3])
+def test_a_slab_read_in_row_blocks_keeps_the_least_witness(monkeypatch, rows):
+    # A slab is compared _SLAB_ROW_CELLS // n rows of x at a time.  Cut into
+    # blocks of one, two or three rows, verdicts and least witnesses are
+    # still those of brute force, wherever the first bad cell falls.  In a
+    # left-zero band with cell (i, j) changed, x = i is the least failing x.
+    rng = random.Random(rows)
+    tables = [random_table(rng, n, values) for n in range(1, 13) for values in (n, min(n, 2))]
+    tables += perturbed_first_rows(6)
+    for n in range(2, 11):
+        left_zero = next(bands(n))
+        tables += [left_zero] + [random_cell_change(rng, left_zero) for _ in range(2 * n)]
+    late = 0
+    for table in tables:
+        monkeypatch.setattr(properties, "_SLAB_ROW_CELLS", rows * table.n)
+        elements = assert_associative_agrees(table)
+        late += elements is not None and elements[0] > rows
+    assert late > 0
+
+
+def test_of_grid_takes_a_fresh_grid_as_the_table():
+    grid = np.array([[1, 0], [0, 1]], dtype=np.int16)
+    table = CayleyTable._of_grid(grid)
+    assert table.grid is grid and not grid.flags.writeable
+    assert table == CayleyTable(2, [[2, 1], [1, 2]])
+    wide = CayleyTable._of_grid(np.array([[1, 0], [0, 1]], dtype=np.int64))
+    assert wide.grid.dtype == np.int16 and wide == table
+    for bad in ([[0, 2], [1, 0]], [[-1, 0], [0, 1]], [[0, 1]], [[0.0, 1.0], [1.0, 0.0]]):
+        with pytest.raises(VerificationError):
+            CayleyTable._of_grid(np.array(bad))
+
+
 def union_tables(max_order: int):
     for k in range(1, max_order):
         n = k + k * k
@@ -261,9 +293,9 @@ def count_slabs(monkeypatch) -> list[int]:
     seen = []
     slab = properties._associative_slab
 
-    def spy(m, mt, y, *buffers):
+    def spy(m, y):
         seen.append(y)
-        return slab(m, mt, y, *buffers)
+        return slab(m, y)
 
     monkeypatch.setattr(properties, "_associative_slab", spy)
     return seen
@@ -892,6 +924,64 @@ def translation_tables():
             yield with_cell(table, n, j, table.entry(n, j) % n + 1)
 
 
+@pytest.mark.parametrize("n", range(1, 10))
+def test_product_tables_read_the_first_row_at_j_minus_k_i(n):
+    # Cell (i, j) of table b is rows[b, (j - k*i) mod n], at step 0, every
+    # step and one above n, for no row, one row, a strided and a reversed
+    # view of a row stack, in two dtypes; the batch axis stays innermost.
+    stack = np.random.default_rng(n).integers(0, n, size=(46, n))
+    for dtype in (np.int8, np.int16):
+        whole = stack.astype(dtype)
+        for rows in (whole[:0], whole[:1], whole[::2], whole[:, ::-1]):
+            for k in (0, *range(1, n), n + 2):
+                tables = batch.product_tables(rows, k)
+                assert tables.shape == (len(rows), n, n) and tables.dtype == dtype
+                assert tables.transpose(1, 2, 0).flags.c_contiguous
+                expected = [[[row[(j - k * i) % n] for j in range(n)] for i in range(n)] for row in rows.tolist()]
+                assert tables.tolist() == expected, (n, k)
+
+
+@pytest.mark.parametrize("let_through", [None, 2, 1], ids=["first-cell", "every-other-table", "every-table"])
+def test_step_verdicts_match_the_mask_at_every_step(fresh_memo, monkeypatch, let_through):
+    # On permutation rows a step's first cell T[0][0] = T[1][k*] holds on
+    # every table or on none, and translatable_mask runs only on the steps
+    # where it holds.  Widened to let every other table through, or every
+    # table, it sends every step to the mask, which sieves on its own first
+    # cell; the verdicts stay the same.
+    expected = {}
+    for n in range(2, 8):
+        rows = batch.row_array(n, True)
+        for k in range(1, n):
+            tables = batch.product_tables(rows, k)
+            for transposed, stack in ((False, tables), (True, tables.transpose(0, 2, 1))):
+                expected[n, k, transposed] = [batch.translatable_mask(stack, kstar) for kstar in range(1, n)]
+    real, real_mask = batch._first_cell_holds, batch.translatable_mask
+    called = []
+
+    def counted(tables, kstar):
+        called.append(kstar)
+        return real_mask(tables, kstar)
+
+    def widened(row, below, k):
+        held = real(row, below, k)
+        every = np.arange(len(held)) % let_through == 0
+        return held | every.reshape(every.shape + (1,) * (held.ndim - 1))
+
+    if let_through:
+        monkeypatch.setattr(batch, "_first_cell_holds", widened)
+    monkeypatch.setattr(batch, "translatable_mask", counted)
+    for (n, k, transposed), masks in expected.items():
+        called.clear()
+        steps = batch.step_verdicts(n, k, transposed)
+        assert sorted(steps) == list(range(1, n))
+        for kstar, mask in enumerate(masks, start=1):
+            assert steps[kstar].tolist() == mask.tolist(), (n, k, transposed, kstar)
+        if not let_through:
+            assert set(called) == {kstar for kstar, mask in enumerate(masks, start=1) if mask.any()}
+        else:
+            assert set(called) == set(range(1, n))
+
+
 def test_table_from_sequence_matches_product_tables():
     # Every first row to n = 5, every permutation row at n = 6.
     for n in range(2, 7):
@@ -1226,15 +1316,18 @@ def test_a_step_the_tables_disagree_on_is_packed_table_by_table(fresh_memo, monk
     # Left cancellative tables have one step each, so without the flip every
     # step is uniform; flipping one table's verdict at every step makes each
     # step go through the packed branch, from the first block, a middle one
-    # or the last.
+    # or the last.  The flip is made in translatable_mask, which step_verdicts
+    # calls only at steps where some table passes the first cell, so every
+    # table is let through that cell; translatable_mask still reads every cell.
     n, k = 6, 5
     rows = batch.row_array(n, True)
-    real = batch.translatable_mask
+    real, real_first = batch.translatable_mask, batch._first_cell_holds
 
     def flip_one(tables, kstar):
         return real(tables, kstar) ^ (tables[:, 0] == rows[flipped]).all(axis=1)
 
     monkeypatch.setattr(batch, "_BLOCK_CELLS", 97 * n * n)
+    monkeypatch.setattr(batch, "_first_cell_holds", lambda row, below, k: real_first(row, below, k) | True)
     monkeypatch.setattr(batch, "translatable_mask", flip_one)
     steps = batch.step_verdicts(n, k, False)
     tables = batch.product_tables(rows, k)
