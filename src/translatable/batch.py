@@ -10,27 +10,27 @@ innermost in memory: it transposes a row block once to (n, B) and copies,
 for each cell (i, j), the whole batch vector at first-row position
 (j - k*i) mod n, so each cell costs one contiguous copy, not B scattered
 reads, and the tables are a (B, n, n) view of that (n, n, B) array.  The
-neutral-element masks and the anticommutative one read the stack forms
-properties._left_neutrals, _neutrals and _commuting_pairs, the same tests
-`check` and the structure functions apply to one grid.
+cancellation masks, the neutral-element masks and the anticommutative one
+read the stack forms properties._distinct, _left_neutrals, _neutrals and
+_commuting_pairs, the same tests `check` and the structure functions
+apply to one grid.
 
-The identity masks and the rotation test are sieved (_sieve): the cells
-are cut into slabs, one value of the outer variable of a three-variable
-identity, one (i, j) pair of a four-variable one, one pair of adjacent
-rows, or a single slab below three variables, and each slab is checked
-once over the whole stack, only on the tables that passed every earlier
-slab.  The first slab is small: the one cell T[0][0] = T[1][k] of the
-rotation test, and for a three-variable identity the line with every
-variable but the last at 0.
-Most rows of a row space fail that first cell or line, so a whole-space
-mask costs about one cell or one line per row, and the full slabs run
-only on the few survivors.  Four-variable identities get no such line:
-medial's, (00)(0z) = (00)(0z), holds trivially, and on the row spaces
-the campaigns sweep the line made medial, paramedial and alterable
-slower, not faster.  A chunk holds as many tables as make one full slab
-read about ROW_CHUNK*n*n cells: ROW_CHUNK tables for the n*n-cell slabs
-of the identities, ROW_CHUNK*n for the n-cell row pairs of the rotation
-test.
+The identity masks are sieved (translation._sieve): the cells are cut
+into slabs, one value of the outer variable of a three-variable identity,
+one (i, j) pair of a four-variable one, or a single slab below three
+variables, and each slab is checked once over the whole stack, only on
+the tables that passed every earlier slab.  For a three-variable identity
+the first slab is the line with every variable but the last at 0.  Most
+rows of a row space fail that first line, so a whole-space mask costs
+about one line per row, and the full slabs run only on the few
+survivors.  Four-variable identities get no such line: medial's,
+(00)(0z) = (00)(0z), holds trivially, and on the row spaces the campaigns
+sweep the line made medial, paramedial and alterable slower, not faster.
+A chunk holds translation.ROW_CHUNK tables, so that one full n*n-cell
+slab reads about ROW_CHUNK*n*n cells.  translatable_mask and step_verdicts are
+translation._translatable, the one rotation test, at one step or at every
+step 1..n-1: the first cell T[0][0] = T[1][k] of every step in one pass,
+then a sieve over row pairs at each step where some table passed it.
 
 A sweep over a whole row space (space_verdicts, step_verdicts,
 sweep_verdicts, or a per-table test a caller hands to _blocks) never holds
@@ -40,15 +40,10 @@ them one or more first values at a time (_first_value_blocks), in blocks
 of at most _BLOCK_CELLS = 512 Ki int8 table cells, _block_verdicts sweeps
 each block, and _blocks writes its verdicts in row order into one array
 made for the whole space; row_at unranks the one row a witness names.
-step_verdicts is the one "translatable at every step" sweep:
-translatable_mask at each step 1..n-1 over the step-k tables of the
-permutation rows, or over their duals (transposes).  It tests the first
-cell T[0][0] = T[1][k*] of every step k* in one pass over a block
-(_first_cell_holds), then runs translatable_mask, which tests that cell
-again and sieves only the tables that pass it, at the steps where some
-table passed.  On permutation rows the cell holds on every table or on
-none (a first row repeats no value), so at most one step of a block
-reaches the mask.
+step_verdicts sweeps the step-k tables of the permutation rows, or their
+duals (transposes).  On permutation rows the first cell holds on every
+table or on none (a first row repeats no value), so at most one step of a
+block reaches the sieve.
 
 Row spaces and the whole-space verdicts of space_verdicts, step_verdicts
 and sweep_verdicts are memoised until clear_memo(); the verify command
@@ -56,8 +51,9 @@ clears them when it starts and when it ends, so one command computes each
 whole-space verdict once, still cell by cell, and every campaign that
 asks for the same property over the same space reads the same verdicts,
 as read-only arrays handed out shared.  A step on which every table
-agrees (each step, on permutation rows) is kept as one bool, any other
-bit-packed block by block, so no (n-1)-by-n! bool array is ever made.
+agrees (each step, on permutation rows) is kept and handed out as one
+np.bool_, any other as one array of the whole space, made at the first
+block that disagrees, so no (n-1)-by-n! bool array is ever made.
 """
 
 from __future__ import annotations
@@ -69,10 +65,9 @@ import math
 import numpy as np
 
 from .core import BoundError
-from .properties import IDENTITIES, _commuting_pairs, _left_neutrals, _neutrals
-from .translation import _first_cell_holds, _positions, _rotation_holds
+from .properties import IDENTITIES, _commuting_pairs, _distinct, _left_neutrals, _neutrals
+from .translation import _positions, _sieve, _translatable
 
-ROW_CHUNK = 4096
 # Most table cells (rows times n*n) a row space may generate: every default
 # campaign window fits (permutations to n = 9, all rows to n = 7).
 ROW_CELL_BUDGET = 1 << 26
@@ -215,54 +210,32 @@ def space_verdicts(name: str, n: int, k: int, permutation_only: bool) -> np.ndar
     return sweep_verdicts(name, n, k, permutation_only, MASKS[name])
 
 
-def _pack_into(packed: np.ndarray, start: int, bits: np.ndarray) -> None:
-    """OR the bits of tables start, start + 1, ... in; pad bits are 0, so a shared byte keeps both."""
-    block = np.packbits(np.pad(bits, (start % 8, 0)))
-    packed[start // 8:start // 8 + len(block)] |= block
-
-
-def step_verdicts(n: int, k: int, transposed: bool) -> dict[int, np.ndarray]:
-    """translatable_mask at every step 1..n-1 over every step-k table with a
-    permutation first row, or over their duals (transposes) if transposed.
-    A step on which every table agrees is memoised as that one bool, read as
-    a read-only array filled with it (one per value, shared by the steps);
-    any other as one packed bit a table, read unpacked, fresh and read-only."""
+def step_verdicts(n: int, k: int, transposed: bool) -> dict[int, np.ndarray | np.bool_]:
+    """translation._translatable at every step 1..n-1 over every step-k
+    table with a permutation first row, or over their duals (transposes) if
+    transposed.  A step on which every table agrees is that one np.bool_;
+    any other a read-only array, one verdict a table."""
     key = ("steps", n, k, bool(transposed))
-    count = _space_size(n, True)
     steps = _VERDICTS.get(key)
     if steps is None:
 
         def verdicts_of(tables):
-            if transposed:
-                tables = tables.transpose(0, 2, 1)
-            kstars = np.arange(1, n)
-            # The first cell T[0][0] = T[1][k*] of every step in one pass; the
-            # mask runs only at steps where some table holds it.
-            firsts = _first_cell_holds(tables[:, :1, :], tables[:, 1 % n, :], kstars)
-            out = np.zeros((n - 1, len(tables)), dtype=bool)
-            for kstar in kstars[firsts.any(axis=0)].tolist():
-                out[kstar - 1] = translatable_mask(tables, kstar)
-            return out
+            return _translatable(tables.transpose(0, 2, 1) if transposed else tables, np.arange(1, n))
 
         held = [None] * (n - 1)
-        for start, bits in _block_verdicts(n, k, True, verdicts_of):
-            for step, (line, every, some) in enumerate(zip(bits, bits.all(axis=1), bits.any(axis=1))):
+        for start, verdicts in _block_verdicts(n, k, True, verdicts_of):
+            for step, (line, every, some) in enumerate(zip(verdicts, verdicts.all(axis=1), verdicts.any(axis=1))):
                 if not isinstance(held[step], np.ndarray):
-                    if every == some and held[step] in (None, every):
-                        held[step] = bool(every)
+                    if every == some and (held[step] is None or held[step] == every):
+                        held[step] = every
                         continue
-                    # The first block that disagrees: pack the tables before it.
-                    packed = np.zeros(-(-count // 8), dtype=np.uint8)
-                    _pack_into(packed, 0, np.full(start, bool(held[step])))
-                    held[step] = packed
-                _pack_into(held[step], start, line)
-        steps = _VERDICTS[key] = tuple(held)
-    # Filled, not broadcast: numpy 2.4 compares a stride-0 view 25 times slower.
-    filled = {value: _frozen(np.full(count, value)) for value in (False, True) if any(held is value for held in steps)}
-    return {
-        kstar: filled[held] if isinstance(held, bool) else _frozen(np.unpackbits(held, count=count).view(bool))
-        for kstar, held in enumerate(steps, start=1)
-    }
+                    # The first block that disagrees: every table before it held the one value.
+                    kept = np.empty(_space_size(n, True), dtype=bool)
+                    kept[:start] = held[step]
+                    held[step] = kept
+                held[step][start:start + len(line)] = line
+        steps = _VERDICTS[key] = tuple(_frozen(v) if isinstance(v, np.ndarray) else v for v in held)
+    return dict(enumerate(steps, start=1))
 
 
 def product_tables(rows: np.ndarray, k: int) -> np.ndarray:
@@ -286,38 +259,6 @@ def compose(tables: np.ndarray, x, y) -> np.ndarray:
     x, y = np.broadcast_arrays(x, y)
     base = np.arange(b).reshape((b,) + (1,) * (x.ndim - 1)) * n
     return tables.reshape(-1)[(base + x) * n + y]
-
-
-def _sieve(tables: np.ndarray, slab_ok, slabs, size: int | None = None) -> np.ndarray:
-    """True for each table on which slab_ok(chunk, slab) holds for every slab.
-
-    Each slab runs once over every table still passing, in chunks of
-    `size` (default ROW_CHUNK; the caller picks it so that one full slab
-    over a chunk reads about ROW_CHUNK*n*n cells, whatever the slab's
-    shape), and the stack is then cut down to the tables that pass it.  So
-    later slabs read only the survivors of the whole stack, in full chunks,
-    and a table that fails the first slab, one cell or one line in the hot
-    sweeps, costs only that.  slab_ok returns one boolean per table of the
-    chunk it is given; slabs is iterated once, and not at all for an empty
-    stack.
-    """
-    b = tables.shape[0]
-    size = size or ROW_CHUNK
-    alive = None  # indices of the survivors, made at the first cut
-    for slab in slabs:
-        if not len(tables):
-            break
-        keep = np.empty(len(tables), dtype=bool)
-        for start in range(0, len(tables), size):
-            keep[start:start + size] = slab_ok(tables[start:start + size], slab)
-        if not keep.all():
-            alive = np.flatnonzero(keep) if alive is None else alive[keep]
-            tables = tables[keep]
-    if alive is None:
-        return np.ones(b, dtype=bool)
-    ok = np.zeros(b, dtype=bool)
-    ok[alive] = True
-    return ok
 
 
 def _mask_for(name: str):
@@ -359,27 +300,6 @@ paramedial_mask = _mask_for("paramedial")
 alterable_mask = _mask_for("alterable")
 
 
-def _distinct(tables: np.ndarray, axis: int) -> np.ndarray:
-    """For each line along `axis` (not the stack axis 0) of a stack of
-    0-based values below n, n the line's length: does it hold n distinct
-    values, that is every value once?  It does when the OR of 1 << v along
-    the line is 2**n - 1; ROW_CHUNK entries of the stack at a time, in
-    int16 to n = 15 and int64 to n = 63, by sorting above that.
-    """
-    n = tables.shape[axis]
-    if n > 63:
-        values = np.arange(n).reshape((n,) + (1,) * (tables.ndim - 1 - axis))
-        return (np.sort(tables, axis=axis) == values).all(axis=axis)
-    one = np.int16(1) if n <= 15 else np.int64(1)
-    out = np.empty(tables.shape[:axis] + tables.shape[axis + 1:], dtype=bool)
-    for start in range(0, tables.shape[0], ROW_CHUNK):
-        # dtype pins the shift to `one`'s width; without it NumPy 1.x casts
-        # by value and shifts int8 tables in int8, losing bits 7 and up.
-        bits = np.left_shift(one, tables[start:start + ROW_CHUNK], dtype=one.dtype)
-        out[start:start + ROW_CHUNK] = np.bitwise_or.reduce(bits, axis=axis) == (1 << n) - 1
-    return out
-
-
 def left_cancellative_mask(tables: np.ndarray) -> np.ndarray:
     return _distinct(tables, 2).all(axis=1)
 
@@ -403,18 +323,9 @@ def unitary_mask(tables: np.ndarray) -> np.ndarray:
 
 
 def translatable_mask(tables: np.ndarray, k: int) -> np.ndarray:
-    """Cell-by-cell rotation test T[i][j] == T[i+1][j+k], on the schedule of
-    detect: first the one cell T[0][0] == T[1][k] (_first_cell_holds), then
-    sieved over i, each slab comparing row i with row i+1 (_rotation_holds).
-    A chunk holds ROW_CHUNK*n tables, since a slab reads one row of each."""
-    n = tables.shape[1]
-
-    def slab(chunk, i):
-        if i is None:
-            return _first_cell_holds(chunk[:, 0, :], chunk[:, 1 % n, :], k)
-        return _rotation_holds(chunk[:, i, :], chunk[:, (i + 1) % n, :], k)
-
-    return _sieve(tables, slab, [None, *range(n)], ROW_CHUNK * n)
+    """Cell-by-cell rotation test T[i][j] == T[i+1][j+k] at step k on each
+    table of a stack: translation._translatable at the one step."""
+    return _translatable(tables, [k])[0]
 
 
 MASKS = {

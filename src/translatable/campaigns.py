@@ -45,7 +45,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import batch
+from . import batch, translation
 from .constructions import (
     UnionSpec,
     block_product_table,
@@ -68,6 +68,7 @@ from .core import (
 )
 from .properties import (
     LCOND_NAMES,
+    _distinct,
     LEFT_UNITARY_NAMES,
     check,
     lcond_check,
@@ -94,6 +95,7 @@ from .structure import (
     left_unitary_idempotents,
 )
 from .translation import (
+    _sieve,
     all_rotated_presentations,
     detect,
     dual,
@@ -218,7 +220,7 @@ def _identity(n: int) -> tuple[int, ...]:
 @_campaign("left-cancellative-propagation", "one left cancellable element spreads to the whole table", 6)
 def _run_left_cancellative_propagation(inst):
     n, k = inst
-    row_is_perm = batch._blocks(n, k, False, lambda tables: batch._distinct(tables, 2).T)   # [row, table]
+    row_is_perm = batch._blocks(n, k, False, lambda tables: _distinct(tables, 2).T)   # [row, table]
     bad = row_is_perm.any(axis=0) & ~row_is_perm.all(axis=0)
     note = "one cancellable element without full cancellativity"
     return _first_bad_row(batch.row_array(n, False), bad, note) or _passed()
@@ -439,7 +441,7 @@ def _run_right_cancellable_gcd(inst):
             return _failed({"note": "no right cancellable element found where one must exist"})
         return _passed()
     perm = n > 6
-    hits = batch._blocks(n, k, perm, lambda tables: batch._distinct(tables, 1).any(axis=1))
+    hits = batch._blocks(n, k, perm, lambda tables: _distinct(tables, 1).any(axis=1))
     note = "right cancellable element with gcd(k, n) > 1"
     return _first_bad_row(batch.row_array(n, perm), hits, note) or _passed()
 
@@ -620,7 +622,7 @@ def _perm_alterable_mask(blocks, n: int, k: int) -> np.ndarray:
     For a permutation first row two entries agree exactly when they sit at
     the same position, so only quadruples whose left sides share a position
     need their right sides compared.  Those comparisons read only distinct
-    unordered position pairs, one pair a slab of batch._sieve; a pair of one
+    unordered position pairs, one pair a slab of _sieve; a pair of one
     position always agrees, and on a permutation row the first pair of two
     positions already fails.  The pairs are found once for all blocks.
     """
@@ -634,16 +636,13 @@ def _perm_alterable_mask(blocks, n: int, k: int) -> np.ndarray:
     def agree(chunk, pair):
         return chunk[:, pair // n] == chunk[:, pair % n]
 
-    return np.concatenate([batch._sieve(rows, agree, pairs, batch.ROW_CHUNK * n * n) for rows in blocks])
+    return np.concatenate([_sieve(rows, agree, pairs, translation.ROW_CHUNK * n * n) for rows in blocks])
 
 
 @_campaign("dual-links", "dual steps encode squares, scaled steps, and alterability", 9)
 def _run_dual_links(inst):
     n, k = inst
     rows = (n, True)
-    # Refuse an over-budget space, then sweep before holding the step arrays.
-    batch._space_size(n, True)
-    alter = _perm_alterable_mask(batch._first_value_blocks(n, 1), n, k)
     dual_masks = batch.step_verdicts(n, k, True)
 
     closed_same = mod_rep(k * k, n) == 1
@@ -664,6 +663,7 @@ def _run_dual_links(inst):
         if failure:
             return failure
 
+    alter = _perm_alterable_mask(batch._first_value_blocks(n, 1), n, k)
     if n <= 6 and not (alter == batch.space_verdicts("alterable", n, k, True)).all():
         return _failed({"note": "position-based alterability mask disagrees with the cell sweep"})
     return _first_bad_row(rows, alter != dual_masks[n - k], "alterable against dual step n-k") or _passed()
@@ -704,8 +704,8 @@ def _eas_masks(rows: np.ndarray, n: int, k: int, perm: np.ndarray):
         return (left == right).all(axis=(1, 2))
 
     slabs = [(x, every_y) for x in range(1, n + 1)]
-    eas = batch._sieve(rows, eas_slab, [(1, np.array([[1]])), *slabs])
-    return eas, batch._sieve(rows[perm], ee1_slab, slabs)
+    eas = _sieve(rows, eas_slab, [(1, np.array([[1]])), *slabs])
+    return eas, _sieve(rows[perm], ee1_slab, slabs)
 
 
 @_campaign("associativity-sequence-form", "associativity rewrites as a nested first-row identity", 6)
@@ -713,7 +713,7 @@ def _run_associativity_sequence_form(inst):
     n, k = inst
     rows = batch.row_array(n, False)
     assoc = batch.space_verdicts("associative", n, k, False)
-    perm = np.flatnonzero(batch._distinct(rows, 1))
+    perm = np.flatnonzero(_distinct(rows, 1))
     eas, ee1 = _eas_masks(rows, n, k, perm)
     return (
         _first_bad_row(rows, eas != assoc, "sequence form against cell associativity")

@@ -295,7 +295,7 @@ def reorder(table: CayleyTable, ordering: Ordering) -> CayleyTable:
             f"ordering on {ordering.n} elements cannot present a table of order {table.n}"
         )
     perm = np.array(ordering.perm) - 1
-    return CayleyTable(table.n, table.grid[np.ix_(perm, perm)] + 1)
+    return CayleyTable._of_grid(table.grid[np.ix_(perm, perm)])
 
 
 def _cell_texts(table: CayleyTable) -> list[list[str]]:

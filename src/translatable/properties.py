@@ -14,8 +14,8 @@ other properties (cancellation, solvability, units, anticommutativity,
 regularity, Clifford's conditions) are read off whole rows, columns or
 grids of `grid`, each witness from the first failing line or cell; the
 two sides of a mirror pair are one function, applied to the grid and to
-its transpose, and "every line is a permutation" is batch._distinct, as
-for the masks.  The closed forms are a second, independent route:
+its transpose, and "every line is a permutation" is _distinct, as for
+the masks.  The closed forms are a second, independent route:
 modular conditions that characterise the same identities on translatable
 tables, and tests confront the two routes with each other.  Each form of LCOND_NAMES is written once, in _CLOSED_FORMS,
 as residue arithmetic on index grids that reads only the first row, n and
@@ -43,7 +43,8 @@ from .core import (
     _check_step,
     mod_rep,
 )
-from .translation import _blocks, detect
+from . import translation
+from .translation import _blocks, _sieve, detect
 
 PROPERTY_NAMES = (
     "idempotent",
@@ -140,25 +141,21 @@ def _light_test(m: np.ndarray):
     return True, None
 
 
-# The cells of slab y compared at a time: _SLAB_ROW_CELLS // n rows of x.
-_SLAB_ROW_CELLS = 1 << 16
-
-
 def _associative_slab(m, y):
     """The first (x, z) in row-major order with (x*y)*z != x*(y*z), or None.
 
-    The slab is swept a block of whole rows x at a time, so it never holds
-    more than a few _SLAB_ROW_CELLS-cell arrays, whatever the order.
+    The slab is swept a fixed _blocks range of whole rows x at a time, so
+    it never holds more than a few translation._SCAN_CELLS-cell arrays,
+    whatever the order.
     """
     n = m.shape[0]
-    step = max(1, _SLAB_ROW_CELLS // n)
     column, row = m[:, y], m[y]
-    for x in range(0, n, step):
+    for r in _blocks(n, n):
         # [x, z] -> (x*y)*z against x*(y*z)
-        bad = m[column[x:x + step]] != np.take(m[x:x + step], row, axis=1)
+        bad = m[column[r.start:r.stop]] != np.take(m[r.start:r.stop], row, axis=1)
         if bad.any():
             x0, z0 = _first_cell(bad)
-            return x + x0, z0
+            return r.start + x0, z0
     return None
 
 
@@ -343,12 +340,12 @@ def _least_witness(name: str, m: np.ndarray, stop: int | None = None) -> Witness
     adjacent sides that differ there; None if there is none.
 
     The first variable goes in translation._blocks, in order, so the first
-    block that fails holds the least cell: one slab of it (or about 2**16
-    cells) first, then twice as many each time, up to _VECTOR_CELL_LIMIT
-    cells.  A scan that fails on its first slab stops there.  For medial
-    and paramedial of a translatable table over order 11, _check_identity
-    first decides on one slab, by the lemma stated there, and calls this
-    only when a paramedial slab fails.
+    block that fails holds the least cell: one slab of it (or about
+    translation._SCAN_CELLS cells) first, then twice as many each time, up
+    to _VECTOR_CELL_LIMIT cells.  A scan that fails on its first slab stops
+    there.  For medial and paramedial of a translatable table over order
+    11, _check_identity first decides on one slab, by the lemma stated
+    there, and calls this only when a paramedial slab fails.
     """
     identity = IDENTITIES[name]
     n = m.shape[0]
@@ -515,11 +512,31 @@ def _present(m: np.ndarray) -> np.ndarray:
     return seen
 
 
-def _permutation_rows(m: np.ndarray) -> np.ndarray:
-    """Which rows of m hold every value 0..n-1 once (batch._distinct)."""
-    from . import batch  # batch reads IDENTITIES from this module
+def _distinct(tables: np.ndarray, axis: int) -> np.ndarray:
+    """For each line along `axis` (not the stack axis 0) of a stack of
+    0-based values below n, n the line's length: does it hold n distinct
+    values, that is every value once?  It does when the OR of 1 << v along
+    the line is 2**n - 1; translation.ROW_CHUNK entries of the stack at a
+    time, in int16 to n = 15 and int64 to n = 63, by sorting above that.
+    """
+    n = tables.shape[axis]
+    if n > 63:
+        values = np.arange(n).reshape((n,) + (1,) * (tables.ndim - 1 - axis))
+        return (np.sort(tables, axis=axis) == values).all(axis=axis)
+    one = np.int16(1) if n <= 15 else np.int64(1)
+    chunk = translation.ROW_CHUNK
+    out = np.empty(tables.shape[:axis] + tables.shape[axis + 1:], dtype=bool)
+    for start in range(0, tables.shape[0], chunk):
+        # dtype pins the shift to `one`'s width; without it NumPy 1.x casts
+        # by value and shifts int8 tables in int8, losing bits 7 and up.
+        bits = np.left_shift(one, tables[start:start + chunk], dtype=one.dtype)
+        out[start:start + chunk] = np.bitwise_or.reduce(bits, axis=axis) == (1 << n) - 1
+    return out
 
-    return batch._distinct(m[None], 2)[0]
+
+def _permutation_rows(m: np.ndarray) -> np.ndarray:
+    """Which rows of m hold every value 0..n-1 once."""
+    return _distinct(m[None], 2)[0]
 
 
 def _cancellative(m: np.ndarray, name: str):
@@ -756,18 +773,16 @@ def lcond_verdicts(rows: np.ndarray, k: int, name: str) -> np.ndarray:
     variables, so its third mixed difference is 0: F(x, y, z) = F(x, y, 0)
     + F(x, 0, z) + F(0, y, z) - F(x, 0, 0) - F(0, y, 0) - F(0, 0, z) +
     F(0, 0, 0).  F is 0 modulo n on all n**3 cells exactly when it is on
-    the planes x = 0, y = 0 and z = 0, each a slab of batch._sieve; a
+    the planes x = 0, y = 0 and z = 0, each a slab of _sieve; a
     smaller form is one slab, its whole grid.  Medial is the condition
     at every (i, j, w, z); since P(x + 1, y + k) = P(x, y), it takes the
     same value at (i + 1, j + k, w + k, z + k*k), and that orbit meets
     i = 0, so the slab i = 0 decides it.  Alterable asks the condition at
     every (i, j, w, z) with j + kw = z + ki, that is at z = j + kw - ki.
     """
-    from . import batch  # batch reads IDENTITIES from this module
-
     arity, form = _CLOSED_FORMS[name]
     n = rows.shape[1]
-    chunk = max(1, min(len(rows), batch.ROW_CHUNK, _VECTOR_CELL_LIMIT // (n * n)))
+    chunk = max(1, min(len(rows), translation.ROW_CHUNK, _VECTOR_CELL_LIMIT // (n * n)))
 
     def holds(stack, plane):
         stack = np.asarray(stack, dtype=np.intp)  # one chunk at a time
@@ -786,7 +801,7 @@ def lcond_verdicts(rows: np.ndarray, k: int, name: str) -> np.ndarray:
             ok &= (np.broadcast_to(value, shape) % n == 0).reshape(len(stack), -1).all(axis=1)
         return ok
 
-    return batch._sieve(np.asarray(rows), holds, range(3) if arity == 3 else [None], chunk)
+    return _sieve(np.asarray(rows), holds, range(3) if arity == 3 else [None], chunk)
 
 
 def lcond_check(seq: KSequence, name: str) -> bool:
@@ -845,16 +860,15 @@ def semigroup_verdicts(rows: np.ndarray, k: int) -> np.ndarray:
     Holds exactly when k*k + k is divisible by n and every entry satisfies
     a_i = [i - k - k*a_k].
     """
-    from . import batch  # batch reads IDENTITIES from this module
-
     n = rows.shape[1]
     out = np.zeros(len(rows), dtype=bool)
     if mod_rep(k * k + k, n) != n:
         return out
     i = np.arange(1, n + 1)
-    for start in range(0, len(rows), batch.ROW_CHUNK):
-        a = np.asarray(rows[start:start + batch.ROW_CHUNK], dtype=np.int64) + 1
-        out[start:start + batch.ROW_CHUNK] = (a == (i - k - k * a[:, k - 1:k] - 1) % n + 1).all(axis=1)
+    chunk = translation.ROW_CHUNK
+    for start in range(0, len(rows), chunk):
+        a = np.asarray(rows[start:start + chunk], dtype=np.int64) + 1
+        out[start:start + chunk] = (a == (i - k - k * a[:, k - 1:k] - 1) % n + 1).all(axis=1)
     return out
 
 

@@ -24,7 +24,8 @@ import numpy as np
 from . import batch
 from .campaigns import THEOREMS, Campaign, InstanceResult
 from .core import BoundError, CayleyTable, InvalidInputError, KSequence, _check_order, _check_step
-from .properties import NEEDS_ASSOCIATIVITY, PROPERTY_NAMES, check
+from .properties import NEEDS_ASSOCIATIVITY, PROPERTY_NAMES, _distinct, check
+from .translation import _sieve
 
 PERMUTATION_BOUND = 8
 FULL_BOUND = 6
@@ -88,7 +89,7 @@ def enumerate_sequences(n: int, k: int, filt: SequenceFilter | None = None) -> I
     tests = [(name, True) for name in filt.required] + [(name, False) for name in filt.forbidden]
     tests.sort(key=lambda test: test[0] not in batch.MASKS)
     for _, rows in batch._space_rows(n, filt.permutation_only):
-        keep = batch._sieve(batch.product_tables(rows, k), _passes, tests)
+        keep = _sieve(batch.product_tables(rows, k), _passes, tests)
         for row in (rows[keep] + 1).tolist():
             yield KSequence(n, k, tuple(row))
 
@@ -101,7 +102,7 @@ def catalog(n: int, permutation_only: bool = False) -> dict[tuple[int, frozenset
     dropped.
     """
     _check_enumeration_bound(n, permutation_only)
-    perm = batch._distinct(batch.row_array(n, permutation_only), 1)
+    perm = _distinct(batch.row_array(n, permutation_only), 1)
     census: dict[tuple[int, frozenset[str]], int] = {}
 
     def flags(tables):

@@ -184,9 +184,6 @@ def decompose(table: CayleyTable, seq: KSequence) -> Decomposition:
     return Decomposition(frozenset(idems), m, t, tuple(components), tuple(generators))
 
 
-_PRODUCT_BLOCK_CELLS = 1 << 16
-
-
 def _first_broken_product(grid: np.ndarray, image: np.ndarray, target: np.ndarray, at: np.ndarray | None = None):
     """The row-major first (x, y), 1-based, where image[x*y] != target[at[x], at[y]],
     x*y read from grid, or None.  With at = image, the default, that is the
@@ -195,7 +192,7 @@ def _first_broken_product(grid: np.ndarray, image: np.ndarray, target: np.ndarra
     at = image if at is None else at
     image = image.astype(target.dtype)
     n = len(grid)
-    for r in _blocks(n, n, _PRODUCT_BLOCK_CELLS):
+    for r in _blocks(n, n):
         bad = image[grid[r.start:r.stop]] != target[at[r.start:r.stop, None], at]
         if bad.any():
             x, y = divmod(int(bad.argmax()), n)
@@ -208,7 +205,7 @@ def _is_left_ideal(grid: np.ndarray, elements) -> bool:
     cols = np.array(elements, dtype=np.intp) - 1
     members = np.zeros(len(grid), dtype=bool)
     members[cols] = True
-    blocks = _blocks(len(grid), len(cols), _PRODUCT_BLOCK_CELLS)
+    blocks = _blocks(len(grid), len(cols))
     return all(members[grid[r.start:r.stop, cols]].all() for r in blocks)
 
 

@@ -10,18 +10,25 @@ and cell-by-cell the grid satisfies T[i][j] = T[i+1][j+k].
 
 Each rule is written once, on 0-based arrays: _rotations, the one rotation
 rule, which builds tables here and in structure.cyclic_table and gives
-batch.product_tables its index grid (_positions), and _rotation_holds, the
-test that finds steps here and in batch.translatable_mask.
-detect and translatable_mask share one schedule: the single cell
-T[0][0] = T[1][k] first (_first_cell_holds), then whole pairs of adjacent
-rows, each only on what passed so far; batch.step_verdicts tests that
-cell for every step at once before it calls translatable_mask.  _blocks
-is the schedule of growing blocks in which the rotation test here and the
-identity sweeps of properties stop at their first failure.
+batch.product_tables its index grid (_positions), and _translatable, the
+one rotation test, behind detect, is_translatable, batch.translatable_mask
+and batch.step_verdicts alike.  It tests the single cell T[0][0] = T[1][k]
+of every step on every table of a stack at once (_first_cell_holds), then
+sieves, at each step, the tables that pass it over whole rows
+(_rotation_holds).
+
+This module is the one home of the two scan schedules.  _blocks is the
+schedule of growing blocks in which the rotation test, the identity
+sweeps of properties and the row-block reads of structure stop at their
+first failure; _sieve is the schedule of slabs, each checked once over
+every table of a stack still passing, in chunks of about ROW_CHUNK*n*n
+cells, by which the rotation test, the batch masks and the closed forms
+cut a stack down.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -35,6 +42,12 @@ from .core import (
     _check_step,
     mod_rep,
 )
+
+# A _sieve chunk holds about ROW_CHUNK*n*n cells.
+ROW_CHUNK = 4096
+# The cells a _blocks scan reads in its first range, and in every range of
+# a scan with no limit.
+_SCAN_CELLS = 1 << 16
 
 
 def _rotations(row: np.ndarray, k: int) -> np.ndarray:
@@ -53,35 +66,22 @@ def _positions(n: int, k: int) -> np.ndarray:
     return _rotations(np.arange(n), k)
 
 
-def _rotation_holds(row: np.ndarray, below: np.ndarray, k) -> np.ndarray:
-    """T[i][j] == T[i+1][j+k] for every j (the last axis) of row i and the
-    row below it; leading axes broadcast, over stacks of rows or of steps."""
-    n = row.shape[-1]
-    return (row == below[..., (np.arange(n) + k) % n]).all(axis=-1)
-
-
-def _first_cell_holds(row: np.ndarray, below: np.ndarray, k) -> np.ndarray:
-    """T[i][0] == T[i+1][k]: _rotation_holds on the first cell of row i
-    alone; leading axes broadcast the same way."""
-    return row[..., 0] == below[..., k % row.shape[-1]]
-
-
 def table_from_sequence(seq: KSequence) -> CayleyTable:
     """Grid whose first row is the sequence and whose rows step right by k."""
     return CayleyTable._of_grid(_rotations(np.array(seq.seq, dtype=_cell_dtype(seq.n)) - 1, seq.k))
 
 
-def _blocks(stop: int, slab: int, limit: int):
+def _blocks(stop: int, slab: int, limit: int | None = None):
     """Consecutive ranges that cover range(stop), where each value stands for
-    a slab of `slab` cells.  The first range holds one slab, or about 2**16
-    cells if that is more; each next one twice as many, up to `limit` cells
-    (never under one slab).  So a scan that stops at its first failing
-    range pays for about one slab when the first slab fails, and makes
-    about log2(stop) more calls than fixed ranges of `limit` cells when
-    none fails.
+    a slab of `slab` cells.  The first range holds one slab, or about
+    _SCAN_CELLS cells if that is more; each next one twice as many, up to
+    `limit` cells (never under one slab).  So a scan that stops at its first
+    failing range pays for about one slab when the first slab fails, and
+    makes about log2(stop) more calls than fixed ranges of `limit` cells
+    when none fails.  Without a limit every range is the first one's size.
     """
-    cap = max(1, limit // slab)
-    width = min(cap, max(1, (1 << 16) // slab))
+    cap = max(1, (limit or _SCAN_CELLS) // slab)
+    width = min(cap, max(1, _SCAN_CELLS // slab))
     start = 0
     while start < stop:
         yield range(start, min(start + width, stop))
@@ -89,21 +89,80 @@ def _blocks(stop: int, slab: int, limit: int):
         width = min(cap, 2 * width)
 
 
-def _translatable_steps(grid: np.ndarray, steps: np.ndarray) -> list[int]:
-    """The steps among `steps` passing the rotation test on every row (the
-    last against the first): filtered on the one cell T[1][1] = T[2][1+k],
-    then on rows 1-2, then each survivor on the _blocks of rows, the rows
-    below read as a slice, up to its first failing block, and the last row."""
-    n = grid.shape[0]
-    second = grid[1 % n]
-    steps = steps[_first_cell_holds(grid[0], second, steps)]
-    steps = steps[_rotation_holds(grid[0], second, steps[:, None])]
-    return [
-        k for k in steps.tolist()
-        if all(_rotation_holds(grid[r.start:r.stop], grid[r.start + 1:r.stop + 1], k).all()
-               for r in _blocks(n - 1, n, n * n))
-        and _rotation_holds(grid[-1], grid[0], k)
-    ]
+def _sieve(tables: np.ndarray, slab_ok, slabs, size: int | None = None) -> np.ndarray:
+    """True for each table on which slab_ok(chunk, slab) holds for every slab.
+
+    Each slab runs once over every table still passing, in chunks of
+    `size` (default ROW_CHUNK; the caller picks it so that one full slab
+    over a chunk reads about ROW_CHUNK*n*n cells, whatever the slab's
+    shape), and the stack is then cut down to the tables that pass it.  So
+    later slabs read only the survivors of the whole stack, in full chunks,
+    and a table that fails the first slab, one cell or one line in the hot
+    sweeps, costs only that.  slab_ok returns one boolean per table of the
+    chunk it is given; slabs is iterated once, and not at all for an empty
+    stack.
+    """
+    b = tables.shape[0]
+    size = size or ROW_CHUNK
+    alive = None  # indices of the survivors, made at the first cut
+    for slab in slabs:
+        if not len(tables):
+            break
+        keep = np.empty(len(tables), dtype=bool)
+        for start in range(0, len(tables), size):
+            keep[start:start + size] = slab_ok(tables[start:start + size], slab)
+        if not keep.all():
+            alive = np.flatnonzero(keep) if alive is None else alive[keep]
+            tables = tables[keep]
+    if alive is None:
+        return np.ones(b, dtype=bool)
+    ok = np.zeros(b, dtype=bool)
+    ok[alive] = True
+    return ok
+
+
+def _first_cell_holds(tables: np.ndarray, steps: np.ndarray) -> np.ndarray:
+    """[s, b]: T[0][0] == T[1][k] on tables[b] of a (B, n, n) stack at the
+    step k = steps[s]; _rotation_holds on one cell of the first row."""
+    n = tables.shape[1]
+    return tables[:, 1 % n].T[steps % n] == tables[:, 0, 0]
+
+
+def _rotation_holds(chunk: np.ndarray, rows: range, k) -> np.ndarray:
+    """T[i][j] == T[i+1][j+k] for every row i in `rows` (a range of rows
+    above the last) and every j, on each table of a (C, n, n) stack: one
+    gather of the rows below and one reduction, one boolean a table."""
+    n = chunk.shape[1]
+    shifted = chunk[:, rows.start + 1:rows.stop + 1][..., (np.arange(n) + k) % n]
+    return (chunk[:, rows.start:rows.stop] == shifted).all(axis=(1, 2))
+
+
+def _translatable(tables: np.ndarray, steps) -> np.ndarray:
+    """[s, b]: does tables[b] of a (B, n, n) stack satisfy T[i][j] =
+    T[i+1][j+k] everywhere, the last row against the first, at the step
+    k = steps[s]?  The one translatability test of the package.
+
+    First the one cell T[0][0] = T[1][k] of every step on every table at
+    once (_first_cell_holds).  Then at each step that some table passes,
+    those tables are sieved (_sieve) over the adjacent row pairs above the
+    last row, one range of _blocks(n - 1, n*B, ROW_CHUNK*n) a slab
+    (_rotation_holds).  Planned over the whole stack, the ranges of one
+    table grow from about _SCAN_CELLS cells, so a scan that fails early
+    stops early, and over a stack of ROW_CHUNK tables or more each range
+    is one row pair; a chunk holds ROW_CHUNK*n tables, since a slab of one
+    row pair reads n cells of each.  The last row against the first needs
+    no slab: the other pairs give T[0][x] = T[n-1][x + (n-1)k], which is
+    T[n-1][x] = T[0][x + k], as n*k = 0 modulo n.
+    """
+    b, n = tables.shape[:2]
+    steps = np.asarray(steps)
+    held = _first_cell_holds(tables, steps)
+    for s in np.flatnonzero(held.any(axis=1)).tolist():
+        passed = slice(None) if held[s].all() else held[s]
+        slabs = _blocks(n - 1, n * b, ROW_CHUNK * n)
+        rows_hold = functools.partial(_rotation_holds, k=steps[s])
+        held[s, passed] = _sieve(tables[passed], rows_hold, slabs, ROW_CHUNK * n)
+    return held
 
 
 def detect(table: CayleyTable) -> frozenset[int]:
@@ -120,12 +179,13 @@ def detect(table: CayleyTable) -> frozenset[int]:
     grid, n = table.grid, table.n
     first = grid[0].tolist()
     d = next(d for d in range(1, n + 1) if n % d == 0 and first[d:] == first[:n - d])
-    return frozenset(k for r in _translatable_steps(grid, np.arange(d)) for k in range(r, n, d) if k)
+    passing = np.flatnonzero(_translatable(grid[None], np.arange(d))[:, 0]).tolist()
+    return frozenset(k for r in passing for k in range(r, n, d) if k)
 
 
 def is_translatable(table: CayleyTable, k: int) -> bool:
     """Does the grid satisfy T[i][j] = T[i+1][j+k] everywhere?"""
-    return 1 <= k <= table.n - 1 and bool(_translatable_steps(table.grid, np.array([k])))
+    return 1 <= k <= table.n - 1 and bool(_translatable(table.grid[None], [k])[0, 0])
 
 
 def rotate_ordering(seq: KSequence) -> tuple[Ordering, KSequence]:
@@ -160,7 +220,7 @@ def all_rotated_presentations(seq: KSequence) -> list[tuple[Ordering, KSequence]
 
 def dual(table: CayleyTable) -> CayleyTable:
     """Transpose: the groupoid with the two arguments swapped."""
-    return CayleyTable(table.n, table.grid.T + 1)
+    return CayleyTable._of_grid(np.ascontiguousarray(table.grid.T))
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from translatable import batch, properties, search
+from translatable import batch, properties, search, translation
 from translatable.campaigns import THEOREMS, _eas_masks, _perm_alterable_mask
 from translatable.cli import main
 from translatable.constructions import (
@@ -216,7 +216,7 @@ def test_associative_single_cell_perturbations():
 
 @pytest.mark.parametrize("rows", [1, 2, 3])
 def test_a_slab_read_in_row_blocks_keeps_the_least_witness(monkeypatch, rows):
-    # A slab is compared _SLAB_ROW_CELLS // n rows of x at a time.  Cut into
+    # A slab is compared _SCAN_CELLS // n rows of x at a time.  Cut into
     # blocks of one, two or three rows, verdicts and least witnesses are
     # still those of brute force, wherever the first bad cell falls.  In a
     # left-zero band with cell (i, j) changed, x = i is the least failing x.
@@ -228,7 +228,7 @@ def test_a_slab_read_in_row_blocks_keeps_the_least_witness(monkeypatch, rows):
         tables += [left_zero] + [random_cell_change(rng, left_zero) for _ in range(2 * n)]
     late = 0
     for table in tables:
-        monkeypatch.setattr(properties, "_SLAB_ROW_CELLS", rows * table.n)
+        monkeypatch.setattr(translation, "_SCAN_CELLS", rows * table.n)
         elements = assert_associative_agrees(table)
         late += elements is not None and elements[0] > rows
     assert late > 0
@@ -494,8 +494,8 @@ def test_translation_slab_decides_every_small_translatable_table(fresh_memo, nam
         domains = [range(n)] * 4
         domains[properties._SLAB_AXES[name]] = 0
         for k in range(1, n):
-            for start in range(0, rows.shape[0], batch.ROW_CHUNK):
-                stack = batch.product_tables(rows[start:start + batch.ROW_CHUNK], k)
+            for start in range(0, rows.shape[0], translation.ROW_CHUNK):
+                stack = batch.product_tables(rows[start:start + translation.ROW_CHUNK], k)
                 slab = identity.failures(stack, domains, lambda a, b: batch.compose(stack, a, b))
                 passes = ~slab.reshape(len(stack), -1).any(axis=1)
                 assert np.array_equal(passes, batch.MASKS[name](stack)), (n, k)
@@ -806,7 +806,7 @@ def property_pool():
     for n in (1, 2, 5, 9):
         yield from bands(n)
         yield from semilattices_and_cyclic_groups(n)
-    # Past order 63 batch._distinct sorts instead of or-ing bits.
+    # Past order 63 properties._distinct sorts instead of or-ing bits.
     yield random_table(rng, 70, 3)
     yield table_from_sequence(KSequence(70, 9, tuple(rng.sample(range(1, 71), 70))))
 
@@ -944,10 +944,10 @@ def test_product_tables_read_the_first_row_at_j_minus_k_i(n):
 @pytest.mark.parametrize("let_through", [None, 2, 1], ids=["first-cell", "every-other-table", "every-table"])
 def test_step_verdicts_match_the_mask_at_every_step(fresh_memo, monkeypatch, let_through):
     # On permutation rows a step's first cell T[0][0] = T[1][k*] holds on
-    # every table or on none, and translatable_mask runs only on the steps
-    # where it holds.  Widened to let every other table through, or every
-    # table, it sends every step to the mask, which sieves on its own first
-    # cell; the verdicts stay the same.
+    # every table or on none, and only the steps where it holds on some
+    # table reach the row pairs.  Widened to let every other table through,
+    # or every table, it sends every step to the row pairs, which decide
+    # alone; the verdicts stay the same, one np.bool_ a step.
     expected = {}
     for n in range(2, 8):
         rows = batch.row_array(n, True)
@@ -955,27 +955,25 @@ def test_step_verdicts_match_the_mask_at_every_step(fresh_memo, monkeypatch, let
             tables = batch.product_tables(rows, k)
             for transposed, stack in ((False, tables), (True, tables.transpose(0, 2, 1))):
                 expected[n, k, transposed] = [batch.translatable_mask(stack, kstar) for kstar in range(1, n)]
-    real, real_mask = batch._first_cell_holds, batch.translatable_mask
+    real_first, real_rows = translation._first_cell_holds, translation._rotation_holds
     called = []
 
-    def counted(tables, kstar):
-        called.append(kstar)
-        return real_mask(tables, kstar)
+    def counted(chunk, rows, k):
+        called.append(int(k))
+        return real_rows(chunk, rows, k)
 
-    def widened(row, below, k):
-        held = real(row, below, k)
-        every = np.arange(len(held)) % let_through == 0
-        return held | every.reshape(every.shape + (1,) * (held.ndim - 1))
+    def widened(tables, steps):
+        return real_first(tables, steps) | (np.arange(len(tables)) % let_through == 0)
 
     if let_through:
-        monkeypatch.setattr(batch, "_first_cell_holds", widened)
-    monkeypatch.setattr(batch, "translatable_mask", counted)
+        monkeypatch.setattr(translation, "_first_cell_holds", widened)
+    monkeypatch.setattr(translation, "_rotation_holds", counted)
     for (n, k, transposed), masks in expected.items():
         called.clear()
         steps = batch.step_verdicts(n, k, transposed)
         assert sorted(steps) == list(range(1, n))
         for kstar, mask in enumerate(masks, start=1):
-            assert steps[kstar].tolist() == mask.tolist(), (n, k, transposed, kstar)
+            assert type(steps[kstar]) is np.bool_ and (steps[kstar] == mask).all(), (n, k, transposed, kstar)
         if not let_through:
             assert set(called) == {kstar for kstar, mask in enumerate(masks, start=1) if mask.any()}
         else:
@@ -1213,11 +1211,14 @@ def test_memoised_arrays_are_read_only_and_shared(fresh_memo):
     assert batch.row_array(5, True) is rows
     verdicts = batch.space_verdicts("associative", 5, 2, True)
     assert batch.space_verdicts("associative", 5, 2, True) is verdicts
-    duals = batch.step_verdicts(5, 2, True)
-    assert sorted(duals) == [1, 2, 3, 4]
-    for array in (rows, verdicts, *duals.values()):
+    for array in (rows, verdicts):
         with pytest.raises(ValueError):
             array[0] = array[1]
+    # Every step is uniform on permutation rows: an immutable np.bool_ each.
+    duals = batch.step_verdicts(5, 2, True)
+    assert sorted(duals) == [1, 2, 3, 4]
+    assert all(type(step) is np.bool_ for step in duals.values())
+    assert all(batch.step_verdicts(5, 2, True)[kstar] is step for kstar, step in duals.items())
     batch.clear_memo()
     assert batch.row_array(5, True) is not rows
 
@@ -1284,7 +1285,7 @@ def test_enumerate_decides_anticommutative_on_the_stack(fresh_memo, monkeypatch)
 def test_dual_verdicts_at_order_nine_stay_small(fresh_memo):
     # A whole-space dual sweep generates the 9! permutation rows one block at
     # a time and holds one block of tables at a time.  On permutation rows
-    # every step is uniform, so the memo keeps one bool per step; what stays
+    # every step is uniform, so the memo keeps one np.bool_ a step; what stays
     # held is the memoised permutations of 8 values (315 KiB), the tail of
     # every block.  Measured: 1.76 MiB peak and 0.35 MiB held.
     tracemalloc.start()
@@ -1298,7 +1299,7 @@ def test_dual_verdicts_at_order_nine_stay_small(fresh_memo):
         tracemalloc.stop()
     assert peak < 2.25 * 2**20
     assert held < 0.5 * 2**20
-    assert all(type(step) is bool for k in range(1, 9) for step in batch._VERDICTS[("steps", 9, k, True)])
+    assert all(type(step) is np.bool_ for k in range(1, 9) for step in batch._VERDICTS[("steps", 9, k, True)])
     assert (9, True) not in batch._ROWS
 
 
@@ -1312,28 +1313,26 @@ def test_dual_campaigns_never_build_the_order_nine_permutation_space(fresh_memo)
 
 
 @pytest.mark.parametrize("flipped", [0, 400, 719])
-def test_a_step_the_tables_disagree_on_is_packed_table_by_table(fresh_memo, monkeypatch, flipped):
+def test_a_step_the_tables_disagree_on_is_kept_table_by_table(fresh_memo, monkeypatch, flipped):
     # Left cancellative tables have one step each, so without the flip every
     # step is uniform; flipping one table's verdict at every step makes each
-    # step go through the packed branch, from the first block, a middle one
-    # or the last.  The flip is made in translatable_mask, which step_verdicts
-    # calls only at steps where some table passes the first cell, so every
-    # table is let through that cell; translatable_mask still reads every cell.
+    # step disagree from the first block, a middle one or the last, and be
+    # kept as a read-only array of the whole space.
     n, k = 6, 5
     rows = batch.row_array(n, True)
-    real, real_first = batch.translatable_mask, batch._first_cell_holds
+    real = batch._translatable
 
-    def flip_one(tables, kstar):
-        return real(tables, kstar) ^ (tables[:, 0] == rows[flipped]).all(axis=1)
+    def flip_one(tables, steps):
+        return real(tables, steps) ^ (tables[:, 0] == rows[flipped]).all(axis=1)
 
     monkeypatch.setattr(batch, "_BLOCK_CELLS", 97 * n * n)
-    monkeypatch.setattr(batch, "_first_cell_holds", lambda row, below, k: real_first(row, below, k) | True)
-    monkeypatch.setattr(batch, "translatable_mask", flip_one)
+    monkeypatch.setattr(batch, "_translatable", flip_one)
     steps = batch.step_verdicts(n, k, False)
     tables = batch.product_tables(rows, k)
     for kstar in range(1, n):
-        assert isinstance(batch._VERDICTS[("steps", n, k, False)][kstar - 1], np.ndarray)
-        expected = real(tables, kstar)
+        assert steps[kstar] is batch._VERDICTS[("steps", n, k, False)][kstar - 1]
+        assert isinstance(steps[kstar], np.ndarray) and not steps[kstar].flags.writeable
+        expected = real(tables, [kstar])[0]
         assert expected.all() if kstar == k else not expected.any()
         expected[flipped] ^= True
         assert steps[kstar].tolist() == expected.tolist()
@@ -1517,10 +1516,10 @@ def stack_of(tables) -> np.ndarray:
     return np.array([table.grid for table in tables], dtype=np.int8)
 
 
-@pytest.mark.parametrize("chunk", [3, batch.ROW_CHUNK])
+@pytest.mark.parametrize("chunk", [3, translation.ROW_CHUNK])
 @pytest.mark.parametrize("n", range(1, 7))
 def test_every_mask_matches_check_and_the_rotation_loop(monkeypatch, n, chunk):
-    monkeypatch.setattr(batch, "ROW_CHUNK", chunk)
+    monkeypatch.setattr(translation, "ROW_CHUNK", chunk)
     pool = mask_pool(n)
     stack = stack_of(pool)
     for name, mask in batch.MASKS.items():
@@ -1539,7 +1538,7 @@ def test_first_cell_probe_matches_the_rotation_loop_at_the_edges(fresh_memo, mon
     # Every first row at every step, some with one cell changed, shuffled so
     # that the tables passing the probe fall on both sides of chunk edges
     # (translatable_mask takes ROW_CHUNK * n tables a chunk).
-    monkeypatch.setattr(batch, "ROW_CHUNK", chunk)
+    monkeypatch.setattr(translation, "ROW_CHUNK", chunk)
     rng = np.random.default_rng(n)
     rows = batch.row_array(n, False)
     stack = np.concatenate([batch.product_tables(rows, k) for k in range(n)])
@@ -1561,7 +1560,7 @@ def test_perm_alterable_sieve_matches_every_position_pair(monkeypatch, chunk):
     # Rows of few values, so that many pass a pair and go on to the next,
     # across chunk edges (ROW_CHUNK * n * n rows a chunk); and the spaces
     # with no pair of two positions, where every row passes.
-    monkeypatch.setattr(batch, "ROW_CHUNK", chunk)
+    monkeypatch.setattr(translation, "ROW_CHUNK", chunk)
     rng = np.random.default_rng(chunk)
     no_pairs = {(1, 0), (1, 1), (2, 1), (5, 2), (5, 3)}
     for n in range(1, 7):
@@ -1580,14 +1579,15 @@ def test_perm_alterable_sieve_matches_every_position_pair(monkeypatch, chunk):
 
 def test_translatable_mask_compares_no_rows_once_the_first_cell_fails_everywhere(fresh_memo, monkeypatch):
     # On permutation rows the step-k tables pass T[0][0] == T[1][s] at no
-    # step s other than k mod n, so no pair of rows is ever compared.
+    # step s other than k mod n, so no pair of rows is ever compared; at
+    # k + n every row of every table but the last is compared once.
     calls = []
 
-    def counted(*args):
-        calls.append(args[0].shape[0])
-        return _rotation_holds(*args)
+    def counted(chunk, rows, k):
+        calls.append(len(chunk) * len(rows))
+        return _rotation_holds(chunk, rows, k)
 
-    monkeypatch.setattr(batch, "_rotation_holds", counted)
+    monkeypatch.setattr(translation, "_rotation_holds", counted)
     for n, k in ((5, 2), (7, 3), (8, 5)):
         tables = batch.product_tables(batch.row_array(n, True), k)
         for step in range(1, n):
@@ -1595,7 +1595,7 @@ def test_translatable_mask_compares_no_rows_once_the_first_cell_fails_everywhere
                 assert not batch.translatable_mask(tables, step).any()
         assert calls == [], (n, k)
         assert batch.translatable_mask(tables, k + n).all()
-        assert calls and sum(calls) == n * len(tables)
+        assert calls and sum(calls) == (n - 1) * len(tables)
         calls.clear()
 
 
@@ -1643,7 +1643,7 @@ def test_sieved_masks_match_check_on_single_cell_changes(monkeypatch, name):
     # earlier slab or is trivially true; for them the test asks for first
     # failures past the first slab, which the sieve reaches only by
     # carrying the survivors of earlier slabs.
-    monkeypatch.setattr(batch, "ROW_CHUNK", 4)
+    monkeypatch.setattr(translation, "ROW_CHUNK", 4)
     lead = SLAB_VARIABLES[name]
     for n in range(2, 6):
         cases = list(single_cell_changes(n, name))
@@ -1686,7 +1686,7 @@ def literal_eas(rows: np.ndarray, n: int, k: int):
 
 @pytest.mark.parametrize("n", range(1, 6))
 def test_eas_masks_match_the_literal_formula(fresh_memo, monkeypatch, n):
-    monkeypatch.setattr(batch, "ROW_CHUNK", 97)
+    monkeypatch.setattr(translation, "ROW_CHUNK", 97)
     rows = batch.row_array(n, False)
     perm = np.flatnonzero((np.sort(rows, axis=1) == np.arange(n)).all(axis=1))
     assert perm.size == math.factorial(n)
@@ -1707,19 +1707,19 @@ def sorted_distinct(stack: np.ndarray, axis: int) -> np.ndarray:
 
 @pytest.mark.parametrize("n", range(1, 6))
 def test_distinct_matches_the_sort_test_on_every_row(fresh_memo, monkeypatch, n):
-    monkeypatch.setattr(batch, "ROW_CHUNK", 97)
+    monkeypatch.setattr(translation, "ROW_CHUNK", 97)
     rows = batch.row_array(n, False)
-    assert (batch._distinct(rows, 1) == sorted_distinct(rows, 1)).all()
-    assert batch._distinct(rows, 1).sum() == math.factorial(n)
+    assert (properties._distinct(rows, 1) == sorted_distinct(rows, 1)).all()
+    assert properties._distinct(rows, 1).sum() == math.factorial(n)
     for k in range(n):
         tables = batch.product_tables(rows, k)
         for axis in (1, 2):
-            assert (batch._distinct(tables, axis) == sorted_distinct(tables, axis)).all(), (k, axis)
+            assert (properties._distinct(tables, axis) == sorted_distinct(tables, axis)).all(), (k, axis)
 
 
 @pytest.mark.parametrize("n", [9, 15, 16, 40, 63, 64, 70])
 def test_distinct_matches_the_sort_test_across_the_dtype_switches(monkeypatch, n):
-    monkeypatch.setattr(batch, "ROW_CHUNK", 7)
+    monkeypatch.setattr(translation, "ROW_CHUNK", 7)
     rng = np.random.default_rng(n)
     stack = rng.integers(0, n, (30, n, n)).astype(np.int8)
     latin = np.array([[rng.permutation(n) for _ in range(n)] for _ in range(10)], dtype=np.int8)
@@ -1727,8 +1727,8 @@ def test_distinct_matches_the_sort_test_across_the_dtype_switches(monkeypatch, n
     stack[10:20] = latin.transpose(0, 2, 1)  # every column does
     stack[0, 3, 0] = stack[0, 3, 1]  # but one row of the first table repeats a value
     for axis in (1, 2):
-        got = batch._distinct(stack, axis)
+        got = properties._distinct(stack, axis)
         assert (got == sorted_distinct(stack, axis)).all(), axis
         assert got.any() and not got.all(), axis
     rows = stack[:, 0, :]
-    assert (batch._distinct(rows, 1) == sorted_distinct(rows, 1)).all()
+    assert (properties._distinct(rows, 1) == sorted_distinct(rows, 1)).all()

@@ -8,7 +8,7 @@ from math import gcd
 import numpy as np
 import pytest
 
-from translatable import batch, properties
+from translatable import batch, properties, translation
 from translatable.campaigns import _run_modular_conditions
 from translatable.constructions import cancellative_semigroups
 from translatable.core import (
@@ -241,7 +241,7 @@ def test_closed_form_verdicts_do_not_depend_on_the_blocks(monkeypatch):
     rows[0] = np.arange(n)
     want = {(k, name): lcond_verdicts(rows, k, name) for k in range(1, n) for name in LCOND_NAMES}
     # Four rows a chunk.
-    monkeypatch.setattr(batch, "ROW_CHUNK", 4)
+    monkeypatch.setattr(translation, "ROW_CHUNK", 4)
     monkeypatch.setattr(properties, "_VECTOR_CELL_LIMIT", 4 * n * n)
     for (k, name), verdicts in want.items():
         assert (lcond_verdicts(rows, k, name) == verdicts).all(), (k, name)

@@ -15,7 +15,6 @@ from translatable.constructions import cancellative_semigroups, left_unitary_gro
 from translatable.core import BoundError, CayleyTable, KSequence, PreconditionError, VerificationError, mod_rep
 from translatable.properties import check, idempotent_elements, left_neutral_elements, semigroup_criterion
 from translatable.structure import (
-    _PRODUCT_BLOCK_CELLS,
     Decomposition,
     _first_broken_product,
     cyclic_table,
@@ -30,6 +29,7 @@ from translatable.structure import (
     principal_ideal,
 )
 from translatable.translation import (
+    _SCAN_CELLS,
     all_rotated_presentations,
     table_from_sequence,
 )
@@ -279,7 +279,7 @@ def test_broken_product_is_the_whole_grid_first_in_every_row_block():
     # in the first, a middle and the last block of rows: the helper names
     # the (x, y) a whole-grid argmax names.
     n = 600
-    rows_per_block = _PRODUCT_BLOCK_CELLS // n
+    rows_per_block = _SCAN_CELLS // n
     assert n > 3 * rows_per_block
     rng = np.random.default_rng(7)
     grid = table_from_sequence(cancellative_semigroups(n, 24)[1]).grid

@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from translatable import batch, translation
 from translatable.core import (
     CayleyTable,
     InvalidInputError,
@@ -71,6 +72,71 @@ def test_is_translatable_matches_detect():
     for table in (Z4, Z4_REORDERED, IDEMPOTENT4):
         for k in range(1, table.n):
             assert is_translatable(table, k) == (k in detect(table))
+
+
+def translatable_by_loop(table: CayleyTable, k: int, rows=None) -> bool:
+    n, rows = table.n, rows or table.grid.tolist()
+    return all(rows[i][j] == rows[(i + 1) % n][(j + k) % n] for i in range(n) for j in range(n))
+
+
+def rotation_stack(rng, n: int, count: int) -> np.ndarray:
+    """count step-k tables of random first rows with few or many values, at
+    random steps, about half with one cell changed in a random row."""
+    rows = np.array([rng.integers(0, rng.choice([min(n, 2), n]), n) for _ in range(count)], dtype=np.int8)
+    stack = np.array([_rotations(row, int(rng.integers(n))) for row in rows])
+    changed = np.flatnonzero(rng.random(count) < 0.5)
+    cells = rng.integers(n, size=(2, len(changed)))
+    stack[changed, cells[0], cells[1]] = (stack[changed, cells[0], cells[1]] + 1) % n
+    return stack
+
+
+def test_every_entry_to_the_rotation_test_agrees_with_the_loop(fresh_memo, monkeypatch):
+    # detect, is_translatable, translatable_mask and step_verdicts all go
+    # through translation._translatable; with three tables a chunk (3 * n a
+    # chunk of row pairs) stacks cross chunk edges and one table's rows
+    # cross block edges.
+    monkeypatch.setattr(translation, "ROW_CHUNK", 3)
+    rng = np.random.default_rng(30)
+    for n in range(1, 13):
+        stack = rotation_stack(rng, n, 8 * n)
+        pool = [CayleyTable(n, grid + 1) for grid in stack]
+        outcomes = set()
+        for k in range(n + 2):
+            want = [translatable_by_loop(table, k) for table in pool]
+            outcomes.update(want)
+            assert batch.translatable_mask(stack, k).tolist() == want, (n, k)
+            assert [batch.translatable_mask(stack[b:b + 1], k)[0] for b in range(len(stack))] == want, (n, k)
+            assert [is_translatable(table, k) for table in pool] == [1 <= k < n and w for w in want], (n, k)
+        for table in pool:
+            assert detect(table) == {k for k in range(1, n) if translatable_by_loop(table, k)}, n
+        assert outcomes == ({True} if n == 1 else {True, False}), n
+        empty = stack[:0]
+        assert batch.translatable_mask(empty, 1).shape == (0,)
+        assert translation._translatable(empty, np.arange(n + 2)).shape == (n + 2, 0)
+    for n in range(2, 7):
+        rows = batch.row_array(n, True)
+        for k in range(1, n):
+            tables = [CayleyTable(n, grid + 1) for grid in batch.product_tables(rows, k)]
+            for transposed, pool in ((False, tables), (True, [dual(table) for table in tables])):
+                steps = batch.step_verdicts(n, k, transposed)
+                for kstar in range(1, n):
+                    want = [translatable_by_loop(table, kstar) for table in pool]
+                    assert (np.broadcast_to(steps[kstar], len(want)) == want).all(), (n, k, transposed, kstar)
+    n = 1024
+    row = rng.integers(0, n, n).astype(np.int16)
+    k = 1000
+    table = CayleyTable._of_grid(_rotations(row, k))
+    changed = table.grid.copy()
+    changed[700, 3] = (changed[700, 3] + 1) % n
+    for grid in (table.grid, changed):
+        one, rows = CayleyTable._of_grid(grid.copy()), grid.tolist()
+        want = [translatable_by_loop(one, s, rows) for s in range(n + 2)]
+        assert want[k] == (grid is table.grid)
+        assert translation._translatable(grid[None], np.arange(n + 2))[:, 0].tolist() == want
+        some = (0, 1, k, n - 1, n, n + 1)
+        assert [batch.translatable_mask(grid[None], s)[0] for s in some] == [want[s] for s in some]
+        assert [is_translatable(one, s) for s in some] == [1 <= s < n and want[s] for s in some]
+        assert detect(one) == {s for s in range(1, n) if want[s]}
 
 
 def test_translatable_sum_identity():
