@@ -64,7 +64,7 @@ import math
 
 import numpy as np
 
-from .core import BoundError
+from .core import _check_cost
 from .properties import IDENTITIES, _commuting_pairs, _distinct, _left_neutrals, _neutrals
 from .translation import _positions, _sieve, _translatable
 
@@ -120,12 +120,8 @@ def _first_value_blocks(n: int, width: int):
 def _space_size(n: int, permutation_only: bool) -> int:
     """The space's row count; BoundError if its tables pass ROW_CELL_BUDGET cells."""
     count = math.factorial(n) if permutation_only else n**n
-    if count * n * n > ROW_CELL_BUDGET:
-        kind = "permutation" if permutation_only else "full"
-        raise BoundError(
-            f"{kind} row space at n = {n} needs {count * n * n} table cells, "
-            f"over the row-space budget of {ROW_CELL_BUDGET}"
-        )
+    kind = "permutation" if permutation_only else "full"
+    _check_cost(f"{kind} row space at n = {n}", count * n * n, "table cells", "row-space budget", ROW_CELL_BUDGET)
     return count
 
 

@@ -910,7 +910,7 @@ def _run_ideal_partition(inst):
     for seq in cancellative_semigroups(n, k):
         table = table_from_sequence(seq)
         dec = decompose(table, seq)
-        listed = {ideal.elements for ideal in ideals(table, "left", bound=max(n, 14))}
+        listed = {ideal.elements for ideal in ideals(table, "left")}
         for comp in dec.components:
             if not _is_left_ideal(table.grid, comp):
                 return _failed({"row": list(seq.seq), "component": list(comp), "note": "not a left ideal"})
@@ -956,7 +956,7 @@ def _run_semiprime_ideals(inst):
         table = table_from_sequence(seq)
         diagonal = (np.diagonal(table.grid) + 1).tolist()
         for side in ("left", "right"):
-            listed = ideals(table, side, bound=max(n, 14))
+            listed = ideals(table, side)
             for ideal in listed:
                 members = set(ideal.elements)
                 square_in = all(square not in members or x in members for x, square in enumerate(diagonal, start=1))

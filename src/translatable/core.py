@@ -21,6 +21,7 @@ give the same table, or the same error, on the same input.
 from __future__ import annotations
 
 import json
+import math
 import numbers
 import os
 import re
@@ -70,7 +71,7 @@ class ConstructionError(TranslatableError):
 
 
 class BoundError(TranslatableError):
-    """A table or enumeration exceeds the configured resource bound."""
+    """Planned work exceeds a resource bound; the message names both."""
 
 
 class VerificationError(TranslatableError):
@@ -104,6 +105,14 @@ def _check_order(n: int) -> None:
     bound = max_order()
     if n > bound:
         raise BoundError(f"order {n} exceeds the bound {bound}")
+
+
+def _check_cost(plan: str, estimate: int, unit: str, bound_name: str, bound: int) -> None:
+    """Refuse work whose estimate passes its bound, before any of it is done,
+    naming both; an estimate of over 15 digits is written as about 10^d."""
+    if estimate > bound:
+        shown = estimate if estimate < 10**15 else f"about 10^{int(math.log10(estimate))}"
+        raise BoundError(f"{plan} needs {shown} {unit}, over the {bound_name} of {bound}")
 
 
 def _cell_dtype(top: int) -> type:

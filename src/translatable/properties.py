@@ -33,13 +33,13 @@ import functools
 import numpy as np
 
 from .core import (
-    BoundError,
     CayleyTable,
     InvalidInputError,
     KSequence,
     PreconditionError,
     VerificationError,
     Witness,
+    _check_cost,
     _check_step,
     mod_rep,
 )
@@ -420,10 +420,9 @@ _WHOLE_SWEEP_CELLS = 1 << 14
 
 
 def _require_scan_fits(name, n):
-    """Refuse a four-variable identity on a table of order n past the order
-    wall of its cell sweep, n**4 > _VECTOR_CELL_LIMIT (n >= 67)."""
-    if name in IDENTITIES and IDENTITIES[name].arity == 4 and n ** 4 > _VECTOR_CELL_LIMIT:
-        raise BoundError(f"four-variable identity scan is too large for order {n}")
+    """Refuse a four-variable identity whose n**4-cell sweep passes _VECTOR_CELL_LIMIT (n >= 67)."""
+    if name in IDENTITIES and IDENTITIES[name].arity == 4:
+        _check_cost(f"{name} scan at order {n}", n**4, "cells", "four-variable scan limit", _VECTOR_CELL_LIMIT)
 
 
 def _check_identity(table, name):

@@ -1,11 +1,11 @@
 """Row enumeration, property census, and the campaign runner.
 
-enumerate_sequences and catalog sweep a row space as (B, n, n) stacks of
-step-k tables (batch._space_rows, batch.product_tables) through the batch
-masks; enumerate_sequences sieves each row block through its filter, masked
-properties first, and a property with no mask (the semigroup-only ones)
-costs one `check` per table still alive.  catalog counts tables per exact
-property fingerprint, reading its flags one row block at a time
+enumerate_sequences and catalog sweep a row space that verify would sweep
+(batch._space_size refuses the rest) as (B, n, n) stacks of step-k tables
+through the batch masks; enumerate_sequences sieves each row block through
+its filter, masked properties first, and a property with no mask (the
+semigroup-only ones) costs one `check` per table still alive.  catalog
+counts tables per exact property fingerprint, one row block at a time
 (batch._blocks).  verify replays one named campaign and collects
 per-instance results, handing each to a callback as its instance finishes;
 with jobs > 1 instances are spread over worker processes while keeping the
@@ -23,12 +23,9 @@ import numpy as np
 
 from . import batch
 from .campaigns import THEOREMS, Campaign, InstanceResult
-from .core import BoundError, CayleyTable, InvalidInputError, KSequence, _check_order, _check_step
+from .core import CayleyTable, InvalidInputError, KSequence, _check_order, _check_step
 from .properties import NEEDS_ASSOCIATIVITY, PROPERTY_NAMES, _distinct, check
 from .translation import _sieve
-
-PERMUTATION_BOUND = 8
-FULL_BOUND = 6
 
 CATALOG_FLAGS = (
     "permutation",
@@ -73,18 +70,10 @@ def _passes(tables: np.ndarray, test: tuple[str, bool]) -> np.ndarray:
     return ok == wanted
 
 
-def _check_enumeration_bound(n: int, permutation_only: bool) -> None:
-    limit = PERMUTATION_BOUND if permutation_only else FULL_BOUND
-    kind = "permutation rows" if permutation_only else "all rows"
-    if n > limit:
-        raise BoundError(f"enumeration over {kind} stops at n = {limit}, got {n}")
-    _check_order(n)
-
-
 def enumerate_sequences(n: int, k: int, filt: SequenceFilter | None = None) -> Iterator[KSequence]:
     """First rows, in lexicographic order, whose tables pass the filter."""
     filt = filt or SequenceFilter()
-    _check_enumeration_bound(n, filt.permutation_only)
+    _check_order(n)
     _check_step(n, k)
     tests = [(name, True) for name in filt.required] + [(name, False) for name in filt.forbidden]
     tests.sort(key=lambda test: test[0] not in batch.MASKS)
@@ -101,7 +90,7 @@ def catalog(n: int, permutation_only: bool = False) -> dict[tuple[int, frozenset
     table carries; values are row counts.  Entries with count zero are
     dropped.
     """
-    _check_enumeration_bound(n, permutation_only)
+    _check_order(n)
     perm = _distinct(batch.row_array(n, permutation_only), 1)
     census: dict[tuple[int, frozenset[str]], int] = {}
 
@@ -159,8 +148,7 @@ def _campaign(theorem_id: str) -> Campaign:
         raise InvalidInputError(f"unknown campaign {theorem_id!r}") from None
 
 
-def _run_instance(arg: tuple[str, tuple]) -> InstanceResult:
-    theorem_id, instance = arg
+def _run_instance(theorem_id: str, instance: tuple) -> InstanceResult:
     return THEOREMS[theorem_id].result(instance)
 
 
@@ -177,11 +165,13 @@ def _results(campaign: Campaign, instances: list[tuple], jobs: int) -> Iterator[
         return
     # Imported where the pool starts: at import it cost every command about
     # 470 KiB (sockets, pickling, process machinery) that only --jobs > 1 uses.
-    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
 
-    with multiprocessing.Pool(workers) as pool:
-        tasks = [(campaign.theorem_id, inst) for inst in instances]
-        yield from pool.imap(_run_instance, tasks)
+    # When an instance raises (a BoundError, say), map cancels the instances not
+    # started and the pool lets the running ones end: killing a worker, as Pool's
+    # terminate() does, can leave the result queue locked and hang the parent.
+    with ProcessPoolExecutor(workers) as pool:
+        yield from pool.map(_run_instance, [campaign.theorem_id] * len(instances), instances)
 
 
 def verify(

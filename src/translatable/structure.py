@@ -3,19 +3,17 @@
 Covers the idempotent set and its closed forms, the splitting of a
 left-cancellative translatable semigroup into disjoint cyclic groups, the
 explicit isomorphisms between members of one family, recognition of cyclic
-group tables, and one-sided ideals with their semiprime verdicts.
+group tables, and one-sided ideals within a cost bound, with semiprime verdicts.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (
-    BoundError,
     CayleyTable,
     InvalidInputError,
     KSequence,
@@ -23,6 +21,7 @@ from .core import (
     PreconditionError,
     VerificationError,
     _cell_dtype,
+    _check_cost,
     _check_order,
     _check_step,
     mod_rep,
@@ -361,19 +360,28 @@ class Ideal:
     semiprime: bool
 
 
-DEFAULT_IDEAL_BOUND = 14
+# Most member cells, (2**p - 1) * n for p distinct principal ideals, that ideals may form.
+IDEAL_CELL_BUDGET = 1 << 20
 
 
 def principal_ideal(table: CayleyTable, x: int, side: str) -> tuple[int, ...]:
-    """Smallest one-sided ideal containing x: {x} with Q*x (column x) or
-    x*Q (row x)."""
-    if side == "left":
-        products = table.column(x)
-    elif side == "right":
-        products = table.row(x)
-    else:
+    """Smallest one-sided ideal containing x: {x} with Q*x (column x) or x*Q (row x)."""
+    if side not in ("left", "right"):
         raise InvalidInputError(f"side must be 'left' or 'right', got {side!r}")
-    return tuple(sorted({x, *products}))
+    return tuple(sorted({x, *(table.column(x) if side == "left" else table.row(x))}))
+
+
+def _principal_generators(grid: np.ndarray, side: str) -> list[int]:
+    """One x for each distinct set principal_ideal gives, told apart by packed
+    membership bits marked a block of about _SCAN_CELLS cells at a time."""
+    n = len(grid)
+    lines = grid.T if side == "left" else grid   # lines[x - 1]: the products in the ideal of x
+    found = {}
+    for xs in _blocks(n, n):
+        member = np.arange(n) == np.array(xs).reshape(-1, 1)   # x is in its own ideal
+        member[np.arange(len(xs)).reshape(-1, 1), lines[xs.start:xs.stop]] = True
+        found.update(zip(map(bytes, np.packbits(member, axis=1)), xs))
+    return [x + 1 for x in found.values()]
 
 
 def _is_semiprime(diagonal: list[int], members: frozenset[int]) -> bool:
@@ -381,32 +389,29 @@ def _is_semiprime(diagonal: list[int], members: frozenset[int]) -> bool:
     return all(x in members for x, square in enumerate(diagonal, start=1) if square in members)
 
 
-def ideals(table: CayleyTable, side: str, bound: int = DEFAULT_IDEAL_BOUND) -> list[Ideal]:
+def ideals(table: CayleyTable, side: str) -> list[Ideal]:
     """All one-sided ideals of an associative table, smallest first.
 
-    Every ideal of a semigroup is a union of principal ideals, so the
-    distinct principal ideals are collected and all unions of them are
-    deduplicated.  The order bound keeps the subset stage tractable.
+    Every ideal of a semigroup is a union of principal ideals, so all
+    2**p - 1 unions of the p distinct principal ideals are deduplicated.
+    Before the associativity check, unions of more than IDEAL_CELL_BUDGET
+    member cells, (2**p - 1) * n, are refused; p is counted in O(n**2).
     """
     if side not in ("left", "right"):
         raise InvalidInputError(f"side must be 'left' or 'right', got {side!r}")
-    n = table.n
-    if n > bound:
-        raise BoundError(f"ideal enumeration over order {n} exceeds the bound {bound}")
+    generators = _principal_generators(table.grid, side)
+    _check_cost(f"{side} ideal enumeration at order {table.n} over {len(generators)} principal ideals",
+                ((1 << len(generators)) - 1) * table.n, "member cells", "ideal budget", IDEAL_CELL_BUDGET)
     ok, witness = check(table, "associative")
     if not ok:
         raise PreconditionError(
             f"ideal enumeration needs an associative table; fails at {witness.elements}",
             prerequisite="associative",
         )
-    principals = sorted({principal_ideal(table, x, side) for x in range(1, n + 1)})
     seen: set[frozenset[int]] = set()
-    for count in range(1, len(principals) + 1):
-        for chosen in itertools.combinations(principals, count):
-            union = frozenset(x for p in chosen for x in p)
-            seen.add(union)
+    for x in generators:
+        principal = frozenset(principal_ideal(table, x, side))
+        seen |= {principal} | {union | principal for union in seen}
     diagonal = (np.diagonal(table.grid) + 1).tolist()
-    return [
-        Ideal(side, tuple(sorted(members)), _is_semiprime(diagonal, members))
-        for members in sorted(seen, key=lambda f: (len(f), tuple(sorted(f))))
-    ]
+    found = sorted(seen, key=lambda members: (len(members), sorted(members)))
+    return [Ideal(side, tuple(sorted(members)), _is_semiprime(diagonal, members)) for members in found]

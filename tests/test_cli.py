@@ -7,6 +7,7 @@ import hashlib
 import io
 import json
 import re
+import tracemalloc
 
 import pytest
 
@@ -102,7 +103,10 @@ def test_four_variable_identities_refuse_order_67_before_any_work(capsys, monkey
         assert (code, out, err) == (0 if holds else 1, f"{name}: {'yes' if holds else 'no'}\n", "")
         return
     assert (code, out) == (2, "")
-    assert err == "translatable: four-variable identity scan is too large for order 67\n"
+    assert err == (
+        f"translatable: {name} scan at order 67 needs 20151121 cells, "
+        "over the four-variable scan limit of 20000000\n"
+    )
     # Listed after a property that check could decide, the identity is still
     # refused before any verdict: at order 1024 left-modular alone takes
     # seconds.
@@ -112,7 +116,10 @@ def test_four_variable_identities_refuse_order_67_before_any_work(capsys, monkey
     row = " ".join(map(str, range(1, 1025)))
     code, out, err = run(capsys, command, "--k", "1023", "--seq", row, "--property", "left-modular", "--property", name)
     assert (code, out, len(calls)) == (2, "", 0)
-    assert err == "translatable: four-variable identity scan is too large for order 1024\n"
+    assert err == (
+        f"translatable: {name} scan at order 1024 needs 1099511627776 cells, "
+        "over the four-variable scan limit of 20000000\n"
+    )
 
 
 def test_construct_obstruction_exits_one(capsys):
@@ -476,7 +483,8 @@ def test_ideals_golden_bytes(capsys, side):
 
 @pytest.mark.parametrize(("seq", "message"), [
     ("2 1 1", "ideal enumeration needs an associative table; fails at (1, 1, 2)"),
-    (" ".join(map(str, range(1, 16))), "ideal enumeration over order 15 exceeds the bound 14"),
+    (" ".join(["1"] * 17), "left ideal enumeration at order 17 over 17 principal ideals needs 2228207 "
+                           "member cells, over the ideal budget of 1048576"),
 ])
 def test_ideals_refuse_a_table_they_cannot_enumerate(capsys, seq, message):
     k = "2" if seq == "2 1 1" else "1"
@@ -498,8 +506,57 @@ def test_enumerate_and_exit_codes(capsys):
     assert code == 0 and len(out.splitlines()) == 3
     code, out, _ = run(capsys, "enumerate", "--n", "6", "--k", "3", "--require", "idempotent")
     assert code == 1 and out == ""
-    code, _, err = run(capsys, "enumerate", "--n", "9", "--k", "2", "--permutation-only")
-    assert code == 2 and "stops at n = 8" in err
+    code, _, err = run(capsys, "enumerate", "--n", "10", "--k", "2", "--permutation-only")
+    assert code == 2 and "permutation row space at n = 10 needs 362880000 table cells" in err
+
+
+def _ones(n):
+    return " ".join(["1"] * n)
+
+
+def _scan(name, n, cells):
+    return f"{name} scan at order {n} needs {cells} cells, over the four-variable scan limit of 20000000"
+
+
+_ROW_BUDGET = "over the row-space budget of 67108864"
+_CYCLIC_1024 = " ".join(map(str, range(1, 1025)))
+
+
+@pytest.mark.parametrize(("argv", "message"), [
+    (("build", "--k", "1", "--seq", _ones(1025)), "order 1025 exceeds the bound 1024"),
+    (("enumerate", "--n", "10", "--k", "2", "--permutation-only"),
+     f"permutation row space at n = 10 needs 362880000 table cells, {_ROW_BUDGET}"),
+    (("enumerate", "--n", "8", "--k", "3"), f"full row space at n = 8 needs 1073741824 table cells, {_ROW_BUDGET}"),
+    (("enumerate", "--n", "1024", "--k", "1"),
+     f"full row space at n = 1024 needs about 10^3088 table cells, {_ROW_BUDGET}"),
+    (("catalog", "--n", "8"), f"full row space at n = 8 needs 1073741824 table cells, {_ROW_BUDGET}"),
+    (("check", "--k", "66", "--seq", " ".join(map(str, range(1, 68))), "--property", "medial"),
+     _scan("medial", 67, 20151121)),
+    (("check", "--k", "66", "--seq", " ".join(map(str, range(1, 68)))), _scan("paramedial", 67, 20151121)),
+    (("check", "--k", "1023", "--seq", _CYCLIC_1024, "--property", "medial"), _scan("medial", 1024, 1099511627776)),
+    (("check", "--k", "1023", "--seq", _CYCLIC_1024), _scan("paramedial", 1024, 1099511627776)),
+    (("ideals", "--k", "1", "--seq", _ones(17)),
+     "left ideal enumeration at order 17 over 17 principal ideals needs 2228207 member cells, "
+     "over the ideal budget of 1048576"),
+    (("ideals", "--k", "1", "--seq", _ones(1024), "--side", "right"),
+     "right ideal enumeration at order 1024 over 1024 principal ideals needs about 10^311 member cells, "
+     "over the ideal budget of 1048576"),
+], ids=["build-1025", "enumerate-perm-10", "enumerate-full-8", "enumerate-full-1024", "catalog-8",
+        "check-medial-67", "report-67", "check-medial-1024", "report-1024", "ideals-17", "ideals-1024"])
+def test_every_refusal_names_its_estimate_and_bound_before_any_work(capsys, argv, message):
+    # Exit 2, nothing on stdout, one short stderr line naming the estimate
+    # and the bound, and no more than 4 MiB traced: the table a command
+    # reads, and nothing of the work it refuses.
+    tracemalloc.start()
+    try:
+        code = main(list(argv))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out, err = capsys.readouterr()
+    assert (code, out, err) == (2, "", f"translatable: {message}\n")
+    assert len(err) <= 200
+    assert peak < 4 * 2**20
 
 
 @pytest.mark.parametrize("command", ["catalog", "enumerate"])
@@ -621,18 +678,29 @@ def test_verify_dual_campaigns_ignore_the_job_count(capsys):
     assert serial[1] == parallel[1]
 
 
-def test_verify_refuses_an_oversized_row_space(capsys, monkeypatch):
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_verify_refuses_an_oversized_row_space(capsys, monkeypatch, jobs):
     monkeypatch.setattr(batch, "ROW_CELL_BUDGET", 100)
     code, finished, _ = run(capsys, "verify", "--theorem", "semigroup-criterion", "--max-n", "3")
     assert code == 0
-    code, out, err = run(capsys, "verify", "--theorem", "semigroup-criterion", "--max-n", "4")
-    # The n = 2 and n = 3 instance lines were streamed before n = 4 was refused.
+    tracemalloc.start()
+    try:
+        code = main(["verify", "--theorem", "semigroup-criterion", "--max-n", "4", "--jobs", jobs])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out, err = capsys.readouterr()
+    # The n = 2 and n = 3 instance lines were streamed before n = 4 was
+    # refused, the same bytes when the refusal is pickled back from a worker.
     assert code == 2
     assert out.splitlines() == finished.splitlines()[:-1]
     assert [(entry["n"], entry["k"]) for entry in map(json.loads, out.splitlines())] == [
         (2, 1), (3, 1), (3, 2)
     ]
-    assert "permutation row space at n = 4 needs 384 table cells, over the row-space budget of 100" in err
+    assert err == (
+        "translatable: permutation row space at n = 4 needs 384 table cells, over the row-space budget of 100\n"
+    )
+    assert peak < 4 * 2**20
     assert not batch._ROWS and not batch._VERDICTS
 
 

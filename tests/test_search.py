@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
+from translatable import batch
 from translatable.campaigns import THEOREMS
 from translatable.core import BoundError, InvalidInputError, KSequence
+from translatable.properties import lcond_verdicts
 from translatable.search import (
     SequenceFilter,
     campaign_ids,
@@ -63,10 +67,28 @@ def test_enumerate_is_lexicographic_and_lazy():
 
 
 def test_enumeration_bounds():
-    with pytest.raises(BoundError):
-        list(enumerate_sequences(7, 2, SequenceFilter()))
-    with pytest.raises(BoundError):
-        list(enumerate_sequences(9, 2, SequenceFilter(permutation_only=True)))
+    with pytest.raises(BoundError, match="full row space at n = 8 needs 1073741824 table cells"):
+        list(enumerate_sequences(8, 2, SequenceFilter()))
+    with pytest.raises(BoundError, match="permutation row space at n = 10 needs 362880000 table cells"):
+        list(enumerate_sequences(10, 2, SequenceFilter(permutation_only=True)))
+
+
+def test_enumeration_reaches_the_permutation_rows_verify_sweeps(fresh_memo):
+    # The widest permutation space, set against the closed form for medial
+    # on every order-9 permutation row.
+    rows = batch.row_array(9, True)
+    closed = (rows[lcond_verdicts(rows, 5, "medial")] + 1).tolist()
+    found = enumerate_sequences(9, 5, SequenceFilter(permutation_only=True, required=("medial",)))
+    assert [list(s.seq) for s in found] == closed
+    assert len(closed) == 54
+
+
+@pytest.mark.parametrize(("n", "permutation_only", "size"), [(7, False, 7**7), (9, True, math.factorial(9))])
+def test_catalog_counts_every_row_of_the_widest_spaces(fresh_memo, n, permutation_only, size):
+    census = catalog(n, permutation_only)
+    for k in range(1, n):
+        assert sum(count for (step, _), count in census.items() if step == k) == size
+        assert catalog_count(census, k, {"permutation"}) == math.factorial(n)
 
 
 def test_filter_validation():

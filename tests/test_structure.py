@@ -183,12 +183,49 @@ def test_right_ideals_of_commutative_table_match_left():
 
 
 def test_ideals_bound_guard():
+    # A group has one principal ideal, so it is answered at any order: only
+    # the trivial ideal.
     seq = KSequence(16, 15, tuple(range(1, 17)))
-    with pytest.raises(BoundError):
-        ideals(table_from_sequence(seq), "left")
-    # explicit bound lifts the guard; a group has only the trivial ideal
-    found = ideals(table_from_sequence(seq), "left", bound=16)
+    found = ideals(table_from_sequence(seq), "left")
     assert [i.elements for i in found] == [tuple(range(1, 17))]
+    # The all-1s row: every x has its own principal ideal {1, x}.
+    zero = table_from_sequence(KSequence(17, 1, (1,) * 17))
+    for side in ("left", "right"):
+        with pytest.raises(BoundError, match=f"{side} ideal enumeration at order 17 over 17 principal ideals "
+                                             "needs 2228207 member cells, over the ideal budget of 1048576"):
+            ideals(zero, side)
+
+
+@pytest.mark.parametrize("cells", [1, _SCAN_CELLS])
+def test_principal_generators_match_the_principal_ideal_loop(monkeypatch, cells):
+    # One x for each distinct principal ideal, told apart by packed
+    # membership rows, against principal_ideal x by x, on both sides of
+    # semigroups and of seeded non-associative tables, marked one row at a
+    # time and in blocks.
+    monkeypatch.setattr("translatable.translation._SCAN_CELLS", cells)
+    rng = np.random.default_rng(7)
+    tables = [table_from_sequence(seq) for n, k in ((6, 2), (12, 3), (20, 4)) for seq in cancellative_semigroups(n, k)[:2]]
+    tables += [CayleyTable(n, rng.integers(1, n + 1, size=(n, n))) for n in (1, 3, 9, 17)]
+    tables.append(table_from_sequence(KSequence(10, 1, (1,) * 10)))
+    for table in tables:
+        for side in ("left", "right"):
+            principals = [principal_ideal(table, x, side) for x in structure._principal_generators(table.grid, side)]
+            assert len(set(principals)) == len(principals)
+            assert set(principals) == {principal_ideal(table, x, side) for x in range(1, table.n + 1)}
+
+
+def test_ideals_answer_any_order_under_the_cost_bound():
+    # One principal ideal: the order-1024 cyclic group has the one whole-set ideal.
+    found = ideals(cyclic_table(1024), "right")
+    assert [(i.elements, i.semiprime) for i in found] == [(tuple(range(1, 1025)), True)]
+    # (30, 15) has 15 distinct left principal ideals, 983010 member cells
+    # under the budget; (34, 17) has 17, 4456414 over it.
+    table = table_from_sequence(cancellative_semigroups(30, 15)[0])
+    assert len(ideals(table, "left")) == 2**15 - 1
+    table = table_from_sequence(cancellative_semigroups(34, 17)[0])
+    with pytest.raises(BoundError, match="needs 4456414 member cells, over the ideal budget of 1048576"):
+        ideals(table, "left")
+    assert len(ideals(table, "right")) == 1
 
 
 def test_order_992_paths_read_the_grid_not_the_rows_view(monkeypatch):
