@@ -259,6 +259,21 @@ def test_bound_error_is_translatable_error():
     assert issubclass(InvalidInputError, ValueError)
 
 
+@pytest.mark.parametrize(("estimate", "shown"), [
+    (10**15 - 1, "999999999999999"),
+    (10**15, "about 10^15"),
+    (2**64, "about 10^19"),
+])
+def test_a_cost_refusal_names_its_estimate_and_bound(estimate, shown):
+    core._check_cost("a sweep", 100, "cells", "sweep limit", 100)   # at the bound: no refusal
+    with pytest.raises(BoundError) as refused:
+        core._check_cost("a sweep", estimate, "cells", "sweep limit", 100)
+    assert str(refused.value) == f"a sweep needs {shown} cells, over the sweep limit of 100"
+    # A refusal raised in a --jobs worker is pickled back to the parent whole.
+    copy = pickle.loads(pickle.dumps(refused.value))
+    assert (type(copy), str(copy)) == (BoundError, str(refused.value))
+
+
 # -- parse_table against the field-by-field reader it replaced ----------------
 
 
