@@ -24,6 +24,7 @@ import traceback
 
 from .batch import clear_memo
 from .constructions import (
+    LabeledUnion,
     UnionSpec,
     block_product_table,
     cancellative_semigroups,
@@ -55,7 +56,7 @@ from .properties import (
     report,
 )
 from .campaigns import THEOREMS
-from .search import SequenceFilter, campaign_ids, catalog, enumerate_sequences, verify
+from .search import SequenceFilter, campaign_ids, catalog, enumerate_sequences, shutdown_workers, verify
 from .structure import decompose, ideals, iso_idempotent, iso_left_unitary, iso_to_cyclic
 from .translation import (
     all_rotated_presentations,
@@ -65,18 +66,20 @@ from .translation import (
     table_from_sequence,
 )
 
-# Each construct variant and the flags it needs; embed also takes an
-# optional --n, checked against its --seq.
+# Each construct variant, the flags it needs and its builder, which reads
+# them from the parsed arguments; embed also takes an optional --n, checked
+# against its --seq.  _cmd_construct renders what a builder returns by its
+# type.
 CONSTRUCT_VARIANTS = {
-    "left-unitary": ("--n", "--k"),
-    "idempotent": ("--n", "--k"),
-    "cancellative-semigroups": ("--n", "--k"),
-    "block-product": ("--k",),
-    "constant-column": ("--n", "--k"),
-    "embed": ("--t", "--k", "--seq"),
-    "union-same-step": ("--n", "--k", "--t"),
-    "union-shifted-step": ("--n", "--k", "--t"),
-    "pair-union": ("--k",),
+    "left-unitary": (("--n", "--k"), lambda a: left_unitary_groupoid(a.n, a.k)),
+    "idempotent": (("--n", "--k"), lambda a: idempotent_groupoid(a.n, a.k)),
+    "cancellative-semigroups": (("--n", "--k"), lambda a: cancellative_semigroups(a.n, a.k)),
+    "block-product": (("--k",), lambda a: block_product_table(a.k)),
+    "constant-column": (("--n", "--k"), lambda a: constant_column_semigroups(a.n, a.k)),
+    "embed": (("--t", "--k", "--seq"), lambda a: embed(_sequence_from_args(a), a.t)),
+    "union-same-step": (("--n", "--k", "--t"), lambda a: union_same_step(UnionSpec(a.n, a.k, a.t))),
+    "union-shifted-step": (("--n", "--k", "--t"), lambda a: union_shifted_step(UnionSpec(a.n, a.k, a.t))),
+    "pair-union": (("--k",), lambda a: pair_union(a.k)),
 }
 
 OK = 0
@@ -140,29 +143,34 @@ def _output(args):
         yield sys.stdout
 
 
-def _emit(args, text: str, payload: dict | None = None) -> None:
-    """Write text, or under --format json the payload as one JSON line."""
+def _emit(args, text, payload: dict | None = None, table: CayleyTable | None = None) -> None:
+    """Write text, or under --format json the payload as one JSON line.  A
+    table or a first row given as text stands for both: serialize writes it
+    in the format.  A table given apart is rendered only in the format
+    written: its text after the text, its rows as the payload's last key."""
+    if isinstance(text, (CayleyTable, KSequence)):
+        text = serialize(text, args.format)
+    elif payload is not None and args.format == "json":
+        text = _json_line(payload if table is None else {**payload, "table": (table.grid + 1).tolist()})
+    elif table is not None:
+        text += serialize(table, "text")
     with _output(args) as handle:
-        handle.write(_json_line(payload) if payload is not None and args.format == "json" else text)
+        handle.write(text)
 
 
-def _seq_lines(seqs, fmt: str) -> str:
-    if fmt == "json":
-        if not seqs:
-            return _json_line({"count": 0, "seqs": []})
-        head = seqs[0]
-        return _json_line(
-            {"n": head.n, "k": head.k, "count": len(seqs), "seqs": [list(s.seq) for s in seqs]}
-        )
-    return "".join(serialize(s, "text") for s in seqs)
+def _emit_sequences(args, seqs) -> int:
+    """Each first row on a line of its own, or one JSON line listing them."""
+    head = {"n": seqs[0].n, "k": seqs[0].k} if seqs else {}
+    payload = {**head, "count": len(seqs), "seqs": [list(s.seq) for s in seqs]}
+    _emit(args, "".join(serialize(s, "text") for s in seqs), payload)
+    return OK if seqs else NEGATIVE
 
 
 # -- subcommands -------------------------------------------------------------
 
 
 def _cmd_build(args) -> int:
-    seq = _sequence_from_args(args)
-    _emit(args, serialize(table_from_sequence(seq), args.format))
+    _emit(args, table_from_sequence(_sequence_from_args(args)))
     return OK
 
 
@@ -202,78 +210,41 @@ def _cmd_lcond(args) -> int:
     return OK if all(verdicts.values()) else NEGATIVE
 
 
-def _union_payload(union, fmt: str) -> str:
-    spec = union.spec
-    if fmt == "json":
-        return _json_line(
-            {
-                "n": spec.n,
-                "k": spec.k,
-                "t": spec.t,
-                "order": union.table.n,
-                "step": union.step,
-                "copies": [list(c) for c in union.copies()],
-                "table": (union.table.grid + 1).tolist(),
-            }
-        )
-    lines = [f"order: {union.table.n}\n", f"step: {union.step}\n"]
-    for i, members in enumerate(union.copies(), start=1):
-        lines.append(f"copy {i}: " + " ".join(str(m) for m in members) + "\n")
-    lines.append(serialize(union.table, "text"))
-    return "".join(lines)
-
-
 def _cmd_construct(args) -> int:
-    variant = args.variant
-    if variant == "left-unitary":
-        _emit(args, serialize(left_unitary_groupoid(args.n, args.k), args.format))
-        return OK
-    if variant == "idempotent":
-        _emit(args, serialize(idempotent_groupoid(args.n, args.k), args.format))
-        return OK
-    if variant == "cancellative-semigroups":
-        found = cancellative_semigroups(args.n, args.k)
-        _emit(args, _seq_lines(found, args.format))
-        return OK if found else NEGATIVE
-    if variant == "block-product":
-        _emit(args, serialize(block_product_table(args.k), args.format))
-        return OK
-    if variant == "constant-column":
-        found = constant_column_semigroups(args.n, args.k)
-        _emit(args, _seq_lines(found, args.format))
-        return OK if found else NEGATIVE
-    if variant == "embed":
-        seq = _sequence_from_args(args)
-        table, mapping = embed(seq, args.t)
-        if args.format == "json":
-            _emit(
-                args,
-                _json_line(
-                    {
-                        "n": table.n,
-                        "t": args.t,
-                        "mapping": [[s, mapping[s]] for s in sorted(mapping)],
-                        "table": (table.grid + 1).tolist(),
-                    }
-                ),
-            )
-        else:
-            pairs = " ".join(f"{s}->{mapping[s]}" for s in sorted(mapping))
-            _emit(args, f"map: {pairs}\n" + serialize(table, "text"))
-        return OK
-    if variant in ("union-same-step", "union-shifted-step"):
-        build = union_same_step if variant == "union-same-step" else union_shifted_step
-        union = build(UnionSpec(args.n, args.k, args.t))
-        _emit(args, _union_payload(union, args.format))
-        return OK
-    _emit(args, _union_payload(pair_union(args.k), args.format))  # pair-union
+    built = CONSTRUCT_VARIANTS[args.variant][1](args)
+    if isinstance(built, (CayleyTable, KSequence)):
+        _emit(args, built)
+    elif isinstance(built, list):
+        return _emit_sequences(args, built)
+    elif isinstance(built, LabeledUnion):
+        table, spec = built.table, built.spec
+        lines = [f"order: {table.n}\n", f"step: {built.step}\n"]
+        for i, members in enumerate(built.copies(), start=1):
+            lines.append(f"copy {i}: " + " ".join(str(m) for m in members) + "\n")
+        payload = {
+            "n": spec.n,
+            "k": spec.k,
+            "t": spec.t,
+            "order": table.n,
+            "step": built.step,
+            "copies": [list(c) for c in built.copies()],
+        }
+        _emit(args, "".join(lines), payload, table)
+    else:
+        table, mapping = built  # embed
+        pairs = " ".join(f"{s}->{mapping[s]}" for s in sorted(mapping))
+        payload = {
+            "n": table.n,
+            "t": args.t,
+            "mapping": [[s, mapping[s]] for s in sorted(mapping)],
+        }
+        _emit(args, f"map: {pairs}\n", payload, table)
     return OK
 
 
 def _cmd_dual(args) -> int:
     if args.table or args.seq:
-        table = _table_from_args(args)
-        _emit(args, serialize(dual(table), args.format))
+        _emit(args, dual(_table_from_args(args)))
         return OK
     if args.n is None or args.k is None:
         raise InvalidInputError("dual needs --table, --k/--seq or --n/--k")
@@ -287,26 +258,13 @@ def _cmd_dual(args) -> int:
 def _cmd_rotate(args) -> int:
     seq = _sequence_from_args(args)
     rotations = all_rotated_presentations(seq)
-    if args.format == "json":
-        _emit(
-            args,
-            _json_line(
-                {
-                    "n": seq.n,
-                    "k": seq.k,
-                    "rotations": [
-                        {"ordering": list(o.perm), "seq": list(s.seq)} for o, s in rotations
-                    ],
-                }
-            ),
-        )
-    else:
-        lines = []
-        for ordering, rotated in rotations:
-            left = " ".join(str(p) for p in ordering.perm)
-            right = " ".join(str(v) for v in rotated.seq)
-            lines.append(f"{left} | {right}\n")
-        _emit(args, "".join(lines))
+    lines = []
+    for ordering, rotated in rotations:
+        left = " ".join(str(p) for p in ordering.perm)
+        right = " ".join(str(v) for v in rotated.seq)
+        lines.append(f"{left} | {right}\n")
+    listed = [{"ordering": list(o.perm), "seq": list(s.seq)} for o, s in rotations]
+    _emit(args, "".join(lines), {"n": seq.n, "k": seq.k, "rotations": listed})
     return OK
 
 
@@ -390,9 +348,7 @@ def _cmd_enumerate(args) -> int:
         required=tuple(args.require or ()),
         forbidden=tuple(args.forbid or ()),
     )
-    found = list(enumerate_sequences(args.n, args.k, filt))
-    _emit(args, _seq_lines(found, args.format))
-    return OK if found else NEGATIVE
+    return _emit_sequences(args, list(enumerate_sequences(args.n, args.k, filt)))
 
 
 def _cmd_catalog(args) -> int:
@@ -425,7 +381,9 @@ def _cmd_verify(args) -> int:
             handle.write(_json_line(payload))
             handle.flush()
 
-        # Row spaces and whole-space masks are shared by this command's campaigns only.
+        # Row spaces and whole-space masks, and under --jobs > 1 the worker
+        # pool that keeps its own, are shared by this command's campaigns only.
+        shutdown_workers()
         clear_memo()
         try:
             for name in names:
@@ -446,6 +404,7 @@ def _cmd_verify(args) -> int:
                 if not rep.passed:
                     failed += 1
         finally:
+            shutdown_workers()
             clear_memo()
     elapsed = time.perf_counter() - started
     print(f"{len(names)} campaign(s), {failed} failing, {elapsed:.1f}s", file=sys.stderr)
@@ -543,7 +502,7 @@ def _parser() -> argparse.ArgumentParser:
     variants = sub.add_parser("construct", help="build one of the stock families").add_subparsers(
         dest="variant", required=True
     )
-    for variant, needs in CONSTRUCT_VARIANTS.items():
+    for variant, (needs, _) in CONSTRUCT_VARIANTS.items():
         common(variants.add_parser(variant), *needs, reads=("--n",) if variant == "embed" else ())
     common(sub.add_parser("dual", help="transposed table, or the dual step for n and k"), reads=table)
     common(sub.add_parser("rotate", help="all rotated presentations of a first row"), *row, reads=("--n",))

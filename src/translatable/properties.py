@@ -1,23 +1,25 @@
 """Identity checkers for Cayley tables.
 
-Each equational identity is written once, as text, in IDENTITIES.  `check`
-evaluates that definition on one table with numpy, cell by cell, and
-reports the lexicographically least counterexample; the batch masks
-evaluate the same definition over stacks of tables.  `check` sweeps the
-first variable in blocks that start at one slab (one value of it) and
-double, so a table that fails on its first slab costs one slab; it
-evaluates the sides of a premise identity only where the premise holds;
-and on a translatable table it decides medial and paramedial on one slab,
-by the translation lemma stated at _check_identity.  Associativity is
-decided by Light's test and only its witness comes from IDENTITIES.  The
-other properties (cancellation, solvability, units, anticommutativity,
-regularity, Clifford's conditions) are read off whole rows, columns or
-grids of `grid`, each witness from the first failing line or cell; the
-two sides of a mirror pair are one function, applied to the grid and to
-its transpose, and "every line is a permutation" is _distinct, as for
-the masks.  The closed forms are a second, independent route:
-modular conditions that characterise the same identities on translatable
-tables, and tests confront the two routes with each other.  Each form of LCOND_NAMES is written once, in _CLOSED_FORMS,
+Each equational identity is written once, as text, in IDENTITIES, and
+Identity.failures evaluates it over stacks of tables: the batch masks call
+it directly, and `check` through _first_failure, the one function that
+finds the lexicographically least failing cell of one table over a domain
+per variable (a range, or a fixed value).  `check` sweeps the first
+variable in blocks that start at one slab (one value of it) and double, so
+a table that fails on its first slab costs one slab; it evaluates the
+sides of a premise identity only where the premise holds; and on a
+translatable table it decides medial and paramedial on one slab, the
+domains with one variable fixed at 0, by the translation lemma stated at
+_check_identity.  Associativity is decided by Light's test and only its
+witness comes from IDENTITIES.  The other properties (cancellation,
+solvability, units, anticommutativity, regularity, Clifford's conditions)
+are read off whole rows, columns or grids of `grid`, each witness from the
+first failing line or cell; the two sides of a mirror pair are one
+function, applied to the grid and to its transpose, and "every line is a
+permutation" is _distinct, as for the masks.  The closed forms are a
+second, independent route: modular conditions that characterise the same
+identities on translatable tables, and tests confront the two routes with
+each other.  Each form of LCOND_NAMES is written once, in _CLOSED_FORMS,
 as residue arithmetic on index grids that reads only the first row, n and
 k; `lcond_verdicts` evaluates it over a stack of rows, a three-variable
 form on three coordinate planes (exact since each term reads at most two
@@ -196,15 +198,13 @@ class Identity:
     """An equational identity: a term is a variable (0..arity-1) or a pair
     (u, v) of terms, their product.  It holds when every two adjacent terms
     of `sides` agree wherever the premise (u, v, equal), if any, has u == v
-    (u != v when not equal).  `swap`, when set, gives the axes that
-    transpose sides[0]'s grid into sides[1]'s, a renaming of its variables.
+    (u != v when not equal).
     """
 
     text: str
     arity: int
     sides: tuple
     premise: tuple | None
-    swap: tuple[int, ...] | None
 
     @classmethod
     def parse(cls, text: str) -> Identity:
@@ -216,9 +216,7 @@ class Identity:
         sides = tuple(_term(side, names) for side in law.split("="))
         left, _, right = hypothesis.replace("!", "").partition("=")
         premise = (_term(left, names), _term(right, names), "!=" not in hypothesis) if hypothesis else None
-        renaming: dict[int, int] = {}
-        swap = len(sides) == 2 and _renames(*sides, renaming) and set(renaming.values()) == set(range(len(names)))
-        return cls(text, len(names), sides, premise, tuple(sorted(renaming, key=renaming.get)) if swap else None)
+        return cls(text, len(names), sides, premise)
 
     def failures(self, tables: np.ndarray, domains, product) -> np.ndarray:
         """True at each table and free cell where the identity fails.
@@ -256,12 +254,7 @@ class Identity:
         def value(term):
             return _evaluate(term, leaf, product, pair)
 
-        if self.swap and all(isinstance(d, range) and d == domains[a] for d, a in zip(domains, self.swap)):
-            first = value(self.sides[0])
-            values = [first, first.transpose(0, *(1 + a for a in self.swap))]
-        else:
-            values = [value(term) for term in self.sides]
-        bad = _differ(values)
+        bad = _differ([value(term) for term in self.sides])
         if self.premise:
             left, right, equal = self.premise
             bad = bad & (np.equal if equal else np.not_equal)(value(left), value(right))
@@ -289,13 +282,6 @@ def _term(source: str, names):
         else:
             stack[-1].append(names.index(c))
     return functools.reduce(lambda u, v: (u, v), stack[0])
-
-
-def _renames(u, v, renaming) -> bool:
-    """Is term v term u with its variables renamed?  Fills in the renaming."""
-    if isinstance(u, int) or isinstance(v, int):
-        return isinstance(u, int) and isinstance(v, int) and renaming.setdefault(u, v) == v
-    return _renames(u[0], v[0], renaming) and _renames(u[1], v[1], renaming)
 
 
 def _evaluate(term, leaf, product, pair=None):
@@ -343,15 +329,13 @@ def _least_witness(name: str, m: np.ndarray, stop: int | None = None) -> Witness
     block that fails holds the least cell: one slab of it (or about
     translation._SCAN_CELLS cells) first, then twice as many each time, up
     to _VECTOR_CELL_LIMIT cells.  A scan that fails on its first slab stops
-    there.  For medial and paramedial of a translatable table over order
-    11, _check_identity first decides on one slab, by the lemma stated
-    there, and calls this only when a paramedial slab fails.
+    there, and a grid of at most _SCAN_CELLS cells is one block.
     """
     identity = IDENTITIES[name]
     n = m.shape[0]
     stop = n if stop is None else stop
     for block in _blocks(stop, n ** (identity.arity - 1), _VECTOR_CELL_LIMIT):
-        cell = _first_failure(identity, m, block)
+        cell = _first_failure(identity, m, (block,) + (range(n),) * (identity.arity - 1))
         if cell is not None:
             return _witness(name, m, cell)
     return None
@@ -368,46 +352,47 @@ def _witness(name: str, m: np.ndarray, cell: tuple[int, ...]) -> Witness:
     return Witness(name, tuple(v + 1 for v in cell), lhs + 1, rhs + 1)
 
 
-def _first_failure(identity: Identity, m: np.ndarray, block: range) -> tuple[int, ...] | None:
-    """The least 0-based cell whose first variable lies in block where the
-    identity fails on grid m; None if there is none.
+def _first_failure(identity: Identity, m: np.ndarray, domains) -> tuple[int, ...] | None:
+    """The least 0-based cell where the identity fails on grid m, with each
+    variable in its domain (a range, or a fixed int); None if there is none.
+    The cell gives every variable, the fixed ones too.  `check` evaluates
+    an identity of IDENTITIES on a table only through this, apart from the
+    slabs of Light's test (_associative_slab).
 
     A premise that reads only the first p < arity variables is evaluated
     first, on those p variables alone.  The sides are then evaluated only
     on the p-tuples where it holds, taken in row-major order with the other
     variables after them, so the first failing cell is still the least.
     """
-    n = m.shape[0]
+    domains = [range(d, d + 1) if isinstance(d, int) else d for d in domains]
 
     def product(a, b):
         return m[a, b]
 
     lead = identity.arity if identity.premise is None else 1 + max(_variables(identity.premise[:2]))
     if lead == identity.arity:
-        bad = identity.failures(m[None], (block,) + (range(n),) * (identity.arity - 1), product)[0]
-        if not bad.any():
-            return None
-        first, *others = _first_cell(bad)
-        return (first + block.start, *others)
+        bad = identity.failures(m[None], domains, product)[0]
+        return tuple(d[c] for d, c in zip(domains, _first_cell(bad))) if bad.any() else None
     left, right, equal = identity.premise
-    grids = np.ix_(block, *[range(n)] * (lead - 1))
+    grids = np.ix_(*domains[:lead])
     held = (np.equal if equal else np.not_equal)(*(_evaluate(t, grids.__getitem__, product) for t in (left, right)))
     active = np.nonzero(np.broadcast_to(held, [g.size for g in grids]))
     rest = identity.arity - lead
     leaves = [g.ravel()[a].reshape(-1, *[1] * rest) for g, a in zip(grids, active)]
-    leaves += [g[None] for g in np.ix_(*[range(n)] * rest)]
+    leaves += [g[None] for g in np.ix_(*domains[lead:])]
+    last = domains[-1]
 
     def by_rows(a, b):
         # A value constant along the last variable's axis, times every value
-        # of it, is whole rows of m: a row gather, about ten times as fast
-        # as gathering the same cells one by one.
-        return m[a[..., 0]] if b is leaves[-1] and a.shape[-1] == 1 else m[a, b]
+        # of it, is a slice of whole rows of m: a row gather, about ten times
+        # as fast as gathering the same cells one by one.
+        return m[a[..., 0], last.start:last.stop] if b is leaves[-1] and a.shape[-1] == 1 else m[a, b]
 
     bad = _differ([_evaluate(term, leaves.__getitem__, by_rows) for term in identity.sides])
     if not bad.any():
         return None
     pair, *others = _first_cell(bad)
-    return (*(int(leaves[v].flat[pair]) for v in range(lead)), *others)
+    return (*(int(leaves[v].flat[pair]) for v in range(lead)), *(d[c] for d, c in zip(domains[lead:], others)))
 
 
 # The variable a translation moves by one (0-based), for the identities
@@ -440,24 +425,20 @@ def _check_identity(table, name):
     cell; on a failing paramedial slab the ordinary sweep finds it, since
     the least witness need not have w = 0.
 
-    Up to order 11 the whole grid is swept at once instead, in one block of
-    _blocks, which costs less there than detect and a slab.
+    Up to _WHOLE_SWEEP_CELLS cells (order 11) the ordinary sweep is one
+    block, the whole grid, and costs less there than detect and a slab.
     """
     m, n = table.grid, table.n
-    identity = IDENTITIES[name]
     _require_scan_fits(name, n)
-    if name in _SLAB_AXES and n ** 4 <= _WHOLE_SWEEP_CELLS:
-        cell = _first_failure(identity, m, range(n))
-        return (True, None) if cell is None else (False, _witness(name, m, cell))
-    if name in _SLAB_AXES and detect(table):
-        axis = _SLAB_AXES[name]
+    if name in _SLAB_AXES and n ** 4 > _WHOLE_SWEEP_CELLS and detect(table):
+        identity = IDENTITIES[name]
         domains = [range(n)] * identity.arity
-        domains[axis] = 0
-        bad = identity.failures(m[None], domains, lambda a, b: m[a, b])[0]
-        if not bad.any():
+        domains[_SLAB_AXES[name]] = 0
+        cell = _first_failure(identity, m, domains)
+        if cell is None:
             return True, None
-        if axis == 0:
-            return False, _witness(name, m, (0, *_first_cell(bad)))
+        if _SLAB_AXES[name] == 0:
+            return False, _witness(name, m, cell)
     witness = _least_witness(name, m)
     return witness is None, witness
 

@@ -9,11 +9,14 @@ counts tables per exact property fingerprint, one row block at a time
 (batch._blocks).  verify replays one named campaign and collects
 per-instance results, handing each to a callback as its instance finishes;
 with jobs > 1 instances are spread over worker processes while keeping the
-serial result order.
+serial result order.  The processes are one pool, started by the first such
+run and kept for the next ones, each worker with its own memo, until
+shutdown_workers(); a `verify` command of the CLI calls that when it ends.
 """
 
 from __future__ import annotations
 
+import atexit
 import os
 import time
 from dataclasses import dataclass
@@ -152,26 +155,47 @@ def _run_instance(theorem_id: str, instance: tuple) -> InstanceResult:
     return THEOREMS[theorem_id].result(instance)
 
 
-def _worker_count(jobs: int, instances: int, cpus: int | None) -> int:
-    """Processes worth starting: never more than the CPUs or the instances."""
-    return max(1, min(jobs, cpus or 1, instances))
+# The worker pool of parallel verify runs: started by the first run with
+# jobs > 1, at that run's size, and kept, each worker with its own memo,
+# until shutdown_workers().
+_pool = None
+
+
+def shutdown_workers() -> None:
+    """Stop the worker pool, if one was started, once its running instances end."""
+    global _pool
+    if _pool is not None:
+        _pool.shutdown(cancel_futures=True)
+        _pool = None
+
+
+# A pool still up at exit goes down while the modules it needs are still there.
+atexit.register(shutdown_workers)
 
 
 def _results(campaign: Campaign, instances: list[tuple], jobs: int) -> Iterator[InstanceResult]:
     """Every instance's result in instance order, each as its instance finishes."""
-    workers = _worker_count(jobs, len(instances), os.cpu_count())
+    global _pool
+    workers = min(jobs, os.cpu_count() or 1)
     if workers == 1:
         yield from map(campaign.result, instances)
         return
-    # Imported where the pool starts: at import it cost every command about
-    # 470 KiB (sockets, pickling, process machinery) that only --jobs > 1 uses.
-    from concurrent.futures import ProcessPoolExecutor
+    if _pool is None:
+        # Imported where the pool starts: at import it cost every command about
+        # 470 KiB (sockets, pickling, process machinery) that only --jobs > 1 uses.
+        from concurrent.futures import ProcessPoolExecutor
 
+        _pool = ProcessPoolExecutor(workers)
     # When an instance raises (a BoundError, say), map cancels the instances not
-    # started and the pool lets the running ones end: killing a worker, as Pool's
-    # terminate() does, can leave the result queue locked and hang the parent.
-    with ProcessPoolExecutor(workers) as pool:
-        yield from pool.map(_run_instance, [campaign.theorem_id] * len(instances), instances)
+    # started, and the pool is shut down once the running ones end, so a pool
+    # that a failure broke is never used again.  Killing a worker instead, as
+    # Pool's terminate() does, can leave the result queue locked and hang the
+    # parent.
+    try:
+        yield from _pool.map(_run_instance, [campaign.theorem_id] * len(instances), instances)
+    except BaseException:
+        shutdown_workers()
+        raise
 
 
 def verify(

@@ -13,8 +13,9 @@ rule, which builds tables here and in structure.cyclic_table and gives
 batch.product_tables its index grid (_positions), and _translatable, the
 one rotation test, behind detect, is_translatable, batch.translatable_mask
 and batch.step_verdicts alike.  It tests the single cell T[0][0] = T[1][k]
-of every step on every table of a stack at once (_first_cell_holds), then
-sieves, at each step, the tables that pass it over whole rows
+of every step on every table of a stack at once (_first_cell_holds), on
+a single table the first row pair of every step that passes it, then
+sieves, at each step, the tables that pass so far over whole rows
 (_rotation_holds).
 
 This module is the one home of the two scan schedules.  _blocks is the
@@ -50,15 +51,20 @@ ROW_CHUNK = 4096
 _SCAN_CELLS = 1 << 16
 
 
-def _rotations(row: np.ndarray, k: int) -> np.ndarray:
-    """The step-k table on a 1-D first row, in the row's dtype: row i is the
-    row rotated right by k*i, so cell (i, j) holds row[(j - k*i) mod n].
-    Each is the window of n values at (-k*i) mod n in the row written
-    twice, gathered from a strided view, with no index taken per cell."""
+def _windows(row: np.ndarray) -> np.ndarray:
+    """[s, j] -> row[(j + s) mod n] for s in 0..n: the windows of n values
+    in the row written twice, a strided view with no index taken per cell."""
     n = len(row)
     doubled = np.concatenate((row, row))
-    windows = np.ndarray((n + 1, n), doubled.dtype, doubled, strides=(doubled.itemsize,) * 2)
-    return windows[-(k % n) * np.arange(n) % n]
+    return np.ndarray((n + 1, n), doubled.dtype, doubled, strides=(doubled.itemsize,) * 2)
+
+
+def _rotations(row: np.ndarray, k: int) -> np.ndarray:
+    """The step-k table on a 1-D first row, in the row's dtype: row i is the
+    row rotated right by k*i, so cell (i, j) holds row[(j - k*i) mod n],
+    the window at (-k*i) mod n."""
+    n = len(row)
+    return _windows(row)[-(k % n) * np.arange(n) % n]
 
 
 def _positions(n: int, k: int) -> np.ndarray:
@@ -143,7 +149,9 @@ def _translatable(tables: np.ndarray, steps) -> np.ndarray:
     k = steps[s]?  The one translatability test of the package.
 
     First the one cell T[0][0] = T[1][k] of every step on every table at
-    once (_first_cell_holds).  Then at each step that some table passes,
+    once (_first_cell_holds).  On one table, when several steps pass it
+    (half of them, on a row of two values), their first row pair is tested
+    next, all in one gather.  Then at each step that some table passes,
     those tables are sieved (_sieve) over the adjacent row pairs above the
     last row, one range of _blocks(n - 1, n*B, ROW_CHUNK*n) a slab
     (_rotation_holds).  Planned over the whole stack, the ranges of one
@@ -157,6 +165,11 @@ def _translatable(tables: np.ndarray, steps) -> np.ndarray:
     b, n = tables.shape[:2]
     steps = np.asarray(steps)
     held = _first_cell_holds(tables, steps)
+    if b == 1 and np.count_nonzero(held) > 1:
+        # One table: row 1 against row 0 at every step still passing, in
+        # one gather of windows of row 1, before any step's own sieve.
+        live = held[:, 0]
+        held[live, 0] = (_windows(tables[0, 1 % n])[steps[live] % n] == tables[0, 0]).all(axis=1)
     for s in np.flatnonzero(held.any(axis=1)).tolist():
         passed = slice(None) if held[s].all() else held[s]
         slabs = _blocks(n - 1, n * b, ROW_CHUNK * n)

@@ -8,8 +8,10 @@ kernels promise the lexicographically least counterexample.
 
 from __future__ import annotations
 
+import concurrent.futures
 import itertools
 import math
+import multiprocessing
 import random
 import re
 import tracemalloc
@@ -39,7 +41,7 @@ from translatable.core import (
     Witness,
 )
 from translatable.properties import check
-from translatable.search import SequenceFilter, _worker_count, enumerate_sequences
+from translatable.search import SequenceFilter, enumerate_sequences
 from translatable.structure import _verify_component_group, decompose, iso_left_unitary
 from translatable.translation import _rotation_holds, detect, is_translatable, table_from_sequence
 
@@ -435,6 +437,30 @@ def test_identities_match_brute_force(name):
     assert verdicts == {True, False}
 
 
+@pytest.mark.parametrize("name", sorted(ORACLE))
+def test_first_failure_takes_each_variable_from_its_domain(name):
+    # _first_failure, the one evaluation of an identity on one table, over
+    # any range or fixed value per variable: the least failing cell there,
+    # every variable in place, as the oracle loop over those domains finds.
+    rng = random.Random(32)
+    arity, sides = ORACLE[name]
+    outcomes = set()
+    for _ in range(60):
+        n = rng.randint(2, 6)
+        table = random_table(rng, n, rng.choice((2, n)))
+        rows = (table.grid + 1).tolist()
+        domains = []
+        for _ in range(arity):
+            start = rng.randrange(n)
+            domains.append(start if rng.random() < 0.3 else range(start, rng.randint(start + 1, n)))
+        cells = itertools.product(*([d] if isinstance(d, int) else d for d in domains))
+        want = next((cell for cell in cells if len(set(
+            sides(lambda a, b: rows[a - 1][b - 1], *(v + 1 for v in cell)))) > 1), None)
+        assert properties._first_failure(properties.IDENTITIES[name], table.grid, domains) == want, domains
+        outcomes.add(want is None)
+    assert outcomes == {True, False}
+
+
 @pytest.mark.parametrize("name", sorted(name for name, (arity, _) in ORACLE.items() if arity < 4))
 def test_identities_match_brute_force_at_order_66(name):
     rng = random.Random(66)
@@ -524,7 +550,8 @@ def test_failing_medial_takes_its_witness_from_the_slab(monkeypatch):
     # Every step at n = 12..15 (below 12 check sweeps the whole grid and
     # takes no slab), each with two seeded rows and one affine row
     # c*j + e, whose table is medial: check returns the full sweep's least
-    # witness, or passes, without running that sweep.
+    # witness, or passes, evaluating no more than the n**3 cells of its
+    # slab.  The full sweep's first block there is the whole n**4 grid.
     rng = random.Random(56)
     rows = []
     for n in range(12, 16):
@@ -536,16 +563,11 @@ def test_failing_medial_takes_its_witness_from_the_slab(monkeypatch):
     expected = [properties._least_witness("medial", table.grid) for table in tables]
     assert sum(w is not None for w in expected) > len(tables) / 2
     assert any(w is None for w in expected)
-
-    def no_sweep(*args, **kwargs):
-        raise AssertionError("medial swept past its slab")
-
-    # _first_failure is the block scan of both the ordinary sweep and the
-    # one-block sweep of the whole grid.
-    monkeypatch.setattr(properties, "_least_witness", no_sweep)
-    monkeypatch.setattr(properties, "_first_failure", no_sweep)
+    cells = count_cells(monkeypatch)
     for table, witness in zip(tables, expected):
+        cells[0] = 0
         assert check(table, "medial") == (witness is None, witness)
+        assert 0 < cells[0] <= table.n ** 3, (table.n, cells[0])
 
 
 def test_orders_to_11_sweep_medial_and_paramedial_without_detect(monkeypatch):
@@ -1170,23 +1192,46 @@ def test_grid_is_a_read_only_zero_based_copy():
     assert table == CayleyTable(2, ((1, 2), (2, 1)))
 
 
-# -- verify worker clamp ------------------------------------------------------
+# -- verify worker pool -------------------------------------------------------
 
 
 @pytest.mark.parametrize(
-    ("jobs", "instances", "cpus", "expected"),
-    [
-        (1, 10, 8, 1),
-        (3, 10, 8, 3),
-        (8, 10, 2, 2),
-        (8, 3, 16, 3),
-        (4, 0, 4, 1),
-        (4, 10, None, 1),
-        (4, 1, 4, 1),
-    ],
+    ("jobs", "cpus", "workers"),
+    [(2, 2, 2), (4, 2, 2), (3, 8, 3), (2, 1, None), (2, None, None)],
 )
-def test_worker_count_never_exceeds_cpus_or_instances(jobs, instances, cpus, expected):
-    assert _worker_count(jobs, instances, cpus) == expected
+def test_one_worker_pool_serves_every_campaign_of_a_verify_command(monkeypatch, capsys, jobs, cpus, workers):
+    # Three campaigns under --jobs start one pool between them, of no more
+    # workers than CPUs, or none when that leaves one, and write the serial
+    # bytes.  The command takes its pool down whether it passes or is
+    # refused inside a worker: no child process is left, and stderr holds
+    # only the summary line or the refusal line.
+    started = []
+
+    class Counting(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers, *args, **kwargs):
+            started.append(max_workers)
+            super().__init__(max_workers, *args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Counting)
+    monkeypatch.setattr(search.os, "cpu_count", lambda: cpus)
+    argv = ["verify", "--theorem", "scaled-residues", "--theorem", "alterable-cancellative-step",
+            "--theorem", "idempotent-quasigroup"]
+    assert main([*argv, "--jobs", "1"]) == 0
+    serial = capsys.readouterr().out
+    assert main([*argv, "--jobs", str(jobs)]) == 0
+    out, err = capsys.readouterr()
+    assert out == serial
+    assert started == ([workers] if workers else [])
+    assert multiprocessing.active_children() == []
+    assert re.fullmatch(r"3 campaign\(s\), 0 failing, \d+\.\ds\n", err)
+    # pair-union writes its lines up to order 1024, then an instance past
+    # that bound is refused, in a worker when there is a pool.
+    assert main(["verify", "--theorem", "pair-union", "--max-n", "3000", "--jobs", str(jobs)]) == 2
+    out, err = capsys.readouterr()
+    assert len(out.splitlines()) == 22
+    assert started == ([workers] * 2 if workers else [])
+    assert multiprocessing.active_children() == []
+    assert err == "translatable: order 1200 exceeds the bound 1024\n"
 
 
 # -- row spaces and whole-space masks -----------------------------------------

@@ -139,6 +139,41 @@ def test_every_entry_to_the_rotation_test_agrees_with_the_loop(fresh_memo, monke
         assert detect(one) == {s for s in range(1, n) if want[s]}
 
 
+@pytest.mark.parametrize("values", [2, 3])
+def test_detect_on_rows_of_few_values_agrees_with_the_loop(values):
+    # On a first row over {1, 2} or {1, 2, 3} the first cell T[0][0] =
+    # T[1][k] holds at about n / values steps, so detect tests the first row
+    # pair of all of them in one gather before sieving each survivor.  Every
+    # table comes with a copy changed in one cell, in the last row half the
+    # time, where only the sieve past the first row pair sees it.  Orders run
+    # from 2, or from 3 with three values, up to 12.
+    rng = np.random.default_rng(values)
+    several = 0
+    for n in range(values, 13):
+        for _ in range(40):
+            grid = _rotations(rng.integers(0, values, n).astype(np.int8), int(rng.integers(1, n)))
+            changed = grid.copy()
+            i, j = int(rng.choice([rng.integers(n), n - 1])), int(rng.integers(n))
+            changed[i, j] = (changed[i, j] + 1) % values
+            for cells in (grid, changed):
+                table = CayleyTable._of_grid(cells)
+                want = {k for k in range(1, n) if translatable_by_loop(table, k)}
+                assert detect(table) == want, (n, cells.tolist())
+                several += len(want) > 1
+    assert several
+    n = 1024
+    row = rng.integers(0, 2, n).astype(np.int16)
+    grid = _rotations(row, 389)
+    changed = grid.copy()
+    changed[700, 3] = 1 - changed[700, 3]
+    for cells in (grid, changed):
+        table, rows = CayleyTable._of_grid(cells), cells.tolist()
+        assert np.count_nonzero(cells[1] == cells[0, 0]) > n // 3
+        want = {k for k in range(1, n) if translatable_by_loop(table, k, rows)}
+        assert want == ({389} if cells is grid else set())
+        assert detect(table) == want
+
+
 def test_translatable_sum_identity():
     # i * [j - k]_n = [i + 1]_n * j across the whole table
     seq = KSequence(6, 2, (2, 2, 4, 4, 6, 6))
