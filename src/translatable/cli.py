@@ -56,7 +56,7 @@ from .properties import (
     report,
 )
 from .campaigns import THEOREMS
-from .search import SequenceFilter, campaign_ids, catalog, enumerate_sequences, shutdown_workers, verify
+from .search import SequenceFilter, campaign_ids, catalog, enumerate_sequences, verify, workers
 from .structure import decompose, ideals, iso_idempotent, iso_left_unitary, iso_to_cyclic
 from .translation import (
     all_rotated_presentations,
@@ -375,17 +375,16 @@ def _cmd_verify(args) -> int:
             raise InvalidInputError(f"unknown campaign {name!r}{alone}")
     started = time.perf_counter()
     failed = 0
-    with _output(args) as handle:
+    # Row spaces and whole-space masks, and under --jobs > 1 the worker pool
+    # that keeps its own, are shared by this command's campaigns only.
+    clear_memo()
+    try:
+        with _output(args) as handle, workers(args.jobs):
 
-        def write(payload: dict) -> None:
-            handle.write(_json_line(payload))
-            handle.flush()
+            def write(payload: dict) -> None:
+                handle.write(_json_line(payload))
+                handle.flush()
 
-        # Row spaces and whole-space masks, and under --jobs > 1 the worker
-        # pool that keeps its own, are shared by this command's campaigns only.
-        shutdown_workers()
-        clear_memo()
-        try:
             for name in names:
                 rep = verify(
                     name,
@@ -393,19 +392,12 @@ def _cmd_verify(args) -> int:
                     jobs=args.jobs,
                     on_result=lambda result: write(result.as_dict()),
                 )
-                write(
-                    {
-                        "theorem": rep.theorem_id,
-                        "instances": rep.instances_checked,
-                        "failures": len(rep.failures),
-                        "status": "pass" if rep.passed else "fail",
-                    }
-                )
+                write({"theorem": rep.theorem_id, "instances": rep.instances_checked,
+                       "failures": len(rep.failures), "status": "pass" if rep.passed else "fail"})
                 if not rep.passed:
                     failed += 1
-        finally:
-            shutdown_workers()
-            clear_memo()
+    finally:
+        clear_memo()
     elapsed = time.perf_counter() - started
     print(f"{len(names)} campaign(s), {failed} failing, {elapsed:.1f}s", file=sys.stderr)
     return OK if failed == 0 else NEGATIVE

@@ -307,10 +307,18 @@ def reorder(table: CayleyTable, ordering: Ordering) -> CayleyTable:
     return CayleyTable._of_grid(table.grid[np.ix_(perm, perm)])
 
 
-def _cell_texts(table: CayleyTable) -> list[list[str]]:
-    """Each cell's decimal text, row by row, looked up from one string per
-    value rather than formatted once per cell."""
-    return np.array([str(v) for v in range(1, table.n + 1)], dtype=object)[table.grid].tolist()
+def _cell_bytes(table: CayleyTable, sep: bytes) -> bytes:
+    """Each cell's decimal digits, then sep, or a line end in a row's last
+    column.  Looked up rather than formatted once per cell: one zero-padded
+    row of bytes per value and ending, taken for every cell at once, and the
+    padding dropped."""
+    n = table.n
+    width = len(str(n)) + 1
+    lookup = b"".join((b"%d" % v + end).ljust(width, b"\0") for end in (sep, b"\n") for v in range(1, n + 1))
+    rows = np.frombuffer(lookup, np.uint8).reshape(2 * n, width)
+    cells = np.take(rows, table.grid, axis=0)   # [row, column, byte]
+    cells[:, -1] = np.take(rows, table.grid[:, -1] + n, axis=0)
+    return cells.tobytes().translate(None, b"\0")
 
 
 def serialize(obj: CayleyTable | KSequence, fmt: str = "json") -> str:
@@ -318,15 +326,15 @@ def serialize(obj: CayleyTable | KSequence, fmt: str = "json") -> str:
     if fmt == "json":
         if isinstance(obj, CayleyTable):
             # The bytes of json.dumps({"n": n, "table": rows}, separators=(",", ":")).
-            rows = ",".join("[" + ",".join(row) + "]" for row in _cell_texts(obj))
-            return '{"n":%d,"table":[%s]}\n' % (obj.n, rows)
+            rows = _cell_bytes(obj, b",")[:-1].replace(b"\n", b"],[")
+            return '{"n":%d,"table":[[%s]]}\n' % (obj.n, rows.decode())
         if isinstance(obj, KSequence):
             payload = {"n": obj.n, "k": obj.k, "seq": list(obj.seq)}
             return json.dumps(payload, separators=(",", ":")) + "\n"
         raise InvalidInputError(f"cannot serialize {type(obj).__name__}")
     if fmt == "text":
         if isinstance(obj, CayleyTable):
-            return "".join(" ".join(row) + "\n" for row in _cell_texts(obj))
+            return _cell_bytes(obj, b" ").decode()
         if isinstance(obj, KSequence):
             return f"{obj.n} {obj.k} : " + " ".join(str(v) for v in obj.seq) + "\n"
         raise InvalidInputError(f"cannot serialize {type(obj).__name__}")
@@ -450,7 +458,7 @@ def _plain_grid(text: str, fmt: str) -> np.ndarray | None:
 
 def _cell_array(data: bytes, n: int) -> np.ndarray:
     """The n * n integers of data, separated by whitespace, row by row."""
-    return np.fromstring(data, np.int64, sep=" ").reshape(n, n)
+    return np.fromstring(data, np.int64, count=n * n, sep=" ").reshape(n, n)
 
 
 def _parse_fields(text: str, fmt: str) -> CayleyTable:

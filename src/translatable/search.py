@@ -9,16 +9,17 @@ counts tables per exact property fingerprint, one row block at a time
 (batch._blocks).  verify replays one named campaign and collects
 per-instance results, handing each to a callback as its instance finishes;
 with jobs > 1 instances are spread over worker processes while keeping the
-serial result order.  The processes are one pool, started by the first such
-run and kept for the next ones, each worker with its own memo, until
-shutdown_workers(); a `verify` command of the CLI calls that when it ends.
+serial result order.  The processes are one pool that lives as long as the
+`workers` scope that started it, each worker with its own memo; a verify
+call made outside any scope opens one for itself.
 """
 
 from __future__ import annotations
 
-import atexit
+import contextlib
 import os
 import time
+from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
@@ -151,51 +152,56 @@ def _campaign(theorem_id: str) -> Campaign:
         raise InvalidInputError(f"unknown campaign {theorem_id!r}") from None
 
 
-def _run_instance(theorem_id: str, instance: tuple) -> InstanceResult:
-    return THEOREMS[theorem_id].result(instance)
+# The pool of the open `workers` scope that started one, and how many instances it may have in flight.
+_scope: ContextVar[tuple | None] = ContextVar("translatable.search.pool", default=None)
 
 
-# The worker pool of parallel verify runs: started by the first run with
-# jobs > 1, at that run's size, and kept, each worker with its own memo,
-# until shutdown_workers().
-_pool = None
+@contextlib.contextmanager
+def workers(jobs: int) -> Iterator[None]:
+    """Give the verify calls inside with jobs > 1 one pool of min(jobs, usable
+    CPUs) processes, each keeping its memo between calls, unless that is under
+    two or an enclosing scope has a pool.  On exit the instances not started
+    are cancelled, and the pool ends once the running ones do."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    count = min(jobs, cpus)
+    if count <= 1 or _scope.get():
+        yield
+        return
+    # Imported where the pool starts: at import it cost every command about
+    # 470 KiB (sockets, pickling, process machinery) that only --jobs > 1 uses.
+    from concurrent.futures import ProcessPoolExecutor
 
-
-def shutdown_workers() -> None:
-    """Stop the worker pool, if one was started, once its running instances end."""
-    global _pool
-    if _pool is not None:
-        _pool.shutdown(cancel_futures=True)
-        _pool = None
-
-
-# A pool still up at exit goes down while the modules it needs are still there.
-atexit.register(shutdown_workers)
+    pool = ProcessPoolExecutor(count)
+    token = _scope.set((pool, 2 * count))
+    try:
+        yield
+    finally:
+        _scope.reset(token)
+        # Killing a running worker instead, as Pool's terminate() does, can
+        # leave the result queue locked and hang the parent.
+        pool.shutdown(cancel_futures=True)
 
 
 def _results(campaign: Campaign, instances: list[tuple], jobs: int) -> Iterator[InstanceResult]:
-    """Every instance's result in instance order, each as its instance finishes."""
-    global _pool
-    workers = min(jobs, os.cpu_count() or 1)
-    if workers == 1:
+    """Every instance's result in instance order, each as its instance
+    finishes, on the scope's pool if it has one and jobs > 1."""
+    scope = _scope.get() if jobs > 1 else None
+    if scope is None:
         yield from map(campaign.result, instances)
         return
-    if _pool is None:
-        # Imported where the pool starts: at import it cost every command about
-        # 470 KiB (sockets, pickling, process machinery) that only --jobs > 1 uses.
-        from concurrent.futures import ProcessPoolExecutor
-
-        _pool = ProcessPoolExecutor(workers)
-    # When an instance raises (a BoundError, say), map cancels the instances not
-    # started, and the pool is shut down once the running ones end, so a pool
-    # that a failure broke is never used again.  Killing a worker instead, as
-    # Pool's terminate() does, can leave the result queue locked and hang the
-    # parent.
+    pool, window = scope
+    pending = []
     try:
-        yield from _pool.map(_run_instance, [campaign.theorem_id] * len(instances), instances)
-    except BaseException:
-        shutdown_workers()
-        raise
+        for instance in instances:
+            if len(pending) == window:
+                yield pending.pop(0).result()
+            pending.append(pool.submit(campaign.result, instance))
+        while pending:
+            yield pending.pop(0).result()
+    finally:
+        # Once an instance raises, or the caller stops early, none not started runs.
+        for future in pending:
+            future.cancel()
 
 
 def verify(
@@ -219,10 +225,11 @@ def verify(
     instances = campaign.instances(max_n)
     started = time.perf_counter()
     results = []
-    for result in _results(campaign, instances, jobs):
-        results.append(result)
-        if on_result is not None:
-            on_result(result)
+    with workers(jobs):
+        for result in _results(campaign, instances, jobs):
+            results.append(result)
+            if on_result is not None:
+                on_result(result)
     elapsed = time.perf_counter() - started
     failures = tuple(result for result in results if result.status == "fail")
     return CampaignReport(

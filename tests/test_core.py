@@ -236,13 +236,16 @@ def test_parse_errors_name_the_first_bad_field_of_a_large_table():
     assert str(info.value) == "row must contain integers, got True"
 
 
-@pytest.mark.parametrize("n", [1, 9, 10, 100, 1024])
+@pytest.mark.parametrize("n", [1, 2, 9, 10, 99, 100, 1024])
 def test_serialized_table_bytes_are_those_of_its_rows(n):
+    # Orders on both sides of each change in the widest value's digit count.
     rng = np.random.default_rng(n)
     table = CayleyTable(n, rng.integers(1, n + 1, (n, n)))
     rows = (table.grid + 1).tolist()
-    assert serialize(table, "json") == json.dumps({"n": n, "table": rows}, separators=(",", ":")) + "\n"
-    assert serialize(table, "text") == "".join(" ".join(map(str, row)) + "\n" for row in rows)
+    compact, text = serialize(table, "json"), serialize(table, "text")
+    assert compact == json.dumps({"n": n, "table": rows}, separators=(",", ":")) + "\n"
+    assert text == "".join(" ".join(map(str, row)) + "\n" for row in rows)
+    assert parse_table(compact) == parse_table(text) == table
 
 
 def test_parse_table_rejects_bad_shapes():

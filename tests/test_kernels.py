@@ -41,7 +41,7 @@ from translatable.core import (
     Witness,
 )
 from translatable.properties import check
-from translatable.search import SequenceFilter, enumerate_sequences
+from translatable.search import SequenceFilter, enumerate_sequences, verify
 from translatable.structure import _verify_component_group, decompose, iso_left_unitary
 from translatable.translation import _rotation_holds, detect, is_translatable, table_from_sequence
 
@@ -1195,6 +1195,16 @@ def test_grid_is_a_read_only_zero_based_copy():
 # -- verify worker pool -------------------------------------------------------
 
 
+def usable_cpus(monkeypatch, cpus: int | None) -> None:
+    """Give this process `cpus` CPUs to run on; None stands for a platform
+    with no affinity mask whose CPU count is unknown."""
+    if cpus is None:
+        monkeypatch.delattr(search.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(search.os, "cpu_count", lambda: None)
+    else:
+        monkeypatch.setattr(search.os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+
+
 @pytest.mark.parametrize(
     ("jobs", "cpus", "workers"),
     [(2, 2, 2), (4, 2, 2), (3, 8, 3), (2, 1, None), (2, None, None)],
@@ -1213,7 +1223,7 @@ def test_one_worker_pool_serves_every_campaign_of_a_verify_command(monkeypatch, 
             super().__init__(max_workers, *args, **kwargs)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Counting)
-    monkeypatch.setattr(search.os, "cpu_count", lambda: cpus)
+    usable_cpus(monkeypatch, cpus)
     argv = ["verify", "--theorem", "scaled-residues", "--theorem", "alterable-cancellative-step",
             "--theorem", "idempotent-quasigroup"]
     assert main([*argv, "--jobs", "1"]) == 0
@@ -1232,6 +1242,42 @@ def test_one_worker_pool_serves_every_campaign_of_a_verify_command(monkeypatch, 
     assert started == ([workers] * 2 if workers else [])
     assert multiprocessing.active_children() == []
     assert err == "translatable: order 1200 exceeds the bound 1024\n"
+
+
+def test_verify_keeps_at_most_two_instances_per_worker_in_flight(monkeypatch, capsys):
+    # Each submission sees how many earlier ones have not finished.  A result
+    # the parent has taken is finished, so this counts what the parent holds.
+    futures, in_flight = [], []
+
+    class Counting(concurrent.futures.ProcessPoolExecutor):
+        def submit(self, *args, **kwargs):
+            in_flight.append(1 + sum(not future.done() for future in futures))
+            futures.append(super().submit(*args, **kwargs))
+            return futures[-1]
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Counting)
+    usable_cpus(monkeypatch, 2)
+    argv = ["verify", "--theorem", "scaled-residues", "--max-n", "60"]
+    assert main([*argv, "--jobs", "2"]) == 0
+    parallel = capsys.readouterr().out
+    assert len(in_flight) == 354
+    assert max(in_flight) <= 2 * 2
+    assert main([*argv, "--jobs", "1"]) == 0
+    assert capsys.readouterr().out == parallel
+
+
+def test_a_library_verify_call_ends_the_pool_it_started(monkeypatch):
+    usable_cpus(monkeypatch, 2)
+    serial = verify("dual-step", max_n=6)
+    parallel = verify("dual-step", max_n=6, jobs=3)
+    assert multiprocessing.active_children() == []
+    assert parallel.results == serial.results
+    # Inside a scope its pool serves every call, and ends with the scope.
+    with search.workers(3):
+        verify("dual-step", max_n=6, jobs=3)
+        assert multiprocessing.active_children()
+        assert verify("dual-step", max_n=6, jobs=3).results == serial.results
+    assert multiprocessing.active_children() == []
 
 
 # -- row spaces and whole-space masks -----------------------------------------
