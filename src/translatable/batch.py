@@ -46,14 +46,15 @@ table or on none (a first row repeats no value), so at most one step of a
 block reaches the sieve.
 
 Row spaces and the whole-space verdicts of space_verdicts, step_verdicts
-and sweep_verdicts are memoised until clear_memo(); the verify command
-clears them when it starts and when it ends, so one command computes each
-whole-space verdict once, still cell by cell, and every campaign that
-asks for the same property over the same space reads the same verdicts,
-as read-only arrays handed out shared.  A step on which every table
-agrees (each step, on permutation rows) is kept and handed out as one
-np.bool_, any other as one array of the whole space, made at the first
-block that disagrees, so no (n-1)-by-n! bool array is ever made.
+and sweep_verdicts are memoised until clear_memo(); the outermost
+search.workers scope, which every verify call opens or joins, clears them
+as it opens and as it closes, so one verify run computes each whole-space
+verdict once, still cell by cell, and every campaign that asks for the
+same property over the same space reads the same verdicts, as read-only
+arrays handed out shared.  A step on which every table agrees (each step,
+on permutation rows) is kept and handed out as one np.bool_, any other as
+one array of the whole space, made at the first block that disagrees, so
+no (n-1)-by-n! bool array is ever made.
 """
 
 from __future__ import annotations

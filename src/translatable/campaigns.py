@@ -24,7 +24,7 @@ whole command.
 
 A runner that sweeps a row space takes its whole-space verdicts from
 batch: a mask from space_verdicts and the steps of every table or its dual
-from step_verdicts, both memoised for the whole command, and a test of its
+from step_verdicts, both memoised for the whole verify run, and a test of its
 own from _blocks, one block of rows at a time, or from sweep_verdicts,
 memoised, when two campaigns share it.  No runner builds the tables of a
 whole row space: detection-equivalence takes its three descriptions of

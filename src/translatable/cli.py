@@ -22,7 +22,6 @@ import sys
 import time
 import traceback
 
-from .batch import clear_memo
 from .constructions import (
     LabeledUnion,
     UnionSpec,
@@ -375,29 +374,23 @@ def _cmd_verify(args) -> int:
             raise InvalidInputError(f"unknown campaign {name!r}{alone}")
     started = time.perf_counter()
     failed = 0
-    # Row spaces and whole-space masks, and under --jobs > 1 the worker pool
-    # that keeps its own, are shared by this command's campaigns only.
-    clear_memo()
-    try:
-        with _output(args) as handle, workers(args.jobs):
+    with _output(args) as handle, workers(args.jobs):
 
-            def write(payload: dict) -> None:
-                handle.write(_json_line(payload))
-                handle.flush()
+        def write(payload: dict) -> None:
+            handle.write(_json_line(payload))
+            handle.flush()
 
-            for name in names:
-                rep = verify(
-                    name,
-                    max_n=args.max_n,
-                    jobs=args.jobs,
-                    on_result=lambda result: write(result.as_dict()),
-                )
-                write({"theorem": rep.theorem_id, "instances": rep.instances_checked,
-                       "failures": len(rep.failures), "status": "pass" if rep.passed else "fail"})
-                if not rep.passed:
-                    failed += 1
-    finally:
-        clear_memo()
+        for name in names:
+            rep = verify(
+                name,
+                max_n=args.max_n,
+                jobs=args.jobs,
+                on_result=lambda result: write(result.as_dict()),
+            )
+            write({"theorem": rep.theorem_id, "instances": rep.instances_checked,
+                   "failures": len(rep.failures), "status": "pass" if rep.passed else "fail"})
+            if not rep.passed:
+                failed += 1
     elapsed = time.perf_counter() - started
     print(f"{len(names)} campaign(s), {failed} failing, {elapsed:.1f}s", file=sys.stderr)
     return OK if failed == 0 else NEGATIVE

@@ -6,18 +6,20 @@ through the batch masks; enumerate_sequences sieves each row block through
 its filter, masked properties first, and a property with no mask (the
 semigroup-only ones) costs one `check` per table still alive.  catalog
 counts tables per exact property fingerprint, one row block at a time
-(batch._blocks).  verify replays one named campaign and collects
-per-instance results, handing each to a callback as its instance finishes;
-with jobs > 1 instances are spread over worker processes while keeping the
-serial result order.  The processes are one pool that lives as long as the
-`workers` scope that started it, each worker with its own memo; a verify
-call made outside any scope opens one for itself.
+(batch._blocks).  verify replays one named campaign, hands each result to a
+callback as its instance finishes and keeps only the failing ones; with
+jobs > 1 instances are spread over worker processes while keeping the
+serial result order.  A verify run's state lives as long as the outermost
+`workers` scope: batch's memo, emptied when that scope opens and when it
+closes, and under jobs > 1 one pool of processes, each worker with its own
+memo.  A verify call made outside any scope opens one for itself.
 """
 
 from __future__ import annotations
 
 import contextlib
 import os
+import threading
 import time
 from contextvars import ContextVar
 from dataclasses import dataclass
@@ -134,7 +136,6 @@ class CampaignReport:
     instances_checked: int
     failures: tuple[InstanceResult, ...]
     elapsed: float
-    results: tuple[InstanceResult, ...]
 
     @property
     def passed(self) -> bool:
@@ -152,44 +153,55 @@ def _campaign(theorem_id: str) -> Campaign:
         raise InvalidInputError(f"unknown campaign {theorem_id!r}") from None
 
 
-# The pool of the open `workers` scope that started one, and how many instances it may have in flight.
-_scope: ContextVar[tuple | None] = ContextVar("translatable.search.pool", default=None)
+# The outermost open `workers` scope: its pool, or None, and how many instances it may have in flight.
+_scope: ContextVar[tuple | None] = ContextVar("translatable.search.scope", default=None)
+
+
+def _terminate(signum, frame):
+    raise SystemExit(128 + signum)
 
 
 @contextlib.contextmanager
 def workers(jobs: int) -> Iterator[None]:
-    """Give the verify calls inside with jobs > 1 one pool of min(jobs, usable
-    CPUs) processes, each keeping its memo between calls, unless that is under
-    two or an enclosing scope has a pool.  On exit the instances not started
-    are cancelled, and the pool ends once the running ones do."""
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    count = min(jobs, cpus)
-    if count <= 1 or _scope.get():
+    """The scope of a verify run; one opened inside another uses the outer
+    one.  It empties batch's memo as it opens and as it closes, so the verify
+    calls inside share row spaces and whole-space verdicts and leave none
+    behind.  With jobs > 1 on two or more usable CPUs it also holds a pool of
+    min(jobs, CPUs) processes, each keeping its memo between calls, and
+    SIGTERM to the main thread raises SystemExit(143) so that the scope
+    unwinds: instances not started are cancelled, running ones finish."""
+    if _scope.get() is not None:
         yield
         return
-    # Imported where the pool starts: at import it cost every command about
-    # 470 KiB (sockets, pickling, process machinery) that only --jobs > 1 uses.
-    from concurrent.futures import ProcessPoolExecutor
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    count = min(jobs, cpus)
+    pool = None
+    batch.clear_memo()
+    with contextlib.ExitStack() as stack:
+        stack.callback(batch.clear_memo)
+        if count > 1:
+            # Imported where the pool starts: at import they cost every command about
+            # 470 KiB (sockets, pickling, process machinery) and 0.8 ms that only --jobs > 1 uses.
+            import signal
+            from concurrent.futures import ProcessPoolExecutor
 
-    pool = ProcessPoolExecutor(count)
-    token = _scope.set((pool, 2 * count))
-    try:
+            if threading.current_thread() is threading.main_thread():
+                stack.callback(signal.signal, signal.SIGTERM, signal.signal(signal.SIGTERM, _terminate))
+            pool = ProcessPoolExecutor(count)
+            # Killing a running worker instead, as Pool's terminate() does, can
+            # leave the result queue locked and hang the parent.
+            stack.callback(pool.shutdown, cancel_futures=True)
+        stack.callback(_scope.reset, _scope.set((pool, 2 * count)))
         yield
-    finally:
-        _scope.reset(token)
-        # Killing a running worker instead, as Pool's terminate() does, can
-        # leave the result queue locked and hang the parent.
-        pool.shutdown(cancel_futures=True)
 
 
 def _results(campaign: Campaign, instances: list[tuple], jobs: int) -> Iterator[InstanceResult]:
     """Every instance's result in instance order, each as its instance
-    finishes, on the scope's pool if it has one and jobs > 1."""
-    scope = _scope.get() if jobs > 1 else None
-    if scope is None:
+    finishes, on the open scope's pool if it has one and jobs > 1."""
+    pool, window = _scope.get()
+    if pool is None or jobs == 1:
         yield from map(campaign.result, instances)
         return
-    pool, window = scope
     pending = []
     try:
         for instance in instances:
@@ -210,10 +222,10 @@ def verify(
     jobs: int = 1,
     on_result: Callable[[InstanceResult], None] | None = None,
 ) -> CampaignReport:
-    """Replay one campaign up to max_n and report per-instance outcomes.
+    """Replay one campaign up to max_n; report how many instances ran and which failed.
 
     on_result, when given, sees each result as soon as its instance
-    finishes, in the same order as the report's results.
+    finishes, in instance order.
     """
     campaign = _campaign(theorem_id)
     if max_n is None:
@@ -224,18 +236,12 @@ def verify(
         raise InvalidInputError(f"jobs must be positive, got {jobs}")
     instances = campaign.instances(max_n)
     started = time.perf_counter()
-    results = []
+    checked, failures = 0, []
     with workers(jobs):
         for result in _results(campaign, instances, jobs):
-            results.append(result)
+            checked += 1
+            if result.status == "fail":
+                failures.append(result)
             if on_result is not None:
                 on_result(result)
-    elapsed = time.perf_counter() - started
-    failures = tuple(result for result in results if result.status == "fail")
-    return CampaignReport(
-        theorem_id=theorem_id,
-        instances_checked=len(results),
-        failures=failures,
-        elapsed=elapsed,
-        results=tuple(results),
-    )
+    return CampaignReport(theorem_id, checked, tuple(failures), time.perf_counter() - started)

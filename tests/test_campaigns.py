@@ -3,11 +3,13 @@ construction campaigns read cells through the grid only."""
 
 from __future__ import annotations
 
+import gc
 import itertools
 import json
 import math
 import random
 import tracemalloc
+import weakref
 
 import pytest
 
@@ -91,17 +93,21 @@ def test_registry_keeps_every_campaign_in_order():
 @pytest.mark.parametrize("theorem_id", sorted(THEOREMS))
 def test_campaign_passes_at_small_bound(theorem_id):
     bound = min(THEOREMS[theorem_id].default_max_n, SMALL_BOUND)
-    report = verify(theorem_id, max_n=bound)
+    results = []
+    report = verify(theorem_id, max_n=bound, on_result=results.append)
     assert report.passed, [f.as_dict() for f in report.failures]
     # Each result carries the registry id and its instance's (n, k).
-    labels = [(r.theorem, r.n, r.k) for r in report.results]
+    labels = [(r.theorem, r.n, r.k) for r in results]
     assert labels == [(theorem_id, *inst[:2]) for inst in THEOREMS[theorem_id].instances(bound)]
+    # The call's scope drops every row space and whole-space verdict it built.
+    assert not batch._ROWS and not batch._VERDICTS
 
 
 def test_every_result_names_its_campaign():
-    report = verify("semigroup-criterion", max_n=5)
-    assert {r.theorem for r in report.results} == {"semigroup-criterion"}
-    assert all(r.status in ("pass", "fail", "expected-fail") for r in report.results)
+    results = []
+    verify("semigroup-criterion", max_n=5, on_result=results.append)
+    assert {r.theorem for r in results} == {"semigroup-criterion"}
+    assert all(r.status in ("pass", "fail", "expected-fail") for r in results)
 
 
 # One instance of each construction campaign that reads whole tables, with
@@ -192,14 +198,33 @@ SHARED_CHECK_MUTANTS = {
     [(name, theorem_id) for name, (_, theorem_ids) in SHARED_CHECK_MUTANTS.items() for theorem_id in theorem_ids],
 )
 def test_a_wrong_shared_check_turns_each_campaign_on_it_red(monkeypatch, name, theorem_id):
+    patch_shared_check(monkeypatch, name)
+    report = verify(theorem_id, max_n=min(12, THEOREMS[theorem_id].default_max_n))
+    assert report.failures
+
+
+def patch_shared_check(monkeypatch, name):
     # The wrong check is patched wherever it is bound, so in campaigns and
     # inside decompose and iso_left_unitary alike.
     real = getattr(structure, name)
     for module in (campaigns, structure):
         if getattr(module, name) is real:
             monkeypatch.setattr(module, name, SHARED_CHECK_MUTANTS[name][0](real))
-    report = verify(theorem_id, max_n=min(12, THEOREMS[theorem_id].default_max_n))
-    assert any(result.status == "fail" for result in report.results)
+
+
+@pytest.mark.parametrize(("mutant", "theorem_id"), [(None, "unique-step"), ("iso_to_cyclic", "group-step-cyclic")])
+def test_verify_keeps_only_the_failing_results(monkeypatch, mutant, theorem_id):
+    # Every result reaches on_result; once verify returns, only the ones in
+    # its report's failures are still alive.
+    if mutant:
+        patch_shared_check(monkeypatch, mutant)
+    refs = []
+    report = verify(theorem_id, max_n=8, on_result=lambda result: refs.append(weakref.ref(result)))
+    gc.collect()
+    alive = [result for result in (ref() for ref in refs) if result is not None]
+    assert len(refs) == report.instances_checked > len(alive)
+    assert list(map(id, alive)) == list(map(id, report.failures))
+    assert bool(alive) == bool(mutant)
 
 
 def verify_lines(capsys, jobs, *theorem_ids):

@@ -2,11 +2,18 @@
 
 from __future__ import annotations
 
+import collections
+import contextlib
 import dataclasses
 import hashlib
 import io
 import json
+import os
 import re
+import signal
+import subprocess
+import sys
+import time
 import tracemalloc
 
 import pytest
@@ -668,6 +675,77 @@ def test_verify_memo_lives_for_one_command(capsys):
         assert not batch._ROWS and not batch._VERDICTS
         outputs.append(out)
     assert outputs[0] == outputs[1]
+
+
+def test_serial_verify_sweeps_each_dual_space_once_per_command(capsys, monkeypatch):
+    # Both campaigns read step_verdicts(n, k, True) for every instance; the
+    # second reads what the first memoised, since the command's one scope
+    # empties the memo only as it opens and as it closes.  No other sweep
+    # (dual-links' alterable masks) runs twice either.
+    sweeps = collections.Counter()
+    real = batch._block_verdicts
+
+    def counting(n, k, permutation_only, verdicts_of):
+        sweeps[verdicts_of.__qualname__.split(".")[0], n, k, permutation_only] += 1
+        return real(n, k, permutation_only, verdicts_of)
+
+    monkeypatch.setattr(batch, "_block_verdicts", counting)
+    code, out, _ = run(capsys, "verify", "--theorem", "dual-step", "--theorem", "dual-links", "--max-n", "7")
+    assert code == 0 and len(out.splitlines()) == 2 * (21 + 1)
+    assert set(sweeps.values()) == {1}
+    steps = {key[1:] for key in sweeps if key[0] == "step_verdicts"}
+    assert steps == {(n, k, True) for n in range(2, 8) for k in range(1, n)}
+
+
+def _stat(pid: int) -> tuple[str, int]:
+    """A process's state letter and parent pid from /proc; ("X", 0) once it is gone."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            state, ppid = handle.read().rsplit(")", 1)[1].split()[:2]
+    except OSError:
+        return "X", 0
+    return state, int(ppid)
+
+
+def _alive(pid: int) -> bool:
+    return _stat(pid)[0] not in "XZ"
+
+
+def _children(parent: int) -> list[int]:
+    return [pid for pid in map(int, filter(str.isdigit, os.listdir("/proc")))
+            if _stat(pid)[1] == parent and _alive(pid)]
+
+
+@pytest.mark.skipif(
+    not os.path.isdir("/proc") or len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2,
+    reason="reads processes from Linux /proc and needs two usable CPUs",
+)
+def test_sigterm_ends_a_parallel_verify_and_its_workers():
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    command = subprocess.Popen(
+        [sys.executable, "-m", "translatable.cli", "verify", "--theorem", "scaled-residues",
+         "--max-n", "20000", "--jobs", "2", "--out", os.devnull],
+        env=env,
+    )
+    workers = []
+    try:
+        deadline = time.monotonic() + 60
+        while len(workers := _children(command.pid)) < 2:
+            assert command.poll() is None and time.monotonic() < deadline
+            time.sleep(0.05)
+        command.send_signal(signal.SIGTERM)
+        assert command.wait(timeout=30) in (-signal.SIGTERM, 128 + signal.SIGTERM)
+        deadline = time.monotonic() + 10
+        while any(map(_alive, workers)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not any(map(_alive, workers))
+    finally:
+        command.kill()
+        command.wait()
+        for pid in filter(_alive, workers):
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
 
 
 def test_verify_dual_campaigns_ignore_the_job_count(capsys):

@@ -1268,15 +1268,17 @@ def test_verify_keeps_at_most_two_instances_per_worker_in_flight(monkeypatch, ca
 
 def test_a_library_verify_call_ends_the_pool_it_started(monkeypatch):
     usable_cpus(monkeypatch, 2)
-    serial = verify("dual-step", max_n=6)
-    parallel = verify("dual-step", max_n=6, jobs=3)
+    serial, parallel, scoped = [], [], []
+    verify("dual-step", max_n=6, on_result=serial.append)
+    verify("dual-step", max_n=6, jobs=3, on_result=parallel.append)
     assert multiprocessing.active_children() == []
-    assert parallel.results == serial.results
+    assert parallel == serial
     # Inside a scope its pool serves every call, and ends with the scope.
     with search.workers(3):
         verify("dual-step", max_n=6, jobs=3)
         assert multiprocessing.active_children()
-        assert verify("dual-step", max_n=6, jobs=3).results == serial.results
+        verify("dual-step", max_n=6, jobs=3, on_result=scoped.append)
+        assert scoped == serial
     assert multiprocessing.active_children() == []
 
 

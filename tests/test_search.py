@@ -17,6 +17,7 @@ from translatable.search import (
     catalog_count,
     enumerate_sequences,
     verify,
+    workers,
 )
 
 
@@ -135,15 +136,33 @@ def test_verify_smoke_and_overrides():
     assert smaller.instances_checked < report.instances_checked
 
 
+def test_a_library_verify_call_leaves_no_memo():
+    # The outermost scope empties batch's memo as it opens and as it
+    # closes; the scope a verify call opens inside it leaves the memo be.
+    batch.row_array(4, True)
+    with workers(1):
+        assert not batch._ROWS and not batch._VERDICTS
+        verify("dual-step", max_n=6)
+        assert batch._VERDICTS
+    assert not batch._ROWS and not batch._VERDICTS
+    # A call outside any scope is its own outermost scope.
+    batch.space_verdicts("associative", 4, 1, True)
+    report = verify("dual-step", max_n=6)
+    assert report.passed and report.instances_checked == 15
+    assert not batch._ROWS and not batch._VERDICTS
+
+
 def test_verify_serial_equals_parallel():
-    serial = verify("dual-step", max_n=6, jobs=1)
-    parallel = verify("dual-step", max_n=6, jobs=3)
-    assert serial.results == parallel.results
+    serial, parallel = [], []
+    verify("dual-step", max_n=6, jobs=1, on_result=serial.append)
+    verify("dual-step", max_n=6, jobs=3, on_result=parallel.append)
+    assert serial == parallel
 
 
 def test_verify_expected_fail_is_not_failure():
-    report = verify("idempotent-existence", max_n=6)
-    statuses = {r.status for r in report.results}
+    results = []
+    report = verify("idempotent-existence", max_n=6, on_result=results.append)
+    statuses = {r.status for r in results}
     assert "expected-fail" in statuses
     assert report.passed
 
@@ -158,8 +177,9 @@ def test_verify_argument_validation():
 
 
 def test_instance_results_are_serializable():
-    report = verify("left-neutral-element", max_n=4)
-    for result in report.results:
+    results = []
+    verify("left-neutral-element", max_n=4, on_result=results.append)
+    for result in results:
         payload = result.as_dict()
         assert set(payload) == {"theorem", "n", "k", "status", "witness"}
         assert payload["theorem"] == "left-neutral-element"
