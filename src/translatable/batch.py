@@ -32,17 +32,16 @@ translation._translatable, the one rotation test, at one step or at every
 step 1..n-1: the first cell T[0][0] = T[1][k] of every step in one pass,
 then a sieve over row pairs at each step where some table passed it.
 
-A sweep over a whole row space (space_verdicts, step_verdicts,
-sweep_verdicts, or a per-table test a caller hands to _blocks) never holds
-the tables of the whole space (29.4 MB for the 9! permutations), nor the
-rows of a permutation space (3.1 MB) unless memoised: _space_rows makes
-them one or more first values at a time (_first_value_blocks), in blocks
-of at most _BLOCK_CELLS = 512 Ki int8 table cells, _block_verdicts sweeps
-each block, and _blocks writes its verdicts in row order into one array
-made for the whole space; row_at unranks the one row a witness names.
-step_verdicts sweeps the step-k tables of the permutation rows, or their
-duals (transposes).  On permutation rows the first cell holds on every
-table or on none (a first row repeats no value), so at most one step of a
+A row space is one RowSpace value: its size (refused over budget), its
+blocks in row order, the row at an index and its memo key.  A sweep over
+a whole space (space_verdicts, step_verdicts, sweep_verdicts, or a test
+a caller hands to _blocks) never holds its tables (29.4 MB for the 9!
+permutations), nor a permutation space's rows (3.1 MB) unless memoised:
+RowSpace.blocks makes them a block of at most _BLOCK_CELLS = 512 Ki
+table cells at a time, and RowSpace.row unranks the one row a witness
+names.  step_verdicts sweeps the step-k tables of the permutation rows,
+or their duals.  On permutation rows the first cell holds on every table
+or on none (a first row repeats no value), so at most one step of a
 block reaches the sieve.
 
 Row spaces and the whole-space verdicts of space_verdicts, step_verdicts
@@ -51,10 +50,11 @@ search.workers scope, which every verify call opens or joins, clears them
 as it opens and as it closes, so one verify run computes each whole-space
 verdict once, still cell by cell, and every campaign that asks for the
 same property over the same space reads the same verdicts, as read-only
-arrays handed out shared.  A step on which every table agrees (each step,
-on permutation rows) is kept and handed out as one np.bool_, any other as
-one array of the whole space, made at the first block that disagrees, so
-no (n-1)-by-n! bool array is ever made.
+arrays handed out shared.  A verdict every table agrees on is kept as
+one value: a mask's (most masks, on permutation rows) as a zero-stride
+view of the space's length, a step's (each step, on permutation rows) as
+one np.bool_; any other step as one array of the whole space, made at
+the first block that disagrees.
 """
 
 from __future__ import annotations
@@ -62,6 +62,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -96,114 +97,118 @@ def _all_rows(n: int) -> np.ndarray:
 
 
 def _permutations(n: int) -> np.ndarray:
-    """Lexicographic permutations of range(n), filled one _first_value_blocks block at a time."""
+    """Lexicographic permutations of range(n), filled one RowSpace(n, True) block at a time."""
     out = np.empty((math.factorial(n), n), dtype=np.int8)
-    for a, block in enumerate(_first_value_blocks(n, 1) if n else ()):
-        out[a * len(block):(a + 1) * len(block)] = block
+    for start, rows in RowSpace(n, True).blocks() if n else ():
+        out[start:start + len(rows)] = rows
     return out
 
 
-def _first_value_blocks(n: int, width: int):
-    """The permutation rows of range(n), n >= 1, in lexicographic order, `width`
-    first values a at a time: behind each a, the memoised permutations of the other
-    n - 1 values relabelled as tail + (tail >= a), from one copy behind a column of
-    0s, so that no block is made by a slow copy into n-wide rows."""
-    tail = row_array(n - 1, True)
-    behind = np.zeros((len(tail), n), dtype=np.int8)
-    behind[:, 1:] = tail
-    for a in range(0, n, width):
-        firsts = np.arange(a, min(a + width, n), dtype=np.int8).reshape(-1, 1, 1)
-        block = behind + (behind >= firsts)
-        block[:, :, 0] = firsts[:, :, 0]
-        yield block.reshape(-1, n)
+@dataclass(frozen=True)
+class RowSpace:
+    """Every first row of order n, or only the permutations, 0-based and
+    in lexicographic order; held whole only by row_array's memo."""
 
+    n: int
+    permutation_only: bool
 
-def _space_size(n: int, permutation_only: bool) -> int:
-    """The space's row count; BoundError if its tables pass ROW_CELL_BUDGET cells."""
-    count = math.factorial(n) if permutation_only else n**n
-    kind = "permutation" if permutation_only else "full"
-    _check_cost(f"{kind} row space at n = {n}", count * n * n, "table cells", "row-space budget", ROW_CELL_BUDGET)
-    return count
+    @property
+    def key(self) -> tuple[int, bool]:
+        """The space's _ROWS key, and its part of each sweep_verdicts key."""
+        return self.n, bool(self.permutation_only)
+
+    @property
+    def size(self) -> int:
+        """The row count; BoundError if the tables pass ROW_CELL_BUDGET cells."""
+        n = self.n
+        count = math.factorial(n) if self.permutation_only else n**n
+        kind = "permutation" if self.permutation_only else "full"
+        _check_cost(f"{kind} row space at n = {n}", count * n * n, "table cells", "row-space budget", ROW_CELL_BUDGET)
+        return count
+
+    def row(self, b: int) -> np.ndarray:
+        """Row b, unranked without building the space."""
+        n = self.n
+        if not self.permutation_only:
+            return np.array(np.unravel_index(b, (n,) * n), dtype=np.int8)
+        rest = list(range(n))
+        return np.array([rest.pop(b // math.factorial(i) % (i + 1)) for i in reversed(range(n))], dtype=np.int8)
+
+    def blocks(self):
+        """(start, rows) for consecutive blocks of rows, n >= 1, in order, each
+        generating at most _BLOCK_CELLS table cells (one row at least).  Refuses
+        an over-budget space first.  A permutation space not memoised is made a
+        block at a time: the rows with first value a are the memoised
+        permutations of the other n - 1 values, relabelled as tail + (tail >= a)."""
+        n, size = self.n, self.size
+        step = max(1, _BLOCK_CELLS // (n * n))
+        rows = _ROWS.get(self.key) if self.permutation_only else row_array(n, False)
+        if rows is not None:
+            for start in range(0, size, step):
+                yield start, rows[start:start + step]
+            return
+        behind = np.zeros((size // n, n), dtype=np.int8)   # one copy, so no block is a slow copy into n-wide rows
+        behind[:, 1:] = row_array(n - 1, True)
+        for start in range(0, size, step):
+            block = np.empty((min(step, size - start), n), dtype=np.int8)
+            at = 0
+            while at < len(block):
+                a, lo = divmod(start + at, len(behind))
+                tail = behind[lo:lo + len(block) - at]
+                piece = block[at:at + len(tail)]
+                np.greater_equal(tail, a, out=piece.view(bool))
+                piece += tail
+                piece[:, 0] = a
+                at += len(tail)
+            yield start, block
+
+    def sweep(self, k: int, verdicts_of):
+        """(start, verdicts_of(tables)) for the step-k tables of each of blocks(), in row order."""
+        for start, rows in self.blocks():
+            yield start, verdicts_of(product_tables(rows, k))
 
 
 def row_array(n: int, permutation_only: bool) -> np.ndarray:
-    """All first rows as a read-only (B, n) array of 0-based values, lexicographic.
-
-    Memoised until clear_memo().  Refuses with BoundError, before
-    allocating, a space whose tables would exceed ROW_CELL_BUDGET cells.
-    """
-    key = (n, bool(permutation_only))
-    rows = _ROWS.get(key)
+    """All rows of RowSpace(n, permutation_only) as one read-only (B, n) array,
+    memoised until clear_memo(); an over-budget space is refused before allocating."""
+    space = RowSpace(n, permutation_only)
+    rows = _ROWS.get(space.key)
     if rows is None:
-        _space_size(n, permutation_only)
-        rows = _ROWS[key] = _frozen(_permutations(n) if permutation_only else _all_rows(n))
+        space.size  # refuses an over-budget space before anything is allocated
+        rows = _ROWS[space.key] = _frozen(_permutations(n) if permutation_only else _all_rows(n))
     return rows
 
 
-def row_at(n: int, permutation_only: bool, b: int) -> np.ndarray:
-    """Row b of row_array(n, permutation_only), unranked without building it."""
-    if not permutation_only:
-        return np.array(np.unravel_index(b, (n,) * n), dtype=np.int8)
-    rest = list(range(n))
-    return np.array([rest.pop(b // math.factorial(i) % (i + 1)) for i in reversed(range(n))], dtype=np.int8)
-
-
-def _row_blocks(rows: np.ndarray):
-    """Consecutive slices of a (B, n) row stack, in order, each generating
-    at most _BLOCK_CELLS table cells (one row at least)."""
-    size = max(1, _BLOCK_CELLS // rows.shape[1] ** 2)
-    for start in range(0, rows.shape[0], size):
-        yield rows[start:start + size]
-
-
-def _space_rows(n: int, permutation_only: bool):
-    """(start, rows) for consecutive _row_blocks of row_array(n, permutation_only), in
-    order; start is the block's first row.  A permutation space not memoised already is
-    generated by _first_value_blocks, never whole.  Refuses an over-budget space first."""
-    _space_size(n, permutation_only)
-    whole = not permutation_only or not n or (n, True) in _ROWS
-    spaces = ([row_array(n, permutation_only)] if whole
-              else _first_value_blocks(n, max(1, _BLOCK_CELLS // (n * n * math.factorial(n - 1)))))
-    start = 0
-    for space in spaces:
-        for rows in _row_blocks(space):
-            yield start, rows
-            start += len(rows)
-
-
-def _block_verdicts(n: int, k: int, permutation_only: bool, verdicts_of):
-    """(start, verdicts_of(tables)) for the step-k tables of each block of
-    _space_rows(n, permutation_only), in row order."""
-    for start, rows in _space_rows(n, permutation_only):
-        yield start, verdicts_of(product_tables(rows, k))
-
-
-def _blocks(n: int, k: int, permutation_only: bool, verdicts_of) -> np.ndarray:
-    """verdicts_of over the step-k tables of row_array(n, permutation_only),
-    one row block at a time, each block written in row order into one array
-    whose last axis is the table axis."""
-    count = _space_size(n, permutation_only)
+def _blocks(space: RowSpace, k: int, verdicts_of) -> np.ndarray:
+    """verdicts_of over the step-k tables of a row space, one block at a
+    time, each block written in row order into one array whose last axis is
+    the table axis."""
     out = None
-    for start, verdicts in _block_verdicts(n, k, permutation_only, verdicts_of):
+    for start, verdicts in space.sweep(k, verdicts_of):
         if out is None:
-            out = np.empty(verdicts.shape[:-1] + (count,), dtype=verdicts.dtype)
+            out = np.empty(verdicts.shape[:-1] + (space.size,), dtype=verdicts.dtype)
         out[..., start:start + verdicts.shape[-1]] = verdicts
     return out
 
 
 def sweep_verdicts(tag: str, n: int, k: int, permutation_only: bool, verdicts_of) -> np.ndarray:
-    """_blocks(n, k, permutation_only, verdicts_of), memoised under tag and
-    the space until clear_memo().  tag names the test: a MASKS name for that
+    """_blocks(RowSpace(n, permutation_only), k, verdicts_of), memoised under
+    tag until clear_memo(), and held as one value broadcast to the space
+    when every table agrees.  tag names the test: a MASKS name for that
     mask, any other name but "steps" for a caller's own per-table test."""
-    key = (tag, n, k, bool(permutation_only))
+    space = RowSpace(n, permutation_only)
+    key = (tag, k, *space.key)
     verdicts = _VERDICTS.get(key)
     if verdicts is None:
-        verdicts = _VERDICTS[key] = _frozen(_blocks(n, k, permutation_only, verdicts_of))
+        verdicts = _blocks(space, k, verdicts_of)
+        if verdicts.min() == verdicts.max():
+            verdicts = np.broadcast_to(verdicts.flat[0], verdicts.shape)
+        verdicts = _VERDICTS[key] = _frozen(verdicts)
     return verdicts
 
 
 def space_verdicts(name: str, n: int, k: int, permutation_only: bool) -> np.ndarray:
-    """MASKS[name] over every table of row_array(n, permutation_only) at step k."""
+    """MASKS[name] over every table of RowSpace(n, permutation_only) at step k."""
     return sweep_verdicts(name, n, k, permutation_only, MASKS[name])
 
 
@@ -219,15 +224,16 @@ def step_verdicts(n: int, k: int, transposed: bool) -> dict[int, np.ndarray | np
         def verdicts_of(tables):
             return _translatable(tables.transpose(0, 2, 1) if transposed else tables, np.arange(1, n))
 
+        space = RowSpace(n, True)
         held = [None] * (n - 1)
-        for start, verdicts in _block_verdicts(n, k, True, verdicts_of):
+        for start, verdicts in space.sweep(k, verdicts_of):
             for step, (line, every, some) in enumerate(zip(verdicts, verdicts.all(axis=1), verdicts.any(axis=1))):
                 if not isinstance(held[step], np.ndarray):
                     if every == some and (held[step] is None or held[step] == every):
                         held[step] = every
                         continue
                     # The first block that disagrees: every table before it held the one value.
-                    kept = np.empty(_space_size(n, True), dtype=bool)
+                    kept = np.empty(space.size, dtype=bool)
                     kept[:start] = held[step]
                     held[step] = kept
                 held[step][start:start + len(line)] = line

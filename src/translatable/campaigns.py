@@ -7,15 +7,16 @@ sweep, usually over every candidate first row.  A campaign never trusts
 the closed form it is checking; the oracle side only reads table cells.
 
 Each campaign is declared once, by the _campaign decorator directly above
-its runner: its id, summary, default bound and instance window.  The
-decorator adds it to THEOREMS, in the order the runners are defined.
-Campaign granularity is one result per (n, k) instance.  A runner takes
-one instance and returns only its outcome, a (status, witness) pair; it
-never names itself.  Campaign.result labels that outcome with the id it
+its runner: its id, summary, default bound and instance window, which
+yields the instances in order.  The decorator adds it to THEOREMS, in the
+order the runners are defined.  Campaign granularity is one result per
+(n, k) instance.  A runner takes one instance and returns only its
+outcome, a (status, witness) pair; it never names itself.  Campaign.result labels that outcome with the id it
 was declared under and the instance's first two members as (n, k), so
 every result is labelled in one place.  Failures carry a small JSON-safe
 witness naming the first offending row and cell; _first_bad_row names the
-first row of a row space where a verdict is wrong.  Campaign.result is
+first row where a verdict is wrong through a row lookup, most often
+batch.RowSpace.row, which builds no space.  Campaign.result is
 also the one place where a VerificationError from the library's own
 cross-checks (decompose, the iso_* builders, the constructions) becomes
 a fail with witness {"error": message}, so a runner calls those for their
@@ -25,12 +26,12 @@ whole command.
 A runner that sweeps a row space takes its whole-space verdicts from
 batch: a mask from space_verdicts and the steps of every table or its dual
 from step_verdicts, both memoised for the whole verify run, and a test of its
-own from _blocks, one block of rows at a time, or from sweep_verdicts,
-memoised, when two campaigns share it.  No runner builds the tables of a
-whole row space: detection-equivalence takes its three descriptions of
-each table from _blocks, and alterable-solvable-quasigroup goes through
-the tables with permutation rows a block of row tuples at a time.  The
-dual runners and unique-step name a witness row through batch.row_at.
+own from _blocks, one block of a batch.RowSpace at a time, or from
+sweep_verdicts, memoised, when two campaigns share it.  No runner builds the
+tables of a whole row space: detection-equivalence takes its three
+descriptions of each table from _blocks, and alterable-solvable-quasigroup
+goes through the tables with permutation rows a block of row tuples at a
+time.  Only runners that compute on every row read batch.row_array.
 
 A structural test shared with structure (right-zero band, left ideal, left
 neutral in front, products of a map, cyclic group) is one function there,
@@ -41,7 +42,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -135,7 +136,7 @@ class Campaign:
     theorem_id: str
     summary: str
     default_max_n: int
-    instances: Callable[[int], list[tuple]]
+    instances: Callable[[int], Iterable[tuple]]
     run: Callable[[tuple], Outcome]
 
     def result(self, inst: tuple) -> InstanceResult:
@@ -162,16 +163,16 @@ def _expected_fail(witness) -> Outcome:
     return "expected-fail", witness
 
 
-def _all_pairs(max_n: int, min_n: int = 2) -> list[tuple]:
-    return [(n, k) for n in range(min_n, max_n + 1) for k in range(1, n)]
+def _all_pairs(max_n: int) -> Iterator[tuple]:
+    return ((n, k) for n in range(2, max_n + 1) for k in range(1, n))
 
 
-def _criterion_pairs(max_n: int) -> list[tuple]:
-    return [(n, k) for n, k in _all_pairs(max_n) if (k * k + k) % n == 0]
+def _criterion_pairs(max_n: int) -> Iterator[tuple]:
+    return ((n, k) for n, k in _all_pairs(max_n) if (k * k + k) % n == 0)
 
 
-def _idempotent_pairs(max_n: int) -> list[tuple]:
-    return [(n, k) for n, k in _all_pairs(max_n) if math.gcd(k - 1, n) == 1]
+def _idempotent_pairs(max_n: int) -> Iterator[tuple]:
+    return ((n, k) for n, k in _all_pairs(max_n) if math.gcd(k - 1, n) == 1)
 
 
 THEOREMS: dict[str, Campaign] = {}
@@ -192,15 +193,14 @@ def _np_seq(n: int, k: int, row) -> KSequence:
     return KSequence(n, k, tuple(int(v) + 1 for v in row))
 
 
-def _first_bad_row(rows, bad: np.ndarray, note) -> Outcome | None:
-    """The failure naming row b of rows (a (B, n) stack, or an (n, permutation_only) space
-    read by batch.row_at) for the first b where bad is set, or None; note is the note or a function of b."""
+def _first_bad_row(row, bad: np.ndarray, note) -> Outcome | None:
+    """The failure naming row(b) (a RowSpace's row, or a (B, n) stack's own lookup)
+    for the first b where bad is set, or None; note is the note or a function of b."""
     hit = np.flatnonzero(bad)
     if not hit.size:
         return None
     b = int(hit[0])
-    row = batch.row_at(*rows, b) if isinstance(rows, tuple) else rows[b]
-    return _failed({"row": [int(v) + 1 for v in row], "note": note(b) if callable(note) else note})
+    return _failed({"row": [int(v) + 1 for v in row(b)], "note": note(b) if callable(note) else note})
 
 
 def _first_not_cyclic(seqs, note) -> Outcome | None:
@@ -220,10 +220,11 @@ def _identity(n: int) -> tuple[int, ...]:
 @_campaign("left-cancellative-propagation", "one left cancellable element spreads to the whole table", 6)
 def _run_left_cancellative_propagation(inst):
     n, k = inst
-    row_is_perm = batch._blocks(n, k, False, lambda tables: _distinct(tables, 2).T)   # [row, table]
+    space = batch.RowSpace(n, False)
+    row_is_perm = batch._blocks(space, k, lambda tables: _distinct(tables, 2).T)   # [row, table]
     bad = row_is_perm.any(axis=0) & ~row_is_perm.all(axis=0)
     note = "one cancellable element without full cancellativity"
-    return _first_bad_row(batch.row_array(n, False), bad, note) or _passed()
+    return _first_bad_row(space.row, bad, note) or _passed()
 
 
 @_campaign("unique-step", "a left cancellative table keeps exactly one step per ordering", 7)
@@ -232,9 +233,9 @@ def _run_unique_step(inst):
     steps = batch.step_verdicts(n, k, False)
     if not steps[k].all():
         return _failed({"note": "generated table lost its own step"})
-    rows = (n, True)
+    row = batch.RowSpace(n, True).row
     for other in range(1, n):
-        failure = _first_bad_row(rows, steps[other], f"also translatable with step {other}") if other != k else None
+        failure = _first_bad_row(row, steps[other], f"also translatable with step {other}") if other != k else None
         if failure:
             return failure
     return _passed()
@@ -267,7 +268,7 @@ def _all_grids(n: int) -> np.ndarray:
 def _run_detection_equivalence(inst):
     n, k = inst
     if n > 3:
-        by_formula, by_shift, by_columns = batch._blocks(n, k, False, lambda tables: _descriptions(tables, k))
+        by_formula, by_shift, by_columns = batch._blocks(batch.RowSpace(n, False), k, lambda tables: _descriptions(tables, k))
         if not (by_formula.all() and by_shift.all() and by_columns.all()):
             return _failed({"note": "a generated table failed one of the three descriptions"})
         return _passed()
@@ -334,9 +335,9 @@ def _run_idempotent_distributive_symmetry(inst):
     return _passed()
 
 
-def _instances_alterable_solvable(max_n: int) -> list[tuple]:
-    free = [(n, None) for n in range(2, min(max_n, 4) + 1)]
-    return free + _all_pairs(max_n)
+def _instances_alterable_solvable(max_n: int) -> Iterator[tuple]:
+    yield from ((n, None) for n in range(2, min(max_n, 4) + 1))
+    yield from _all_pairs(max_n)
 
 
 @_campaign("alterable-solvable-quasigroup",
@@ -350,7 +351,8 @@ def _run_alterable_solvable_quasigroup(inst):
         # the lexicographic order of their row tuples, a block of tuples at
         # a time (n <= 4, so every index is below 24 and fits int8)
         picks = np.indices((len(rows),) * n, dtype=np.int8).reshape(n, -1).T
-        blocks = (rows[picked] for picked in batch._row_blocks(picks))
+        size = batch._BLOCK_CELLS // (n * n)
+        blocks = (rows[picks[at:at + size]] for at in range(0, len(picks), size))
         stacks = (tables[batch.alterable_mask(tables)] for tables in blocks)
     else:
         # right solvability forces a permutation first row here
@@ -370,8 +372,8 @@ def _run_alterable_solvable_quasigroup(inst):
     return _passed()
 
 
-def _instances_idempotent_existence(max_n: int) -> list[tuple]:
-    return [(n, k) for n in range(2, max_n + 1) for k in range(2, n)]
+def _instances_idempotent_existence(max_n: int) -> Iterator[tuple]:
+    return ((n, k) for n in range(2, max_n + 1) for k in range(2, n))
 
 
 @_campaign("idempotent-existence", "idempotent tables exist exactly when the diagonal positions avoid collisions",
@@ -395,10 +397,10 @@ def _run_idempotent_existence(inst):
     except ConstructionError as err:
         witness = {"obstruction": err.obstruction}
         if n <= 7:
-            rows = batch.row_array(n, False)
-            witness["exhausted-rows"] = int(rows.shape[0])
+            space = batch.RowSpace(n, False)
+            witness["exhausted-rows"] = space.size
             hits = batch.space_verdicts("idempotent", n, k, False)
-            return _first_bad_row(rows, hits, "an idempotent table exists despite the collision") or _expected_fail(witness)
+            return _first_bad_row(space.row, hits, "an idempotent table exists despite the collision") or _expected_fail(witness)
         return _expected_fail(witness)
     return _failed({"row": list(seq.seq), "note": "construction succeeded where positions must collide"})
 
@@ -440,10 +442,10 @@ def _run_right_cancellable_gcd(inst):
         if not check(table, "right-cancellative")[0]:
             return _failed({"note": "no right cancellable element found where one must exist"})
         return _passed()
-    perm = n > 6
-    hits = batch._blocks(n, k, perm, lambda tables: _distinct(tables, 1).any(axis=1))
+    space = batch.RowSpace(n, n > 6)
+    hits = batch._blocks(space, k, lambda tables: _distinct(tables, 1).any(axis=1))
     note = "right cancellable element with gcd(k, n) > 1"
-    return _first_bad_row(batch.row_array(n, perm), hits, note) or _passed()
+    return _first_bad_row(space.row, hits, note) or _passed()
 
 
 # --- alterability and steps --------------------------------------------------
@@ -459,7 +461,7 @@ def _run_alterable_cancellative_step(inst):
     # 0..n-1, so a right cancellative table has a permutation first row.
     alter = batch.space_verdicts("alterable", n, k, True)
     note = "cancellative alterable table with [k*k] != n-1"
-    return _first_bad_row(batch.row_array(n, True), alter, note) or _passed()
+    return _first_bad_row(batch.RowSpace(n, True).row, alter, note) or _passed()
 
 
 @_campaign("alterable-square", "alterability of cancellative tables is the square condition", 8)
@@ -468,19 +470,19 @@ def _run_alterable_square(inst):
     alter = batch.space_verdicts("alterable", n, k, True)
     closed = mod_rep(k * k, n) == n - 1
     note = f"alterable={not closed} against closed form"
-    return _first_bad_row(batch.row_array(n, True), alter != closed, note) or _passed()
+    return _first_bad_row(batch.RowSpace(n, True).row, alter != closed, note) or _passed()
 
 
 @_campaign("left-unitary-isomorphism", "tables owning a left neutral all reorder to the canonical one", 7)
 def _run_left_unitary_isomorphism(inst):
     n, k = inst
     canonical = table_from_sequence(left_unitary_groupoid(n, k))
-    rows = batch.row_array(n, True)
+    space = batch.RowSpace(n, True)
     holders = np.flatnonzero(batch.space_verdicts("left-unitary", n, k, True))
     if holders.size != n // math.gcd(k, n):
         return _failed({"count": int(holders.size), "note": "unexpected number of tables owning a left neutral"})
     for b in holders:
-        seq = _np_seq(n, k, rows[b])
+        seq = _np_seq(n, k, space.row(b))
         table = table_from_sequence(seq)
         e = left_neutral_elements(table)[0]
         phi = (np.arange(n) + e - 1) % n    # x -> [x + e - 1], 0-based
@@ -509,10 +511,9 @@ def _run_left_unitary_medial(inst):
 @_campaign("unitary-step", "a two-sided neutral forces the top step", 7)
 def _run_unitary_step(inst):
     n, k = inst
-    rows = batch.row_array(n, True)
     has_unit = batch.space_verdicts("unitary", n, k, True)
     if k != n - 1:
-        return _first_bad_row(rows, has_unit, "two-sided neutral away from step n-1") or _passed()
+        return _first_bad_row(batch.RowSpace(n, True).row, has_unit, "two-sided neutral away from step n-1") or _passed()
     if not has_unit.any():
         return _failed({"note": "no table with a two-sided neutral at the top step"})
     return _passed()
@@ -521,14 +522,14 @@ def _run_unitary_step(inst):
 @_campaign("group-step-cyclic", "groups appear only at the top step and are cyclic", 7)
 def _run_group_step_cyclic(inst):
     n, k = inst
-    rows = batch.row_array(n, True)
+    space = batch.RowSpace(n, True)
     group_like = batch.space_verdicts("associative", n, k, True) & batch.space_verdicts("quasigroup", n, k, True)
     if k != n - 1:
-        return _first_bad_row(rows, group_like, "associative quasigroup away from step n-1") or _passed()
+        return _first_bad_row(space.row, group_like, "associative quasigroup away from step n-1") or _passed()
     hits = np.flatnonzero(group_like)
     if not hits.size:
         return _failed({"note": "no group found at the top step"})
-    return _first_not_cyclic((_np_seq(n, k, rows[b]) for b in hits), "group is not cyclic") or _passed()
+    return _first_not_cyclic((_np_seq(n, k, space.row(b)) for b in hits), "group is not cyclic") or _passed()
 
 
 @_campaign("left-unitary-step-conditions", "eleven properties of left unitary tables reduce to conditions on k", 12)
@@ -600,7 +601,7 @@ def _run_embedding(inst):
 @_campaign("dual-step", "the transpose is translatable exactly for inverse steps", 9)
 def _run_dual_step(inst):
     n, k = inst
-    rows = (n, True)
+    row = batch.RowSpace(n, True).row
     dual_masks = batch.step_verdicts(n, k, True)
     found = None
     for kstar in range(1, n):
@@ -608,7 +609,7 @@ def _run_dual_step(inst):
         if closed:
             found = kstar
         note = f"dual missed promised step {kstar}" if closed else f"dual gained unplanned step {kstar}"
-        failure = _first_bad_row(rows, dual_masks[kstar] != closed, note)
+        failure = _first_bad_row(row, dual_masks[kstar] != closed, note)
         if failure:
             return failure
     if dual_step(n, k).kstar != found:
@@ -642,11 +643,11 @@ def _perm_alterable_mask(blocks, n: int, k: int) -> np.ndarray:
 @_campaign("dual-links", "dual steps encode squares, scaled steps, and alterability", 9)
 def _run_dual_links(inst):
     n, k = inst
-    rows = (n, True)
+    space = batch.RowSpace(n, True)
     dual_masks = batch.step_verdicts(n, k, True)
 
     closed_same = mod_rep(k * k, n) == 1
-    failure = _first_bad_row(rows, dual_masks[k] != closed_same, "dual with the same step against [k*k] = 1")
+    failure = _first_bad_row(space.row, dual_masks[k] != closed_same, "dual with the same step against [k*k] = 1")
     if failure:
         return failure
 
@@ -659,14 +660,14 @@ def _run_dual_links(inst):
         if kstar == n:
             continue
         closed = mod_rep(t * k * k, n) == n - 1
-        failure = _first_bad_row(rows, dual_masks[kstar] != closed, f"dual step n-{t}k against [t*k*k] = n-1")
+        failure = _first_bad_row(space.row, dual_masks[kstar] != closed, f"dual step n-{t}k against [t*k*k] = n-1")
         if failure:
             return failure
 
-    alter = _perm_alterable_mask(batch._first_value_blocks(n, 1), n, k)
+    alter = _perm_alterable_mask((rows for _, rows in space.blocks()), n, k)
     if n <= 6 and not (alter == batch.space_verdicts("alterable", n, k, True)).all():
         return _failed({"note": "position-based alterability mask disagrees with the cell sweep"})
-    return _first_bad_row(rows, alter != dual_masks[n - k], "alterable against dual step n-k") or _passed()
+    return _first_bad_row(space.row, alter != dual_masks[n - k], "alterable against dual step n-k") or _passed()
 
 
 # --- associativity -----------------------------------------------------------
@@ -716,8 +717,8 @@ def _run_associativity_sequence_form(inst):
     perm = np.flatnonzero(_distinct(rows, 1))
     eas, ee1 = _eas_masks(rows, n, k, perm)
     return (
-        _first_bad_row(rows, eas != assoc, "sequence form against cell associativity")
-        or _first_bad_row(rows[perm], ee1 != assoc[perm], "cancelled sequence form against cell associativity")
+        _first_bad_row(rows.__getitem__, eas != assoc, "sequence form against cell associativity")
+        or _first_bad_row(rows[perm].__getitem__, ee1 != assoc[perm], "cancelled sequence form against cell associativity")
         or _passed()
     )
 
@@ -729,7 +730,7 @@ def _run_semigroup_criterion(inst):
     assoc = batch.space_verdicts("associative", n, k, True)
     crit = semigroup_verdicts(rows, k)
     return _first_bad_row(
-        rows, crit != assoc, lambda b: f"criterion={bool(crit[b])} associative={bool(assoc[b])}"
+        rows.__getitem__, crit != assoc, lambda b: f"criterion={bool(crit[b])} associative={bool(assoc[b])}"
     ) or _passed()
 
 
@@ -740,7 +741,7 @@ def _run_left_neutral_element(inst):
     cancel = batch.space_verdicts("left-cancellative", n, k, False)
     neutral = batch.space_verdicts("left-unitary", n, k, False)
     return _first_bad_row(
-        batch.row_array(n, False), assoc & (cancel != neutral),
+        batch.RowSpace(n, False).row, assoc & (cancel != neutral),
         lambda b: f"cancellative={bool(cancel[b])} neutral={bool(neutral[b])}",
     ) or _passed()
 
@@ -756,8 +757,8 @@ def _run_left_unitary_semigroup_criterion(inst):
     return _passed()
 
 
-def _instances_block_product(max_n: int) -> list[tuple]:
-    return [(k * k + k, k) for k in range(1, max_n) if k * k + k <= max_n]
+def _instances_block_product(max_n: int) -> Iterator[tuple]:
+    return ((k * k + k, k) for k in range(1, max_n) if k * k + k <= max_n)
 
 
 @_campaign("block-product-formula", "the block product formula reproduces the left unitary semigroup",
@@ -813,8 +814,8 @@ def _run_cancellative_semigroup_isomorphism(inst):
     return _passed({"rows": len(rows)})
 
 
-def _instances_top_step(max_n: int) -> list[tuple]:
-    return [(n, n - 1) for n in range(2, max_n + 1)]
+def _instances_top_step(max_n: int) -> Iterator[tuple]:
+    return ((n, n - 1) for n in range(2, max_n + 1))
 
 
 @_campaign("ascending-sequence-cyclic", "ascending first rows at the top step give cyclic groups",
@@ -838,7 +839,7 @@ def _run_top_step_cyclic(inst):
 def _run_no_idempotent_semigroup(inst):
     n, k = inst
     both = batch.space_verdicts("idempotent", n, k, False) & batch.space_verdicts("associative", n, k, False)
-    return _first_bad_row(batch.row_array(n, False), both, "idempotent semigroup found") or _passed()
+    return _first_bad_row(batch.RowSpace(n, False).row, both, "idempotent semigroup found") or _passed()
 
 
 @_campaign("idempotent-set-formula", "idempotents form a right zero band of left neutrals with a closed form",
@@ -873,11 +874,11 @@ def _run_idempotent_set_left_unitary(inst):
 @_campaign("right-cancellative-semigroup", "right cancellative semigroups live at the top step and are cyclic", 7)
 def _run_right_cancellative_semigroup(inst):
     n, k = inst
-    rows = batch.row_array(n, True)
+    space = batch.RowSpace(n, True)
     strong = batch.space_verdicts("associative", n, k, True) & batch.space_verdicts("right-cancellative", n, k, True)
     if k != n - 1:
-        return _first_bad_row(rows, strong, "right cancellative semigroup away from step n-1") or _passed()
-    seqs = (_np_seq(n, k, rows[b]) for b in np.flatnonzero(strong))
+        return _first_bad_row(space.row, strong, "right cancellative semigroup away from step n-1") or _passed()
+    seqs = (_np_seq(n, k, space.row(b)) for b in np.flatnonzero(strong))
     return _first_not_cyclic(seqs, "not the cyclic group") or _passed()
 
 
@@ -1041,7 +1042,7 @@ def _run_constant_column_criterion(inst):
     assoc = batch.space_verdicts("associative", n, k, False)
     crit = _constant_column_masks(rows, k)
     note = "criterion against associativity with constant columns"
-    failure = _first_bad_row(rows, (assoc & _constant_columns(n, k)) != crit, note)
+    failure = _first_bad_row(rows.__getitem__, (assoc & _constant_columns(n, k)) != crit, note)
     if failure:
         return failure
     produced = {seq.seq for seq in constant_column_semigroups(n, k)}
@@ -1067,7 +1068,7 @@ def _run_constant_column_forcing(inst):
         tail |= rows[:, j - 1] == j
     shape2 &= tail
     bad = (shape1 | shape2) & assoc & ~_constant_columns(n, k)
-    return _first_bad_row(rows, bad, "bent first row with a non-constant semigroup") or _passed()
+    return _first_bad_row(rows.__getitem__, bad, "bent first row with a non-constant semigroup") or _passed()
 
 
 def _anchor_rows(tables: np.ndarray, k: int) -> np.ndarray:
@@ -1092,10 +1093,11 @@ def _anchor_rows(tables: np.ndarray, k: int) -> np.ndarray:
 @_campaign("idempotent-anchor-semigroup", "an anchored idempotent reduces associativity to one row", 5)
 def _run_idempotent_anchor_semigroup(inst):
     n, k = inst
-    anchored, holds = batch._blocks(n, k, False, lambda tables: _anchor_rows(tables, k))
+    space = batch.RowSpace(n, False)
+    anchored, holds = batch._blocks(space, k, lambda tables: _anchor_rows(tables, k))
     bad = anchored & (holds != batch.space_verdicts("associative", n, k, False))   # [j, b]
     return _first_bad_row(
-        batch.row_array(n, False), bad.any(axis=0),
+        space.row, bad.any(axis=0),
         lambda b: f"anchor {int(bad[:, b].argmax()) + 1} conditions against associativity",
     ) or _passed()
 
@@ -1107,13 +1109,13 @@ def _run_idempotent_one_semigroup(inst):
     assoc = batch.space_verdicts("associative", n, k, False)
     cond = _constant_column_masks(rows, k) & (rows == rows[:, (np.arange(n) - k) % n]).all(axis=1)
     anchored = (rows[:, 0] == 0) & (rows[:, n - 1] == 0)
-    return _first_bad_row(rows, anchored & (cond != assoc), "four-way condition against associativity") or _passed()
+    return _first_bad_row(rows.__getitem__, anchored & (cond != assoc), "four-way condition against associativity") or _passed()
 
 
 # --- scaled residues and unions ---------------------------------------------
 
-def _instances_scaled_residues(max_n: int) -> list[tuple]:
-    return [(n, t) for n in range(2, max_n + 1) for t in range(1, 7)]
+def _instances_scaled_residues(max_n: int) -> Iterator[tuple]:
+    return ((n, t) for n in range(2, max_n + 1) for t in range(1, 7))
 
 
 @_campaign("scaled-residues", "residues scale cleanly from modulus n to modulus tn", 12, _instances_scaled_residues)
@@ -1154,16 +1156,11 @@ def _check_union(union, n: int, k: int, step: int) -> Outcome | None:
     return None
 
 
-def _instances_union_same_step(max_n: int) -> list[tuple]:
-    out = []
-    for n in range(2, max_n + 1):
-        for k in range(1, n):
-            for t in range(1, 9):
-                if t * n > max_n or k % t:
-                    continue
-                if (k + k * k) % (t * n) == 0:
-                    out.append((n, k, t))
-    return out
+def _instances_union_same_step(max_n: int) -> Iterator[tuple]:
+    for n, k in _all_pairs(max_n):
+        for t in range(1, 9):
+            if t * n <= max_n and k % t == 0 and (k + k * k) % (t * n) == 0:
+                yield n, k, t
 
 
 @_campaign("union-same-step", "disjoint copies merge into one semigroup with the same step",
@@ -1174,16 +1171,11 @@ def _run_union_same_step(inst):
     return _check_union(union, n, k, k) or _passed({"copies": t, "order": t * n})
 
 
-def _instances_union_shifted_step(max_n: int) -> list[tuple]:
-    out = []
-    for k in range(1, max_n):
-        n = k + k * k
-        if n > max_n:
-            break
+def _instances_union_shifted_step(max_n: int) -> Iterator[tuple]:
+    for n, k in _instances_block_product(max_n):
         for t in range(1, k + 1):
             if k % t == 0 and t * n <= max_n:
-                out.append((n, k, t))
-    return out
+                yield n, k, t
 
 
 @_campaign("union-shifted-step", "disjoint copies merge into one semigroup with a lifted step",
@@ -1195,8 +1187,8 @@ def _run_union_shifted_step(inst):
     return _check_union(union, n, k, step) or _passed({"copies": t, "order": t * n, "step": step})
 
 
-def _instances_pair_union(max_n: int) -> list[tuple]:
-    return [(k * k + k, k) for k in range(2, max_n) if 2 * (k * k + k) <= max_n]
+def _instances_pair_union(max_n: int) -> Iterator[tuple]:
+    return ((k * k + k, k) for k in range(2, max_n) if 2 * (k * k + k) <= max_n)
 
 
 @_campaign("pair-union", "two copies interleave on odd and even labels", 160, _instances_pair_union)

@@ -1,11 +1,11 @@
 """Row enumeration, property census, and the campaign runner.
 
 enumerate_sequences and catalog sweep a row space that verify would sweep
-(batch._space_size refuses the rest) as (B, n, n) stacks of step-k tables
-through the batch masks; enumerate_sequences sieves each row block through
-its filter, masked properties first, and a property with no mask (the
-semigroup-only ones) costs one `check` per table still alive.  catalog
-counts tables per exact property fingerprint, one row block at a time
+(batch.RowSpace refuses the rest) one block of rows at a time, as (B, n, n)
+stacks of step-k tables through the batch masks; enumerate_sequences
+sieves each block through its filter, masked properties first, and a
+property with no mask (the semigroup-only ones) costs one `check` per
+table still alive.  catalog counts tables per exact property fingerprint
 (batch._blocks).  verify replays one named campaign, hands each result to a
 callback as its instance finishes and keeps only the failing ones; with
 jobs > 1 instances are spread over worker processes while keeping the
@@ -23,7 +23,7 @@ import threading
 import time
 from contextvars import ContextVar
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -83,7 +83,7 @@ def enumerate_sequences(n: int, k: int, filt: SequenceFilter | None = None) -> I
     _check_step(n, k)
     tests = [(name, True) for name in filt.required] + [(name, False) for name in filt.forbidden]
     tests.sort(key=lambda test: test[0] not in batch.MASKS)
-    for _, rows in batch._space_rows(n, filt.permutation_only):
+    for _, rows in batch.RowSpace(n, filt.permutation_only).blocks():
         keep = _sieve(batch.product_tables(rows, k), _passes, tests)
         for row in (rows[keep] + 1).tolist():
             yield KSequence(n, k, tuple(row))
@@ -97,16 +97,15 @@ def catalog(n: int, permutation_only: bool = False) -> dict[tuple[int, frozenset
     dropped.
     """
     _check_order(n)
-    perm = _distinct(batch.row_array(n, permutation_only), 1)
+    space = batch.RowSpace(n, permutation_only)
     census: dict[tuple[int, frozenset[str]], int] = {}
 
     def flags(tables):
-        return np.stack([batch.MASKS[name](tables) for name in CATALOG_FLAGS[1:]])
+        # A table's first row is its generating row.
+        return np.stack([_distinct(tables[:, 0], 1)] + [batch.MASKS[name](tables) for name in CATALOG_FLAGS[1:]])
 
     for k in range(1, n):
-        bits = perm.astype(np.int64)
-        for pos, verdicts in enumerate(batch._blocks(n, k, permutation_only, flags), start=1):
-            bits |= verdicts.astype(np.int64) << pos
+        bits = sum(flag.astype(np.int64) << pos for pos, flag in enumerate(batch._blocks(space, k, flags)))
         counts = np.bincount(bits, minlength=1 << len(CATALOG_FLAGS))
         for code in np.flatnonzero(counts):
             named = frozenset(
@@ -195,9 +194,10 @@ def workers(jobs: int) -> Iterator[None]:
         yield
 
 
-def _results(campaign: Campaign, instances: list[tuple], jobs: int) -> Iterator[InstanceResult]:
+def _results(campaign: Campaign, instances: Iterable[tuple], jobs: int) -> Iterator[InstanceResult]:
     """Every instance's result in instance order, each as its instance
-    finishes, on the open scope's pool if it has one and jobs > 1."""
+    finishes, on the open scope's pool if it has one and jobs > 1.  The
+    instances are iterated once, as they are run or submitted."""
     pool, window = _scope.get()
     if pool is None or jobs == 1:
         yield from map(campaign.result, instances)

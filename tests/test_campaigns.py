@@ -227,6 +227,44 @@ def test_verify_keeps_only_the_failing_results(monkeypatch, mutant, theorem_id):
     assert bool(alive) == bool(mutant)
 
 
+def test_an_instance_window_is_taken_lazily():
+    # scaled-residues at --max-n 20000 has 119 994 instances, 7.94 MiB as a
+    # list; its window yields them one at a time.
+    tracemalloc.start()
+    try:
+        first = list(itertools.islice(THEOREMS["scaled-residues"].instances(20000), 10))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert first == [(2, t) for t in range(1, 7)] + [(3, t) for t in range(1, 5)]
+    assert peak < 64 * 2**10
+
+
+@pytest.mark.parametrize(("theorem_id", "mask", "n", "perm", "b"), [
+    ("alterable-square", "alterable", 7, True, 2021),
+    ("left-neutral-element", "left-unitary", 5, False, 1726),
+])
+def test_a_flipped_verdict_names_its_row_as_the_witness(monkeypatch, theorem_id, mask, n, perm, b):
+    # The mask's verdict flips on the tables of one first row b of order n,
+    # which makes the claim false there: at every step of alterable-square
+    # at n = 7, where no permutation table is alterable, and at (5, 4) of
+    # left-neutral-element, the one step where row b's table is associative.
+    # Each fail line names row b.
+    row = batch.row_array(n, perm)[b].copy()
+    real = batch.MASKS[mask]
+
+    def flipped(tables):
+        verdicts = real(tables)
+        if tables.shape[1] == n:
+            verdicts = verdicts ^ (tables[:, 0] == row).all(axis=1)
+        return verdicts
+
+    monkeypatch.setitem(batch.MASKS, mask, flipped)
+    report = verify(theorem_id, max_n=n)
+    assert [(f.n, f.k) for f in report.failures] == [(n, k) for k in (range(1, n) if perm else [4])]
+    assert all(f.status == "fail" and f.witness["row"] == (row + 1).tolist() for f in report.failures)
+
+
 def verify_lines(capsys, jobs, *theorem_ids):
     argv = ["verify", "--max-n", "12", "--jobs", jobs]
     for theorem_id in theorem_ids:
@@ -301,11 +339,11 @@ def test_bitmask_subset_scan_matches_the_subset_loop():
 
 def test_first_bad_row_names_the_first_set_entry():
     rows = np.array([[0, 1, 2], [2, 0, 1], [1, 2, 0], [2, 1, 0]], dtype=np.int8)
-    assert _first_bad_row(rows, np.zeros(4, dtype=bool), "never") is None
+    assert _first_bad_row(rows.__getitem__, np.zeros(4, dtype=bool), "never") is None
     bad = np.array([False, False, True, True])
-    assert _first_bad_row(rows, bad, "odd row") == ("fail", {"row": [2, 3, 1], "note": "odd row"})
+    assert _first_bad_row(rows.__getitem__, bad, "odd row") == ("fail", {"row": [2, 3, 1], "note": "odd row"})
     seen = []
-    got = _first_bad_row(rows, bad, lambda b: seen.append(b) or f"row {b}")
+    got = _first_bad_row(rows.__getitem__, bad, lambda b: seen.append(b) or f"row {b}")
     assert got == ("fail", {"row": [2, 3, 1], "note": "row 2"}) and seen == [2]
 
 

@@ -683,13 +683,13 @@ def test_serial_verify_sweeps_each_dual_space_once_per_command(capsys, monkeypat
     # empties the memo only as it opens and as it closes.  No other sweep
     # (dual-links' alterable masks) runs twice either.
     sweeps = collections.Counter()
-    real = batch._block_verdicts
+    real = batch.RowSpace.sweep
 
-    def counting(n, k, permutation_only, verdicts_of):
-        sweeps[verdicts_of.__qualname__.split(".")[0], n, k, permutation_only] += 1
-        return real(n, k, permutation_only, verdicts_of)
+    def counting(space, k, verdicts_of):
+        sweeps[verdicts_of.__qualname__.split(".")[0], space.n, k, space.permutation_only] += 1
+        return real(space, k, verdicts_of)
 
-    monkeypatch.setattr(batch, "_block_verdicts", counting)
+    monkeypatch.setattr(batch.RowSpace, "sweep", counting)
     code, out, _ = run(capsys, "verify", "--theorem", "dual-step", "--theorem", "dual-links", "--max-n", "7")
     assert code == 0 and len(out.splitlines()) == 2 * (21 + 1)
     assert set(sweeps.values()) == {1}

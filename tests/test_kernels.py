@@ -1331,7 +1331,7 @@ def test_space_verdicts_match_the_mask_on_fresh_tables(fresh_memo, monkeypatch):
         rows = batch.row_array(n, perm)
         size = _prime_above(max(n, len(rows) // 7))
         monkeypatch.setattr(batch, "_BLOCK_CELLS", size * n * n)
-        sizes = [len(block) for block in batch._row_blocks(rows)]
+        sizes = [len(block) for _, block in batch.RowSpace(n, perm).blocks()]
         assert sizes == [size] * (len(rows) // size) + [len(rows) % size]
         tables = batch.product_tables(rows, k)
         for name in ("associative", "alterable"):
@@ -1405,6 +1405,37 @@ def test_dual_campaigns_never_build_the_order_nine_permutation_space(fresh_memo)
     assert (9, True) not in batch._ROWS and (8, True) in batch._ROWS
 
 
+def test_witness_only_campaigns_never_build_the_order_nine_permutation_space(fresh_memo):
+    # Both sweep masks over the 9! permutation rows and unrank the row a
+    # witness would name.  Every mask but unitary at the top step is uniform
+    # there and held as one value, so what stays is that one 9!-long array
+    # (354 KiB) beside the tails; the row space alone would be 3.1 MiB.
+    # Measured: 1.91 MiB peak and 0.36 MiB held.
+    batch.row_array(8, True)
+    tracemalloc.start()
+    try:
+        for name in ("alterable-square", "unitary-step"):
+            for k in range(1, 9):
+                assert THEOREMS[name].result((9, k)).status == "pass", (name, k)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * 2**20
+    assert held < 0.5 * 2**20
+    assert (9, True) not in batch._ROWS
+
+
+def test_a_mask_every_table_agrees_on_is_held_as_one_value(fresh_memo):
+    # No permutation table of order 7 is alterable at step 2 ([k*k] = 4, not
+    # 6), so the memo keeps one verdict, read as the whole space's; seven of
+    # them own a left neutral (n / gcd(k, n)), so that mask stays an array.
+    uniform = batch.space_verdicts("alterable", 7, 2, True)
+    assert uniform.shape == (5040,) and uniform.strides == (0,) and not uniform.any()
+    mixed = batch.space_verdicts("left-unitary", 7, 2, True)
+    assert mixed.shape == (5040,) and mixed.strides == (1,) and mixed.sum() == 7
+    assert not uniform.flags.writeable and not mixed.flags.writeable
+
+
 @pytest.mark.parametrize("flipped", [0, 400, 719])
 def test_a_step_the_tables_disagree_on_is_kept_table_by_table(fresh_memo, monkeypatch, flipped):
     # Left cancellative tables have one step each, so without the flip every
@@ -1431,32 +1462,35 @@ def test_a_step_the_tables_disagree_on_is_kept_table_by_table(fresh_memo, monkey
         assert steps[kstar].tolist() == expected.tolist()
 
 
-@pytest.mark.parametrize("n", range(1, 9))
-def test_permutation_blocks_concatenate_to_the_row_space(fresh_memo, monkeypatch, n):
+@pytest.mark.parametrize("n, perm", [*itertools.product(range(1, 7), (True, False)), (7, True), (8, True)])
+def test_row_space_blocks_concatenate_to_the_row_space(fresh_memo, monkeypatch, n, perm):
     # Both block sizes of test_space_verdicts_match_the_mask_on_fresh_tables:
     # the default one and a prime number of rows above n.
-    expected = [list(p) for p in itertools.permutations(range(n))]
-    for width in range(1, n + 1):
-        assert np.concatenate(list(batch._first_value_blocks(n, width))).tolist() == expected
-    for size in (None, _prime_above(max(n, len(expected) // 7))):
+    # A permutation space is also cut into blocks of 1 to n whole first values.
+    space = batch.RowSpace(n, perm)
+    expected = [list(p) for p in (itertools.permutations(range(n)) if perm else itertools.product(range(n), repeat=n))]
+    widths = [math.factorial(n - 1) * width for width in range(1, n + 1)] if perm else []
+    for size in (None, _prime_above(max(n, len(expected) // 7)), *widths):
         if size:
             monkeypatch.setattr(batch, "_BLOCK_CELLS", size * n * n)
-        blocks = list(batch._space_rows(n, True))
+        blocks = list(space.blocks())
         assert np.concatenate([rows for _, rows in blocks]).tolist() == expected
         assert [start for start, _ in blocks] == [0, *itertools.accumulate(len(rows) for _, rows in blocks[:-1])]
         assert all(len(rows) * n * n <= max(batch._BLOCK_CELLS, n * n) for _, rows in blocks)
+    # Nothing memoised the permutation space, so its blocks were made one or more first values at a time.
     assert (n, True) not in batch._ROWS
+    assert np.concatenate([rows for _, rows in blocks]).tolist() == batch.row_array(n, perm).tolist()
 
 
 @pytest.mark.parametrize("perm", [True, False])
-def test_row_at_unranks_every_row(fresh_memo, perm):
+def test_row_space_row_unranks_every_row(fresh_memo, perm):
     for n in range(1, 7):
         rows = batch.row_array(n, perm)
-        assert [batch.row_at(n, perm, b).tolist() for b in range(len(rows))] == rows.tolist()
+        assert [batch.RowSpace(n, perm).row(b).tolist() for b in range(len(rows))] == rows.tolist()
     batch.clear_memo()
-    assert batch.row_at(9, True, 362879).tolist() == list(range(8, -1, -1))
-    assert batch.row_at(9, True, 1).tolist() == [0, 1, 2, 3, 4, 5, 6, 8, 7]
-    assert batch.row_at(7, False, 7**7 - 2).tolist() == [6] * 6 + [5]
+    assert batch.RowSpace(9, True).row(362879).tolist() == list(range(8, -1, -1))
+    assert batch.RowSpace(9, True).row(1).tolist() == [0, 1, 2, 3, 4, 5, 6, 8, 7]
+    assert batch.RowSpace(7, False).row(7**7 - 2).tolist() == [6] * 6 + [5]
     assert not batch._ROWS
 
 
@@ -1470,14 +1504,17 @@ def test_row_space_budget_refuses_before_allocating(fresh_memo, monkeypatch, cap
             return generate(n, *args)
         return guarded
 
+    # Blocks of the n = 10 permutation space would first need the whole
+    # space at n = 9 as their tails, so the _permutations guard covers them.
     monkeypatch.setattr(batch, "_permutations", refusing(batch._permutations, 9))
-    monkeypatch.setattr(batch, "_first_value_blocks", refusing(batch._first_value_blocks, 10))
     monkeypatch.setattr(batch, "_all_rows", refusing(batch._all_rows, 8))
-    with pytest.raises(BoundError, match=r"permutation row space at n = 10 .* budget of 67108864"):
-        batch.row_array(10, True)
-    with pytest.raises(BoundError, match=r"full row space at n = 8 .* budget of 67108864"):
-        batch.row_array(8, False)
-    for sweep in (lambda: batch.step_verdicts(10, 3, True), lambda: next(batch._space_rows(10, True))):
+    for refused in (lambda: batch.row_array(10, True), lambda: batch.RowSpace(10, True).size):
+        with pytest.raises(BoundError, match=r"permutation row space at n = 10 .* budget of 67108864"):
+            refused()
+    for refused in (lambda: batch.row_array(8, False), lambda: batch.RowSpace(8, False).size):
+        with pytest.raises(BoundError, match=r"full row space at n = 8 .* budget of 67108864"):
+            refused()
+    for sweep in (lambda: batch.step_verdicts(10, 3, True), lambda: next(batch.RowSpace(10, True).blocks())):
         with pytest.raises(BoundError, match=r"permutation row space at n = 10 needs 362880000 table cells"):
             sweep()
     assert not batch._ROWS
