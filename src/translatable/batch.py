@@ -33,16 +33,17 @@ step 1..n-1: the first cell T[0][0] = T[1][k] of every step in one pass,
 then a sieve over row pairs at each step where some table passed it.
 
 A row space is one RowSpace value: its size (refused over budget), its
-blocks in row order, the row at an index and its memo key.  A sweep over
-a whole space (space_verdicts, step_verdicts, sweep_verdicts, or a test
-a caller hands to _blocks) never holds its tables (29.4 MB for the 9!
-permutations), nor a permutation space's rows (3.1 MB) unless memoised:
-RowSpace.blocks makes them a block of at most _BLOCK_CELLS = 512 Ki
-table cells at a time, and RowSpace.row unranks the one row a witness
-names.  step_verdicts sweeps the step-k tables of the permutation rows,
-or their duals.  On permutation rows the first cell holds on every table
-or on none (a first row repeats no value), so at most one step of a
-block reaches the sieve.
+blocks in row order, the row at an index and its memo key.  RowSpace.blocks
+is the one way a sweep reads a space: _blocks hands each block's rows to
+a test, which makes the block's step-k tables with product_tables if it
+reads tables.  So a sweep over a whole space never holds its tables
+(29.4 MB for the 9! permutations), nor a permutation space's rows
+(3.1 MB) unless memoised: RowSpace.blocks makes them a block of at most
+_BLOCK_CELLS = 512 Ki table cells at a time, and RowSpace.row unranks the
+one row a witness names.  step_verdicts sweeps the step-k tables of the
+permutation rows, or their duals.  On permutation rows the first cell
+holds on every table or on none (a first row repeats no value), so at
+most one step of a block reaches the sieve.
 
 Row spaces and the whole-space verdicts of space_verdicts, step_verdicts
 and sweep_verdicts are memoised until clear_memo(); the outermost
@@ -162,11 +163,6 @@ class RowSpace:
                 at += len(tail)
             yield start, block
 
-    def sweep(self, k: int, verdicts_of):
-        """(start, verdicts_of(tables)) for the step-k tables of each of blocks(), in row order."""
-        for start, rows in self.blocks():
-            yield start, verdicts_of(product_tables(rows, k))
-
 
 def row_array(n: int, permutation_only: bool) -> np.ndarray:
     """All rows of RowSpace(n, permutation_only) as one read-only (B, n) array,
@@ -179,12 +175,13 @@ def row_array(n: int, permutation_only: bool) -> np.ndarray:
     return rows
 
 
-def _blocks(space: RowSpace, k: int, verdicts_of) -> np.ndarray:
-    """verdicts_of over the step-k tables of a row space, one block at a
+def _blocks(space: RowSpace, verdicts_of) -> np.ndarray:
+    """verdicts_of over the rows of a row space, one block of rows at a
     time, each block written in row order into one array whose last axis is
-    the table axis."""
+    the row axis.  A test of the tables makes a block's with product_tables."""
     out = None
-    for start, verdicts in space.sweep(k, verdicts_of):
+    for start, rows in space.blocks():
+        verdicts = verdicts_of(rows)
         if out is None:
             out = np.empty(verdicts.shape[:-1] + (space.size,), dtype=verdicts.dtype)
         out[..., start:start + verdicts.shape[-1]] = verdicts
@@ -192,15 +189,15 @@ def _blocks(space: RowSpace, k: int, verdicts_of) -> np.ndarray:
 
 
 def sweep_verdicts(tag: str, n: int, k: int, permutation_only: bool, verdicts_of) -> np.ndarray:
-    """_blocks(RowSpace(n, permutation_only), k, verdicts_of), memoised under
-    tag until clear_memo(), and held as one value broadcast to the space
-    when every table agrees.  tag names the test: a MASKS name for that
-    mask, any other name but "steps" for a caller's own per-table test."""
+    """verdicts_of on the step-k tables of RowSpace(n, permutation_only) by
+    _blocks, memoised under tag until clear_memo(), held as one value broadcast
+    to the space when every table agrees.  tag names the test: a MASKS name
+    for that mask, any other name but "steps" for a caller's own table test."""
     space = RowSpace(n, permutation_only)
     key = (tag, k, *space.key)
     verdicts = _VERDICTS.get(key)
     if verdicts is None:
-        verdicts = _blocks(space, k, verdicts_of)
+        verdicts = _blocks(space, lambda rows: verdicts_of(product_tables(rows, k)))
         if verdicts.min() == verdicts.max():
             verdicts = np.broadcast_to(verdicts.flat[0], verdicts.shape)
         verdicts = _VERDICTS[key] = _frozen(verdicts)
@@ -220,13 +217,11 @@ def step_verdicts(n: int, k: int, transposed: bool) -> dict[int, np.ndarray | np
     key = ("steps", n, k, bool(transposed))
     steps = _VERDICTS.get(key)
     if steps is None:
-
-        def verdicts_of(tables):
-            return _translatable(tables.transpose(0, 2, 1) if transposed else tables, np.arange(1, n))
-
         space = RowSpace(n, True)
         held = [None] * (n - 1)
-        for start, verdicts in space.sweep(k, verdicts_of):
+        for start, rows in space.blocks():
+            tables = product_tables(rows, k)
+            verdicts = _translatable(tables.transpose(0, 2, 1) if transposed else tables, np.arange(1, n))
             for step, (line, every, some) in enumerate(zip(verdicts, verdicts.all(axis=1), verdicts.any(axis=1))):
                 if not isinstance(held[step], np.ndarray):
                     if every == some and (held[step] is None or held[step] == every):

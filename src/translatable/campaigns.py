@@ -15,8 +15,8 @@ outcome, a (status, witness) pair; it never names itself.  Campaign.result label
 was declared under and the instance's first two members as (n, k), so
 every result is labelled in one place.  Failures carry a small JSON-safe
 witness naming the first offending row and cell; _first_bad_row names the
-first row where a verdict is wrong through a row lookup, most often
-batch.RowSpace.row, which builds no space.  Campaign.result is
+first row of a batch.RowSpace where a verdict is wrong, unranked by
+RowSpace.row, which builds no space.  Campaign.result is
 also the one place where a VerificationError from the library's own
 cross-checks (decompose, the iso_* builders, the constructions) becomes
 a fail with witness {"error": message}, so a runner calls those for their
@@ -26,12 +26,12 @@ whole command.
 A runner that sweeps a row space takes its whole-space verdicts from
 batch: a mask from space_verdicts and the steps of every table or its dual
 from step_verdicts, both memoised for the whole verify run, and a test of its
-own from _blocks, one block of a batch.RowSpace at a time, or from
-sweep_verdicts, memoised, when two campaigns share it.  No runner builds the
-tables of a whole row space: detection-equivalence takes its three
-descriptions of each table from _blocks, and alterable-solvable-quasigroup
-goes through the tables with permutation rows a block of row tuples at a
-time.  Only runners that compute on every row read batch.row_array.
+own from _blocks, which hands it the rows of one block of a batch.RowSpace
+at a time (a test of tables makes the block's with batch.product_tables),
+or from sweep_verdicts, memoised, when two campaigns share it.  No runner
+holds the tables of a whole row space.  Only alterable-solvable-quasigroup
+reads batch.row_array: at n <= 4 it picks by index the permutation rows
+of each table, a block of row tuples at a time.
 
 A structural test shared with structure (right-zero band, left ideal, left
 neutral in front, products of a map, cyclic group) is one function there,
@@ -193,14 +193,14 @@ def _np_seq(n: int, k: int, row) -> KSequence:
     return KSequence(n, k, tuple(int(v) + 1 for v in row))
 
 
-def _first_bad_row(row, bad: np.ndarray, note) -> Outcome | None:
-    """The failure naming row(b) (a RowSpace's row, or a (B, n) stack's own lookup)
-    for the first b where bad is set, or None; note is the note or a function of b."""
+def _first_bad_row(space: batch.RowSpace, bad: np.ndarray, note) -> Outcome | None:
+    """The failure naming space.row(b) for the first b where bad is set, or
+    None; note is the note or a function of b."""
     hit = np.flatnonzero(bad)
     if not hit.size:
         return None
     b = int(hit[0])
-    return _failed({"row": [int(v) + 1 for v in row(b)], "note": note(b) if callable(note) else note})
+    return _failed({"row": [int(v) + 1 for v in space.row(b)], "note": note(b) if callable(note) else note})
 
 
 def _first_not_cyclic(seqs, note) -> Outcome | None:
@@ -221,10 +221,10 @@ def _identity(n: int) -> tuple[int, ...]:
 def _run_left_cancellative_propagation(inst):
     n, k = inst
     space = batch.RowSpace(n, False)
-    row_is_perm = batch._blocks(space, k, lambda tables: _distinct(tables, 2).T)   # [row, table]
+    row_is_perm = batch._blocks(space, lambda rows: _distinct(batch.product_tables(rows, k), 2).T)   # [row, table]
     bad = row_is_perm.any(axis=0) & ~row_is_perm.all(axis=0)
     note = "one cancellable element without full cancellativity"
-    return _first_bad_row(space.row, bad, note) or _passed()
+    return _first_bad_row(space, bad, note) or _passed()
 
 
 @_campaign("unique-step", "a left cancellative table keeps exactly one step per ordering", 7)
@@ -233,9 +233,9 @@ def _run_unique_step(inst):
     steps = batch.step_verdicts(n, k, False)
     if not steps[k].all():
         return _failed({"note": "generated table lost its own step"})
-    row = batch.RowSpace(n, True).row
+    space = batch.RowSpace(n, True)
     for other in range(1, n):
-        failure = _first_bad_row(row, steps[other], f"also translatable with step {other}") if other != k else None
+        failure = _first_bad_row(space, steps[other], f"also translatable with step {other}") if other != k else None
         if failure:
             return failure
     return _passed()
@@ -268,7 +268,9 @@ def _all_grids(n: int) -> np.ndarray:
 def _run_detection_equivalence(inst):
     n, k = inst
     if n > 3:
-        by_formula, by_shift, by_columns = batch._blocks(batch.RowSpace(n, False), k, lambda tables: _descriptions(tables, k))
+        by_formula, by_shift, by_columns = batch._blocks(
+            batch.RowSpace(n, False), lambda rows: _descriptions(batch.product_tables(rows, k), k)
+        )
         if not (by_formula.all() and by_shift.all() and by_columns.all()):
             return _failed({"note": "a generated table failed one of the three descriptions"})
         return _passed()
@@ -287,18 +289,18 @@ def _run_detection_equivalence(inst):
 @_campaign("modular-conditions", "closed forms on the first row match cell-by-cell property checks", 6)
 def _run_modular_conditions(inst):
     n, k = inst
-    rows = batch.row_array(n, True)
+    space = batch.RowSpace(n, True)
     masks = np.stack([batch.space_verdicts(name, n, k, True) for name in LCOND_NAMES], axis=1)
-    wrong = np.stack([lcond_verdicts(rows, k, name) for name in LCOND_NAMES], axis=1) != masks
+    wrong = batch._blocks(space, lambda rows: np.stack([lcond_verdicts(rows, k, c) for c in LCOND_NAMES])).T != masks
     # Row 0 again, through lcond_check: this adds no check, as lcond_check is
     # the one-row case of lcond_verdicts.  It stays while bench/tracing.py
     # predicts a properties.closed_form/lcond_check span on verify-rowspace.
-    first = _np_seq(n, k, rows[0])
+    first = _np_seq(n, k, space.row(0))
     wrong[0] |= np.array([lcond_check(first, name) for name in LCOND_NAMES]) != masks[0]
     if wrong.any():
         b, c = np.unravel_index(int(wrong.argmax()), wrong.shape)
         return _failed({
-            "row": [int(v) + 1 for v in rows[b]],
+            "row": [int(v) + 1 for v in space.row(b)],
             "property": LCOND_NAMES[c],
             "closed-form": not masks[b, c],
             "table": bool(masks[b, c]),
@@ -400,7 +402,7 @@ def _run_idempotent_existence(inst):
             space = batch.RowSpace(n, False)
             witness["exhausted-rows"] = space.size
             hits = batch.space_verdicts("idempotent", n, k, False)
-            return _first_bad_row(space.row, hits, "an idempotent table exists despite the collision") or _expected_fail(witness)
+            return _first_bad_row(space, hits, "an idempotent table exists despite the collision") or _expected_fail(witness)
         return _expected_fail(witness)
     return _failed({"row": list(seq.seq), "note": "construction succeeded where positions must collide"})
 
@@ -443,9 +445,9 @@ def _run_right_cancellable_gcd(inst):
             return _failed({"note": "no right cancellable element found where one must exist"})
         return _passed()
     space = batch.RowSpace(n, n > 6)
-    hits = batch._blocks(space, k, lambda tables: _distinct(tables, 1).any(axis=1))
+    hits = batch._blocks(space, lambda rows: _distinct(batch.product_tables(rows, k), 1).any(axis=1))
     note = "right cancellable element with gcd(k, n) > 1"
-    return _first_bad_row(space.row, hits, note) or _passed()
+    return _first_bad_row(space, hits, note) or _passed()
 
 
 # --- alterability and steps --------------------------------------------------
@@ -461,7 +463,7 @@ def _run_alterable_cancellative_step(inst):
     # 0..n-1, so a right cancellative table has a permutation first row.
     alter = batch.space_verdicts("alterable", n, k, True)
     note = "cancellative alterable table with [k*k] != n-1"
-    return _first_bad_row(batch.RowSpace(n, True).row, alter, note) or _passed()
+    return _first_bad_row(batch.RowSpace(n, True), alter, note) or _passed()
 
 
 @_campaign("alterable-square", "alterability of cancellative tables is the square condition", 8)
@@ -470,7 +472,7 @@ def _run_alterable_square(inst):
     alter = batch.space_verdicts("alterable", n, k, True)
     closed = mod_rep(k * k, n) == n - 1
     note = f"alterable={not closed} against closed form"
-    return _first_bad_row(batch.RowSpace(n, True).row, alter != closed, note) or _passed()
+    return _first_bad_row(batch.RowSpace(n, True), alter != closed, note) or _passed()
 
 
 @_campaign("left-unitary-isomorphism", "tables owning a left neutral all reorder to the canonical one", 7)
@@ -513,7 +515,7 @@ def _run_unitary_step(inst):
     n, k = inst
     has_unit = batch.space_verdicts("unitary", n, k, True)
     if k != n - 1:
-        return _first_bad_row(batch.RowSpace(n, True).row, has_unit, "two-sided neutral away from step n-1") or _passed()
+        return _first_bad_row(batch.RowSpace(n, True), has_unit, "two-sided neutral away from step n-1") or _passed()
     if not has_unit.any():
         return _failed({"note": "no table with a two-sided neutral at the top step"})
     return _passed()
@@ -525,7 +527,7 @@ def _run_group_step_cyclic(inst):
     space = batch.RowSpace(n, True)
     group_like = batch.space_verdicts("associative", n, k, True) & batch.space_verdicts("quasigroup", n, k, True)
     if k != n - 1:
-        return _first_bad_row(space.row, group_like, "associative quasigroup away from step n-1") or _passed()
+        return _first_bad_row(space, group_like, "associative quasigroup away from step n-1") or _passed()
     hits = np.flatnonzero(group_like)
     if not hits.size:
         return _failed({"note": "no group found at the top step"})
@@ -601,7 +603,7 @@ def _run_embedding(inst):
 @_campaign("dual-step", "the transpose is translatable exactly for inverse steps", 9)
 def _run_dual_step(inst):
     n, k = inst
-    row = batch.RowSpace(n, True).row
+    space = batch.RowSpace(n, True)
     dual_masks = batch.step_verdicts(n, k, True)
     found = None
     for kstar in range(1, n):
@@ -609,7 +611,7 @@ def _run_dual_step(inst):
         if closed:
             found = kstar
         note = f"dual missed promised step {kstar}" if closed else f"dual gained unplanned step {kstar}"
-        failure = _first_bad_row(row, dual_masks[kstar] != closed, note)
+        failure = _first_bad_row(space, dual_masks[kstar] != closed, note)
         if failure:
             return failure
     if dual_step(n, k).kstar != found:
@@ -617,8 +619,8 @@ def _run_dual_step(inst):
     return _passed()
 
 
-def _perm_alterable_mask(blocks, n: int, k: int) -> np.ndarray:
-    """Alterability over permutation row blocks via matching product positions.
+def _perm_alterable_mask(n: int, k: int):
+    """Alterability of each row of a permutation row block via matching product positions, as a test for _blocks.
 
     For a permutation first row two entries agree exactly when they sit at
     the same position, so only quadruples whose left sides share a position
@@ -637,7 +639,7 @@ def _perm_alterable_mask(blocks, n: int, k: int) -> np.ndarray:
     def agree(chunk, pair):
         return chunk[:, pair // n] == chunk[:, pair % n]
 
-    return np.concatenate([_sieve(rows, agree, pairs, translation.ROW_CHUNK * n * n) for rows in blocks])
+    return lambda rows: _sieve(rows, agree, pairs, translation.ROW_CHUNK * n * n)
 
 
 @_campaign("dual-links", "dual steps encode squares, scaled steps, and alterability", 9)
@@ -647,7 +649,7 @@ def _run_dual_links(inst):
     dual_masks = batch.step_verdicts(n, k, True)
 
     closed_same = mod_rep(k * k, n) == 1
-    failure = _first_bad_row(space.row, dual_masks[k] != closed_same, "dual with the same step against [k*k] = 1")
+    failure = _first_bad_row(space, dual_masks[k] != closed_same, "dual with the same step against [k*k] = 1")
     if failure:
         return failure
 
@@ -660,25 +662,24 @@ def _run_dual_links(inst):
         if kstar == n:
             continue
         closed = mod_rep(t * k * k, n) == n - 1
-        failure = _first_bad_row(space.row, dual_masks[kstar] != closed, f"dual step n-{t}k against [t*k*k] = n-1")
+        failure = _first_bad_row(space, dual_masks[kstar] != closed, f"dual step n-{t}k against [t*k*k] = n-1")
         if failure:
             return failure
 
-    alter = _perm_alterable_mask((rows for _, rows in space.blocks()), n, k)
+    alter = batch._blocks(space, _perm_alterable_mask(n, k))
     if n <= 6 and not (alter == batch.space_verdicts("alterable", n, k, True)).all():
         return _failed({"note": "position-based alterability mask disagrees with the cell sweep"})
-    return _first_bad_row(space.row, alter != dual_masks[n - k], "alterable against dual step n-k") or _passed()
+    return _first_bad_row(space, alter != dual_masks[n - k], "alterable against dual step n-k") or _passed()
 
 
 # --- associativity -----------------------------------------------------------
 
-def _eas_masks(rows: np.ndarray, n: int, k: int, perm: np.ndarray):
-    """Literal sequence forms of associativity, evaluated per row.
-
-    The full form eas covers every row; the cancelled form ee1 covers only
-    rows[perm], the permutation rows, where it is read.  eas is sieved
-    first on the line x = y = 1, then over x, each slab spanning every
-    (y, z); ee1 over x alone.
+def _eas_masks(rows: np.ndarray, n: int, k: int) -> np.ndarray:
+    """Literal sequence forms of associativity, evaluated per row: [0] the
+    full form eas, [1] is the row a permutation, [2] the cancelled form
+    ee1, evaluated on the permutation rows only, where it is read, and
+    False on the others.  eas is sieved first on the line x = y = 1, then
+    over x, each slab spanning every (y, z); ee1 over x alone.
     """
     z = np.arange(1, n + 1).reshape(1, n)
     every_y = np.arange(1, n + 1).reshape(n, 1)
@@ -705,20 +706,22 @@ def _eas_masks(rows: np.ndarray, n: int, k: int, perm: np.ndarray):
         return (left == right).all(axis=(1, 2))
 
     slabs = [(x, every_y) for x in range(1, n + 1)]
-    eas = _sieve(rows, eas_slab, [(1, np.array([[1]])), *slabs])
-    return eas, _sieve(rows[perm], ee1_slab, slabs)
+    out = np.zeros((3, len(rows)), dtype=bool)
+    out[0] = _sieve(rows, eas_slab, [(1, np.array([[1]])), *slabs])
+    out[1] = perm = _distinct(rows, 1)
+    out[2, perm] = _sieve(rows[perm], ee1_slab, slabs)
+    return out
 
 
 @_campaign("associativity-sequence-form", "associativity rewrites as a nested first-row identity", 6)
 def _run_associativity_sequence_form(inst):
     n, k = inst
-    rows = batch.row_array(n, False)
+    space = batch.RowSpace(n, False)
     assoc = batch.space_verdicts("associative", n, k, False)
-    perm = np.flatnonzero(_distinct(rows, 1))
-    eas, ee1 = _eas_masks(rows, n, k, perm)
+    eas, perm, ee1 = batch._blocks(space, lambda rows: _eas_masks(rows, n, k))
     return (
-        _first_bad_row(rows.__getitem__, eas != assoc, "sequence form against cell associativity")
-        or _first_bad_row(rows[perm].__getitem__, ee1 != assoc[perm], "cancelled sequence form against cell associativity")
+        _first_bad_row(space, eas != assoc, "sequence form against cell associativity")
+        or _first_bad_row(space, perm & (ee1 != assoc), "cancelled sequence form against cell associativity")
         or _passed()
     )
 
@@ -726,11 +729,11 @@ def _run_associativity_sequence_form(inst):
 @_campaign("semigroup-criterion", "associativity of cancellative tables is a first-row recurrence", 7)
 def _run_semigroup_criterion(inst):
     n, k = inst
-    rows = batch.row_array(n, True)
+    space = batch.RowSpace(n, True)
     assoc = batch.space_verdicts("associative", n, k, True)
-    crit = semigroup_verdicts(rows, k)
+    crit = batch._blocks(space, lambda rows: semigroup_verdicts(rows, k))
     return _first_bad_row(
-        rows.__getitem__, crit != assoc, lambda b: f"criterion={bool(crit[b])} associative={bool(assoc[b])}"
+        space, crit != assoc, lambda b: f"criterion={bool(crit[b])} associative={bool(assoc[b])}"
     ) or _passed()
 
 
@@ -741,7 +744,7 @@ def _run_left_neutral_element(inst):
     cancel = batch.space_verdicts("left-cancellative", n, k, False)
     neutral = batch.space_verdicts("left-unitary", n, k, False)
     return _first_bad_row(
-        batch.RowSpace(n, False).row, assoc & (cancel != neutral),
+        batch.RowSpace(n, False), assoc & (cancel != neutral),
         lambda b: f"cancellative={bool(cancel[b])} neutral={bool(neutral[b])}",
     ) or _passed()
 
@@ -839,7 +842,7 @@ def _run_top_step_cyclic(inst):
 def _run_no_idempotent_semigroup(inst):
     n, k = inst
     both = batch.space_verdicts("idempotent", n, k, False) & batch.space_verdicts("associative", n, k, False)
-    return _first_bad_row(batch.RowSpace(n, False).row, both, "idempotent semigroup found") or _passed()
+    return _first_bad_row(batch.RowSpace(n, False), both, "idempotent semigroup found") or _passed()
 
 
 @_campaign("idempotent-set-formula", "idempotents form a right zero band of left neutrals with a closed form",
@@ -877,7 +880,7 @@ def _run_right_cancellative_semigroup(inst):
     space = batch.RowSpace(n, True)
     strong = batch.space_verdicts("associative", n, k, True) & batch.space_verdicts("right-cancellative", n, k, True)
     if k != n - 1:
-        return _first_bad_row(space.row, strong, "right cancellative semigroup away from step n-1") or _passed()
+        return _first_bad_row(space, strong, "right cancellative semigroup away from step n-1") or _passed()
     seqs = (_np_seq(n, k, space.row(b)) for b in np.flatnonzero(strong))
     return _first_not_cyclic(seqs, "not the cyclic group") or _passed()
 
@@ -1020,9 +1023,8 @@ def _constant_column_masks(rows: np.ndarray, k: int):
     """Per 0-based first row a: a[j] = a[j + k] and a[a[j]] = a[j] for every j, mod n."""
     n = rows.shape[1]
     crit = (rows == rows[:, (np.arange(n) + k) % n]).all(axis=1)
-    for j in range(n):
-        # one column of indices at a time: numpy casts an index array to intp whole
-        crit &= np.take_along_axis(rows, rows[:, j:j + 1], axis=1)[:, 0] == rows[:, j]
+    held = rows[crit]   # the second read only where the first holds, a few rows
+    crit[crit] = (np.take_along_axis(held, held, axis=1) == held).all(axis=1)
     return crit
 
 
@@ -1038,15 +1040,15 @@ def _constant_columns(n: int, k: int) -> np.ndarray:
 @_campaign("constant-column-criterion", "column-constant semigroups are cut out by a two-part recurrence", 6)
 def _run_constant_column_criterion(inst):
     n, k = inst
-    rows = batch.row_array(n, False)
+    space = batch.RowSpace(n, False)
     assoc = batch.space_verdicts("associative", n, k, False)
-    crit = _constant_column_masks(rows, k)
+    crit = batch._blocks(space, lambda rows: _constant_column_masks(rows, k))
     note = "criterion against associativity with constant columns"
-    failure = _first_bad_row(rows.__getitem__, (assoc & _constant_columns(n, k)) != crit, note)
+    failure = _first_bad_row(space, (assoc & _constant_columns(n, k)) != crit, note)
     if failure:
         return failure
     produced = {seq.seq for seq in constant_column_semigroups(n, k)}
-    swept = {tuple(int(v) + 1 for v in rows[b]) for b in np.flatnonzero(crit)}
+    swept = {tuple(int(v) + 1 for v in space.row(b)) for b in np.flatnonzero(crit)}
     if produced != swept:
         return _failed({"produced": len(produced), "swept": len(swept)})
     d = math.gcd(k, n)
@@ -1056,19 +1058,23 @@ def _run_constant_column_criterion(inst):
     return _passed({"rows": len(swept)})
 
 
-@_campaign("constant-column-forcing", "two first-row shapes force column-constant multiplication", 6)
-def _run_constant_column_forcing(inst):
-    n, k = inst
-    rows = batch.row_array(n, False)
-    assoc = batch.space_verdicts("associative", n, k, False)
+def _forcing_shapes(rows: np.ndarray) -> np.ndarray:
+    """Per 0-based first row a, read 1-based: a_1 = a_2 = n, or a_1 = 1 with a_j = j + 1 for some 1 < j < n?"""
+    n = rows.shape[1]
     shape1 = (rows[:, 0] == n - 1) & (rows[:, 1] == n - 1)
-    shape2 = rows[:, 0] == 0
     tail = np.zeros(len(rows), dtype=bool)
     for j in range(2, n):
         tail |= rows[:, j - 1] == j
-    shape2 &= tail
-    bad = (shape1 | shape2) & assoc & ~_constant_columns(n, k)
-    return _first_bad_row(rows.__getitem__, bad, "bent first row with a non-constant semigroup") or _passed()
+    return shape1 | ((rows[:, 0] == 0) & tail)
+
+
+@_campaign("constant-column-forcing", "two first-row shapes force column-constant multiplication", 6)
+def _run_constant_column_forcing(inst):
+    n, k = inst
+    space = batch.RowSpace(n, False)
+    assoc = batch.space_verdicts("associative", n, k, False)
+    bad = batch._blocks(space, _forcing_shapes) & assoc & ~_constant_columns(n, k)
+    return _first_bad_row(space, bad, "bent first row with a non-constant semigroup") or _passed()
 
 
 def _anchor_rows(tables: np.ndarray, k: int) -> np.ndarray:
@@ -1094,10 +1100,10 @@ def _anchor_rows(tables: np.ndarray, k: int) -> np.ndarray:
 def _run_idempotent_anchor_semigroup(inst):
     n, k = inst
     space = batch.RowSpace(n, False)
-    anchored, holds = batch._blocks(space, k, lambda tables: _anchor_rows(tables, k))
+    anchored, holds = batch._blocks(space, lambda rows: _anchor_rows(batch.product_tables(rows, k), k))
     bad = anchored & (holds != batch.space_verdicts("associative", n, k, False))   # [j, b]
     return _first_bad_row(
-        space.row, bad.any(axis=0),
+        space, bad.any(axis=0),
         lambda b: f"anchor {int(bad[:, b].argmax()) + 1} conditions against associativity",
     ) or _passed()
 
@@ -1105,11 +1111,13 @@ def _run_idempotent_anchor_semigroup(inst):
 @_campaign("idempotent-one-semigroup", "idempotent 1 with 1 = 1*n reduces associativity to four equalities", 6)
 def _run_idempotent_one_semigroup(inst):
     n, k = inst
-    rows = batch.row_array(n, False)
+    space = batch.RowSpace(n, False)
     assoc = batch.space_verdicts("associative", n, k, False)
-    cond = _constant_column_masks(rows, k) & (rows == rows[:, (np.arange(n) - k) % n]).all(axis=1)
-    anchored = (rows[:, 0] == 0) & (rows[:, n - 1] == 0)
-    return _first_bad_row(rows.__getitem__, anchored & (cond != assoc), "four-way condition against associativity") or _passed()
+    anchored, cond = batch._blocks(space, lambda rows: np.stack([
+        (rows[:, 0] == 0) & (rows[:, n - 1] == 0),
+        _constant_column_masks(rows, k) & (rows == rows[:, (np.arange(n) - k) % n]).all(axis=1),
+    ]))
+    return _first_bad_row(space, anchored & (cond != assoc), "four-way condition against associativity") or _passed()
 
 
 # --- scaled residues and unions ---------------------------------------------

@@ -43,7 +43,6 @@ from .core import (
     KSequence,
     ParseError,
     PreconditionError,
-    TranslatableError,
     parse_table,
     serialize,
 )
@@ -544,9 +543,6 @@ def main(argv=None) -> int:
     except (ParseError, PreconditionError, BoundError, InvalidInputError) as exc:
         print(f"translatable: {exc}", file=sys.stderr)
         return USAGE
-    except TranslatableError as exc:
-        print(f"translatable: {exc}", file=sys.stderr)
-        return NEGATIVE
     except MemoryError as exc:
         # An input too large for this machine's memory is unusable, not a "no".
         detail = f": {exc}" if str(exc) else ""

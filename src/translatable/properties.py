@@ -835,21 +835,20 @@ def left_unitary_characterize(n: int, k: int) -> dict[str, bool]:
 
 def semigroup_verdicts(rows: np.ndarray, k: int) -> np.ndarray:
     """The semigroup criterion at step k on each row of a (B, n) stack of
-    0-based permutation rows: one boolean per row.
+    0-based permutation rows, one row or one RowSpace block: one boolean
+    per row.
 
     Holds exactly when k*k + k is divisible by n and every entry satisfies
     a_i = [i - k - k*a_k].
     """
     n = rows.shape[1]
-    out = np.zeros(len(rows), dtype=bool)
     if mod_rep(k * k + k, n) != n:
-        return out
-    i = np.arange(1, n + 1)
-    chunk = translation.ROW_CHUNK
-    for start in range(0, len(rows), chunk):
-        a = np.asarray(rows[start:start + chunk], dtype=np.int64) + 1
-        out[start:start + chunk] = (a == (i - k - k * a[:, k - 1:k] - 1) % n + 1).all(axis=1)
-    return out
+        return np.zeros(len(rows), dtype=bool)
+    # On 0-based values the criterion reads a_i - i = [-k - k*a_k], a_k taken
+    # 1-based, at every i: a_i - i is a_0 everywhere, and a_0 is that value.
+    # Only the column a_k is widened, for the product.
+    turned = (rows - np.arange(n, dtype=rows.dtype)) % n == rows[:, :1]
+    return turned.all(axis=1) & (rows[:, 0] == -k * (rows[:, k - 1].astype(np.int64) + 2) % n)
 
 
 def semigroup_criterion(seq: KSequence) -> bool:

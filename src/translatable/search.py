@@ -100,12 +100,13 @@ def catalog(n: int, permutation_only: bool = False) -> dict[tuple[int, frozenset
     space = batch.RowSpace(n, permutation_only)
     census: dict[tuple[int, frozenset[str]], int] = {}
 
-    def flags(tables):
-        # A table's first row is its generating row.
-        return np.stack([_distinct(tables[:, 0], 1)] + [batch.MASKS[name](tables) for name in CATALOG_FLAGS[1:]])
+    def flags(rows, k):
+        tables = batch.product_tables(rows, k)
+        return np.stack([_distinct(rows, 1)] + [batch.MASKS[name](tables) for name in CATALOG_FLAGS[1:]])
 
     for k in range(1, n):
-        bits = sum(flag.astype(np.int64) << pos for pos, flag in enumerate(batch._blocks(space, k, flags)))
+        verdicts = batch._blocks(space, lambda rows: flags(rows, k))
+        bits = sum(flag.astype(np.int64) << pos for pos, flag in enumerate(verdicts))
         counts = np.bincount(bits, minlength=1 << len(CATALOG_FLAGS))
         for code in np.flatnonzero(counts):
             named = frozenset(

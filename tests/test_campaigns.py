@@ -240,28 +240,48 @@ def test_an_instance_window_is_taken_lazily():
     assert peak < 64 * 2**10
 
 
-@pytest.mark.parametrize(("theorem_id", "mask", "n", "perm", "b"), [
-    ("alterable-square", "alterable", 7, True, 2021),
-    ("left-neutral-element", "left-unitary", 5, False, 1726),
-])
-def test_a_flipped_verdict_names_its_row_as_the_witness(monkeypatch, theorem_id, mask, n, perm, b):
-    # The mask's verdict flips on the tables of one first row b of order n,
-    # which makes the claim false there: at every step of alterable-square
-    # at n = 7, where no permutation table is alterable, and at (5, 4) of
-    # left-neutral-element, the one step where row b's table is associative.
-    # Each fail line names row b.
+@pytest.mark.parametrize(("theorem_id", "verdict", "when", "n", "perm", "b", "ks"), [
+    ("alterable-square", "alterable", None, 7, True, 2021, range(1, 7)),
+    ("left-neutral-element", "left-unitary", None, 5, False, 1726, [4]),
+    ("modular-conditions", "lcond_verdicts", lambda k, name: name == "idempotent", 6, True, 400, range(1, 6)),
+    ("associativity-sequence-form", "_sieve", lambda test, *rest: test.__name__ == "eas_slab",
+     5, False, 1726, range(1, 5)),
+    ("associativity-sequence-form", "_sieve", lambda test, *rest: test.__name__ == "ee1_slab",
+     5, False, 1790, range(1, 5)),
+    ("semigroup-criterion", "semigroup_verdicts", None, 6, True, 400, range(1, 6)),
+    ("constant-column-criterion", "_constant_column_masks", None, 5, False, 1726, range(1, 5)),
+    ("constant-column-forcing", "associative", None, 5, False, 358, range(1, 5)),
+    ("idempotent-one-semigroup", "associative", None, 5, False, 410, range(1, 5)),
+], ids=["alterable-square", "left-neutral-element", "modular-conditions", "sequence-form-eas", "sequence-form-ee1",
+        "semigroup-criterion", "constant-column-criterion", "constant-column-forcing", "idempotent-one-semigroup"])
+def test_a_flipped_verdict_names_its_row_as_the_witness(monkeypatch, theorem_id, verdict, when, n, perm, b, ks):
+    # One verdict flips on the first row b of order n: a mask's on the
+    # tables that row generates, or a campaign's own test of rows, where
+    # `when` holds on its other arguments (one closed form, or one slab
+    # of _sieve).  That makes the claim false at the steps ks: at
+    # every step of alterable-square at n = 7, where no permutation table
+    # is alterable, and at (5, 4) of left-neutral-element, the one step
+    # where row b's table is associative.  The sequence form's cancelled
+    # half, ee1, is read on permutation rows only, and row 1790 is one.
+    # Blocks of 97 rows, a prime, put row b inside a middle block, so the
+    # fail lines, each naming row b, show that the blocks' offsets hold.
+    monkeypatch.setattr(batch, "_BLOCK_CELLS", 97 * n * n)
     row = batch.row_array(n, perm)[b].copy()
-    real = batch.MASKS[mask]
+    real = batch.MASKS[verdict] if verdict in batch.MASKS else getattr(campaigns, verdict)
 
-    def flipped(tables):
-        verdicts = real(tables)
-        if tables.shape[1] == n:
-            verdicts = verdicts ^ (tables[:, 0] == row).all(axis=1)
+    def flipped(stack, *args):
+        verdicts = real(stack, *args)
+        first = stack if stack.ndim == 2 else stack[:, 0]   # rows, or tables, whose first row is their row
+        if first.shape[1] == n and (when is None or when(*args)):
+            verdicts = verdicts ^ (first == row).all(axis=1)
         return verdicts
 
-    monkeypatch.setitem(batch.MASKS, mask, flipped)
+    if verdict in batch.MASKS:
+        monkeypatch.setitem(batch.MASKS, verdict, flipped)
+    else:
+        monkeypatch.setattr(campaigns, verdict, flipped)
     report = verify(theorem_id, max_n=n)
-    assert [(f.n, f.k) for f in report.failures] == [(n, k) for k in (range(1, n) if perm else [4])]
+    assert [(f.n, f.k) for f in report.failures] == [(n, k) for k in ks]
     assert all(f.status == "fail" and f.witness["row"] == (row + 1).tolist() for f in report.failures)
 
 
@@ -338,13 +358,13 @@ def test_bitmask_subset_scan_matches_the_subset_loop():
 
 
 def test_first_bad_row_names_the_first_set_entry():
-    rows = np.array([[0, 1, 2], [2, 0, 1], [1, 2, 0], [2, 1, 0]], dtype=np.int8)
-    assert _first_bad_row(rows.__getitem__, np.zeros(4, dtype=bool), "never") is None
-    bad = np.array([False, False, True, True])
-    assert _first_bad_row(rows.__getitem__, bad, "odd row") == ("fail", {"row": [2, 3, 1], "note": "odd row"})
+    space = batch.RowSpace(3, True)   # 123 132 213 231 312 321
+    assert _first_bad_row(space, np.zeros(6, dtype=bool), "never") is None
+    bad = np.array([False, False, True, True, False, True])
+    assert _first_bad_row(space, bad, "odd row") == ("fail", {"row": [2, 1, 3], "note": "odd row"})
     seen = []
-    got = _first_bad_row(rows.__getitem__, bad, lambda b: seen.append(b) or f"row {b}")
-    assert got == ("fail", {"row": [2, 3, 1], "note": "row 2"}) and seen == [2]
+    got = _first_bad_row(space, bad, lambda b: seen.append(b) or f"row {b}")
+    assert got == ("fail", {"row": [2, 1, 3], "note": "row 2"}) and seen == [2]
 
 
 def test_right_cancellative_tables_have_permutation_first_rows():

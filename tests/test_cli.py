@@ -18,7 +18,7 @@ import tracemalloc
 
 import pytest
 
-from translatable import batch, cli, properties, search
+from translatable import batch, cli, properties, search, structure
 from translatable.cli import main
 from translatable.properties import left_unitary_characterize
 
@@ -210,16 +210,34 @@ def test_memory_error_exits_two_without_a_traceback(capsys, monkeypatch, message
     assert err == f"translatable: out of memory{': ' + message if message else ''}\n"
 
 
-@pytest.mark.parametrize("message", ["", "table cache corrupt"])
-def test_internal_error_exits_three_and_names_the_exception(capsys, monkeypatch, message):
-    def broken(args):
-        raise RuntimeError(message)
+def broken_build(message):
+    def patch(monkeypatch):
+        def broken(args):
+            raise RuntimeError(message)
 
-    monkeypatch.setitem(cli.HANDLERS, "build", broken)
-    code, out, err = run(capsys, "build", "--k", "3", "--seq", "1 2 3 4")
+        monkeypatch.setitem(cli.HANDLERS, "build", broken)
+
+    return patch
+
+
+def broken_products(monkeypatch):
+    # The library's own check of its cyclic map finds a wrong product.
+    monkeypatch.setattr(structure, "_first_broken_product", lambda *args: (1, 2))
+
+
+@pytest.mark.parametrize(("argv", "patch", "frame", "last"), [
+    (("build", "--k", "3", "--seq", "1 2 3 4"), broken_build(""), "in broken", "RuntimeError"),
+    (("build", "--k", "3", "--seq", "1 2 3 4"), broken_build("table cache corrupt"), "in broken",
+     "RuntimeError: table cache corrupt"),
+    (("iso", "--kind", "cyclic", "--k", "3", "--seq", "1 2 3 4"), broken_products, "in iso_to_cyclic",
+     "VerificationError: cyclic map fails on the product 1*2"),
+], ids=["runtime-error", "runtime-error-with-message", "verification-error"])
+def test_internal_error_exits_three_and_names_the_exception(capsys, monkeypatch, argv, patch, frame, last):
+    patch(monkeypatch)
+    code, out, err = run(capsys, *argv)
     assert code == 3 and out == ""
-    assert err.startswith("Traceback (most recent call last):\n") and "in broken" in err
-    assert err.endswith(f"\ntranslatable: internal error: RuntimeError{': ' + message if message else ''}\n")
+    assert err.startswith("Traceback (most recent call last):\n") and frame in err
+    assert err.endswith(f"\ntranslatable: internal error: {last}\n")
 
 
 def test_one_parser_serves_independent_calls(capsys):
@@ -240,9 +258,15 @@ def test_one_parser_serves_independent_calls(capsys):
     assert cli._parser.cache_info().currsize == 1 and cli._parser.cache_info().misses == 1
 
 
-def test_dual_subcommand(capsys):
+def test_dual_subcommand(capsys, tmp_path):
     code, out, _ = run(capsys, "dual", "--n", "7", "--k", "3")
     assert (code, out) == (0, "kstar: 5\n")
+    # Given a table, or a first row and step, dual writes the transpose.
+    table = tmp_path / "t.txt"
+    table.write_text("1 4 3 2\n3 2 1 4\n1 4 3 2\n3 2 1 4\n")
+    transpose = "1 3 1 3\n4 2 4 2\n3 1 3 1\n2 4 2 4\n"
+    assert run(capsys, "dual", "--table", str(table)) == (0, transpose, "")
+    assert run(capsys, "dual", "--k", "2", "--seq", "1 4 3 2") == (0, transpose, "")
     code, out, _ = run(capsys, "dual", "--n", "6", "--k", "2")
     assert (code, out) == (1, "kstar: none\n")
     code, out, _ = run(capsys, "dual", "--n", "5", "--k", "2", "--format", "json")
@@ -322,6 +346,19 @@ def test_commands_refuse_a_flag_they_would_ignore(capsys, tmp_path, argv, flag):
     code, out, err = run(capsys, *(str(z4) if arg == "Z4" else arg for arg in argv))
     assert (code, out) == (2, "")
     assert err.startswith(f"translatable: {argv[0]}") and flag in err
+
+
+@pytest.mark.parametrize(("argv", "message"), [
+    (("build", "--k", "1", "--seq", ""), "--seq is empty"),
+    (("build", "--n", "4", "--k", "1", "--seq", "1 2 3"), "--n 4 does not match the 3 values in --seq"),
+    (("detect", "--table", "MISSING"), "cannot read MISSING: No such file or directory"),
+    (("detect",), "detect needs --table or --k/--seq"),
+    (("dual",), "dual needs --table, --k/--seq or --n/--k"),
+])
+def test_unusable_input_exits_two_with_one_line(capsys, tmp_path, argv, message):
+    missing = str(tmp_path / "missing.txt")
+    argv = [missing if arg == "MISSING" else arg for arg in argv]
+    assert run(capsys, *argv) == (2, "", f"translatable: {message.replace('MISSING', missing)}\n")
 
 
 # Each construct variant with the flags it needs, and a value for every flag.
@@ -681,19 +718,32 @@ def test_serial_verify_sweeps_each_dual_space_once_per_command(capsys, monkeypat
     # Both campaigns read step_verdicts(n, k, True) for every instance; the
     # second reads what the first memoised, since the command's one scope
     # empties the memo only as it opens and as it closes.  No other sweep
-    # (dual-links' alterable masks) runs twice either.
+    # (dual-links' alterable masks) runs twice either.  A memoised sweep is
+    # stored once under its memo key as it ends, and every one but
+    # step_verdicts' is one _blocks call from sweep_verdicts; dual-links'
+    # position mask is one unmemoised _blocks call an instance.
     sweeps = collections.Counter()
-    real = batch.RowSpace.sweep
+    blocks_calls = collections.defaultdict(list)
+    real = batch._blocks
 
-    def counting(space, k, verdicts_of):
-        sweeps[verdicts_of.__qualname__.split(".")[0], space.n, k, space.permutation_only] += 1
-        return real(space, k, verdicts_of)
+    class CountingMemo(dict):
+        def __setitem__(self, key, value):
+            sweeps[key] += 1
+            super().__setitem__(key, value)
 
-    monkeypatch.setattr(batch.RowSpace, "sweep", counting)
+    def counting(space, verdicts_of):
+        blocks_calls[verdicts_of.__qualname__.split(".")[0]].append(space.key)
+        return real(space, verdicts_of)
+
+    monkeypatch.setattr(batch, "_VERDICTS", CountingMemo())
+    monkeypatch.setattr(batch, "_blocks", counting)
     code, out, _ = run(capsys, "verify", "--theorem", "dual-step", "--theorem", "dual-links", "--max-n", "7")
     assert code == 0 and len(out.splitlines()) == 2 * (21 + 1)
     assert set(sweeps.values()) == {1}
-    steps = {key[1:] for key in sweeps if key[0] == "step_verdicts"}
+    assert sorted(blocks_calls["sweep_verdicts"]) == sorted(key[2:] for key in sweeps if key[0] != "steps")
+    assert sorted(blocks_calls["_perm_alterable_mask"]) == [(n, True) for n in range(2, 8) for _ in range(1, n)]
+    assert blocks_calls.keys() == {"sweep_verdicts", "_perm_alterable_mask"}
+    steps = {key[1:] for key in sweeps if key[0] == "steps"}
     assert steps == {(n, k, True) for n in range(2, 8) for k in range(1, n)}
 
 

@@ -1565,7 +1565,7 @@ def positional_alterable(rows: np.ndarray, n: int, k: int) -> np.ndarray:
 def test_perm_alterable_mask_matches_the_cell_sweep(fresh_memo, n):
     rows = batch.row_array(n, True)
     for k in range(1, n):
-        got = _perm_alterable_mask([rows], n, k)
+        got = _perm_alterable_mask(n, k)(rows)
         assert (got == batch.alterable_mask(batch.product_tables(rows, k))).all(), (n, k)
 
 
@@ -1579,7 +1579,7 @@ def test_perm_alterable_mask_matches_every_position_pair_on_any_row():
             np.zeros((1, n), dtype=np.int8),
         ])
         for k in range(0, n + 1):
-            got = _perm_alterable_mask([rows], n, k)
+            got = _perm_alterable_mask(n, k)(rows)
             assert (got == positional_alterable(rows, n, k)).all(), (n, k)
             outcomes.update(got.tolist())
     assert outcomes == {True, False}
@@ -1702,7 +1702,7 @@ def test_perm_alterable_sieve_matches_every_position_pair(monkeypatch, chunk):
         ])
         rows = rows[rng.permutation(len(rows))]
         for k in range(0, n + 1):
-            got = _perm_alterable_mask([rows], n, k)
+            got = _perm_alterable_mask(n, k)(rows)
             assert (got == positional_alterable(rows, n, k)).all(), (n, k)
             assert got.all() == ((n, k) in no_pairs), (n, k)
 
@@ -1822,10 +1822,11 @@ def test_eas_masks_match_the_literal_formula(fresh_memo, monkeypatch, n):
     assert perm.size == math.factorial(n)
     outcomes = set()
     for k in range(0, n + 1):
-        eas, ee1 = _eas_masks(rows, n, k, perm)
+        eas, is_perm, ee1 = _eas_masks(rows, n, k)
         want_eas, want_ee1 = literal_eas(rows, n, k)
         assert (eas == want_eas).all(), k
-        assert (ee1 == want_ee1[perm]).all(), k
+        assert (np.flatnonzero(is_perm) == perm).all() and not ee1[~is_perm].any(), k
+        assert (ee1[perm] == want_ee1[perm]).all(), k
         outcomes.update(eas.tolist())
     assert outcomes == ({True} if n == 1 else {True, False})
 

@@ -50,6 +50,8 @@ def test_check_rejects_unknown_name():
     table = table_from_sequence(KSequence(3, 1, (1, 2, 3)))
     with pytest.raises(InvalidInputError):
         check(table, "warm")
+    with pytest.raises(InvalidInputError, match="no closed-form condition for 'warm'"):
+        lcond_check(KSequence(3, 1, (1, 2, 3)), "warm")
 
 
 def test_witnesses_are_real_counterexamples():

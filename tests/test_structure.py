@@ -163,6 +163,10 @@ def test_iso_to_cyclic_rejects_non_groups():
     assert iso_to_cyclic(table_from_sequence(seq)) is None
     bad = KSequence(4, 2, (1, 4, 3, 2))  # not even associative
     assert iso_to_cyclic(table_from_sequence(bad)) is None
+    monoid = CayleyTable(2, [[1, 2], [2, 2]])  # 1 is neutral, 2 has no inverse
+    assert iso_to_cyclic(monoid) is None
+    klein = CayleyTable(4, [[(x ^ y) + 1 for y in range(4)] for x in range(4)])  # a group, no element of order 4
+    assert iso_to_cyclic(klein) is None
 
 
 def test_principal_ideals_and_golden_partition():
